@@ -9,7 +9,11 @@ child dies with ``MemoryError`` and the smoke fails loudly.  On success
 the child's ``peak_rss_bytes`` is additionally gated against the
 committed baseline (the ``scale`` section of ``BENCH_pipeline.json``)
 with a growth tolerance, so creeping regressions under the hard ceiling
-are caught too.
+are caught too.  The child's ``undecided`` count is gated against the
+same entry with no tolerance: verdicts do not depend on the machine, so
+a run that leaves more pairs undecided than the committed one has lost
+completeness (for instance a weaker ATPG search at the same backtrack
+limit).
 
 Peak RSS is stable across same-arch machines (it is dominated by data
 structure sizes, not clock speed), which is why — unlike the throughput
@@ -42,16 +46,16 @@ _RUNNER = Path(__file__).parent / "scale_runner.py"
 _DEFAULT_BASELINE = Path(__file__).parent.parent / "BENCH_pipeline.json"
 
 
-def baseline_rss(baseline_path: Path, circuit: str) -> int | None:
-    """The committed ``peak_rss_bytes`` for ``circuit``, if recorded."""
+def baseline_entry(baseline_path: Path, circuit: str) -> dict:
+    """The committed ``scale`` result for ``circuit`` (empty if none)."""
     try:
         report = json.loads(baseline_path.read_text())
     except (OSError, ValueError):
-        return None
+        return {}
     for entry in (report.get("scale") or {}).get("results", []):
         if entry.get("circuit") == circuit:
-            return entry.get("peak_rss_bytes")
-    return None
+            return entry
+    return {}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         f"(ceiling {args.rss_limit_mb} MB)"
     )
 
-    reference = baseline_rss(args.baseline, args.circuit)
+    baseline = baseline_entry(args.baseline, args.circuit)
+    reference = baseline.get("peak_rss_bytes")
     if reference:
         limit = reference * (1.0 + args.tolerance)
         if report["peak_rss_bytes"] > limit:
@@ -112,6 +117,20 @@ def main(argv: list[str] | None = None) -> int:
         )
     else:
         print("no scale baseline recorded; hard-ceiling check only")
+
+    allowed_undecided = baseline.get("undecided")
+    if allowed_undecided is not None:
+        if report["undecided"] > allowed_undecided:
+            print(
+                f"SCALE SMOKE FAILED: {report['undecided']} undecided pairs "
+                f"> {allowed_undecided} in the committed baseline",
+                file=sys.stderr,
+            )
+            return 1
+        print(
+            f"{report['undecided']} undecided pairs (baseline "
+            f"{allowed_undecided})"
+        )
 
     if args.workers > 1:
         # Aggregate-RSS probe: same circuit with a worker pool attached

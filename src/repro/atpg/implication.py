@@ -33,6 +33,17 @@ therefore two integers and :meth:`backtrack` is O(changes undone) — the
 property the shared-launch decision sessions
 (:mod:`repro.core.session`) lean on when thousands of case analyses share
 one engine.
+
+Reasons
+-------
+Every assignment also records its trail :attr:`~ImplicationEngine.position`
+and its :attr:`~ImplicationEngine.reason`: the gate whose local rule
+implied it (its antecedents are that gate's pins assigned earlier), the
+source literal of a learned-table entry (encoded ``-2 - node``), or
+:data:`ASSUMED`.  When :meth:`~ImplicationEngine.assume` fails,
+:meth:`~ImplicationEngine.conflict_seeds` names the nodes whose values
+clash.  Both are plain list stores on the hot path; the justification
+search (:mod:`repro.atpg.justify`) walks them only when it backjumps.
 """
 
 from __future__ import annotations
@@ -50,6 +61,9 @@ LearnedTable = Mapping[tuple[int, int], Sequence[tuple[int, int]]]
 
 #: ``(trail length, justification-trail length)`` — see :meth:`checkpoint`.
 Mark = tuple[int, int]
+
+#: :attr:`ImplicationEngine.reason` of an assumed (not implied) value.
+ASSUMED = -1
 
 # Gate-type codes as plain ints: the hot loop dispatches on these instead
 # of enum identities (GateType is an IntEnum, so the codes are the values).
@@ -101,13 +115,23 @@ class ImplicationEngine:
         #: undo log for :attr:`unjustified`: ``gate`` added, ``~gate`` removed.
         self._jtrail: list[int] = []
         self._queue: list[int] = []
-        self._conflict = False
+        #: trail index of each assigned node (stale once it is undone).
+        self.position = [0] * circuit.num_nodes
+        #: why each assigned node holds its value: the implying gate, a
+        #: learned entry's source literal as ``-2 - node``, or ASSUMED.
+        self.reason = [ASSUMED] * circuit.num_nodes
+        #: reason context of the rule being applied (read by ``_post``).
+        self._why = ASSUMED
+        #: the node whose posted value clashed, after a failed ``assume``.
+        self._clash = -1
         #: total assignments posted (assumed + implied) over the lifetime.
         self.implications = 0
         for node in graph.const0:
             self.assignment.set(node, ZERO)
         for node in graph.const1:
             self.assignment.set(node, ONE)
+        for index, node in enumerate(self.assignment.trail):
+            self.position[node] = index
         self._base_mark: Mark = (self.assignment.checkpoint(), 0)
 
     # ------------------------------------------------------------------
@@ -132,7 +156,6 @@ class ImplicationEngine:
             else:
                 unjustified.add(~op)
         self._queue.clear()
-        self._conflict = False
 
     def assume(self, node: int, value: int) -> bool:
         """Assign ``node := value`` and run implications to a fixpoint.
@@ -141,6 +164,7 @@ class ImplicationEngine:
         assignment (directly or through implication); the caller is then
         expected to backtrack to its checkpoint.
         """
+        self._why = ASSUMED
         if not self._post(node, value):
             return False
         return self._propagate()
@@ -148,9 +172,25 @@ class ImplicationEngine:
     def assume_all(self, assignments: Iterable[tuple[int, int]]) -> bool:
         """Assume several assignments; stops at the first contradiction."""
         for node, value in assignments:
+            self._why = ASSUMED
             if not self._post(node, value):
                 return False
         return self._propagate()
+
+    def conflict_seeds(self) -> list[int]:
+        """Assigned nodes whose values clashed in the last failed assume.
+
+        A gate rule's clash involves the gate's pins, a learned entry's
+        the source literal and the clashing node, an assumption's the
+        node it contradicted.  Valid until the caller backtracks.
+        """
+        why = self._why
+        if why >= 0:
+            values = self.assignment.values
+            return [p for p in (*self.fanins[why], why) if values[p] != X]
+        if why == ASSUMED:
+            return [self._clash]
+        return [-2 - why, self._clash]
 
     def reset(self) -> None:
         """Drop everything assumed since construction."""
@@ -160,24 +200,36 @@ class ImplicationEngine:
     # Assignment + propagation internals.
     # ------------------------------------------------------------------
     def _post(self, node: int, value: int) -> bool:
-        """Record an assignment and schedule affected gates."""
+        """Record an assignment (with its reason) and schedule affected gates.
+
+        On a clash the reason context (``_why``) is left as it was, so
+        :meth:`conflict_seeds` can read it.
+        """
         values = self.assignment.values
         current = values[node]
         if current != X:
             if current != value:
-                self._conflict = True
+                self._clash = node
                 return False
             return True
         values[node] = value
-        self.assignment.trail.append(node)
+        trail = self.assignment.trail
+        self.position[node] = len(trail)
+        self.reason[node] = self._why
+        trail.append(node)
         self.implications += 1
         queue = self._queue
         queue.append(node)
         queue.extend(self.fanouts[node])
         if self.learned:
-            for other, other_value in self.learned.get((node, value), ()):
-                if not self._post(other, other_value):
-                    return False
+            consequents = self.learned.get((node, value), ())
+            if consequents:
+                why = self._why
+                self._why = -2 - node
+                for other, other_value in consequents:
+                    if not self._post(other, other_value):
+                        return False
+                self._why = why
         return True
 
     def _propagate(self) -> bool:
@@ -185,9 +237,9 @@ class ImplicationEngine:
         queue = self._queue
         while queue:
             gate = queue.pop()
+            self._why = gate
             if not self._imply_gate(gate):
                 queue.clear()
-                self._conflict = True
                 return False
         return True
 

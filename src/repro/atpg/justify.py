@@ -8,22 +8,63 @@ multi-cycle for this case).  The paper chose a D-algorithm-based engine
 over PODEM because values are assigned to internal nodes directly and the
 "fault" is likely redundant; our search shares that shape — it branches on
 the *justification frontier* (assigned gates whose output is not implied by
-their inputs) and relies on the implication engine to prune.
+their inputs), picks the unjustified gate of lowest ``(level, id)``, tries
+its candidate assignments in order, and relies on the implication engine
+to prune.
 
-The number of backtracks is bounded (the paper used 50 by default); hitting
+Conflict-directed backjumping
+-----------------------------
+A chronological search undoes only the latest decision after a failure,
+so a subtree that fails for reasons set several levels higher is proved
+again under every alternative in between.  The search here jumps back to
+the level that caused the failure instead:
+
+* **Reasons.** The engine records, for every assignment, its trail
+  position and its reason — the gate whose rule implied it, a learned
+  entry's source literal, or "assumed" (see
+  :mod:`repro.atpg.implication`).  A failed ``assume`` leaves the
+  clashing gate or nodes as seeds.
+* **Conflict levels.** From a set of seed nodes the search walks the
+  reasons backwards (a gate reason leads to that gate's pins assigned
+  before the node) and collects the decision level of every assumed node
+  it reaches.  Nodes assigned before the search are premises: the walk
+  stops there.  A leaf conflict is mapped this way.
+* **Exhausted frames.** Each decision frame keeps the union of its failed
+  choices' level sets minus its own level.  When its last choice fails,
+  the frame adds the levels that fix its J-gate's output and known pins
+  (they are why the choice list covers every way to justify the gate).
+  The result is a set of earlier decisions that together admit no
+  solution.
+* **Backjump.** The search undoes every level down to the deepest level
+  in that set, merges the set (minus that level) into the frame there and
+  tries its next choice.  An empty set means the premises alone are
+  impossible: UNSAT.
+
+Only subtrees that provably hold no solution are skipped, and the ones
+that remain are visited in the chronological order.  So a SAT search
+returns the same first witness as a chronological search, UNSAT and SAT
+verdicts agree wherever the chronological search decides, and there
+``decisions``/``backtracks`` never exceed its counts.
+``tests/atpg/chronological.py`` keeps the chronological loop as the
+differential oracle.
+
+The number of backtracks is bounded (the paper used 50 by default); one
+backjump counts as one backtrack however many levels it undoes.  Hitting
 the bound yields :attr:`SearchStatus.ABORTED` and the pair is reported
 *undecided* (conservatively treated as single-cycle downstream).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from repro.circuit.csr import csr_arrays
 from repro.circuit.gates import CONTROLLING, GateType
 from repro.logic.values import ONE, X, ZERO
-from repro.atpg.implication import ImplicationEngine, Mark
+from repro.atpg.implication import ASSUMED, ImplicationEngine, Mark
 
 
 class SearchStatus(Enum):
@@ -45,9 +86,14 @@ class SearchResult:
 
 @dataclass
 class _Frame:
+    #: the unjustified gate this frame branches on
+    gate: int
     choices: list[tuple[int, int]]
     index: int = 0
-    mark: Mark | None = None
+    #: checkpoint taken before the current choice was assumed
+    mark: Mark = (0, 0)
+    #: bitmask of the earlier decision levels its failed choices reached
+    conflict: int = 0
 
 
 def _choices_for(engine: ImplicationEngine, gate: int) -> list[tuple[int, int]]:
@@ -89,6 +135,49 @@ def extract_witness(engine: ImplicationEngine) -> dict[int, int]:
     return {node: value(node) for node in csr_arrays(engine.circuit).inputs}
 
 
+def _levels(
+    engine: ImplicationEngine,
+    seeds: Iterable[int],
+    start: int,
+    level_pos: list[int],
+) -> int:
+    """Bitmask of the decision levels the reasons of ``seeds`` reach.
+
+    Unassigned seeds are ignored.  Nodes at trail positions before
+    ``start`` were assigned before the search and end the walk; an
+    assumed node at a later position is a decision, whose level is its
+    index in ``level_pos`` (the trail position of each live decision)
+    plus one.
+    """
+    values = engine.assignment.values
+    position = engine.position
+    reason = engine.reason
+    fanins = engine.fanins
+    levels = 0
+    seen: set[int] = set()
+    stack = list(seeds)
+    while stack:
+        node = stack.pop()
+        at = position[node]
+        if values[node] == X or at < start or node in seen:
+            continue
+        seen.add(node)
+        why = reason[node]
+        if why >= 0:
+            # A gate rule: its antecedents are the gate's pins assigned
+            # before ``node`` (``node`` itself is one of the pins).
+            for pin in fanins[why]:
+                if position[pin] < at:
+                    stack.append(pin)
+            if position[why] < at:
+                stack.append(why)
+        elif why == ASSUMED:
+            levels |= 1 << bisect_right(level_pos, at)
+        else:
+            stack.append(-2 - why)
+    return levels
+
+
 def justify(
     engine: ImplicationEngine,
     backtrack_limit: int = 50,
@@ -103,51 +192,72 @@ def justify(
 
     ``choice_sorter`` optionally reorders each frontier gate's candidate
     decisions (e.g. SCOAP-guided, :func:`repro.atpg.scoap.make_choice_sorter`);
-    ordering affects cost only, never verdicts.
+    ordering affects cost only, never verdicts.  The search backjumps as
+    described in the module docstring; ``backtracks`` counts each undo,
+    a multi-level backjump included, once.
     """
     if not engine.unjustified:
         return SearchResult(SearchStatus.SAT, extract_witness(engine))
 
-    def choices_of(gate: int) -> list[tuple[int, int]]:
+    trail = engine.assignment.trail
+
+    def next_frame() -> _Frame:
+        gate = _pick(engine)
         options = _choices_for(engine, gate)
-        return choice_sorter(options) if choice_sorter else options
+        return _Frame(gate, choice_sorter(options) if choice_sorter else options)
 
     outer_mark = engine.checkpoint()
+    start = outer_mark[0]
     decisions = 0
     backtracks = 0
-    stack = [_Frame(choices_of(_pick(engine)))]
+    stack = [next_frame()]
+    #: trail position of each live decision; level ``k`` is entry ``k - 1``
+    level_pos: list[int] = []
 
-    while stack:
+    while True:
         frame = stack[-1]
-        if frame.mark is not None:
-            engine.backtrack(frame.mark)
-            frame.mark = None
-            backtracks += 1
-            if backtracks > backtrack_limit:
+        if frame.index < len(frame.choices):
+            node, value = frame.choices[frame.index]
+            frame.index += 1
+            frame.mark = engine.checkpoint()
+            level_pos.append(len(trail))
+            decisions += 1
+            if engine.assume(node, value):
+                if not engine.unjustified:
+                    witness = extract_witness(engine)
+                    engine.backtrack(outer_mark)
+                    return SearchResult(
+                        SearchStatus.SAT, witness,
+                        decisions=decisions, backtracks=backtracks,
+                    )
+                stack.append(next_frame())
+                continue
+            # Leaf conflict: remember which earlier levels it involved,
+            # then undo this choice and try the frame's next one.
+            level = len(stack)
+            failed = _levels(engine, engine.conflict_seeds(), start, level_pos)
+            level_pos.pop()
+        else:
+            # Every choice failed.  With the levels that make the J-gate
+            # need justifying, the frame's set admits no solution: jump
+            # back to its deepest level (UNSAT when it is empty).
+            gate = frame.gate
+            pins = (*engine.fanins[gate], gate)
+            failed = frame.conflict | _levels(engine, pins, start, level_pos)
+            if not failed:
                 engine.backtrack(outer_mark)
                 return SearchResult(
-                    SearchStatus.ABORTED, decisions=decisions, backtracks=backtracks
+                    SearchStatus.UNSAT, decisions=decisions, backtracks=backtracks
                 )
-        if frame.index >= len(frame.choices):
-            stack.pop()
-            continue
-        node, value = frame.choices[frame.index]
-        frame.index += 1
-        frame.mark = engine.checkpoint()
-        decisions += 1
-        if engine.assume(node, value):
-            if not engine.unjustified:
-                witness = extract_witness(engine)
-                engine.backtrack(frame.mark)
-                engine.backtrack(outer_mark)
-                return SearchResult(
-                    SearchStatus.SAT, witness, decisions=decisions, backtracks=backtracks
-                )
-            stack.append(_Frame(choices_of(_pick(engine))))
-        # On a conflict the frame's mark is undone at the top of the loop
-        # and the next choice is tried.
-
-    engine.backtrack(outer_mark)
-    return SearchResult(
-        SearchStatus.UNSAT, decisions=decisions, backtracks=backtracks
-    )
+            level = failed.bit_length() - 1
+            del stack[level:]
+            del level_pos[level - 1:]
+            frame = stack[-1]
+        engine.backtrack(frame.mark)
+        frame.conflict |= failed & ~(1 << level)
+        backtracks += 1
+        if backtracks > backtrack_limit:
+            engine.backtrack(outer_mark)
+            return SearchResult(
+                SearchStatus.ABORTED, decisions=decisions, backtracks=backtracks
+            )

@@ -112,6 +112,9 @@ class HazardChecker:
         ffj_t2 = expansion.ff_at[2][sink]
 
         limited = False
+        # The sink's cone is shared by every case's path search; it lives
+        # only for this call, so memory stays flat however many pairs run.
+        reach: set[int] | None = None
         for case in self._satisfiable_cases(pair_result):
             a, b = case
             mark = self.engine.checkpoint()
@@ -119,6 +122,8 @@ class HazardChecker:
             if not self.engine.assume_all(premise):
                 self.engine.backtrack(mark)
                 continue
+            if reach is None:
+                reach = self.expansion.comb.transitive_fanin([ffj_t2])
             result = find_sensitizable_path(
                 self.engine,
                 source=ffi_t1,
@@ -127,6 +132,7 @@ class HazardChecker:
                 mode=self.mode,
                 backtrack_limit=self.backtrack_limit,
                 max_attempts=self.max_attempts,
+                reach=reach,
             )
             self.engine.backtrack(mark)
             if result.outcome is PathSearchOutcome.FOUND:

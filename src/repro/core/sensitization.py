@@ -125,16 +125,20 @@ def find_sensitizable_path(
     mode: SensitizationMode,
     backtrack_limit: int = 50,
     max_attempts: int = 5000,
+    reach: frozenset[int] | set[int] | None = None,
 ) -> PathSearchResult:
     """Search for a statically (co-)sensitizable path ``source -> target``.
 
     ``allowed`` restricts intermediate/target nodes (used to confine the
-    walk to one time frame of an expansion).  The engine may already carry
-    context assumptions (the MC case premise); it is restored before
-    returning.  A FOUND result is backed by a justification-verified input
-    vector.
+    walk to one time frame of an expansion).  ``reach`` is ``target``'s
+    transitive fan-in; a caller searching one target several times
+    computes it once and passes it, otherwise it is computed here.  The
+    engine may already carry context assumptions (the MC case premise);
+    it is restored before returning.  A FOUND result is backed by a
+    justification-verified input vector.
     """
-    reach = engine.circuit.transitive_fanin([target])
+    if reach is None:
+        reach = engine.circuit.transitive_fanin([target])
     if source not in reach:
         return PathSearchResult(PathSearchOutcome.NONE)
 

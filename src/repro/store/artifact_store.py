@@ -65,7 +65,10 @@ SCHEMA_VERSIONS: dict[str, int] = {
     "expansion": 1,
     "lint-report": 1,
     "sweep-report": 1,
-    "pair-records": 1,
+    # 2: decide records of the backjumping ATPG search, whose
+    # decisions/backtracks counts are smaller than the chronological
+    # search's; inheriting a v1 record would differ from a full run.
+    "pair-records": 2,
 }
 
 #: default store size bound: 1 GiB.

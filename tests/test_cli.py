@@ -261,6 +261,43 @@ def test_analyze_incremental_from(fig1_file, tmp_path, capsys):
     deactivate_store()
 
 
+def test_incremental_from_ignores_schema1_bundle(fig1_file, tmp_path, capsys,
+                                                monkeypatch):
+    """A bundle of an older pair-records schema is a miss, not inherited."""
+    from repro.circuit.bench import load
+    from repro.circuit.netlist import clear_derived_caches
+    from repro.core.detector import DetectorOptions
+    from repro.core.incremental import load_result_bundle
+    from repro.store import ArtifactStore, SCHEMA_VERSIONS, deactivate_store
+
+    cache = str(tmp_path / "cache")
+    with monkeypatch.context() as old_release:
+        old_release.setitem(SCHEMA_VERSIONS, "pair-records", 1)
+        assert main(["analyze", fig1_file, "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    clear_derived_caches()
+    deactivate_store()
+    assert list((tmp_path / "cache" / "pair-records").glob("*-v1.pkl"))
+
+    store = ArtifactStore(cache)
+    assert load_result_bundle(store, load(fig1_file), DetectorOptions()) is None
+    assert (store.misses, store.corrupt) == (1, 0)
+
+    assert main([
+        "analyze", fig1_file, "--cache-dir", cache,
+        "--incremental-from", fig1_file,
+    ]) == 0
+    captured = capsys.readouterr()
+    assert "no cached pair records" in captured.err
+    assert "re-deciding every pair" in captured.err
+    line = captured.out.split("incremental:")[1].splitlines()[0]
+    survivors = int(line.split("survivors")[0].strip().rstrip(","))
+    assert survivors > 0
+    assert f"0 inherited, {survivors} re-decided" in line
+    assert "multi-cycle pairs:  5" in captured.out
+    deactivate_store()
+
+
 def test_analyze_incremental_from_without_store_warns(fig1_file, capsys,
                                                       monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

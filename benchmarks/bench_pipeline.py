@@ -73,7 +73,9 @@ Two measurements per circuit of the selected suite profile, recorded to
 
 Every timed section runs one warmup iteration first and is clocked with
 ``time.perf_counter``.  Per-stage wall times come from the structured
-trace (``stage_end`` events), not ad-hoc timers.
+trace (the fold's ``stream_topology``/``random_sim``/``hazard_stage``
+events, decide being the rest of its ``stage_end`` time), not ad-hoc
+timers.
 
 ``pytest benchmarks/bench_pipeline.py --benchmark-only`` runs it alone.
 """
@@ -491,10 +493,23 @@ def _topology_metrics(circuit, repeats: int = 5) -> dict[str, float | bool]:
 
 
 def _stage_seconds(tracer: Tracer) -> dict[str, float]:
-    return {
-        record["stage"]: record["seconds"]
-        for record in tracer.select("stage_end")
+    """Per-phase wall seconds of one run, from the fold's trace events.
+
+    Topology, random simulation and hazard validation each report their
+    own seconds (``stream_topology``, ``random_sim``, ``hazard_stage``);
+    decide is the rest of the fold's ``stage_end`` time.
+    """
+    def seconds(event: str) -> float:
+        return sum(record["seconds"] for record in tracer.select(event))
+
+    phases = {
+        "topology": seconds("stream_topology"),
+        "random-sim": seconds("random_sim"),
+        "hazard": seconds("hazard_stage"),
     }
+    decide = seconds("stage_end") - sum(phases.values())
+    phases["decide"] = round(max(0.0, decide), 6)
+    return phases
 
 
 @pytest.mark.parametrize("circuit", _CIRCUITS, ids=_IDS)
@@ -902,7 +917,7 @@ def test_scale_report():
 
     def run_one(name: str, *extra: str) -> dict:
         command = [sys.executable, str(runner), name,
-                   "--streaming", "on", "--rss-limit-mb", "4096", *extra]
+                   "--rss-limit-mb", "4096", *extra]
         proc = subprocess.run(
             command, capture_output=True, text=True, env=env
         )

@@ -1,6 +1,6 @@
 """One full detection run in its own process, with peak-RSS accounting.
 
-The memory claim of the streaming pipeline — bounded peak RSS on
+The memory claim of the launch-group fold — bounded peak RSS on
 100k-gate circuits — can only be measured process-wide, so each scale
 point runs here, in a fresh interpreter, and reports a single JSON
 object on stdout::
@@ -8,11 +8,11 @@ object on stdout::
     {"circuit": "syn20000", "num_nodes": 19556, "num_gates": ...,
      "num_dffs": 954, "connected_pairs": ..., "multi_cycle": ...,
      "single_cycle": ..., "undecided": ..., "groups": ...,
-     "wall_seconds": ..., "peak_rss_bytes": ..., "streaming": "on"}
+     "wall_seconds": ..., "peak_rss_bytes": ...}
 
 ``peak_rss_bytes`` is the interpreter's lifetime high-water mark
 (``getrusage(RUSAGE_SELF).ru_maxrss``, kilobytes on Linux), which is
-exactly the bound the streaming pipeline must hold — it includes the
+exactly the bound the fold must hold — it includes the
 circuit build, the packed matrices and the final per-pair records.
 
 ``--rss-limit-mb`` arms a *hard* ceiling before the run via
@@ -24,7 +24,7 @@ ceiling is therefore set with headroom over the expected RSS.)
 
 Usage::
 
-    python scale_runner.py syn20000 [--streaming on] [--workers 1]
+    python scale_runner.py syn20000 [--workers 1]
         [--rss-limit-mb 1536] [--trace FILE]
 """
 
@@ -56,8 +56,6 @@ def arm_rss_ceiling(limit_mb: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("circuit", help="suite or scale-ladder spec name")
-    parser.add_argument("--streaming", default="on",
-                        choices=("auto", "on", "off"))
     parser.add_argument("--packed-implication", default="auto",
                         choices=("auto", "on", "off"),
                         help="packed decide-stage pre-pass mode")
@@ -90,7 +88,6 @@ def main(argv: list[str] | None = None) -> int:
 
     circuit = generate(spec_by_name(args.circuit))
     options = DetectorOptions(
-        streaming=args.streaming,
         workers=args.workers,
         backplane=args.backplane,
         max_pairs_in_flight=args.max_pairs_in_flight,
@@ -137,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         "undecided": len(result.undecided_pairs),
         "sim_dropped": result.stats[Stage.SIMULATION].single_cycle,
         "groups": groups,
-        "streaming": args.streaming,
         "packed_implication": args.packed_implication,
         "workers": args.workers,
         "wall_seconds": round(seconds, 3),

@@ -41,15 +41,8 @@ from repro.core.kcycle import (
     is_k_cycle_pair,
     max_cycles,
 )
-from repro.core.pipeline import (
-    AnalysisContext,
-    DecisionStage,
-    HazardStage,
-    Pipeline,
-    RandomFilterStage,
-    TopologyStage,
-    default_pipeline,
-)
+from repro.core.pipeline import AnalysisContext, Pipeline
+from repro.core.streaming import StreamingStage
 from repro.core.ternary_hazard import TernaryHazardChecker, ternary_check_hazards
 from repro.core.result import Classification, DetectionResult, PairResult, Stage
 from repro.core.sensitization import SensitizationMode
@@ -63,30 +56,26 @@ __all__ = [
     "CircuitBuilder",
     "CircuitError",
     "Classification",
-    "DecisionStage",
     "DetectionResult",
     "DetectorOptions",
     "FFPair",
     "HazardChecker",
-    "HazardStage",
     "KCycleAnalyzer",
     "KCycleDetector",
     "MultiCycleDetector",
     "PairDecider",
     "PairResult",
     "Pipeline",
-    "RandomFilterStage",
     "SensitizationMode",
     "Stage",
+    "StreamingStage",
     "TernaryHazardChecker",
-    "TopologyStage",
     "Tracer",
     "available_engines",
     "check_hazards",
     "condition2_extension",
     "connected_ff_pairs",
     "create_decider",
-    "default_pipeline",
     "detect_multi_cycle_pairs",
     "is_k_cycle_pair",
     "max_cycles",

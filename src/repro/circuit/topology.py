@@ -301,7 +301,7 @@ def sink_reach(circuit: Circuit) -> SinkReach:
     """The circuit's sink-major source sets (built once per version).
 
     Persisted to the on-disk artifact store when one is active (the
-    streaming pipeline's topology pass on large circuits).
+    launch-group fold's topology pass).
     """
     return circuit.derived(_SINK_KEY, build_sink_reach, persist="sink-reach")
 
@@ -378,8 +378,8 @@ def launch_group_stats(
     """``(non-empty launch groups, total connected pairs)`` by popcount.
 
     Reads the cached launch matrix — no pair or group enumeration — so
-    streaming runs can report ``groups_total`` and the connected-pair
-    count before folding the first group.
+    the launch-group fold can report ``groups_total`` and the
+    connected-pair count before folding the first group.
     """
     n = len(sink_reach(circuit).dffs)
     if not n:

@@ -71,7 +71,6 @@ def _detector_options(args: argparse.Namespace) -> DetectorOptions:
         hazard_conflict_limit=getattr(
             args, "hazard_conflict_limit", 100_000
         ),
-        streaming=args.streaming,
         max_pairs_in_flight=args.max_pairs_in_flight,
         cache_dir=getattr(args, "cache_dir", None),
         cache_max_bytes=getattr(args, "cache_max_bytes", 1 << 30),
@@ -149,8 +148,9 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                              "pairs than this reach the decision stage "
                              "(default: 128)")
     parser.add_argument("--chunk-pairs", type=int, default=0,
-                        help="pairs per chunk dispatched to the worker "
-                             "pool (default: 0 = automatic)")
+                        help="pairs per decision work unit, in-process "
+                             "or on the worker pool (default: 0 = "
+                             "automatic)")
     parser.add_argument("--backplane", default="auto",
                         choices=("auto", "on", "off"),
                         help="zero-copy shared-memory backplane for the "
@@ -160,16 +160,9 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                              "of rebuilding; verdicts and pair records "
                              "are identical in every mode (default: "
                              "auto = publish whenever workers spawn)")
-    parser.add_argument("--streaming", default="auto",
-                        choices=("auto", "on", "off"),
-                        help="streaming launch-group execution: folds "
-                             "topology/random-sim/decide/hazard one launch "
-                             "group at a time with bounded peak memory; "
-                             "results are identical to the staged pipeline "
-                             "(default: auto = on for large circuits)")
     parser.add_argument("--max-pairs-in-flight", type=int, default=8192,
-                        help="streaming only: cap on pairs submitted to "
-                             "the decision queue but not yet folded "
+                        help="cap on pairs submitted to the decision "
+                             "worker pool but not yet folded "
                              "(default: 8192)")
     parser.add_argument("--hazard-check", default="off",
                         choices=("off", "ternary", "sensitize",
@@ -464,7 +457,6 @@ def cmd_kcycle(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 parallel_threshold=args.parallel_threshold,
                 chunk_pairs=args.chunk_pairs,
-                streaming=args.streaming,
                 max_pairs_in_flight=args.max_pairs_in_flight,
                 tracer=tracer,
             ).run()

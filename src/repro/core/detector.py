@@ -8,9 +8,10 @@ Ties the stages together exactly as the paper's overall flow:
 4. each remaining pair is settled by a decision engine — by default the
    paper's implication procedure with the ATPG backtrack fallback.
 
-Since the pipeline refactor this module is a thin shell: the staged flow
-lives in :mod:`repro.core.pipeline`, the decision engines (implication/
-ATPG, SAT, BDD, cross-check) in :mod:`repro.core.deciders`, and the
+This module is a thin shell: the flow runs as the launch-group fold of
+:mod:`repro.core.streaming` on the pipeline core of
+:mod:`repro.core.pipeline`, the decision engines (implication/ATPG,
+SAT, BDD, cross-check) live in :mod:`repro.core.deciders`, and the
 structured trace layer in :mod:`repro.core.trace`.  Select the engine
 with ``DetectorOptions(search_engine=...)``, parallelise with
 ``DetectorOptions(workers=N)``, and observe with a tracer or progress
@@ -26,11 +27,7 @@ Usage::
 from __future__ import annotations
 
 from repro.circuit.netlist import Circuit
-from repro.core.pipeline import (
-    AnalysisContext,
-    DetectorOptions,
-    default_pipeline,
-)
+from repro.core.pipeline import AnalysisContext, DetectorOptions, Pipeline
 from repro.core.result import DetectionResult
 from repro.core.trace import ProgressFn, Tracer
 
@@ -64,20 +61,14 @@ class MultiCycleDetector:
         self.progress = progress
 
     def run(self) -> DetectionResult:
-        """Run the pipeline and classify every connected FF pair.
-
-        ``options.streaming`` picks the execution model: the staged
-        pipeline ("off", and "auto" below the size threshold) or the
-        bounded-memory streaming launch-group pipeline
-        (:mod:`repro.core.streaming`).  Results are identical — only
-        peak memory and trace shape differ.
+        """Run the launch-group fold and classify every connected FF pair.
 
         With ``options.cache_dir`` (or ``REPRO_CACHE_DIR``) set, the
         on-disk artifact store is active for the run: derived artifacts
         round-trip through it and the run's pair records are published
         as a bundle for later ``--incremental-from`` ECO runs.
         """
-        from repro.core.streaming import streaming_enabled, streaming_pipeline
+        from repro.core.streaming import StreamingStage
         from repro.store.runtime import resolve_cache_dir, store_enabled
 
         ctx = AnalysisContext(
@@ -88,10 +79,7 @@ class MultiCycleDetector:
         )
         cache_dir = resolve_cache_dir(self.options.cache_dir)
         with store_enabled(cache_dir, self.options.cache_max_bytes) as store:
-            if streaming_enabled(self.options, self.circuit):
-                result = streaming_pipeline().run(ctx)
-            else:
-                result = default_pipeline().run(ctx)
+            result = Pipeline([StreamingStage()]).run(ctx)
             if store is not None:
                 from repro.core.incremental import save_result_bundle
 

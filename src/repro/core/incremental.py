@@ -2,12 +2,13 @@
 
 A full detection run prices every surviving FF pair through the decide
 stage even when the netlist changed by one gate.  This module runs the
-pipeline *incrementally* against a prior run's cached pair records:
+launch-group fold *incrementally* against a prior run's cached pair
+records:
 
 1. **Topology and random simulation always run fresh.**  The random
    filter's outcome depends on the global RNG stream and round
    structure, so any netlist edit can shift which pairs it drops; both
-   stages are cheap relative to decide and rerunning them keeps the
+   phases are cheap relative to decide and rerunning them keeps the
    merged result byte-identical to a full fresh run.
 2. **Decide records are inherited by cone hash.**  A pair's decide
    record is a pure function of its ``(launch-cone-hash,
@@ -16,16 +17,16 @@ pipeline *incrementally* against a prior run's cached pair records:
    the capture FF's expanded fanin cones and forward propagation from a
    consistent launch assignment cannot conflict outside them.  Survivors
    whose key matches a prior record inherit its verdict and case list
-   verbatim; only the changed subset re-enters the decision stage.
+   verbatim; only the changed subset is cut into work units and decided.
 3. **Globally-sensitive options force a full re-decide.**  Static
    learning, the compiled implication DB, SCOAP guidance and the
    SAT/BDD/cross-check engines read (or index) the whole circuit, so
    the options fingerprint mixes in the full structural hash whenever
    they are on — any edit then invalidates every prior record, which is
    sound (never wrong, merely slower).
-4. **Hazard flags inherit with the verdicts** when the prior run used
-   the same hazard mode; otherwise inherited multi-cycle pairs are
-   re-checked alongside the fresh ones.
+4. **Hazard verdicts inherit with the decide records** when the prior
+   run used the same hazard options; otherwise inherited multi-cycle
+   pairs are re-checked alongside the fresh ones.
 
 The prior state travels as a *pair-record bundle* — a pickleable dict
 the detector publishes to the artifact store after every run (kind
@@ -34,12 +35,12 @@ key plus the options fingerprint).  ``repro analyze --incremental-from
 OLD.bench`` loads the bundle of the old netlist from the active store
 and merges; the hypothesis differentials in
 ``tests/core/test_incremental.py`` pin the merged ``pair_records`` byte
-for byte against full fresh runs (staged and streaming alike).
+for byte against full fresh runs and the staged reference flow.
 
-The incremental path always executes on the staged machinery — the
-streaming pipeline produces byte-identical records (PR 6), so a
-streaming prior run and a staged incremental run compose freely; peak
-memory follows the staged path for the re-decided subset only.
+:class:`IncrementalStage` is the fold of :mod:`repro.core.streaming`
+with an inherit-or-decide filter: every launch group's survivors are
+split into inherited records, folded at once, and fresh pairs, which
+go through the same work units and executors as a full run.
 """
 
 from __future__ import annotations
@@ -55,25 +56,19 @@ from repro.circuit.structhash import (
 from repro.circuit.topology import FFPair
 from repro.core.pipeline import (
     AnalysisContext,
-    DecisionStage,
     DetectorOptions,
     Pipeline,
     PipelineState,
-    RandomFilterStage,
-    TopologyStage,
-    _emit_pair,
-    load_gate_delays,
 )
 from repro.core.result import (
     CaseOutcome,
     CaseResult,
     Classification,
     DetectionResult,
-    HazardVerdictKind,
-    PairHazardVerdict,
     PairResult,
     Stage,
 )
+from repro.core.streaming import Fold, StreamingStage
 from repro.core.trace import ProgressFn, Tracer
 from repro.store.artifact_store import ArtifactStore
 
@@ -97,8 +92,8 @@ def options_fingerprint(
 ) -> str:
     """Digest of every option that can influence a pair's decide record.
 
-    Execution-shape options (workers, streaming, chunking, lane packing,
-    the launch-prefix cache) are excluded — prior PRs pin their record
+    Execution-shape options (workers, unit sizing, lane packing, the
+    launch-prefix cache) are excluded — prior PRs pin their record
     byte-identity.  Simulation options are excluded too: the random
     filter reruns fresh on every incremental pass.  When a
     globally-sensitive feature is on (learned tables, SCOAP, the
@@ -261,244 +256,90 @@ def load_result_bundle(
 # ----------------------------------------------------------------------
 # The incremental stage.
 # ----------------------------------------------------------------------
-class IncrementalStage:
-    """Topology → random-sim → inherit-by-cone-hash → decide the rest.
+class IncrementalStage(StreamingStage):
+    """The launch-group fold with an inherit-or-decide filter.
 
-    A composite :class:`~repro.core.pipeline.PipelineStage` that reuses
-    the staged topology/random-filter/decision machinery and inherits
-    matching prior decide records between the filter and the decision
-    stage.  Result assembly, sorting and the trace envelope come from
+    Topology and random simulation run fresh; each launch group's
+    survivors whose cone-hash key matches a prior decide record inherit
+    it (and, under matching hazard options, its hazard verdict), and
+    the rest are decided exactly as in a full run.  Result assembly,
+    sorting and the trace envelope come from
     :class:`~repro.core.pipeline.Pipeline` as usual.
     """
 
     name = "incremental"
 
     def __init__(self, bundle: dict[str, object], frames: int = 2) -> None:
+        super().__init__(frames=frames)
         self.bundle = bundle
-        self.frames = frames
 
     def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        TopologyStage().run(ctx, state)
-        RandomFilterStage(self.frames).run(ctx, state)
-        survivors = list(state.pairs)
-
         fingerprint = options_fingerprint(
             ctx.options, ctx.circuit, self.frames
         )
-        prior_records: dict[tuple[str, str], dict[str, object]] = {}
+        self._prior: dict[tuple[str, str], dict[str, object]] = {}
         if self.bundle.get("fingerprint") == fingerprint and (
             self.bundle.get("frames") == self.frames
         ):
             for record in self.bundle.get("records", []):  # type: ignore[union-attr]
-                prior_records[(record["source"], record["sink"])] = record
-
-        launch = launch_cone_hashes(ctx.circuit, self.frames)
-        capture = capture_cone_hashes(ctx.circuit, self.frames)
-        names = ctx.circuit.names
-        inherited: list[tuple[FFPair, dict[str, object]]] = []
-        fresh: list[FFPair] = []
-        for pair in survivors:
-            record = prior_records.get(
-                (names[pair.source], names[pair.sink])
-            )
-            if (
-                record is not None
-                and record["stage"] in _DECIDE_STAGES
-                and record["launch"] == launch[pair.source]
-                and record["capture"] == capture[pair.sink]
-            ):
-                inherited.append((pair, record))
-            else:
-                fresh.append(pair)
-
-        # Decide only the changed subset; DecisionStage handles serial/
-        # parallel dispatch, counters and trace events unchanged.
-        state.pairs = fresh
-        before = len(state.results)
-        DecisionStage().run(ctx, state)
-        fresh_results = state.results[before:]
-
-        # Materialize inherited records; zero CPU charged to their stage.
-        for pair, record in inherited:
-            result = PairResult(
-                pair,
-                Classification(record["classification"]),
-                Stage(record["stage"]),
-                cases=[
-                    CaseResult(
-                        a=case["a"],
-                        b=case["b"],
-                        outcome=CaseOutcome(case["outcome"]),
-                        decisions=case["decisions"],
-                        backtracks=case["backtracks"],
-                        witness=case["witness"],
-                    )
-                    for case in record["cases"]  # type: ignore[union-attr]
-                ],
-            )
-            state.results.append(result)
-            stats = state.stats[result.stage]
-            if result.classification is Classification.MULTI_CYCLE:
-                stats.multi_cycle += 1
-            elif result.classification is Classification.SINGLE_CYCLE:
-                stats.single_cycle += 1
-            else:
-                stats.undecided += 1
-            _emit_pair(ctx, state, result, 0.0, engine=state.engine)
-
-        self._hazard(ctx, state, fresh_results, inherited)
-
-        state.incremental = {
-            "survivors": len(survivors),
-            "inherited": len(inherited),
-            "re_decided": len(fresh),
-        }
+                self._prior[(record["source"], record["sink"])] = record
+        self._hazard_inherits = self.bundle.get(
+            "hazard_fingerprint"
+        ) == hazard_fingerprint(ctx.options)
+        self._launch = launch_cone_hashes(ctx.circuit, self.frames)
+        self._capture = capture_cone_hashes(ctx.circuit, self.frames)
+        self._counts = {"survivors": 0, "inherited": 0, "re_decided": 0}
+        super().run(ctx, state)
+        state.incremental = dict(self._counts)
         ctx.emit("incremental", fingerprint=fingerprint[:16],
                  **state.incremental)
-        state.pairs = []
 
-    # ------------------------------------------------------------------
-    def _hazard(
-        self,
-        ctx: AnalysisContext,
-        state: PipelineState,
-        fresh_results: list[PairResult],
-        inherited: list[tuple[FFPair, dict[str, object]]],
-    ) -> None:
-        """Hazard-check fresh MC pairs; inherit verdicts where options match."""
-        mode = ctx.options.hazard_check
-        state.hazard_mode = mode
-        if mode == "off":
-            return
-        from repro.core.hazard import HazardChecker
-        from repro.core.sensitization import mode_from_flag
-        from repro.core.ternary_hazard import TernaryHazardChecker
+    def select(self, fold: Fold, pairs: list[FFPair]) -> list[FFPair]:
+        """Fold the pairs a prior record settles; return the rest."""
+        names = fold.ctx.circuit.names
+        fresh: list[FFPair] = []
+        recheck: list[PairResult] = []
+        for pair in pairs:
+            record = self._prior.get((names[pair.source], names[pair.sink]))
+            if (
+                record is None
+                or record["stage"] not in _DECIDE_STAGES
+                or record["launch"] != self._launch[pair.source]
+                or record["capture"] != self._capture[pair.sink]
+            ):
+                fresh.append(pair)
+                continue
+            result = _inherited_result(pair, record)
+            fold.result(result, 0.0, fold.engine)
+            if result.classification is Classification.MULTI_CYCLE and not (
+                self._hazard_inherits and fold.hazard.adopt(pair, record)
+            ):
+                recheck.append(result)
+        fold.hazard.check(recheck)
+        self._counts["survivors"] += len(pairs)
+        self._counts["inherited"] += len(pairs) - len(fresh)
+        self._counts["re_decided"] += len(fresh)
+        return fresh
 
-        candidates = [
-            r for r in fresh_results
-            if r.classification is Classification.MULTI_CYCLE
-        ]
-        flagged: list[FFPair] = []
-        verdicts: list[PairHazardVerdict] = []
-        checked = len(candidates)
-        by_pair = {
-            (r.pair.source, r.pair.sink): r for r in state.results
-        }
-        if self.bundle.get("hazard_fingerprint") == hazard_fingerprint(
-            ctx.options
-        ):
-            for pair, record in inherited:
-                if Classification(record["classification"]) is not (
-                    Classification.MULTI_CYCLE
-                ):
-                    continue
-                if mode == "exact":
-                    kind = record.get("hazard_verdict")
-                    if kind is None:
-                        # Pre-verdict bundle format: re-check the pair.
-                        candidates.append(by_pair[(pair.source, pair.sink)])
-                        checked += 1
-                        continue
-                    from repro.analysis.hazard_exact import (
-                        verdict_flags_pair,
-                    )
 
-                    verdict = PairHazardVerdict(
-                        pair,
-                        HazardVerdictKind(kind),
-                        "inherited",
-                        delay_safe=record.get("hazard_delay_safe"),  # type: ignore[arg-type]
-                    )
-                    verdicts.append(verdict)
-                    checked += 1
-                    if verdict_flags_pair(verdict):
-                        flagged.append(pair)
-                    continue
-                checked += 1
-                if record.get("hazard_flagged"):
-                    flagged.append(pair)
-        else:
-            # Prior run used different hazard options (or none): its
-            # verdicts do not apply, so inherited MC pairs re-check.
-            for pair, record in inherited:
-                if Classification(record["classification"]) is (
-                    Classification.MULTI_CYCLE
-                ):
-                    candidates.append(by_pair[(pair.source, pair.sink)])
-                    checked += 1
-        started = ctx.clock()
-        lanes = batches = 0
-        exact_checker = None
-        if candidates:
-            if mode == "ternary":
-                checker = TernaryHazardChecker(
-                    ctx.circuit,
-                    ctx.options.hazard_backtrack_limit,
-                    expansion=ctx.expansion(2),
-                    words=ctx.options.sim_words,
-                )
-                reports = checker.check_pairs(candidates)
-                lanes = checker.lanes_evaluated
-                batches = checker.batches_evaluated
-            elif mode in ("sensitize", "cosensitize"):
-                checker = HazardChecker(
-                    ctx.circuit,
-                    mode_from_flag(mode),
-                    backtrack_limit=ctx.options.hazard_backtrack_limit,
-                    expansion=ctx.expansion(2),
-                )
-                reports = [checker.check_pair(r) for r in candidates]
-            elif mode == "exact":
-                from repro.analysis.hazard_exact import (
-                    ExactHazardChecker,
-                    verdict_flags_pair,
-                )
-
-                exact_checker = ExactHazardChecker(
-                    ctx.circuit,
-                    ctx.expansion(2),
-                    backtrack_limit=ctx.options.hazard_backtrack_limit,
-                    conflict_limit=ctx.options.hazard_conflict_limit,
-                    delays=load_gate_delays(ctx.options, ctx.circuit),
-                )
-                fresh_verdicts = exact_checker.check_pairs(candidates)
-                verdicts.extend(fresh_verdicts)
-                flagged.extend(
-                    v.pair for v in fresh_verdicts
-                    if verdict_flags_pair(v)
-                )
-                reports = []
-            else:
-                raise ValueError(f"unknown hazard_check mode {mode!r}")
-            flagged.extend(
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
+def _inherited_result(pair: FFPair, record: dict[str, object]) -> PairResult:
+    """A prior bundle record as this run's result for ``pair``."""
+    return PairResult(
+        pair,
+        Classification(record["classification"]),
+        Stage(record["stage"]),
+        cases=[
+            CaseResult(
+                a=case["a"],
+                b=case["b"],
+                outcome=CaseOutcome(case["outcome"]),
+                decisions=case["decisions"],
+                backtracks=case["backtracks"],
+                witness=case["witness"],
             )
-        flagged.sort(key=lambda p: (p.source, p.sink))
-        state.hazard_flagged_pairs = flagged
-        state.hazard_flagged = len(flagged)
-        state.hazard_checked = checked
-        event: dict = dict(
-            mode=mode,
-            checked=checked,
-            flagged=len(flagged),
-            lanes=lanes,
-            batches=batches,
-            seconds=round(ctx.clock() - started, 6),
-        )
-        if mode == "exact":
-            state.hazard_verdicts = sorted(
-                verdicts, key=lambda v: (v.pair.source, v.pair.sink)
-            )
-            if exact_checker is not None:
-                state.hazard_exact = exact_checker.summary()
-            else:
-                from repro.analysis.hazard_exact import empty_exact_summary
-
-                state.hazard_exact = empty_exact_summary()
-            event["exact"] = state.hazard_exact
-        ctx.emit("hazard_stage", **event)
+            for case in record["cases"]  # type: ignore[union-attr]
+        ],
+    )
 
 
 def incremental_pipeline(

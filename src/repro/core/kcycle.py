@@ -271,7 +271,7 @@ class KCycleDetector:
     simulation, then implication/ATPG on a shared k-frame expansion —
     the paper's Step-3 extension applied to the whole flow.
 
-    Runs on the staged pipeline of :mod:`repro.core.pipeline`, so it
+    Runs on the launch-group fold of :mod:`repro.core.streaming`, so it
     inherits the parallel executor (``workers``) and the structured
     trace layer for free."""
 
@@ -289,7 +289,6 @@ class KCycleDetector:
         workers: int = 1,
         parallel_threshold: int = 128,
         chunk_pairs: int = 0,
-        streaming: str = "auto",
         max_pairs_in_flight: int = 8192,
         tracer: Tracer | None = None,
         progress: ProgressFn | None = None,
@@ -309,7 +308,6 @@ class KCycleDetector:
         self.workers = workers
         self.parallel_threshold = parallel_threshold
         self.chunk_pairs = chunk_pairs
-        self.streaming = streaming
         self.max_pairs_in_flight = max_pairs_in_flight
         self.tracer = tracer
         self.progress = progress
@@ -317,13 +315,10 @@ class KCycleDetector:
     def run(self) -> KCycleDetectionResult:
         from repro.core.pipeline import (
             AnalysisContext,
-            DecisionStage,
             DetectorOptions,
             Pipeline,
-            RandomFilterStage,
-            TopologyStage,
         )
-        from repro.core.streaming import StreamingStage, streaming_enabled
+        from repro.core.streaming import StreamingStage
 
         options = DetectorOptions(
             sim_words=self.sim_words,
@@ -336,22 +331,13 @@ class KCycleDetector:
             workers=self.workers,
             parallel_threshold=self.parallel_threshold,
             chunk_pairs=self.chunk_pairs,
-            streaming=self.streaming,
             max_pairs_in_flight=self.max_pairs_in_flight,
         )
         ctx = AnalysisContext(
             self.circuit, options, tracer=self.tracer, progress=self.progress
         )
         decider = KCycleDecider(self.k, self.backtrack_limit)
-        if streaming_enabled(options, self.circuit):
-            pipeline = Pipeline([StreamingStage(decider, frames=self.k)])
-        else:
-            pipeline = Pipeline([
-                TopologyStage(),
-                RandomFilterStage(frames=self.k),
-                DecisionStage(decider),
-            ])
-        detection = pipeline.run(ctx)
+        detection = Pipeline([StreamingStage(decider, frames=self.k)]).run(ctx)
         results = [
             KCycleResult(r.pair, self.k, r.classification)
             for r in detection.pair_results

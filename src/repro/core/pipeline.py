@@ -1,49 +1,47 @@
-"""Staged pair-analysis pipeline: the paper's flow as composable parts.
+"""Pipeline core: options, run context, result state and hazard pass.
 
 The paper's Section 4.1 flow — topology → random simulation → per-pair
-decision — used to be hard-coded inside ``MultiCycleDetector.run()``.
-Here it is a :class:`Pipeline` of :class:`PipelineStage` objects running
-over an :class:`AnalysisContext`, so that
+decision → (optional) hazard validation — runs as a :class:`Pipeline`
+of :class:`PipelineStage` objects over an :class:`AnalysisContext`.
+The one executor is the launch-group fold,
+:class:`~repro.core.streaming.StreamingStage`; the incremental ECO stage
+(:class:`~repro.core.incremental.IncrementalStage`) is the same fold
+with an inherit-or-decide filter.  This module holds what they share:
 
-* the decision procedure is pluggable (:mod:`repro.core.deciders` —
-  implication/ATPG, SAT, BDD, or a cross-checking pair of engines),
-* surviving pairs can be sharded across a persistent pool of ``workers``
-  processes whose initializer prepares each worker's engines exactly
-  once from the shared time-frame expansion; small deterministic chunks
-  keep workers busy, results merge byte-identical to serial, and tiny
-  pair lists fall back to in-process serial automatically,
-* every stage boundary and every analyzed pair emits a structured
-  trace event (:mod:`repro.core.trace`) instead of ad-hoc timing code.
+* :class:`DetectorOptions`, the tuning knobs;
+* :class:`AnalysisContext` — circuit, cached expansions and simulators,
+  the run's persistent worker pool, tracer and progress callback;
+* :class:`PipelineState` and the :class:`Pipeline` driver that turns it
+  into a :class:`~repro.core.result.DetectionResult`;
+* :class:`HazardPass`, the run's single hazard-validation pass;
+* the session-counter merge and the shared-memory backplane hooks of
+  the worker pool.
 
-The detector, k-cycle detector and reporting layers all build their
-pipelines from these stages; ``MultiCycleDetector`` is now a thin shell
-around :func:`default_pipeline`.
+The decision procedure is pluggable (:mod:`repro.core.deciders`), and
+every stage boundary and analyzed pair emits a structured trace event
+(:mod:`repro.core.trace`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
-from repro.circuit.topology import FFPair, connected_ff_pairs
-from repro.core.deciders import PairDecider, create_decider
+from repro.circuit.topology import FFPair
+from repro.core.deciders import PairDecider
 from repro.core.hazard import HazardChecker
-from repro.core.random_filter import random_filter, random_filter_k
 from repro.core.sensitization import mode_from_flag
 from repro.core.ternary_hazard import TernaryHazardChecker
-from repro.core.workqueue import (
-    WorkStealingPool,
-    launch_units,
-    split_threshold,
-)
+from repro.core.workqueue import WorkStealingPool
 from repro.logic.bitsim import BitSimulator
 from repro.core.result import (
     Classification,
     DetectionResult,
     Disagreement,
+    HazardVerdictKind,
     PairHazardVerdict,
     PairResult,
     Stage,
@@ -119,8 +117,8 @@ class DetectorOptions:
     #: below it a ``workers > 1`` run falls back to in-process serial,
     #: because pool/dispatch overhead would dominate.
     parallel_threshold: int = 128
-    #: pairs per chunk dispatched to the worker pool (0 = automatic:
-    #: enough chunks to keep every worker busy several times over).
+    #: pairs per decision work unit, in-process or on the worker pool
+    #: (0 = automatic, see :func:`_auto_chunk_size`).
     chunk_pairs: int = 0
     #: hazard validation of detected multi-cycle pairs (Section 5):
     #: "off" (default), "ternary" (bit-parallel Eichelberger simulation),
@@ -139,14 +137,12 @@ class DetectorOptions:
     #: :mod:`repro.sta.delays`); with "exact" mode it re-filters
     #: glitch-proven pairs to those whose pulse survives the delays.
     hazard_delays: str | None = None
-    #: streaming launch-group execution: "auto" (selected for circuits
-    #: above :data:`repro.core.streaming.STREAMING_AUTO_DFFS` flip-flops),
-    #: "on", or "off".  The streaming pipeline folds topology →
-    #: random-sim → decide → hazard one launch group at a time with
-    #: bounded peak memory; pair records are byte-identical either way.
+    #: ignored: every run uses the launch-group fold.  The field stays
+    #: because existing callers still pass it (the end-to-end benchmark
+    #: workloads construct ``DetectorOptions(streaming="on")``).
     streaming: str = "auto"
-    #: streaming only: cap on pairs submitted to the decision queue but
-    #: not yet folded (bounds parent-side memory on huge circuits).
+    #: cap on pairs submitted to the decision worker pool but not yet
+    #: folded (bounds parent-side memory on huge circuits).
     max_pairs_in_flight: int = 8192
     #: directory of the content-addressed on-disk artifact store
     #: (:mod:`repro.store`); ``None`` falls back to the
@@ -340,123 +336,20 @@ def _emit_pair(
         ctx.progress(len(state.results), state.connected_pairs, record)
 
 
-class TopologyStage:
-    """Step 1: keep only topologically connected FF pairs."""
-
-    name = "topology"
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        state.pairs = connected_ff_pairs(
-            ctx.circuit, include_self_loops=ctx.options.include_self_loops
-        )
-        state.connected_pairs = len(state.pairs)
-
-
-class RandomFilterStage:
-    """Step 2: drop pairs whose MC condition is refuted by simulation.
-
-    ``frames=2`` is the paper's MC condition (:func:`random_filter`);
-    larger values select the k-cycle variant (:func:`random_filter_k`).
-    The filter's dropped pairs are recorded directly — no key-set
-    reconstruction — as guaranteed single-cycle results.
-    """
-
-    name = "random-sim"
-
-    def __init__(self, frames: int = 2) -> None:
-        if frames < 2:
-            raise ValueError("random filtering needs at least 2 frames")
-        self.frames = frames
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        options = ctx.options
-        if not options.use_random_sim or not state.pairs:
-            return
-        started = ctx.clock()
-        sim = ctx.bit_simulator(options.sim_words)
-        if self.frames == 2:
-            report = random_filter(
-                ctx.circuit,
-                state.pairs,
-                words=options.sim_words,
-                max_rounds=options.sim_max_rounds,
-                seed=options.sim_seed,
-                sim=sim,
-                round_batch=options.sim_round_batch,
-            )
-        else:
-            report = random_filter_k(
-                ctx.circuit,
-                state.pairs,
-                self.frames,
-                words=options.sim_words,
-                max_rounds=options.sim_max_rounds,
-                seed=options.sim_seed,
-                sim=sim,
-                round_batch=options.sim_round_batch,
-            )
-        seconds = ctx.clock() - started
-        ctx.emit(
-            "random_sim",
-            plan=options.sim_plan,
-            round_batch=options.sim_round_batch,
-            frames=self.frames,
-            rounds=report.rounds,
-            patterns=report.patterns,
-            dropped=report.dropped,
-            seconds=round(seconds, 6),
-            patterns_per_sec=round(report.patterns / seconds) if seconds else 0,
-        )
-        stats = state.stats[Stage.SIMULATION]
-        for pair in report.dropped_pairs:
-            result = PairResult(pair, Classification.SINGLE_CYCLE, Stage.SIMULATION)
-            state.results.append(result)
-            stats.single_cycle += 1
-            _emit_pair(ctx, state, result, 0.0, engine=None)
-        state.pairs = report.survivors
-        stats.cpu_seconds += seconds
-
-
-def _split_chunks(pairs: Sequence[FFPair], workers: int) -> list[list[FFPair]]:
-    """Contiguous, deterministic shards — at most ``workers``, none empty."""
-    workers = max(1, min(workers, len(pairs)))
-    size, extra = divmod(len(pairs), workers)
-    chunks: list[list[FFPair]] = []
-    start = 0
-    for index in range(workers):
-        end = start + size + (1 if index < extra else 0)
-        if end > start:
-            chunks.append(list(pairs[start:end]))
-        start = end
-    return chunks
-
-
-def _chunk_pairs(pairs: Sequence[FFPair], size: int) -> list[list[FFPair]]:
-    """Contiguous chunks of at most ``size`` pairs, in input order."""
-    size = max(1, size)
-    return [list(pairs[start:start + size]) for start in range(0, len(pairs), size)]
-
-
 def _auto_chunk_size(num_pairs: int, workers: int) -> int:
-    """Default chunk size: ~4 chunks per worker, capped for low latency.
+    """Default work-unit size.
 
-    Small enough that a slow chunk cannot idle the other workers for
-    long, large enough that dispatch overhead stays negligible.
+    A unit fills at most one packed implication closure (``MAX_LANES //
+    4`` pairs of four cases each), and a serial run uses exactly that.
+    A pool run aims for ~4 units per worker, so a slow unit cannot idle
+    the other workers for long.
     """
-    return max(1, min(64, -(-num_pairs // (workers * 4))))
+    from repro.atpg.packed_implication import MAX_LANES
 
-
-def _launch_chunks(pairs: Sequence[FFPair], size: int) -> list[list[FFPair]]:
-    """Contiguous chunks of ~``size`` pairs that never split a launch group.
-
-    Consecutive same-source pairs (one launch group) always land in the
-    same chunk, so the decision session's prefix cache keeps working
-    inside each worker; a group larger than ``size`` becomes its own
-    chunk.  Ordering is preserved, which keeps the merged results
-    byte-identical to serial.  The splitting variant used by the
-    work-stealing queue is :func:`repro.core.workqueue.launch_units`.
-    """
-    return launch_units(pairs, size, split=None)
+    cap = MAX_LANES // 4
+    if workers <= 1:
+        return cap
+    return max(1, min(cap, -(-num_pairs // (workers * 4))))
 
 
 def packed_summary(session: dict[str, int] | None) -> dict[str, int] | None:
@@ -572,160 +465,6 @@ def backplane_summary(pool: WorkStealingPool) -> dict | None:
     }
 
 
-class DecisionStage:
-    """Steps 3+4: settle every surviving pair with a decision engine.
-
-    The engine is either given explicitly (a registry name or an
-    unprepared decider instance) or taken from
-    ``options.search_engine``.  With ``options.workers > 1`` the pairs
-    are sharded across processes; each worker rebuilds the decider from
-    the shared expansion and the shards are merged in input order, so
-    the classification outcome is byte-identical to a serial run.
-    """
-
-    name = "decide"
-
-    def __init__(self, decider: str | PairDecider | None = None) -> None:
-        self._decider_spec = decider
-
-    def _resolve(self, ctx: AnalysisContext) -> PairDecider:
-        spec = self._decider_spec
-        if spec is None:
-            spec = ctx.options.search_engine
-        if isinstance(spec, str):
-            return create_decider(spec)
-        return spec
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        decider = self._resolve(ctx)
-        state.engine = decider.name
-        pairs = state.pairs
-        workers = max(1, ctx.options.workers)
-        if not pairs:
-            state.pairs = []
-            return
-
-        threshold = max(2, ctx.options.parallel_threshold)
-        go_parallel = workers > 1 and len(pairs) >= threshold
-        if workers > 1:
-            ctx.emit(
-                "decision_exec",
-                mode="parallel" if go_parallel else "serial-fallback",
-                workers=workers,
-                pairs=len(pairs),
-                threshold=threshold,
-            )
-        if go_parallel:
-            decided, learned, disagreements, session, backplane = (
-                self._run_parallel(ctx, decider, pairs, workers)
-            )
-            state.backplane = backplane
-        else:
-            decider.prepare(ctx)
-            group_fn = getattr(decider, "decide_group", None)
-            if group_fn is not None:
-                decided = list(group_fn(pairs))
-            else:
-                decided = []
-                for pair in pairs:
-                    started = ctx.clock()
-                    result = decider.decide(pair)
-                    decided.append((result, ctx.clock() - started))
-            learned = getattr(decider, "learned_implications", 0)
-            disagreements = list(getattr(decider, "disagreements", []))
-            stats_fn = getattr(decider, "session_stats", None)
-            session = stats_fn() if stats_fn is not None else None
-
-        for result, seconds in decided:
-            state.results.append(result)
-            stats = state.stats[result.stage]
-            if result.classification is Classification.MULTI_CYCLE:
-                stats.multi_cycle += 1
-            elif result.classification is Classification.SINGLE_CYCLE:
-                stats.single_cycle += 1
-            else:
-                stats.undecided += 1
-            stats.cpu_seconds += seconds
-            _emit_pair(ctx, state, result, seconds, engine=decider.name)
-        state.learned_implications = learned
-        state.session = session
-        # ``prepare_shared`` (parallel) and ``prepare`` (serial) both run
-        # on this instance in the parent, so the stats block is here
-        # regardless of execution mode.
-        state.implication_db = getattr(decider, "db_info", None)
-        if state.implication_db is not None:
-            ctx.emit("implication_db", engine=decider.name, **state.implication_db)
-        if session is not None:
-            ctx.emit("decision_session", engine=decider.name, **session)
-        state.packed_implication = packed_summary(session)
-        if state.packed_implication is not None:
-            ctx.emit(
-                "packed_implication",
-                engine=decider.name,
-                mode=ctx.options.packed_implication,
-                **state.packed_implication,
-            )
-        state.disagreements.extend(disagreements)
-        for disagreement in disagreements:
-            names = ctx.circuit.names
-            ctx.emit(
-                "disagreement",
-                source=names[disagreement.pair.source],
-                sink=names[disagreement.pair.sink],
-                **{
-                    disagreement.primary_engine: disagreement.primary.value,
-                    disagreement.secondary_engine: disagreement.secondary.value,
-                },
-            )
-        state.pairs = []
-
-    def _run_parallel(
-        self,
-        ctx: AnalysisContext,
-        decider: PairDecider,
-        pairs: Sequence[FFPair],
-        workers: int,
-    ):
-        expansion = ctx.expansion(getattr(decider, "frames", 2))
-        shared = None
-        shared_fn = getattr(decider, "prepare_shared", None)
-        if shared_fn is not None:
-            shared = shared_fn(ctx)
-        # The learned-implication count is the parent's: the table is
-        # computed once here and shipped to every worker, so no chunk
-        # result needs to carry it back.
-        learned = 0
-        if shared is not None:
-            from repro.atpg.learning import count_learned
-
-            learned = count_learned(shared)
-        pool = ctx.decision_pool(
-            decider, expansion, shared=shared,
-            publish=lambda: publish_backplane(ctx, expansion, shared),
-        )
-        size = ctx.options.chunk_pairs or _auto_chunk_size(len(pairs), workers)
-        units = launch_units(pairs, size, split=split_threshold(size))
-        decided: list[tuple[PairResult, float]] = []
-        disagreements: list[Disagreement] = []
-        session: dict[str, int] | None = None
-        for unit in pool.map_units(units):
-            decided.extend(unit.decided)
-            disagreements.extend(unit.flags)
-            session = merge_session_stats(session, unit.stats)
-        ctx.emit(
-            "decision_queue",
-            workers=pool.workers,
-            units=len(units),
-            unit_pairs=size,
-            split=split_threshold(size),
-            per_worker=pool.worker_summary(),
-        )
-        backplane = backplane_summary(pool)
-        if backplane is not None:
-            ctx.emit("backplane", **backplane)
-        return decided, learned, disagreements, session, backplane
-
-
 def load_gate_delays(options: DetectorOptions, circuit: Circuit):
     """Load the exact-mode delay sidecar named by the options, if any."""
     if options.hazard_delays is None:
@@ -737,109 +476,175 @@ def load_gate_delays(options: DetectorOptions, circuit: Circuit):
     return GateDelays.load(Path(options.hazard_delays), circuit)
 
 
-class HazardStage:
-    """Step 5 (optional): validate detected MC pairs against static hazards.
+#: the ``DetectorOptions.hazard_check`` modes.
+HAZARD_MODES = ("off", "ternary", "sensitize", "cosensitize", "exact")
 
-    Runs after the decision stage over the multi-cycle survivors only.
-    ``options.hazard_check`` picks the condition: the bit-parallel ternary
-    (Eichelberger) simulation check, a static (co-)sensitization path
-    search, or the exact SAT-backed three-way classification (both bounds
-    plus a CNF decision of every disagreeing pair — ``docs/hazards.md``);
-    ``"off"`` makes the stage a no-op.  Classifications and
-    :meth:`~repro.core.result.DetectionResult.pair_records` are never
-    modified — flagged pairs are reported through the result's hazard
-    counters (a flagged pair should not be timing-relaxed even though its
-    settled-value MC condition holds), and exact mode additionally
-    records per-pair safe / glitch-possible / glitch-proven verdicts.
 
-    The checkers run in-process on the context's cached 2-frame expansion
-    — the same object the deciders used, so no re-expansion happens; the
-    ternary checker additionally packs every case witness into simulator
-    lanes and settles all verdicts in a few compiled-plan sweeps.
+class HazardPass:
+    """Hazard validation of a run's multi-cycle pairs (Section 5).
+
+    Built once per run, before any decide work, so an unknown
+    ``options.hazard_check`` mode fails fast.  The fold hands it each
+    unit's fresh results (:meth:`check`), an incremental run the
+    verdicts its prior bundle records (:meth:`adopt`), and
+    :meth:`finish` fills the result's hazard fields and emits the
+    ``hazard_stage`` trace event.  In mode ``"off"`` every call is a
+    no-op.
+
+    The mode picks the condition: bit-parallel ternary (Eichelberger)
+    simulation, a static (co-)sensitization path search, or the exact
+    SAT-backed three-way classification (both bounds plus a CNF
+    decision of every disagreeing pair — ``docs/hazards.md``).
+    Classifications and ``pair_records`` are never modified: a flagged
+    pair is only reported (it should not be timing-relaxed even though
+    its settled-value MC condition holds), and exact mode also records
+    per-pair safe / glitch-possible / glitch-proven verdicts.  The one
+    checker is built on first use over the context's cached 2-frame
+    expansion, the deciders' own, so nothing is re-expanded.
     """
 
-    name = "hazard"
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
+    def __init__(self, ctx: AnalysisContext) -> None:
         mode = ctx.options.hazard_check
-        state.hazard_mode = mode
-        if mode == "off":
+        if mode not in HAZARD_MODES:
+            raise ValueError(f"unknown hazard_check mode {mode!r}")
+        self.ctx = ctx
+        self.mode = mode
+        self.checked = 0
+        self.seconds = 0.0
+        self.flagged: list[FFPair] = []
+        self.verdicts: list[PairHazardVerdict] = []
+        self._checker: Any = None
+
+    def _build(self) -> Any:
+        ctx = self.ctx
+        options = ctx.options
+        expansion = ctx.expansion(2)
+        if self.mode == "ternary":
+            return TernaryHazardChecker(
+                ctx.circuit,
+                options.hazard_backtrack_limit,
+                expansion=expansion,
+                words=options.sim_words,
+            )
+        if self.mode == "exact":
+            from repro.analysis.hazard_exact import ExactHazardChecker
+
+            return ExactHazardChecker(
+                ctx.circuit,
+                expansion,
+                backtrack_limit=options.hazard_backtrack_limit,
+                conflict_limit=options.hazard_conflict_limit,
+                delays=load_gate_delays(options, ctx.circuit),
+            )
+        return HazardChecker(
+            ctx.circuit,
+            mode_from_flag(self.mode),
+            backtrack_limit=options.hazard_backtrack_limit,
+            expansion=expansion,
+        )
+
+    def check(self, results: Sequence[PairResult]) -> None:
+        """Check the multi-cycle pairs among ``results``."""
+        if self.mode == "off":
             return
-        survivors = [
-            r for r in state.results
+        pairs = [
+            r for r in results
             if r.classification is Classification.MULTI_CYCLE
         ]
-        state.hazard_checked = len(survivors)
-        started = ctx.clock()
-        lanes = batches = 0
-        if mode == "ternary":
-            checker = TernaryHazardChecker(
-                ctx.circuit,
-                ctx.options.hazard_backtrack_limit,
-                expansion=ctx.expansion(2),
-                words=ctx.options.sim_words,
-            )
-            reports = checker.check_pairs(survivors)
-            lanes = checker.lanes_evaluated
-            batches = checker.batches_evaluated
-            flagged_pairs = [
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
-            ]
-        elif mode in ("sensitize", "cosensitize"):
-            checker = HazardChecker(
-                ctx.circuit,
-                mode_from_flag(mode),
-                backtrack_limit=ctx.options.hazard_backtrack_limit,
-                expansion=ctx.expansion(2),
-            )
-            reports = [checker.check_pair(r) for r in survivors]
-            flagged_pairs = [
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
-            ]
-        elif mode == "exact":
-            from repro.analysis.hazard_exact import (
-                ExactHazardChecker,
-                verdict_flags_pair,
-            )
+        if not pairs:
+            return
+        started = self.ctx.clock()
+        if self._checker is None:
+            self._checker = self._build()
+        checker = self._checker
+        self.checked += len(pairs)
+        if self.mode == "exact":
+            from repro.analysis.hazard_exact import verdict_flags_pair
 
-            exact = ExactHazardChecker(
-                ctx.circuit,
-                ctx.expansion(2),
-                backtrack_limit=ctx.options.hazard_backtrack_limit,
-                conflict_limit=ctx.options.hazard_conflict_limit,
-                delays=load_gate_delays(ctx.options, ctx.circuit),
-            )
-            verdicts = exact.check_pairs(survivors)
-            verdicts.sort(key=lambda v: (v.pair.source, v.pair.sink))
-            state.hazard_verdicts = verdicts
-            state.hazard_exact = exact.summary()
-            flagged_pairs = [
+            verdicts = checker.check_pairs(pairs)
+            self.verdicts.extend(verdicts)
+            self.flagged.extend(
                 v.pair for v in verdicts if verdict_flags_pair(v)
-            ]
+            )
         else:
-            raise ValueError(f"unknown hazard_check mode {mode!r}")
-        flagged = sorted(flagged_pairs, key=lambda p: (p.source, p.sink))
-        state.hazard_flagged_pairs = flagged
-        state.hazard_flagged = len(flagged)
-        event: dict = dict(
-            mode=mode,
-            checked=state.hazard_checked,
-            flagged=state.hazard_flagged,
-            lanes=lanes,
-            batches=batches,
-            seconds=round(ctx.clock() - started, 6),
+            if self.mode == "ternary":
+                reports = checker.check_pairs(pairs)
+            else:
+                reports = [checker.check_pair(r) for r in pairs]
+            self.flagged.extend(
+                report.pair_result.pair
+                for report in reports
+                if report.has_potential_hazard
+            )
+        self.seconds += self.ctx.clock() - started
+
+    def adopt(self, pair: FFPair, record: dict[str, Any]) -> bool:
+        """Take one multi-cycle pair's verdict from a prior bundle record.
+
+        Only valid when the prior run's hazard options match this run's.
+        Returns ``False`` when the record holds no verdict this mode can
+        use (an exact run over a pre-verdict bundle); the caller then
+        checks the pair instead.
+        """
+        if self.mode == "off":
+            return True
+        if self.mode == "exact":
+            from repro.analysis.hazard_exact import verdict_flags_pair
+
+            kind = record.get("hazard_verdict")
+            if kind is None:
+                return False
+            verdict = PairHazardVerdict(
+                pair,
+                HazardVerdictKind(kind),
+                "inherited",
+                delay_safe=record.get("hazard_delay_safe"),
+            )
+            self.verdicts.append(verdict)
+            flagged = verdict_flags_pair(verdict)
+        else:
+            flagged = bool(record.get("hazard_flagged"))
+        self.checked += 1
+        if flagged:
+            self.flagged.append(pair)
+        return True
+
+    def finish(self, state: PipelineState) -> None:
+        """Fill the result's hazard fields and emit ``hazard_stage``."""
+        state.hazard_mode = self.mode
+        if self.mode == "off":
+            return
+        state.hazard_flagged_pairs = sorted(
+            self.flagged, key=lambda p: (p.source, p.sink)
         )
-        if state.hazard_exact is not None:
+        state.hazard_flagged = len(self.flagged)
+        state.hazard_checked = self.checked
+        checker = self._checker
+        event: dict = dict(
+            mode=self.mode,
+            checked=self.checked,
+            flagged=state.hazard_flagged,
+            lanes=getattr(checker, "lanes_evaluated", 0),
+            batches=getattr(checker, "batches_evaluated", 0),
+            seconds=round(self.seconds, 6),
+        )
+        if self.mode == "exact":
+            state.hazard_verdicts = sorted(
+                self.verdicts, key=lambda v: (v.pair.source, v.pair.sink)
+            )
+            if checker is not None:
+                state.hazard_exact = checker.summary()
+            else:
+                # No multi-cycle pair to check: a trivially complete pass.
+                from repro.analysis.hazard_exact import empty_exact_summary
+
+                state.hazard_exact = empty_exact_summary()
             event["exact"] = state.hazard_exact
-        ctx.emit("hazard_stage", **event)
+        self.ctx.emit("hazard_stage", **event)
 
 
 class Pipeline:
-    """A staged run over one circuit, producing a :class:`DetectionResult`."""
+    """Runs its stages over one circuit, producing a :class:`DetectionResult`."""
 
     def __init__(self, stages: Sequence[PipelineStage]) -> None:
         self.stages = list(stages)
@@ -917,14 +722,3 @@ class Pipeline:
             seconds=round(result.total_seconds, 6),
         )
         return result
-
-
-def default_pipeline(decider: str | PairDecider | None = None) -> Pipeline:
-    """The paper's three-stage flow with a pluggable decision engine,
-    followed by the (default-off) hazard-validation stage."""
-    return Pipeline([
-        TopologyStage(),
-        RandomFilterStage(),
-        DecisionStage(decider),
-        HazardStage(),
-    ])

@@ -43,8 +43,8 @@ object.  :func:`random_filter` keeps the original pair-list strategy
 (one bool per input pair).  :func:`random_filter_packed` runs the very
 same rounds over a *packed pair matrix* (bit ``k`` of sink row ``j`` =
 pair ``(dffs[k], dffs[j])``), never materializing a pair list — the
-bounded-memory representation the streaming pipeline folds launch group
-by launch group.  Because the engine is shared, the two executions draw
+bounded-memory representation the launch-group fold reads group by
+group.  Because the engine is shared, the two executions draw
 identical random words, stop at the identical quiet round, and drop the
 identical pair set: a pair is dropped iff its first simulated hit round
 is at most the global stop round, and hits are masked by the alive set
@@ -67,7 +67,8 @@ from repro.logic.bitsim import BitSimulator
 ROUND_BATCH = 8
 
 #: sink rows evaluated per block in the packed drop check (bounds the
-#: broadcast temporary at ``block * num_dffs * words`` uint64 words).
+#: unpacked temporary at ``block * num_dffs`` bytes plus the block's
+#: alive pairs times ``words`` uint64 words).
 _PACKED_BLOCK_ROWS = 256
 
 
@@ -163,11 +164,12 @@ class _PairListDrops:
 class _PackedDrops:
     """Packed pair-matrix representation (sink rows × source bits).
 
-    One round's hit relation ``H[j, k] = ∃ pattern: changes[j] &
-    toggles[k]`` is evaluated in sink-row blocks with a broadcast AND
-    over the packed pattern words, repacked to source bits and cleared
-    from the alive matrix.  Only rows with a surviving bit are visited,
-    so the work shrinks as pairs die.
+    One round's hits are evaluated in sink-row blocks: the block's alive
+    bits are unpacked to ``(sink, source)`` index pairs, each alive pair
+    ANDs its sink's change words with its source's toggle words, and
+    the hit pairs' bits are cleared before the block is repacked.  Only
+    alive pairs are tested and only rows with a surviving bit are
+    visited, so the work shrinks as pairs die.
     """
 
     def __init__(self, alive: np.ndarray, block_rows: int = _PACKED_BLOCK_ROWS) -> None:
@@ -183,23 +185,24 @@ class _PackedDrops:
         sink_changes: np.ndarray,
         window: slice,
     ) -> bool:
-        toggles = np.ascontiguousarray(source_toggles[:, window])
+        toggles = source_toggles[:, window]
         changes = sink_changes[:, window]
-        words = self.alive.shape[1]
         rows = np.flatnonzero(self.alive.any(axis=1))
         dropped = False
         for b0 in range(0, len(rows), self.block_rows):
             blk = rows[b0: b0 + self.block_rows]
-            hits = (
-                changes[blk][:, None, :] & toggles[None, :, :]
-            ).any(axis=2)
-            packed = np.packbits(hits, axis=1, bitorder="little")
-            padded = np.zeros((len(blk), words * 8), dtype=np.uint8)
-            padded[:, : packed.shape[1]] = packed
-            hit_words = padded.view(np.uint64)
-            if (hit_words & self.alive[blk]).any():
-                dropped = True
-            self.alive[blk] &= ~hit_words
+            bits = np.unpackbits(
+                self.alive[blk].view(np.uint8), axis=1, bitorder="little"
+            )
+            local, source = np.nonzero(bits)
+            hits = (changes[blk[local]] & toggles[source]).any(axis=1)
+            if not hits.any():
+                continue
+            dropped = True
+            bits[local[hits], source[hits]] = 0
+            self.alive[blk] = np.packbits(
+                bits, axis=1, bitorder="little"
+            ).view(np.uint64)
         return dropped
 
 
@@ -398,7 +401,7 @@ def random_filter_packed(
     plan: str = "compiled",
     round_batch: int = ROUND_BATCH,
 ) -> PackedFilterReport:
-    """The random filter over a packed pair matrix (streaming pipeline).
+    """The random filter over a packed pair matrix (the launch-group fold).
 
     ``alive`` is the sink-major connected-pair matrix (bit ``k`` of row
     ``j`` = pair ``(dffs[k], dffs[j])``, e.g. the

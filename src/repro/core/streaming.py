@@ -1,48 +1,54 @@
-"""Streaming launch-group execution: the pipeline with bounded memory.
+"""The launch-group fold: the one executor of the paper's flow.
 
-The staged pipeline of :mod:`repro.core.pipeline` materializes every
-connected FF pair up front and runs each stage over the full set — fine
-up to a few thousand flip-flops, an O(FF²) wall beyond that.  The
-:class:`StreamingStage` here runs the same four stages *launch group by
-launch group*:
+The paper's Section 4.1 flow — connected pairs → random simulation →
+implication/ATPG → hazard check — runs as a single pipeline stage,
+:class:`StreamingStage`, that never materializes the full pair list:
 
-1. **Topology** never builds the pair list.  The connected relation
-   lives in the packed sink-reach matrix
+1. **Topology** lives in the packed sink-reach matrix
    (:func:`~repro.circuit.topology.sink_reach`, built in fixed-size
    source blocks above a size threshold) and is enumerated one launching
-   FF at a time by
-   :func:`~repro.circuit.topology.iter_launch_groups`.
-2. **Random simulation** stays a single global pass — the paper's
+   FF at a time by :func:`~repro.circuit.topology.iter_launch_groups`.
+2. **Random simulation** is a single global pass — the paper's
    quiet-round stopping rule depends on the whole alive set, so a
    per-group filter would change stage attribution.  It runs over the
    packed pair matrix (:func:`~repro.core.random_filter.random_filter_packed`)
    sharing the exact super-round/RNG skeleton with the pair-list filter,
    which makes the dropped set bit-identical without any per-pair array.
-3. **Decide** folds each launch group's survivors as soon as they are
-   settled — in process, or via the work-stealing queue
-   (:mod:`repro.core.workqueue`) with a cap on pairs in flight
-   (``options.max_pairs_in_flight``).
-4. **Hazard** validation (when enabled) runs per fold over the group's
-   fresh multi-cycle results instead of a final full-set sweep.
+3. **Decide**: each launch group's simulation-refuted pairs are folded
+   into the result at once; :meth:`StreamingStage.select` picks the
+   survivors that need a decision, and
+   :func:`~repro.core.workqueue.unit_stream` cuts them into work units
+   of ~``size`` pairs *across* launch-group boundaries, so one packed
+   implication closure fills its lanes instead of running once per
+   small group.  ``size`` is ``options.chunk_pairs`` or
+   :func:`~repro.core.pipeline._auto_chunk_size`, at most the packed
+   engine's per-closure capacity.  Every unit goes through
+   :func:`~repro.core.workqueue._decide_unit`, in-process
+   (:class:`~repro.core.workqueue.LocalQueue`) or on the work-stealing
+   pool when ``workers > 1`` and at least ``parallel_threshold`` pairs
+   need deciding; at most ``max_pairs_in_flight`` pairs are submitted
+   but not yet folded.
+4. **Hazard** validation (:class:`~repro.core.pipeline.HazardPass`)
+   checks each folded unit's fresh multi-cycle results.
 
 Pair records, classification counters, session totals and hazard
-counters are identical to the staged path — the differential tests in
-``tests/core/test_streaming.py`` pin ``pair_records`` byte for byte.
-What changes is the lifecycle: per-pair state exists only between a
-group's enumeration and its fold, so peak memory is bounded by the
-packed matrices plus the final per-pair records, never by intermediate
-pair lists.  Each fold emits a ``launch_group`` trace event
+counters equal the staged reference flow (one decide call over the
+whole survivor list) kept as the oracle in ``tests/core/staged_oracle.py``;
+the differentials pin ``pair_records`` byte for byte.  Per-pair state
+exists only between a group's enumeration and its fold, so peak memory
+is bounded by the packed matrices plus the final per-pair records.
+Each folded group emits a ``launch_group`` trace event
 (``group_index`` / ``groups_total`` / pairs folded so far), so long runs
-show streaming progress instead of a silent decide stage.
+show progress instead of a silent decide phase.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
-from repro.circuit.netlist import Circuit
 from repro.circuit.topology import (
     FFPair,
     iter_launch_groups,
@@ -50,16 +56,13 @@ from repro.circuit.topology import (
     sink_reach,
 )
 from repro.core.deciders import PairDecider, create_decider
-from repro.core.hazard import HazardChecker
 from repro.core.pipeline import (
     AnalysisContext,
-    DetectorOptions,
-    Pipeline,
+    HazardPass,
     PipelineState,
     _auto_chunk_size,
     _emit_pair,
     backplane_summary,
-    load_gate_delays,
     merge_session_stats,
     packed_summary,
     publish_backplane,
@@ -68,48 +71,27 @@ from repro.core.random_filter import random_filter_packed
 from repro.core.result import (
     Classification,
     Disagreement,
-    PairHazardVerdict,
     PairResult,
     Stage,
 )
-from repro.core.sensitization import mode_from_flag
-from repro.core.ternary_hazard import TernaryHazardChecker
-from repro.core.workqueue import launch_units, split_threshold
-
-#: "auto" streaming selects the streaming pipeline at this many
-#: flip-flops; below it the staged path's simplicity wins (and the
-#: existing bench corpus keeps its stage-by-stage timings).
-STREAMING_AUTO_DFFS = 600
-
-
-def streaming_enabled(options: DetectorOptions, circuit: Circuit) -> bool:
-    """Resolve ``options.streaming`` ("auto"/"on"/"off") for a circuit."""
-    mode = options.streaming
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    if mode != "auto":
-        raise ValueError(f"unknown streaming mode {mode!r}")
-    return len(circuit.dffs) >= STREAMING_AUTO_DFFS
-
-
-def streaming_pipeline(
-    decider: str | PairDecider | None = None, frames: int = 2
-) -> Pipeline:
-    """The paper's flow as one streaming launch-group stage."""
-    return Pipeline([StreamingStage(decider, frames=frames)])
+from repro.core.workqueue import (
+    LocalQueue,
+    UnitResult,
+    split_threshold,
+    unit_stream,
+)
 
 
 class StreamingStage:
     """Topology → random-sim → decide → hazard, one launch group at a time.
 
-    A drop-in replacement for the four staged classes: it reads and
-    fills the same :class:`~repro.core.pipeline.PipelineState` fields,
-    so :class:`~repro.core.pipeline.Pipeline` result assembly (sorting,
-    ``DetectionResult`` construction, trace envelope) is shared.
-    ``frames=2`` is the MC condition; larger values give the k-cycle
-    variant (pass the matching k-frame decider).
+    Fills the :class:`~repro.core.pipeline.PipelineState` that
+    :class:`~repro.core.pipeline.Pipeline` turns into the result
+    (sorting, ``DetectionResult`` construction, trace envelope).
+    ``decider`` is a registry name or an unprepared decider instance
+    (default: ``options.search_engine``).  ``frames=2`` is the MC
+    condition; larger values give the k-cycle variant (pass the matching
+    k-frame decider).
     """
 
     name = "stream"
@@ -132,18 +114,22 @@ class StreamingStage:
             return create_decider(spec)
         return spec
 
+    def select(self, fold: "Fold", pairs: list[FFPair]) -> list[FFPair]:
+        """The survivors of one launch group that need a decision.
+
+        A fresh run decides them all.  An incremental run folds the
+        pairs it inherits through ``fold`` and returns the rest.
+        """
+        return pairs
+
     # ------------------------------------------------------------------
     # Main flow.
     # ------------------------------------------------------------------
     def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
+        hazard = HazardPass(ctx)
         options = ctx.options
         circuit = ctx.circuit
         include_self = options.include_self_loops
-        if options.hazard_check not in ("off", "ternary", "sensitize",
-                                        "cosensitize", "exact"):
-            raise ValueError(
-                f"unknown hazard_check mode {options.hazard_check!r}"
-            )
 
         # -- Topology: packed connected matrix, no pair list. ----------
         started = ctx.clock()
@@ -167,9 +153,9 @@ class StreamingStage:
 
         # -- Random simulation: one global pass on the packed matrix. --
         survivors = alive
+        survivor_count = connected
         if options.use_random_sim and connected:
             sim_started = ctx.clock()
-            sim = ctx.bit_simulator(options.sim_words)
             report = random_filter_packed(
                 circuit,
                 alive,
@@ -177,7 +163,7 @@ class StreamingStage:
                 words=options.sim_words,
                 max_rounds=options.sim_max_rounds,
                 seed=options.sim_seed,
-                sim=sim,
+                sim=ctx.bit_simulator(options.sim_words),
                 round_batch=options.sim_round_batch,
             )
             seconds = ctx.clock() - sim_started
@@ -196,34 +182,31 @@ class StreamingStage:
             )
             state.stats[Stage.SIMULATION].cpu_seconds += seconds
             survivors = report.alive
-            survivor_count = report.initial - report.dropped
-        else:
-            survivor_count = connected
+            survivor_count = report.survivors
 
-        # -- Decide + hazard, folded per launch group. -----------------
+        # -- Decide + hazard, folded per work unit. --------------------
         decider = self._resolve(ctx)
         state.engine = decider.name
-        self._hazard_reset(ctx)
-        workers = max(1, options.workers)
-        threshold = max(2, options.parallel_threshold)
-        go_parallel = workers > 1 and survivor_count >= threshold
-        if workers > 1 and survivor_count:
-            ctx.emit(
-                "decision_exec",
-                mode="parallel" if go_parallel else "serial-fallback",
-                workers=workers,
-                pairs=survivor_count,
-                threshold=threshold,
-            )
+        fold = Fold(ctx, state, hazard, decider.name, groups_total)
         dff_index = {dff: k for k, dff in enumerate(reach.dffs)}
-        fold = _FoldState(groups_total=groups_total)
-        if go_parallel:
-            self._run_parallel(
-                ctx, state, decider, survivors, dff_index, fold,
-                survivor_count, workers,
-            )
-        else:
-            self._run_serial(ctx, state, decider, survivors, dff_index, fold)
+
+        def fresh_groups() -> Iterator[list[FFPair]]:
+            for group in iter_launch_groups(circuit, include_self):
+                kept, dropped = _partition_group(
+                    survivors, dff_index, group.source, group.sinks
+                )
+                fold.drop(dropped)
+                fresh = self.select(fold, kept)
+                fold.open_group(
+                    group.source, len(group.sinks), len(dropped), len(fresh)
+                )
+                if fresh:
+                    yield fresh
+
+        size = options.chunk_pairs or _auto_chunk_size(
+            survivor_count, max(1, options.workers)
+        )
+        self._decide(ctx, state, decider, fold, fresh_groups(), size)
 
         # -- Run summary: session counters, DB stats, disagreements. ---
         state.learned_implications = fold.learned
@@ -258,354 +241,197 @@ class StreamingStage:
                     disagreement.secondary_engine: disagreement.secondary.value,
                 },
             )
-        self._hazard_finish(ctx, state)
+        hazard.finish(state)
         state.pairs = []
 
-    # ------------------------------------------------------------------
-    # Group partitioning and folding.
-    # ------------------------------------------------------------------
-    def _partition_group(
-        self,
-        survivors: np.ndarray,
-        dff_index: dict[int, int],
-        source: int,
-        sinks: np.ndarray,
-    ) -> tuple[list[FFPair], list[FFPair]]:
-        """Split one launch group into (surviving, sim-dropped) pairs."""
-        src_k = dff_index[source]
-        word = src_k // 64
-        bit = np.uint64(1) << np.uint64(src_k % 64)
-        kept: list[FFPair] = []
-        dropped: list[FFPair] = []
-        for sink in sinks.tolist():
-            if survivors[dff_index[sink], word] & bit:
-                kept.append(FFPair(source, sink))
-            else:
-                dropped.append(FFPair(source, sink))
-        return kept, dropped
-
-    def _fold_dropped(
-        self,
-        ctx: AnalysisContext,
-        state: PipelineState,
-        dropped: list[FFPair],
-    ) -> None:
-        """Fold one group's simulation-refuted pairs into the result."""
-        stats = state.stats[Stage.SIMULATION]
-        for pair in dropped:
-            result = PairResult(
-                pair, Classification.SINGLE_CYCLE, Stage.SIMULATION
-            )
-            state.results.append(result)
-            stats.single_cycle += 1
-            _emit_pair(ctx, state, result, 0.0, engine=None)
-
-    def _fold_decided(
-        self,
-        ctx: AnalysisContext,
-        state: PipelineState,
-        decided: Sequence[tuple[PairResult, float]],
-        engine: str,
-    ) -> None:
-        """Fold one settled batch of decisions (and hazard-check it)."""
-        fresh_mc: list[PairResult] = []
-        for result, seconds in decided:
-            state.results.append(result)
-            stats = state.stats[result.stage]
-            if result.classification is Classification.MULTI_CYCLE:
-                stats.multi_cycle += 1
-                fresh_mc.append(result)
-            elif result.classification is Classification.SINGLE_CYCLE:
-                stats.single_cycle += 1
-            else:
-                stats.undecided += 1
-            stats.cpu_seconds += seconds
-            _emit_pair(ctx, state, result, seconds, engine=engine)
-        self._hazard_fold(ctx, state, fresh_mc)
-
-    def _emit_group(
-        self,
-        ctx: AnalysisContext,
-        state: PipelineState,
-        fold: "_FoldState",
-        source: int,
-        pairs: int,
-        dropped: int,
-    ) -> None:
-        """Per-launch-group progress event (streaming observability)."""
-        index = fold.groups_folded
-        fold.groups_folded += 1
-        ctx.emit(
-            "launch_group",
-            group_index=index,
-            groups_total=fold.groups_total,
-            source=ctx.circuit.names[source],
-            pairs=pairs,
-            dropped=dropped,
-            folded=len(state.results),
-        )
-
-    # ------------------------------------------------------------------
-    # Serial execution.
-    # ------------------------------------------------------------------
-    def _run_serial(
+    def _decide(
         self,
         ctx: AnalysisContext,
         state: PipelineState,
         decider: PairDecider,
-        survivors: np.ndarray,
-        dff_index: dict[int, int],
-        fold: "_FoldState",
+        fold: "Fold",
+        groups: Iterator[list[FFPair]],
+        size: int,
     ) -> None:
+        """Cut the fresh pairs into units, settle them and fold them."""
         options = ctx.options
-        prepared = False
-        group_fn = None
-        for group in iter_launch_groups(ctx.circuit,
-                                        options.include_self_loops):
-            kept, dropped = self._partition_group(
-                survivors, dff_index, group.source, group.sinks
-            )
-            self._fold_dropped(ctx, state, dropped)
-            if kept:
-                if not prepared:
-                    decider.prepare(ctx)
-                    group_fn = getattr(decider, "decide_group", None)
-                    prepared = True
-                if group_fn is not None:
-                    decided = list(group_fn(kept))
-                else:
-                    decided = []
-                    for pair in kept:
-                        started = ctx.clock()
-                        decided.append(
-                            (decider.decide(pair), ctx.clock() - started)
-                        )
-                self._fold_decided(ctx, state, decided, decider.name)
-            self._emit_group(
-                ctx, state, fold, group.source, len(group.sinks), len(dropped)
-            )
-        if prepared:
-            fold.learned = getattr(decider, "learned_implications", 0)
-            fold.disagreements = list(getattr(decider, "disagreements", []))
-            stats_fn = getattr(decider, "session_stats", None)
-            fold.session = stats_fn() if stats_fn is not None else None
+        workers = max(1, options.workers)
+        threshold = max(2, options.parallel_threshold)
+        split = split_threshold(size)
+        units = unit_stream(groups, size, split)
+        # Look ahead until a pool would pay off, or the stream ends.
+        head: list[list[FFPair]] = []
+        held = 0
+        for unit in units:
+            head.append(unit)
+            held += len(unit)
+            if workers == 1 or held >= threshold:
+                break
+        if not head:
+            return
+        parallel = workers > 1 and held >= threshold
 
-    # ------------------------------------------------------------------
-    # Parallel execution over the work-stealing queue.
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self,
-        ctx: AnalysisContext,
-        state: PipelineState,
-        decider: PairDecider,
-        survivors: np.ndarray,
-        dff_index: dict[int, int],
-        fold: "_FoldState",
-        survivor_count: int,
-        workers: int,
-    ) -> None:
-        options = ctx.options
-        expansion = ctx.expansion(getattr(decider, "frames", 2))
-        shared = None
         shared_fn = getattr(decider, "prepare_shared", None)
-        if shared_fn is not None:
-            shared = shared_fn(ctx)
+        shared = shared_fn(ctx) if shared_fn is not None else None
         if shared is not None:
             from repro.atpg.learning import count_learned
 
             fold.learned = count_learned(shared)
-        pool = ctx.decision_pool(
-            decider, expansion, shared=shared,
-            publish=lambda: publish_backplane(ctx, expansion, shared),
-        )
-        size = options.chunk_pairs or _auto_chunk_size(survivor_count, workers)
-        split = split_threshold(size)
-        max_in_flight = max(size, options.max_pairs_in_flight)
-
-        # unit index -> (group slot, pairs); group slot -> open units.
-        next_unit = 0
-        unit_group: dict[int, tuple[int, int]] = {}
-        group_open: dict[int, list[int | tuple[int, int]]] = {}
-        in_flight = 0
-        units_total = 0
-
-        def drain_one() -> None:
-            nonlocal in_flight
-            unit = pool.next_result()
-            fold.session = merge_session_stats(fold.session, unit.stats)
-            fold.disagreements.extend(unit.flags)
-            self._fold_decided(ctx, state, unit.decided, decider.name)
-            slot, pairs = unit_group.pop(unit.index)
-            in_flight -= pairs
-            entry = group_open[slot]
-            entry[0] = int(entry[0]) - 1  # type: ignore[call-overload]
-            if not entry[0]:
-                source, group_pairs, group_dropped = entry[1]  # type: ignore[misc]
-                del group_open[slot]
-                self._emit_group(
-                    ctx, state, fold, source, group_pairs, group_dropped
-                )
-
-        slot = 0
-        for group in iter_launch_groups(ctx.circuit, options.include_self_loops):
-            kept, dropped = self._partition_group(
-                survivors, dff_index, group.source, group.sinks
+        if parallel:
+            expansion = ctx.expansion(getattr(decider, "frames", 2))
+            queue = ctx.decision_pool(
+                decider, expansion, shared=shared,
+                publish=lambda: publish_backplane(ctx, expansion, shared),
             )
-            self._fold_dropped(ctx, state, dropped)
-            if not kept:
-                self._emit_group(
-                    ctx, state, fold, group.source, len(group.sinks),
-                    len(dropped),
-                )
-                slot += 1
-                continue
-            units = launch_units(kept, size, split=split)
-            group_open[slot] = [
-                len(units),
-                (group.source, len(group.sinks), len(dropped)),
-            ]
-            for unit in units:
-                while in_flight and in_flight + len(unit) > max_in_flight:
-                    drain_one()
-                pool.submit(next_unit, unit)
-                unit_group[next_unit] = (slot, len(unit))
-                in_flight += len(unit)
-                next_unit += 1
-                units_total += 1
-            slot += 1
-        while unit_group:
-            drain_one()
+            max_in_flight = max(size, options.max_pairs_in_flight)
+        else:
+            queue = LocalQueue(ctx, decider, shared)
+            max_in_flight = 0
+
+        submitted = in_flight = 0
+        for unit in chain(head, units):
+            while in_flight and in_flight + len(unit) > max_in_flight:
+                in_flight -= fold.decided(queue.next_result())
+            queue.submit(submitted, unit)
+            submitted += 1
+            in_flight += len(unit)
+        while in_flight:
+            in_flight -= fold.decided(queue.next_result())
+
+        if workers > 1:
+            ctx.emit(
+                "decision_exec",
+                mode="parallel" if parallel else "serial-fallback",
+                workers=workers,
+                pairs=fold.decided_pairs,
+                threshold=threshold,
+            )
+        if not parallel:
+            return
         ctx.emit(
             "decision_queue",
-            workers=pool.workers,
-            units=units_total,
+            workers=queue.workers,
+            units=submitted,
             unit_pairs=size,
             split=split,
             max_pairs_in_flight=max_in_flight,
-            per_worker=pool.worker_summary(),
+            per_worker=queue.worker_summary(),
         )
-        state.backplane = backplane_summary(pool)
+        state.backplane = backplane_summary(queue)
         if state.backplane is not None:
             ctx.emit("backplane", **state.backplane)
 
-    # ------------------------------------------------------------------
-    # Hazard validation, folded per group.
-    # ------------------------------------------------------------------
-    def _hazard_reset(self, ctx: AnalysisContext) -> None:
-        self._hazard_checker: object | None = None
-        self._hazard_seconds = 0.0
-        self._hazard_flagged: list[FFPair] = []
-        self._hazard_checked = 0
-        self._hazard_verdicts: list[PairHazardVerdict] = []
 
-    def _hazard_fold(
+def _partition_group(
+    survivors: np.ndarray,
+    dff_index: dict[int, int],
+    source: int,
+    sinks: np.ndarray,
+) -> tuple[list[FFPair], list[FFPair]]:
+    """Split one launch group into (surviving, sim-dropped) pairs."""
+    src_k = dff_index[source]
+    word = src_k // 64
+    bit = np.uint64(1) << np.uint64(src_k % 64)
+    kept: list[FFPair] = []
+    dropped: list[FFPair] = []
+    for sink in sinks.tolist():
+        if survivors[dff_index[sink], word] & bit:
+            kept.append(FFPair(source, sink))
+        else:
+            dropped.append(FFPair(source, sink))
+    return kept, dropped
+
+
+class Fold:
+    """One run's result fold: settled pairs, counters and group progress.
+
+    Shared by both executors and by the incremental filter, which folds
+    inherited records through :meth:`result` like decided ones.
+    """
+
+    def __init__(
         self,
         ctx: AnalysisContext,
         state: PipelineState,
-        fresh_mc: list[PairResult],
+        hazard: HazardPass,
+        engine: str,
+        groups_total: int,
     ) -> None:
-        """Check one fold's new multi-cycle results, accumulating totals."""
-        mode = ctx.options.hazard_check
-        if mode == "off" or not fresh_mc:
-            return
-        started = ctx.clock()
-        checker = self._hazard_checker
-        if checker is None:
-            if mode == "ternary":
-                checker = TernaryHazardChecker(
-                    ctx.circuit,
-                    ctx.options.hazard_backtrack_limit,
-                    expansion=ctx.expansion(2),
-                    words=ctx.options.sim_words,
-                )
-            elif mode in ("sensitize", "cosensitize"):
-                checker = HazardChecker(
-                    ctx.circuit,
-                    mode_from_flag(mode),
-                    backtrack_limit=ctx.options.hazard_backtrack_limit,
-                    expansion=ctx.expansion(2),
-                )
-            elif mode == "exact":
-                from repro.analysis.hazard_exact import ExactHazardChecker
-
-                checker = ExactHazardChecker(
-                    ctx.circuit,
-                    ctx.expansion(2),
-                    backtrack_limit=ctx.options.hazard_backtrack_limit,
-                    conflict_limit=ctx.options.hazard_conflict_limit,
-                    delays=load_gate_delays(ctx.options, ctx.circuit),
-                )
-            else:
-                raise ValueError(f"unknown hazard_check mode {mode!r}")
-            self._hazard_checker = checker
-        self._hazard_checked += len(fresh_mc)
-        if mode == "exact":
-            from repro.analysis.hazard_exact import verdict_flags_pair
-
-            verdicts = checker.check_pairs(fresh_mc)
-            self._hazard_verdicts.extend(verdicts)
-            self._hazard_flagged.extend(
-                v.pair for v in verdicts if verdict_flags_pair(v)
-            )
-        else:
-            if mode == "ternary":
-                reports = checker.check_pairs(fresh_mc)
-            else:
-                reports = [checker.check_pair(r) for r in fresh_mc]
-            self._hazard_flagged.extend(
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
-            )
-        self._hazard_seconds += ctx.clock() - started
-
-    def _hazard_finish(
-        self, ctx: AnalysisContext, state: PipelineState
-    ) -> None:
-        """Close out the hazard totals and emit the stage event."""
-        mode = ctx.options.hazard_check
-        state.hazard_mode = mode
-        if mode == "off":
-            return
-        flagged = sorted(
-            self._hazard_flagged, key=lambda p: (p.source, p.sink)
-        )
-        state.hazard_flagged_pairs = flagged
-        state.hazard_flagged = len(flagged)
-        state.hazard_checked = self._hazard_checked
-        checker = self._hazard_checker
-        lanes = getattr(checker, "lanes_evaluated", 0) if checker else 0
-        batches = getattr(checker, "batches_evaluated", 0) if checker else 0
-        event: dict = dict(
-            mode=mode,
-            checked=self._hazard_checked,
-            flagged=state.hazard_flagged,
-            lanes=lanes,
-            batches=batches,
-            seconds=round(self._hazard_seconds, 6),
-        )
-        if mode == "exact":
-            state.hazard_verdicts = sorted(
-                self._hazard_verdicts,
-                key=lambda v: (v.pair.source, v.pair.sink),
-            )
-            if checker is not None:
-                state.hazard_exact = checker.summary()
-            else:
-                # No multi-cycle survivors: a trivially complete pass.
-                from repro.analysis.hazard_exact import empty_exact_summary
-
-                state.hazard_exact = empty_exact_summary()
-            event["exact"] = state.hazard_exact
-        ctx.emit("hazard_stage", **event)
-
-
-class _FoldState:
-    """Run-scoped accumulators shared by the serial and parallel folds."""
-
-    def __init__(self, groups_total: int) -> None:
+        self.ctx = ctx
+        self.state = state
+        self.hazard = hazard
+        self.engine = engine
         self.groups_total = groups_total
         self.groups_folded = 0
+        self.decided_pairs = 0
+        self.learned = 0
         self.session: dict[str, int] | None = None
         self.disagreements: list[Disagreement] = []
-        self.learned = 0
+        #: launch source -> [fresh pairs not yet folded, pairs, dropped]
+        self._open: dict[int, list[int]] = {}
+
+    def result(
+        self, result: PairResult, seconds: float, engine: str | None
+    ) -> None:
+        """Fold one settled pair into the result and its stage counters."""
+        state = self.state
+        state.results.append(result)
+        stats = state.stats[result.stage]
+        if result.classification is Classification.MULTI_CYCLE:
+            stats.multi_cycle += 1
+        elif result.classification is Classification.SINGLE_CYCLE:
+            stats.single_cycle += 1
+        else:
+            stats.undecided += 1
+        stats.cpu_seconds += seconds
+        _emit_pair(self.ctx, state, result, seconds, engine=engine)
+
+    def drop(self, pairs: list[FFPair]) -> None:
+        """Fold one group's simulation-refuted pairs."""
+        for pair in pairs:
+            self.result(
+                PairResult(pair, Classification.SINGLE_CYCLE, Stage.SIMULATION),
+                0.0,
+                None,
+            )
+
+    def open_group(
+        self, source: int, pairs: int, dropped: int, fresh: int
+    ) -> None:
+        """Register a group; it is reported once its fresh pairs fold."""
+        if fresh:
+            self._open[source] = [fresh, pairs, dropped]
+        else:
+            self._emit_group(source, pairs, dropped)
+
+    def decided(self, unit: UnitResult) -> int:
+        """Fold one settled unit and hazard-check it; returns its size."""
+        self.session = merge_session_stats(self.session, unit.stats)
+        self.disagreements.extend(unit.flags)
+        closed: list[int] = []
+        for result, seconds in unit.decided:
+            self.result(result, seconds, self.engine)
+            entry = self._open[result.pair.source]
+            entry[0] -= 1
+            if not entry[0]:
+                closed.append(result.pair.source)
+        self.hazard.check([result for result, _ in unit.decided])
+        for source in closed:
+            _, pairs, dropped = self._open.pop(source)
+            self._emit_group(source, pairs, dropped)
+        self.decided_pairs += len(unit.decided)
+        return len(unit.decided)
+
+    def _emit_group(self, source: int, pairs: int, dropped: int) -> None:
+        """Per-launch-group progress event."""
+        index = self.groups_folded
+        self.groups_folded += 1
+        self.ctx.emit(
+            "launch_group",
+            group_index=index,
+            groups_total=self.groups_total,
+            source=self.ctx.circuit.names[source],
+            pairs=pairs,
+            dropped=dropped,
+            folded=len(self.state.results),
+        )

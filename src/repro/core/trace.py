@@ -5,8 +5,8 @@ per stage boundary and one per analyzed FF pair — replacing the ad-hoc
 ``time.perf_counter()`` bookkeeping the detector used to carry inline.
 Events are plain dictionaries with a fixed envelope::
 
-    {"v": 1, "event": "stage_end", "t": 0.0123, "stage": "random-sim",
-     "pairs_in": 9, "pairs_out": 5, "seconds": 0.0119}
+    {"v": 1, "event": "stage_end", "t": 0.0123, "stage": "stream",
+     "pairs_in": 0, "pairs_out": 0, "results": 9, "seconds": 0.0119}
 
 ``v`` is the schema version, ``event`` the record type and ``t`` the time
 offset (in seconds, by the tracer's clock) since the tracer was created.
@@ -16,6 +16,10 @@ Event types emitted by the pipeline:
     One pair per pipeline run; ``run_end`` carries the summary counts.
 ``stage_start`` / ``stage_end``
     One pair per pipeline stage, with pair counts in/out and seconds.
+    A detection run has one stage, the launch-group fold (``stream``,
+    or ``incremental`` for an ECO re-analysis); its phases report their
+    own seconds in ``stream_topology``, ``random_sim`` and
+    ``hazard_stage``.
 ``pair``
     One per analyzed FF pair: source/sink names, classification, the
     stage that settled it and the decision-search effort.
@@ -25,26 +29,30 @@ Event types emitted by the pipeline:
     One per run with ``--hazard-check`` enabled: the mode, how many
     multi-cycle pairs were checked/flagged, the packed-lane counts
     (``lanes``/``batches``, ternary mode only) and seconds.
+``decision_exec``
+    One per run with ``workers > 1`` that decided any pair: whether the
+    pool ran (``parallel``) or the pairs stayed below
+    ``parallel_threshold`` (``serial-fallback``), and the pair count.
 ``decision_queue``
     One per parallel decision run: worker count, work-unit count and
-    sizing (``unit_pairs``/``split``) plus per-worker unit/pair/second
-    totals from the work-stealing queue.
+    sizing (``unit_pairs``/``split``/``max_pairs_in_flight``) plus
+    per-worker unit/pair/second totals from the work-stealing queue.
 ``packed_implication``
     One per run with lane packing enabled (``--packed-implication``):
     the resolved mode plus the packed pre-pass totals — lanes packed,
     lanes resolved without the scalar engine, scalar fallbacks, and the
     closure/visit/microsecond counters of the packed engine.
-
-The streaming pipeline (:mod:`repro.core.streaming`) additionally emits:
-
 ``stream_topology``
-    One per streaming run: launch-group and connected-pair totals, and
-    whether the packed reachability matrix was built in row blocks.
+    One per run: launch-group and connected-pair totals, whether the
+    packed reachability matrix was built in row blocks, and seconds.
+``random_sim``
+    One per run with random simulation: rounds, patterns, dropped
+    pairs and seconds.
 ``launch_group``
-    One per launch group as it is folded into the result:
+    One per launch group once all its pairs are folded into the result:
     ``group_index``/``groups_total``, the launching FF, the group's
     pair count, how many the random filter dropped, and ``folded`` —
-    the number of pair results settled so far (streaming progress).
+    the number of pair results settled so far (progress).
 
 A tracer writes each record to an optional JSON-lines sink as soon as it
 is emitted (crash-safe for long runs) and keeps the records in memory

@@ -1,33 +1,35 @@
-"""Work-stealing decision pool: persistent workers, one shared queue.
+"""Work units and the work-stealing decision pool.
 
-The decision stage used to shard surviving pairs into static chunks and
-``ProcessPoolExecutor.map`` them — a straggler chunk (one hard launch
-group) serialized the tail of every run.  Here the executor is a plain
-work-stealing queue instead:
+The launch-group fold (:mod:`repro.core.streaming`) cuts the pairs that
+need a decision into *work units* and settles each one through
+:func:`_decide_unit` — in-process on a :class:`LocalQueue`, or on the
+:class:`WorkStealingPool` when ``workers > 1``:
 
 * ``workers`` persistent processes are spawned once per pipeline run;
   each builds its :class:`~repro.core.pipeline.AnalysisContext` and
-  prepares its decider exactly once (the initializer arguments ship the
+  prepares its decider exactly once (the spawn arguments ship the
   circuit, options, unprepared decider, shared expansion and any
-  pre-computed shared payload, exactly like the old pool initializer);
-* work units — launch-group-aligned pair lists — go into one shared
-  *buffered* task queue; idle workers *pull* whatever is next, so a
-  slow unit only occupies the worker that took it while the rest drain
-  the queue.  Both queues are :class:`multiprocessing.Queue` (feeder
-  thread, unbounded buffer) so neither bulk submission nor bulky
-  results can wedge on raw pipe capacity;
+  pre-computed shared payload);
+* work units go into one shared *buffered* task queue; idle workers
+  *pull* whatever is next, so a slow unit only occupies the worker that
+  took it while the rest drain the queue.  Both queues are
+  :class:`multiprocessing.Queue` (feeder thread, unbounded buffer) so
+  neither bulk submission nor bulky results can wedge on raw pipe
+  capacity;
 * results return on a shared result queue tagged with the unit index,
-  the worker id and the unit's wall seconds; the caller merges them in
-  unit order, which keeps the merged output byte-identical to a serial
-  run regardless of which worker settled which unit.
+  the worker id and the unit's wall seconds; a worker that dies without
+  reporting (a signal, the OOM killer) makes the wait raise instead of
+  hang.
 
-Unit formation (:func:`launch_units`) never splits a launch group below
-``split`` pairs, preserving the decision session's launch-prefix reuse
-and its counter totals; groups *larger* than ``split`` are cut into
-consecutive slices so one giant group cannot serialize the run.  A split
-group re-derives its launch prefix once per slice — pair verdicts and
-records are unchanged (the session's confluence argument), only the
-``prefix_misses`` observability counter drifts upward.
+Unit formation (:func:`unit_stream`) packs whole launch groups into
+units of ~``size`` pairs, so a unit may span several groups and the
+packed implication pre-pass fills its lanes, while the decision
+session's launch-prefix reuse keeps working inside each group.  Groups
+*larger* than ``split`` are cut into consecutive slices so one giant
+group cannot serialize the run.  A split group re-derives its launch
+prefix once per slice — pair verdicts and records are unchanged (the
+session's confluence argument), only the ``prefix_misses``
+observability counter drifts upward.
 
 Per-unit results carry the *deltas* of the worker-side session counters
 (the decider persists across units), so the merged totals are
@@ -38,10 +40,12 @@ maximum.
 from __future__ import annotations
 
 import multiprocessing as mp
+import queue
 import time
 import traceback
+from collections import deque
 from dataclasses import replace
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.circuit.topology import FFPair
 
@@ -49,9 +53,13 @@ from repro.circuit.topology import FFPair
 #: keeps small test circuits (and their pinned counter totals) unsplit.
 MIN_SPLIT_PAIRS = 128
 
+#: seconds one wait on the result queue lasts before the parent checks
+#: whether a worker has died.
+POLL_SECONDS = 0.1
+
 
 class WorkUnit(NamedTuple):
-    """One queue entry: a launch-group-aligned slice of the pair list."""
+    """One queue entry: consecutive pairs cut by :func:`unit_stream`."""
 
     index: int
     pairs: list[FFPair]
@@ -95,43 +103,50 @@ def split_threshold(size: int) -> int:
     return max(4 * max(1, size), MIN_SPLIT_PAIRS)
 
 
-def launch_units(
-    pairs: Sequence[FFPair], size: int, split: int | None = None
-) -> list[list[FFPair]]:
-    """Contiguous work units of ~``size`` pairs, launch-group aligned.
+def unit_stream(
+    groups: Iterable[Sequence[FFPair]], size: int, split: int | None = None
+) -> Iterator[list[FFPair]]:
+    """Cut a stream of launch groups into work units of ~``size`` pairs.
 
-    Consecutive same-source pairs (one launch group) stay in one unit so
-    the decision session's prefix cache keeps working inside each
-    worker.  A group larger than ``split`` (``None`` = never) is cut
-    into consecutive slices of at most ``size`` pairs — the on-the-fly
-    split that stops one giant group from serializing the run.
-    Concatenating the units in order reproduces ``pairs`` exactly.
+    Whole groups are packed into one unit while they fit, so a unit may
+    span several launch groups; the decision session's prefix cache
+    keeps working inside each group.  A group larger than ``split``
+    (``None`` = never) is cut into consecutive slices of at most
+    ``size`` pairs — the on-the-fly split that stops one giant group
+    from serializing the run.  Units are yielded as soon as they are
+    complete, so a caller can cut a lazily enumerated stream; their
+    concatenation reproduces the input order exactly.
     """
-    from repro.core.session import launch_runs
-
     size = max(1, size)
-    units: list[list[FFPair]] = []
     current: list[FFPair] = []
-    for start, end in launch_runs(pairs):
-        group = list(pairs[start:end])
+    for group in groups:
         if split is not None and len(group) > split:
             if current:
-                units.append(current)
+                yield current
                 current = []
-            units.extend(
-                group[lo: lo + size] for lo in range(0, len(group), size)
-            )
+            for lo in range(0, len(group), size):
+                yield list(group[lo: lo + size])
             continue
         if current and len(current) + len(group) > size:
-            units.append(current)
+            yield current
             current = []
         current.extend(group)
         if len(current) >= size:
-            units.append(current)
+            yield current
             current = []
     if current:
-        units.append(current)
-    return units
+        yield current
+
+
+def launch_units(
+    pairs: Sequence[FFPair], size: int, split: int | None = None
+) -> list[list[FFPair]]:
+    """:func:`unit_stream` over the launch groups of a pair list."""
+    from repro.core.session import launch_runs
+
+    return list(unit_stream(
+        (pairs[start:end] for start, end in launch_runs(pairs)), size, split
+    ))
 
 
 def _decide_unit(decider: Any, pairs: Sequence[FFPair]) -> tuple:
@@ -331,15 +346,44 @@ class WorkStealingPool:
             "rss_kb": ready.rss_kb,
         })
 
+    def _receive(self) -> Any:
+        """The next result-queue message; raises if a worker has died.
+
+        A worker killed by a signal or the OOM killer sends nothing, so
+        the wait polls and checks every process's exit code between
+        polls.  A worker that exits on its own has first queued a
+        :class:`_UnitFailure`, which one last poll collects.
+        """
+        while True:
+            try:
+                return self._results.get(timeout=POLL_SECONDS)
+            except queue.Empty:
+                pass
+            dead = [
+                (wid, proc.exitcode)
+                for wid, proc in enumerate(self._procs)
+                if proc.exitcode is not None
+            ]
+            if not dead:
+                continue
+            try:
+                return self._results.get(timeout=POLL_SECONDS)
+            except queue.Empty:
+                pass
+            self.shutdown()
+            raise RuntimeError("decision worker died: " + ", ".join(
+                f"worker {wid} exit code {code}" for wid, code in dead
+            ))
+
     def next_result(self) -> UnitResult:
         """Block for the next settled unit, in completion order."""
         if self._stash:
             outcome: Any = self._stash.pop(0)
         else:
-            outcome = self._results.get()
+            outcome = self._receive()
             while isinstance(outcome, _WorkerReady):
                 self._record_ready(outcome)
-                outcome = self._results.get()
+                outcome = self._receive()
         if isinstance(outcome, _UnitFailure):
             self.shutdown()
             raise RuntimeError(
@@ -372,8 +416,6 @@ class WorkStealingPool:
         callers normally do so after the units drained, when the only
         outstanding messages are ready reports from idle workers.
         """
-        import queue as queue_mod
-
         deadline = time.monotonic() + timeout
         while self._ready_seen < self.workers:
             remaining = deadline - time.monotonic()
@@ -381,7 +423,7 @@ class WorkStealingPool:
                 break
             try:
                 outcome = self._results.get(timeout=remaining)
-            except queue_mod.Empty:
+            except queue.Empty:
                 break
             if isinstance(outcome, _WorkerReady):
                 self._record_ready(outcome)
@@ -422,9 +464,44 @@ class WorkStealingPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
-        for queue in (self._tasks, self._results):
-            queue.close()
-            queue.cancel_join_thread()
+        for channel in (self._tasks, self._results):
+            channel.close()
+            channel.cancel_join_thread()
         if self.backplane is not None:
             self.backplane.close_and_unlink()
             self.backplane = None
+
+
+class LocalQueue:
+    """The pool's ``submit``/``next_result`` protocol, run in-process.
+
+    Each submitted unit is settled at once by :func:`_decide_unit` on
+    the caller's decider, prepared on the first unit (with ``shared``
+    adopted first, as a pool worker would), so the fold drives both
+    executors with one loop.
+    """
+
+    def __init__(self, ctx: Any, decider: Any, shared: Any = None) -> None:
+        self._ctx = ctx
+        self._decider = decider
+        self._shared = shared
+        self._prepared = False
+        self._done: deque[UnitResult] = deque()
+
+    def submit(self, index: int, pairs: Sequence[FFPair]) -> None:
+        """Settle one unit now; :meth:`next_result` hands it back."""
+        if not self._prepared:
+            adopt = getattr(self._decider, "adopt_shared", None)
+            if self._shared is not None and adopt is not None:
+                adopt(self._shared)
+            self._decider.prepare(self._ctx)
+            self._prepared = True
+        started = time.perf_counter()
+        decided, flags, stats = _decide_unit(self._decider, pairs)
+        self._done.append(UnitResult(
+            index, decided, flags, stats, 0, time.perf_counter() - started,
+        ))
+
+    def next_result(self) -> UnitResult:
+        """The oldest settled unit."""
+        return self._done.popleft()

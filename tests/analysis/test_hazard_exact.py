@@ -12,8 +12,9 @@ single-source X-propagation condition exactly:
   forces ``glitch-proven``; a clean co-sensitization pass forces
   ``safe``;
 * *non-interference* — ``pair_records()`` must be byte-identical with
-  and without the exact stage, and the streaming/incremental execution
-  paths must reproduce the staged verdicts.
+  and without the exact stage, and the launch-group fold and the
+  incremental path must reproduce the verdicts of the staged reference
+  flow (``tests/core/staged_oracle.py``).
 
 The delay-annotated re-filter gets deterministic unit tests: a single
 X-path cannot pulse under any delay assignment, while unequal-depth
@@ -52,6 +53,7 @@ from repro.core.ternary_hazard import ternary_eval
 from repro.logic.simulator import evaluate_gate
 from repro.logic.values import X
 from repro.sta.delays import GateDelays
+from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -234,8 +236,8 @@ def _verdict_fingerprint(detection):
 @settings(max_examples=10)
 def test_streaming_exact_matches_staged(seed):
     circuit = random_sequential_circuit(seed, max_dffs=6, max_gates=20)
-    staged = _detect(circuit, hazard_check="exact", streaming="off")
-    streamed = _detect(circuit, hazard_check="exact", streaming="on")
+    staged = staged_detect(circuit, DetectorOptions(hazard_check="exact"))
+    streamed = _detect(circuit, hazard_check="exact")
     assert _verdict_fingerprint(staged) == _verdict_fingerprint(streamed)
     assert staged.hazard_exact == streamed.hazard_exact
     assert staged.hazard_flagged_pairs == streamed.hazard_flagged_pairs

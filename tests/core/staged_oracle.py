@@ -1,0 +1,180 @@
+"""Staged reference flow: the oracle the launch-group fold must reproduce.
+
+The paper's Section 4.1 flow written out stage by stage over a full,
+materialized pair list:
+
+    connected_ff_pairs → random_filter / random_filter_k
+    → one decide_group over all survivors → the hazard checker
+
+It runs serially in one process and builds its own hazard checker, so
+it shares no unit cutting, executor, fold or hazard pass with
+:class:`repro.core.streaming.StreamingStage`.  The differentials compare
+its :class:`~repro.core.result.DetectionResult` — ``pair_records``,
+stage counters, session totals, hazard results — against the fold's.
+"""
+
+from __future__ import annotations
+
+from repro.circuit.netlist import Circuit
+from repro.circuit.topology import connected_ff_pairs
+from repro.core.deciders import PairDecider, create_decider
+from repro.core.hazard import HazardChecker
+from repro.core.pipeline import (
+    AnalysisContext,
+    DetectorOptions,
+    load_gate_delays,
+    packed_summary,
+)
+from repro.core.random_filter import random_filter, random_filter_k
+from repro.core.result import (
+    Classification,
+    DetectionResult,
+    PairResult,
+    Stage,
+    StageStats,
+)
+from repro.core.sensitization import mode_from_flag
+from repro.core.ternary_hazard import TernaryHazardChecker
+
+
+def staged_detect(
+    circuit: Circuit,
+    options: DetectorOptions | None = None,
+    decider: str | PairDecider | None = None,
+    frames: int = 2,
+) -> DetectionResult:
+    """Classify every connected pair with the staged reference flow.
+
+    ``options.workers`` and the unit-sizing options are ignored: the
+    oracle always decides serially in one call.
+    """
+    options = options or DetectorOptions()
+    ctx = AnalysisContext(circuit, options)
+    stats = {stage: StageStats() for stage in Stage}
+    results: list[PairResult] = []
+
+    def record(result: PairResult) -> None:
+        results.append(result)
+        counters = stats[result.stage]
+        if result.classification is Classification.MULTI_CYCLE:
+            counters.multi_cycle += 1
+        elif result.classification is Classification.SINGLE_CYCLE:
+            counters.single_cycle += 1
+        else:
+            counters.undecided += 1
+
+    # Topology.
+    pairs = connected_ff_pairs(
+        circuit, include_self_loops=options.include_self_loops
+    )
+    connected = len(pairs)
+
+    # Random simulation.
+    if options.use_random_sim and pairs:
+        sim = dict(
+            words=options.sim_words,
+            max_rounds=options.sim_max_rounds,
+            seed=options.sim_seed,
+            sim=ctx.bit_simulator(options.sim_words),
+            round_batch=options.sim_round_batch,
+        )
+        if frames == 2:
+            report = random_filter(circuit, pairs, **sim)
+        else:
+            report = random_filter_k(circuit, pairs, frames, **sim)
+        for pair in report.dropped_pairs:
+            record(PairResult(
+                pair, Classification.SINGLE_CYCLE, Stage.SIMULATION
+            ))
+        pairs = report.survivors
+
+    # Decide: one call over every survivor.
+    if decider is None:
+        decider = options.search_engine
+    if isinstance(decider, str):
+        decider = create_decider(decider)
+    session = None
+    learned = 0
+    db_info = None
+    disagreements = []
+    if pairs:
+        decider.prepare(ctx)
+        group_fn = getattr(decider, "decide_group", None)
+        if group_fn is not None:
+            decided = [result for result, _ in group_fn(pairs)]
+        else:
+            decided = [decider.decide(pair) for pair in pairs]
+        for result in decided:
+            record(result)
+        learned = getattr(decider, "learned_implications", 0)
+        db_info = getattr(decider, "db_info", None)
+        disagreements = list(getattr(decider, "disagreements", []))
+        stats_fn = getattr(decider, "session_stats", None)
+        session = stats_fn() if stats_fn is not None else None
+
+    # Hazard check of the multi-cycle pairs.
+    mode = options.hazard_check
+    flagged = []
+    verdicts = []
+    exact_summary = None
+    multi_cycle = [
+        r for r in results if r.classification is Classification.MULTI_CYCLE
+    ]
+    expansion = ctx.expansion(2) if mode != "off" else None
+    if mode == "ternary":
+        checker = TernaryHazardChecker(
+            circuit, options.hazard_backtrack_limit,
+            expansion=expansion, words=options.sim_words,
+        )
+        reports = checker.check_pairs(multi_cycle)
+        flagged = [r.pair_result.pair for r in reports if r.has_potential_hazard]
+    elif mode in ("sensitize", "cosensitize"):
+        checker = HazardChecker(
+            circuit, mode_from_flag(mode),
+            backtrack_limit=options.hazard_backtrack_limit,
+            expansion=expansion,
+        )
+        reports = [checker.check_pair(r) for r in multi_cycle]
+        flagged = [r.pair_result.pair for r in reports if r.has_potential_hazard]
+    elif mode == "exact":
+        from repro.analysis.hazard_exact import (
+            ExactHazardChecker,
+            verdict_flags_pair,
+        )
+
+        exact = ExactHazardChecker(
+            circuit, expansion,
+            backtrack_limit=options.hazard_backtrack_limit,
+            conflict_limit=options.hazard_conflict_limit,
+            delays=load_gate_delays(options, circuit),
+        )
+        verdicts = sorted(
+            exact.check_pairs(multi_cycle),
+            key=lambda v: (v.pair.source, v.pair.sink),
+        )
+        exact_summary = exact.summary()
+        flagged = [v.pair for v in verdicts if verdict_flags_pair(v)]
+    elif mode != "off":
+        raise ValueError(f"unknown hazard_check mode {mode!r}")
+    flagged.sort(key=lambda p: (p.source, p.sink))
+
+    results.sort(key=lambda r: (r.pair.source, r.pair.sink))
+    return DetectionResult(
+        circuit=circuit,
+        connected_pairs=connected,
+        pair_results=results,
+        stats=stats,
+        total_seconds=0.0,
+        learned_implications=learned,
+        engine=decider.name,
+        disagreements=disagreements,
+        decision_session=session,
+        implication_db=db_info,
+        packed_implication=packed_summary(session),
+        hazard_mode=mode,
+        hazard_checked=len(multi_cycle) if mode != "off" else 0,
+        hazard_flagged=len(flagged),
+        hazard_flagged_pairs=flagged,
+        hazard_verdicts=verdicts,
+        hazard_exact=exact_summary,
+    )

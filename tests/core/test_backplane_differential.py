@@ -3,10 +3,10 @@
 The shared-memory backplane is pure transport — workers that attach
 decode the *same* expansion/CSR/SimPlan/PackedPlan the parent built, so
 for any circuit and any option mix ``pair_records()`` must be
-byte-identical between ``backplane="on"`` and ``backplane="off"``
-(private per-worker rebuilds), on both the staged and the streaming
-pipeline.  When a pool did publish, every worker must have attached
-without touching the artifact store.
+byte-identical between ``backplane="on"``, ``backplane="off"``
+(private per-worker rebuilds) and the serial staged reference flow of
+``tests/core/staged_oracle.py``.  When a pool did publish, every worker
+must have attached without touching the artifact store.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from repro.circuit.library import fig1_circuit, s27
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 
+from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -33,7 +34,8 @@ def _records(result):
 def _assert_identical(circuit, **kw):
     on = _run(circuit, backplane="on", **kw)
     off = _run(circuit, backplane="off", **kw)
-    assert _records(on) == _records(off)
+    staged = staged_detect(circuit, DetectorOptions(**kw))
+    assert _records(on) == _records(off) == _records(staged)
     assert off.backplane is None
     summary = on.backplane
     if summary is not None:  # None when the pool auto-fell back to serial
@@ -45,14 +47,15 @@ def _assert_identical(circuit, **kw):
 @settings(max_examples=6)
 def test_backplane_matches_staged(seed):
     circuit = random_sequential_circuit(seed, max_dffs=6, max_gates=20)
-    _assert_identical(circuit, streaming="off")
+    _assert_identical(circuit)
 
 
 @given(seeds)
 @settings(max_examples=6)
 def test_backplane_matches_streaming(seed):
+    """Two-pair units: many queue round trips per run."""
     circuit = random_sequential_circuit(seed, max_dffs=6, max_gates=20)
-    _assert_identical(circuit, streaming="on")
+    _assert_identical(circuit, chunk_pairs=2)
 
 
 @given(seeds)
@@ -60,20 +63,20 @@ def test_backplane_matches_streaming(seed):
 def test_backplane_matches_with_implication_db(seed):
     """implication-db rides the backplane as the shared learned table."""
     circuit = random_sequential_circuit(seed, max_dffs=5, max_gates=16)
-    _assert_identical(circuit, streaming="off", implication_db=True)
+    _assert_identical(circuit, implication_db=True)
 
 
 def test_backplane_matches_on_paper_circuits():
     for circuit in (fig1_circuit(), s27()):
-        _assert_identical(circuit, streaming="off")
-        _assert_identical(circuit, streaming="on")
-        _assert_identical(circuit, streaming="off", packed_implication="on",
+        _assert_identical(circuit)
+        _assert_identical(circuit, chunk_pairs=2)
+        _assert_identical(circuit, packed_implication="on",
                           implication_db=True)
 
 
 def test_backplane_publishes_on_paper_circuit():
     """fig1 with a forced pool: the summary proves attach replaced rebuild."""
-    result = _run(fig1_circuit(), backplane="on", streaming="off")
+    result = _run(fig1_circuit(), backplane="on")
     summary = result.backplane
     assert summary is not None
     assert summary["workers"] == 2
@@ -86,5 +89,5 @@ def test_backplane_publishes_on_paper_circuit():
 
 
 def test_backplane_off_never_publishes():
-    result = _run(fig1_circuit(), backplane="off", streaming="off")
+    result = _run(fig1_circuit(), backplane="off")
     assert result.backplane is None

@@ -2,8 +2,8 @@
 
 The contract: after any single-gate ECO edit, merging inherited verdicts
 with re-decided ones yields ``pair_records`` *byte-identical* to a fresh
-full run of the edited netlist — against both the staged and the
-streaming execution paths.  Hypothesis drives random circuits and random
+full run of the edited netlist — against both the launch-group fold and
+the staged reference flow of ``tests/core/staged_oracle.py``.  Hypothesis drives random circuits and random
 edits (gate-type flips, fanin rewires, DFF insertions) at the property.
 """
 
@@ -30,6 +30,7 @@ from repro.core.incremental import (
 )
 from repro.core.result import Stage
 from repro.store import ArtifactStore
+from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
 _FLIPS = {
@@ -142,15 +143,10 @@ def test_incremental_matches_streaming_run_after_eco(seed, kind):
     edited = eco_edit(base, seed, kind)
     assume(edited is not None)
     options = DetectorOptions()
-    bundle = result_bundle(
-        MultiCycleDetector(base, DetectorOptions(streaming="on")).run(),
-        options,
-    )
+    bundle = result_bundle(staged_detect(base, options), options)
     incremental = incremental_detect(edited, options, bundle)
-    streamed = MultiCycleDetector(
-        _clone(edited), DetectorOptions(streaming="on")
-    ).run()
-    assert _records(incremental) == _records(streamed)
+    staged = staged_detect(_clone(edited), options)
+    assert _records(incremental) == _records(staged)
 
 
 @given(seeds)

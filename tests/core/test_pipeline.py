@@ -1,11 +1,11 @@
-"""Tests for the staged pipeline: stages, trace layer, parallel executor.
+"""Tests for the pipeline core: stages, trace layer, parallel executor.
 
-The pipeline is the refactored detection core (`repro.core.pipeline`):
-`MultiCycleDetector` is now a thin shell over
-``default_pipeline().run(AnalysisContext(...))``, so these tests exercise
-the machinery every detector rides on — the stage protocol, the decider
-registry, the JSONL trace schema, and the worker-sharded decision stage
-whose results must be byte-identical to a serial run.
+`MultiCycleDetector` is a thin shell over
+``Pipeline([StreamingStage()]).run(AnalysisContext(...))``, so these
+tests exercise the machinery every detector rides on — the stage
+protocol, the decider registry, the JSONL trace schema, the hazard
+pass, and the worker pool whose results must be byte-identical to a
+serial run.
 """
 
 from __future__ import annotations
@@ -22,17 +22,9 @@ from repro.core.deciders import (
     create_decider,
 )
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.pipeline import (
-    AnalysisContext,
-    DecisionStage,
-    Pipeline,
-    TopologyStage,
-    _auto_chunk_size,
-    _chunk_pairs,
-    _split_chunks,
-    default_pipeline,
-)
+from repro.core.pipeline import AnalysisContext, Pipeline, _auto_chunk_size
 from repro.core.result import Classification, Stage
+from repro.core.streaming import StreamingStage
 from repro.core.trace import TRACE_SCHEMA_VERSION, Tracer, open_trace, read_trace
 from tests.strategies import random_sequential_circuit
 
@@ -107,7 +99,7 @@ class TestPipelineStages:
         assert events[-1] == "run_end"
         starts = [r["stage"] for r in tracer.select("stage_start")]
         ends = [r["stage"] for r in tracer.select("stage_end")]
-        assert starts == ["topology", "random-sim", "decide", "hazard"]
+        assert starts == ["stream"]
         assert ends == starts
         # One pair event per connected pair, across all stages.
         assert len(tracer.select("pair")) == result.connected_pairs
@@ -129,7 +121,7 @@ class TestPipelineStages:
                 clock=lambda: 0.0,
                 tracer=tracer,
             )
-            default_pipeline().run(ctx)
+            Pipeline([StreamingStage()]).run(ctx)
             return [(r["event"], r["t"]) for r in tracer.events]
 
         assert run_with_fake_clock() == run_with_fake_clock()
@@ -153,14 +145,14 @@ class TestPipelineStages:
 
     def test_custom_stage_composition(self, fig1):
         # A pipeline without the random filter still classifies correctly.
-        pipeline = Pipeline([TopologyStage(), DecisionStage()])
-        ctx = AnalysisContext(fig1, DetectorOptions())
+        pipeline = Pipeline([StreamingStage()])
+        ctx = AnalysisContext(fig1, DetectorOptions(use_random_sim=False))
         result = pipeline.run(ctx)
         baseline = MultiCycleDetector(fig1).run()
         assert result.multi_cycle_pair_names() == baseline.multi_cycle_pair_names()
 
     def test_decision_stage_engine_override(self, fig1):
-        pipeline = Pipeline([TopologyStage(), DecisionStage("sat")])
+        pipeline = Pipeline([StreamingStage("sat")])
         result = pipeline.run(AnalysisContext(fig1, DetectorOptions()))
         assert result.engine == "sat"
         baseline = MultiCycleDetector(fig1).run()
@@ -194,29 +186,14 @@ class TestExpansionCache:
 # Parallel executor
 # ----------------------------------------------------------------------
 class TestParallelExecutor:
-    def test_split_chunks_partition(self):
-        pairs = list(range(10))
-        chunks = _split_chunks(pairs, 4)
-        assert [x for chunk in chunks for x in chunk] == pairs
-        assert all(chunk for chunk in chunks)
-        assert len(chunks) <= 4
-
-    def test_split_chunks_more_workers_than_pairs(self):
-        chunks = _split_chunks([1, 2], 8)
-        assert [x for chunk in chunks for x in chunk] == [1, 2]
-
-    def test_chunk_pairs_partition(self):
-        pairs = list(range(11))
-        chunks = _chunk_pairs(pairs, 4)
-        assert [x for chunk in chunks for x in chunk] == pairs
-        assert [len(chunk) for chunk in chunks] == [4, 4, 3]
-        assert _chunk_pairs(pairs, 0) == [[p] for p in pairs]
-
     def test_auto_chunk_size_bounds(self):
-        # ~4 chunks per worker, never below 1, capped at 64.
+        # ~4 units per worker, never below 1, capped at one packed
+        # closure's capacity (MAX_LANES // 4 pairs); serial runs use
+        # the cap.
         assert _auto_chunk_size(1, 4) == 1
         assert _auto_chunk_size(160, 4) == 10
-        assert _auto_chunk_size(100_000, 4) == 64
+        assert _auto_chunk_size(100_000, 4) == 128
+        assert _auto_chunk_size(10, 1) == 128
 
     @pytest.mark.parametrize("engine", ["dalg", "sat"])
     def test_workers_match_serial_byte_for_byte(self, fig1, engine):
@@ -291,7 +268,7 @@ class TestParallelExecutor:
         ctx = AnalysisContext(
             fig1, DetectorOptions(workers=2, parallel_threshold=2)
         )
-        default_pipeline().run(ctx)
+        Pipeline([StreamingStage()]).run(ctx)
         assert ctx._pool is None
 
 
@@ -357,7 +334,7 @@ class TestHazardStage:
         assert record["checked"] >= record["flagged"] >= 0
         assert record["lanes"] > 0
         assert [r["stage"] for r in tracer.select("stage_start")] == [
-            "topology", "random-sim", "decide", "hazard",
+            "stream"
         ]
 
     @pytest.mark.parametrize("mode", ["sensitize", "cosensitize"])

@@ -196,6 +196,30 @@ def test_packed_filter_matches_pair_list(seed):
         }
 
 
+def test_packed_filter_matches_pair_list_across_words_and_blocks():
+    """76 FFs: two words per sink row, and five-row blocks."""
+    from types import SimpleNamespace
+
+    from repro.bench_gen.suite import spec_by_name
+    from repro.bench_gen.synth import generate
+    from repro.core.random_filter import _PackedDrops, _run_rounds
+
+    circuit = generate(spec_by_name("syn330"))
+    pairs = connected_ff_pairs(circuit)
+    reference = random_filter(circuit, pairs)
+    reach, alive = _packed_alive(circuit)
+    assert alive.shape[1] == 2
+    strategy = _PackedDrops(alive.copy(), block_rows=5)
+    rounds, patterns = _run_rounds(
+        circuit, strategy, 2, 4, 256, 2002, None, "compiled", 8
+    )
+    assert (rounds, patterns) == (reference.rounds, reference.patterns)
+    report = SimpleNamespace(alive=strategy.alive)
+    assert _packed_survivor_pairs(reach, report) == {
+        (p.source, p.sink) for p in reference.survivors
+    }
+
+
 def test_packed_filter_matches_k_frame_variant(fig1):
     from repro.core.random_filter import random_filter_k, random_filter_packed
 

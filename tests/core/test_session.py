@@ -24,10 +24,10 @@ from repro.circuit.topology import FFPair, connected_ff_pairs
 from repro.core.brute import brute_force_mc_pairs
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.pair_analysis import PairAnalyzer
-from repro.core.pipeline import _launch_chunks
 from repro.core.result import Classification
 from repro.core.session import DecisionSession, launch_runs
 from repro.core.trace import Tracer
+from repro.core.workqueue import launch_units
 from tests.strategies import random_sequential_circuit, seeds, shuffled
 
 
@@ -169,7 +169,7 @@ def _fake_pairs(sources):
 def test_launch_chunks_never_split_a_group():
     pairs = _fake_pairs([1, 1, 1, 2, 2, 3, 4, 4, 4, 4, 5])
     for size in range(1, len(pairs) + 2):
-        chunks = _launch_chunks(pairs, size)
+        chunks = launch_units(pairs, size)
         # Partition in order.
         assert [p for chunk in chunks for p in chunk] == pairs
         # No launch group straddles a chunk boundary.
@@ -179,7 +179,7 @@ def test_launch_chunks_never_split_a_group():
 
 def test_launch_chunks_oversized_group_is_one_chunk():
     pairs = _fake_pairs([7] * 10 + [8])
-    chunks = _launch_chunks(pairs, 3)
+    chunks = launch_units(pairs, 3)
     assert [len(c) for c in chunks] == [10, 1]
 
 

@@ -142,3 +142,63 @@ def test_pool_worker_summary_covers_all_units():
         1 for r in result.pair_results if r.stage is not Stage.SIMULATION
     )
     assert sum(row["pairs"] for row in summary) == decided_in_decision
+
+
+class _StallDecider:
+    """Pool-test stand-in that never finishes a unit on its own."""
+
+    name = "stall"
+    frames = 2
+
+    def prepare(self, ctx):
+        pass
+
+    def decide(self, pair):
+        import time
+
+        time.sleep(600)
+        return (pair, None)
+
+
+def test_killed_workers_raise_instead_of_hanging(fig1):
+    """SIGKILLed workers send no failure report; the parent still ends."""
+    import os
+    import signal
+    import time
+
+    import pytest
+
+    from repro.core.pipeline import AnalysisContext
+    from repro.core.workqueue import WorkStealingPool
+
+    options = DetectorOptions(workers=2)
+    expansion = AnalysisContext(fig1, options).expansion(2)
+    pool = WorkStealingPool(
+        fig1, options, _StallDecider(), expansion, workers=2, key=("stall",)
+    )
+    for index in range(4):
+        pool.submit(index, [FFPair(0, 0)])
+    for proc in pool._procs:
+        os.kill(proc.pid, signal.SIGKILL)
+    for proc in pool._procs:
+        proc.join(timeout=5)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="worker 0 exit code -9") as info:
+        pool.next_result()
+    assert time.monotonic() - started < 10
+    assert "worker 1 exit code -9" in str(info.value)
+    pool.shutdown()
+
+
+def test_unit_stream_cuts_lazily_across_groups():
+    """Units span groups, and one is yielded before the stream ends."""
+    from repro.core.workqueue import unit_stream
+
+    def groups():
+        yield _group(1, [1, 2])
+        yield _group(2, [3])
+        yield _group(3, [4, 5, 6])
+        raise AssertionError("read past the first complete unit")
+
+    stream = unit_stream(groups(), size=3)
+    assert next(stream) == _group(1, [1, 2]) + _group(2, [3])

@@ -57,7 +57,6 @@ from repro.core.result import (
     PairHazardVerdict,
     PairResult,
 )
-from repro.core.sensitization import SensitizationMode
 from repro.core.ternary_hazard import ternary_eval
 from repro.sat.solver import CdclSolver, SolveStatus
 from repro.sat.tseitin import CircuitEncoding, encode_circuit
@@ -137,10 +136,20 @@ def verdict_flags_pair(verdict: PairHazardVerdict) -> bool:
 class ExactHazardChecker:
     """Three-way exact hazard classifier over a shared 2-frame expansion.
 
-    The two path-search bounds run first (they are cheap and decide the
-    vast majority of pairs); only bounds-disagreeing or limit-hit pairs
-    reach the SAT encoding, which is built lazily and then shared by
-    every remaining pair through assumptions.
+    Both path-search bounds come from one walk over the pair's
+    satisfiable cases on one implication engine, each case premise
+    closed once (:meth:`~repro.core.hazard.HazardChecker.check_bounds`).
+    The safe co-sensitization bound goes first: a pair it clears in
+    every case is ``safe`` and runs no sensitization search.  From the
+    first case it does not clear, the sensitization search looks for a
+    proof, and the first case with a sensitizable path makes the pair
+    ``glitch-proven``.  Every verdict equals that of a full
+    sensitization walk followed by a co-sensitization walk: a
+    sensitization witness meets a co-sensitization option at every gate
+    of its path, so a case cleared within budget holds no sensitizable
+    path.  Only bounds-disagreeing or limit-hit pairs (and, with a delay
+    sidecar, proven ones) reach the SAT encoding, which is built lazily
+    and then shared by every remaining pair through assumptions.
     """
 
     def __init__(
@@ -161,16 +170,8 @@ class ExactHazardChecker:
         self.expansion = expansion
         self.conflict_limit = conflict_limit
         self.delays = delays
-        self._sens = HazardChecker(
+        self._bounds = HazardChecker(
             circuit,
-            SensitizationMode.STATIC_SENSITIZATION,
-            backtrack_limit=backtrack_limit,
-            max_attempts=max_attempts,
-            expansion=expansion,
-        )
-        self._cosens = HazardChecker(
-            circuit,
-            SensitizationMode.STATIC_CO_SENSITIZATION,
             backtrack_limit=backtrack_limit,
             max_attempts=max_attempts,
             expansion=expansion,
@@ -221,22 +222,18 @@ class ExactHazardChecker:
             # Every premise contradicts: the source cannot toggle while
             # the sink holds, so there is no transition to glitch with.
             return PairHazardVerdict(pair, HazardVerdictKind.SAFE, "cases")
-        sens = self._sens.check_pair(pair_result)
-        proven = sens.has_potential_hazard and not sens.limited
-        if not proven:
-            cosens = self._cosens.check_pair(pair_result)
-            if not cosens.has_potential_hazard:
-                return PairHazardVerdict(
-                    pair, HazardVerdictKind.SAFE, "cosensitize"
-                )
-        elif self.delays is None:
+        bounds = self._bounds.check_bounds(pair_result)
+        if bounds.cleared:
+            return PairHazardVerdict(pair, HazardVerdictKind.SAFE, "cosensitize")
+        proven = bounds.proven_case is not None
+        if proven and self.delays is None:
             # The lower bound proved the glitch and no delay filter needs
             # an input witness: done without touching the solver.
             return PairHazardVerdict(
                 pair,
                 HazardVerdictKind.GLITCH_PROVEN,
                 "sensitize",
-                witness_case=sens.witness_case,
+                witness_case=bounds.proven_case,
             )
         disagreeing = not proven
         if disagreeing:
@@ -264,7 +261,7 @@ class ExactHazardChecker:
                     pair,
                     HazardVerdictKind.GLITCH_PROVEN,
                     "sensitize",
-                    witness_case=sens.witness_case,
+                    witness_case=bounds.proven_case,
                 )
             return PairHazardVerdict(
                 pair, HazardVerdictKind.GLITCH_POSSIBLE, "exact"

@@ -757,16 +757,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Netlist problems (malformed files, lint rejections) exit with code 2
-    and a one-line ``error:`` message carrying the reader's file/line
+    Netlist problems (malformed files, lint rejections) and bad
+    ``--hazard-delays`` sidecars exit with code 2 and a one-line
+    ``error:`` message carrying the file (and, for netlists, line)
     context — they are user errors, not crashes.
     """
     from repro.circuit.netlist import CircuitError
+    from repro.sta.delays import DelaySidecarError
 
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CircuitError as exc:
+    except (CircuitError, DelaySidecarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,12 +20,18 @@ The result reproduces the paper's Table 3 ordering:
 because co-sensitization over-approximates the exact sensitization
 condition (safe) while sensitization under-approximates it (optimistic,
 and survivors may depend on one another — Section 5.2).
+
+:meth:`HazardChecker.check_pair` runs one mode's search per case.  The
+exact classification (:mod:`repro.analysis.hazard_exact`) needs both
+bounds; :meth:`HazardChecker.check_bounds` gets them in one walk that
+assumes each case premise once and runs co-sensitization first.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.circuit.gates import COMBINATIONAL_TYPES
 from repro.circuit.netlist import Circuit
@@ -35,9 +41,15 @@ from repro.atpg.implication import ImplicationEngine
 from repro.core.result import CaseOutcome, DetectionResult, PairResult
 from repro.core.sensitization import (
     PathSearchOutcome,
+    PathSearchResult,
     SensitizationMode,
     find_sensitizable_path,
 )
+
+_T = TypeVar("_T")
+
+#: Runs one path search, in the given mode, inside the current case premise.
+CaseSearch = Callable[[SensitizationMode], PathSearchResult]
 
 
 @dataclass
@@ -51,6 +63,16 @@ class PairHazardReport:
     witness_path: list[int] | None = None
     #: True when a resource limit forced the conservative verdict
     limited: bool = False
+
+
+@dataclass(frozen=True)
+class BoundsVerdict:
+    """Both static bounds of one pair (:meth:`HazardChecker.check_bounds`)."""
+
+    #: the first case with a statically sensitizable path: a real glitch
+    proven_case: tuple[int, int] | None
+    #: co-sensitization cleared every case within budget: no glitch
+    cleared: bool
 
 
 @dataclass
@@ -102,39 +124,13 @@ class HazardChecker:
 
     def check_pair(self, pair_result: PairResult) -> PairHazardReport:
         """Decide whether one multi-cycle pair may see a static hazard."""
-        expansion = self.expansion
-        pair = pair_result.pair
-        source = expansion.ff_index(pair.source)
-        sink = expansion.ff_index(pair.sink)
-        ffi_t = expansion.ff_at[0][source]
-        ffi_t1 = expansion.ff_at[1][source]
-        ffj_t1 = expansion.ff_at[1][sink]
-        ffj_t2 = expansion.ff_at[2][sink]
-
         limited = False
-        # The sink's cone is shared by every case's path search; it lives
-        # only for this call, so memory stays flat however many pairs run.
-        reach: set[int] | None = None
-        for case in self._satisfiable_cases(pair_result):
-            a, b = case
-            mark = self.engine.checkpoint()
-            premise = [(ffi_t, a), (ffi_t1, 1 - a), (ffj_t1, b), (ffj_t2, b)]
-            if not self.engine.assume_all(premise):
-                self.engine.backtrack(mark)
-                continue
-            if reach is None:
-                reach = self.expansion.comb.transitive_fanin([ffj_t2])
-            result = find_sensitizable_path(
-                self.engine,
-                source=ffi_t1,
-                target=ffj_t2,
-                allowed=self._frame2_nodes,
-                mode=self.mode,
-                backtrack_limit=self.backtrack_limit,
-                max_attempts=self.max_attempts,
-                reach=reach,
-            )
-            self.engine.backtrack(mark)
+
+        def visit(
+            case: tuple[int, int], search: CaseSearch
+        ) -> PairHazardReport | None:
+            nonlocal limited
+            result = search(self.mode)
             if result.outcome is PathSearchOutcome.FOUND:
                 return PairHazardReport(
                     pair_result,
@@ -144,10 +140,105 @@ class HazardChecker:
                 )
             if result.outcome is PathSearchOutcome.UNKNOWN:
                 limited = True
+            return None
+
+        report = self._walk_cases(pair_result, visit)
+        if report is not None:
+            return report
         if limited:
             # Resource limit: conservatively flag the pair.
             return PairHazardReport(pair_result, has_potential_hazard=True, limited=True)
         return PairHazardReport(pair_result, has_potential_hazard=False)
+
+    def check_bounds(self, pair_result: PairResult) -> BoundsVerdict:
+        """Both static bounds of one pair in one walk over its cases.
+
+        ``self.mode`` plays no part.  Each case's premise is assumed once.
+        Co-sensitization searches run first, case by case, until one
+        finds a path or hits a budget; the pair is then not cleared, and
+        from that case on only sensitization searches run.  The walk
+        stops at the first case with a sensitizable path.  A pair cleared
+        in every case runs no sensitization search.
+
+        Both verdicts equal those of two separate walks (sensitization
+        over every case, then co-sensitization).  A sensitization witness
+        vector meets one co-sensitization option at every gate of its
+        path, so a case that co-sensitization clears within budget has no
+        sensitizable path, and the first case with one is the same.  The
+        engine state after a premise does not depend on the searches run
+        before it, so each search returns what it would on an engine of
+        its own.
+        """
+        cleared = True
+
+        def visit(
+            case: tuple[int, int], search: CaseSearch
+        ) -> tuple[int, int] | None:
+            nonlocal cleared
+            if cleared:
+                cosens = search(SensitizationMode.STATIC_CO_SENSITIZATION)
+                if cosens.outcome is PathSearchOutcome.NONE:
+                    return None
+                cleared = False
+            sens = search(SensitizationMode.STATIC_SENSITIZATION)
+            if sens.outcome is PathSearchOutcome.FOUND:
+                return case
+            return None
+
+        proven_case = self._walk_cases(pair_result, visit)
+        return BoundsVerdict(proven_case, cleared)
+
+    def _walk_cases(
+        self,
+        pair_result: PairResult,
+        visit: Callable[[tuple[int, int], CaseSearch], _T | None],
+    ) -> _T | None:
+        """Visit each satisfiable case with its premise assumed.
+
+        ``visit(case, search)`` runs path searches from the source's new
+        value ``FF_i(t+1)`` to the sink's data input ``FF_j(t+2)`` inside
+        the premise.  The walk returns the first non-``None`` value a
+        visit returns, or ``None`` after the last case; the engine is
+        back at its entry state either way.
+        """
+        expansion = self.expansion
+        pair = pair_result.pair
+        source = expansion.ff_index(pair.source)
+        sink = expansion.ff_index(pair.sink)
+        ffi_t = expansion.ff_at[0][source]
+        ffi_t1 = expansion.ff_at[1][source]
+        ffj_t1 = expansion.ff_at[1][sink]
+        ffj_t2 = expansion.ff_at[2][sink]
+        engine = self.engine
+        # The sink's cone is shared by every case's path search; it lives
+        # only for this call, so memory stays flat however many pairs run.
+        reach: set[int] | None = None
+
+        def search(mode: SensitizationMode) -> PathSearchResult:
+            return find_sensitizable_path(
+                engine,
+                source=ffi_t1,
+                target=ffj_t2,
+                allowed=self._frame2_nodes,
+                mode=mode,
+                backtrack_limit=self.backtrack_limit,
+                max_attempts=self.max_attempts,
+                reach=reach,
+            )
+
+        for case in self._satisfiable_cases(pair_result):
+            a, b = case
+            mark = engine.checkpoint()
+            premise = [(ffi_t, a), (ffi_t1, 1 - a), (ffj_t1, b), (ffj_t2, b)]
+            outcome = None
+            if engine.assume_all(premise):
+                if reach is None:
+                    reach = expansion.comb.transitive_fanin([ffj_t2])
+                outcome = visit(case, search)
+            engine.backtrack(mark)
+            if outcome is not None:
+                return outcome
+        return None
 
     @staticmethod
     def _satisfiable_cases(pair_result: PairResult) -> list[tuple[int, int]]:

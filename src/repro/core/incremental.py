@@ -127,7 +127,8 @@ def hazard_fingerprint(options: DetectorOptions) -> str:
     so changing them must not invalidate decide inheritance — only the
     per-pair hazard verdicts.  For ``exact`` mode the SAT conflict
     budget and the delay sidecar's *content* are mixed in; a missing
-    sidecar file hashes as absent and fails later at load time.
+    sidecar file hashes as absent (the run's hazard pass rejects it
+    before any decide work).
     """
     parts = [
         f"mode={options.hazard_check}",

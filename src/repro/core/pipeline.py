@@ -484,12 +484,12 @@ class HazardPass:
     """Hazard validation of a run's multi-cycle pairs (Section 5).
 
     Built once per run, before any decide work, so an unknown
-    ``options.hazard_check`` mode fails fast.  The fold hands it each
-    unit's fresh results (:meth:`check`), an incremental run the
-    verdicts its prior bundle records (:meth:`adopt`), and
-    :meth:`finish` fills the result's hazard fields and emits the
-    ``hazard_stage`` trace event.  In mode ``"off"`` every call is a
-    no-op.
+    ``options.hazard_check`` mode or a bad exact-mode delay sidecar
+    fails fast.  The fold hands it each unit's fresh results
+    (:meth:`check`), an incremental run the verdicts its prior bundle
+    records (:meth:`adopt`), and :meth:`finish` fills the result's
+    hazard fields and emits the ``hazard_stage`` trace event.  In mode
+    ``"off"`` every call is a no-op.
 
     The mode picks the condition: bit-parallel ternary (Eichelberger)
     simulation, a static (co-)sensitization path search, or the exact
@@ -509,6 +509,11 @@ class HazardPass:
             raise ValueError(f"unknown hazard_check mode {mode!r}")
         self.ctx = ctx
         self.mode = mode
+        # Read now, not at the first multi-cycle pair: a bad sidecar
+        # must fail before any decide work, and on circuits without one.
+        self.delays = (
+            load_gate_delays(ctx.options, ctx.circuit) if mode == "exact" else None
+        )
         self.checked = 0
         self.seconds = 0.0
         self.flagged: list[FFPair] = []
@@ -534,7 +539,7 @@ class HazardPass:
                 expansion,
                 backtrack_limit=options.hazard_backtrack_limit,
                 conflict_limit=options.hazard_conflict_limit,
-                delays=load_gate_delays(options, ctx.circuit),
+                delays=self.delays,
             )
         return HazardChecker(
             ctx.circuit,

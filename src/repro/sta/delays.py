@@ -15,7 +15,8 @@ module loads those intervals from a sidecar JSON file::
 ``default`` applies to every gate not listed under ``gates``; both keys
 are optional (a missing default is the unit interval).  Gate names refer
 to the *sequential* circuit; unknown names are rejected when a circuit
-is supplied to :meth:`GateDelays.load`.
+is supplied to :meth:`GateDelays.load`.  Every sidecar problem raises
+:class:`DelaySidecarError`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.circuit.netlist import Circuit
+
+
+class DelaySidecarError(ValueError):
+    """An unreadable or invalid delay sidecar (the message is one line)."""
 
 
 @dataclass(frozen=True)
@@ -60,13 +65,13 @@ class GateDelays:
     def from_payload(cls, payload: object) -> GateDelays:
         """Build from a decoded sidecar payload (see module docstring)."""
         if not isinstance(payload, dict):
-            raise ValueError("delay sidecar must be a JSON object")
+            raise DelaySidecarError("delay sidecar must be a JSON object")
         default = _interval(
             payload.get("default", {"min": 1.0, "max": 1.0}), "default"
         )
         raw_gates = payload.get("gates", {})
         if not isinstance(raw_gates, dict):
-            raise ValueError('"gates" must map gate names to intervals')
+            raise DelaySidecarError('"gates" must map gate names to intervals')
         gates = {
             str(name): _interval(entry, str(name))
             for name, entry in raw_gates.items()
@@ -75,25 +80,44 @@ class GateDelays:
 
     @classmethod
     def load(cls, path: Path, circuit: Circuit | None = None) -> GateDelays:
-        """Load a sidecar file, validating gate names against ``circuit``."""
-        delays = cls.from_payload(json.loads(path.read_text()))
+        """Load a sidecar file, validating gate names against ``circuit``.
+
+        A missing or unreadable file, invalid JSON, a malformed entry and
+        an unknown gate name all raise :class:`DelaySidecarError` naming
+        ``path``.
+        """
+        try:
+            payload = json.loads(path.read_text())
+        except OSError as exc:
+            raise DelaySidecarError(
+                f"{path}: cannot read delay sidecar: {exc.strerror or exc}"
+            ) from None
+        except ValueError as exc:  # bad JSON syntax or text encoding
+            raise DelaySidecarError(
+                f"{path}: delay sidecar is not valid JSON: {exc}"
+            ) from None
+        try:
+            delays = cls.from_payload(payload)
+        except DelaySidecarError as exc:
+            raise DelaySidecarError(f"{path}: {exc}") from None
         if circuit is not None:
             unknown = sorted(set(delays.gates) - set(circuit.names))
             if unknown:
-                raise ValueError(
-                    "delay sidecar names unknown gates: " + ", ".join(unknown)
+                raise DelaySidecarError(
+                    f"{path}: delay sidecar names unknown gates: "
+                    + ", ".join(unknown)
                 )
         return delays
 
 
 def _interval(entry: object, context: str) -> DelayInterval:
     if not isinstance(entry, dict):
-        raise ValueError(f"delay entry for {context!r} must be an object")
+        raise DelaySidecarError(f"delay entry for {context!r} must be an object")
     try:
-        low = float(entry["min"])
-        high = float(entry["max"])
+        return DelayInterval(float(entry["min"]), float(entry["max"]))
     except KeyError as missing:
-        raise ValueError(
+        raise DelaySidecarError(
             f"delay entry for {context!r} lacks key {missing}"
         ) from None
-    return DelayInterval(low, high)
+    except (TypeError, ValueError) as exc:
+        raise DelaySidecarError(f"delay entry for {context!r}: {exc}") from None

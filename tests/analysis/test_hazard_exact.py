@@ -14,7 +14,11 @@ single-source X-propagation condition exactly:
 * *non-interference* — ``pair_records()`` must be byte-identical with
   and without the exact stage, and the launch-group fold and the
   incremental path must reproduce the verdicts of the staged reference
-  flow (``tests/core/staged_oracle.py``).
+  flow (``tests/core/staged_oracle.py``);
+* *bound order* — the one-walk, co-sensitization-first bounds must give
+  every verdict field and counter of the sensitization-first reference
+  (``tests/analysis/sensitize_first.py``), within budget and when the
+  path searches hit their budgets.
 
 The delay-annotated re-filter gets deterministic unit tests: a single
 X-path cannot pulse under any delay assignment, while unequal-depth
@@ -27,6 +31,7 @@ import json
 import random
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 
 from repro.analysis.hazard_exact import (
@@ -52,7 +57,8 @@ from repro.core.sensitization import SensitizationMode
 from repro.core.ternary_hazard import ternary_eval
 from repro.logic.simulator import evaluate_gate
 from repro.logic.values import X
-from repro.sta.delays import GateDelays
+from repro.sta.delays import DelaySidecarError, GateDelays
+from tests.analysis.sensitize_first import SensitizeFirstChecker
 from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
@@ -209,6 +215,114 @@ def test_exact_respects_sensitization_bounds(seed):
         if not cleared.has_potential_hazard:
             # Upper bound: no co-sensitized path means no glitch.
             assert verdict.verdict is HazardVerdictKind.SAFE
+
+
+# ----------------------------------------------------------------------
+# Bound order: one co-sensitization-first walk == sensitization first.
+# ----------------------------------------------------------------------
+def _bound_inputs(circuit):
+    """The detected multi-cycle records plus a bare record per FF pair.
+
+    Bare records carry no case data, so all four premises are walked,
+    contradictory ones included.
+    """
+    records = list(_detect(circuit).multi_cycle_pairs)
+    dffs = circuit.dffs
+    records.extend(_mc_pair_result(s, t) for s in dffs for t in dffs)
+    return records
+
+
+def _verdict_fields(verdict):
+    return (
+        verdict.pair,
+        verdict.verdict,
+        verdict.decided_by,
+        verdict.witness_case,
+        verdict.witness,
+        verdict.delay_safe,
+    )
+
+
+@pytest.mark.parametrize(
+    "budgets",
+    [
+        {},
+        # Starved searches: justification aborts, path walks hit the
+        # attempt cap, and UNKNOWN outcomes reach both bounds.
+        {"backtrack_limit": 0, "max_attempts": 3},
+        # A delay sidecar sends proven pairs on to the solver.
+        {"delays": GateDelays()},
+    ],
+    ids=["default", "starved", "delays"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: random_sequential_circuit(seed, max_dffs=5, max_gates=16),
+        _parity_mux_circuit,
+    ],
+    ids=["random", "parity-mux"],
+)
+@given(seed=seeds)
+@settings(max_examples=15)
+def test_bound_walk_matches_sensitize_first(build, budgets, seed):
+    circuit = build(seed)
+    records = _bound_inputs(circuit)
+    walk = ExactHazardChecker(circuit, **budgets)
+    reference = SensitizeFirstChecker(circuit, **budgets)
+    got = [_verdict_fields(v) for v in walk.check_pairs(records)]
+    want = [_verdict_fields(v) for v in reference.check_pairs(records)]
+    assert got == want
+    assert walk.summary() == reference.summary()
+
+
+def test_bound_walk_saves_searches_and_premises(monkeypatch):
+    """Cleared pairs run no sensitization search; premises close once."""
+    import repro.core.hazard as hazard_module
+    from repro.atpg.implication import ImplicationEngine
+    from repro.circuit.library import fig1_circuit
+
+    circuit = fig1_circuit()
+    pair_results = _detect(circuit).multi_cycle_pairs
+    searches: dict[SensitizationMode, int] = {}
+    premises = 0
+    depth = 0
+    search = hazard_module.find_sensitizable_path
+    assume_all = ImplicationEngine.assume_all
+
+    def counting_search(*args, **kwargs):
+        nonlocal depth
+        mode = kwargs["mode"]
+        searches[mode] = searches.get(mode, 0) + 1
+        depth += 1
+        try:
+            return search(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    def counting_assume_all(engine, assignments):
+        nonlocal premises
+        if depth == 0:
+            premises += 1
+        return assume_all(engine, assignments)
+
+    monkeypatch.setattr(hazard_module, "find_sensitizable_path", counting_search)
+    monkeypatch.setattr(ImplicationEngine, "assume_all", counting_assume_all)
+
+    checker = ExactHazardChecker(circuit)
+    cleared = 0
+    for pair_result in pair_results:
+        searches.clear()
+        premises = 0
+        verdict = checker.check_pair(pair_result)
+        cases = HazardChecker._satisfiable_cases(pair_result)
+        assert premises <= len(cases)
+        if verdict.decided_by == "cosensitize":
+            cleared += 1
+            assert premises == len(cases)
+            assert searches.get(SensitizationMode.STATIC_SENSITIZATION, 0) == 0
+            assert searches[SensitizationMode.STATIC_CO_SENSITIZATION] == len(cases)
+    assert cleared == 2
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +514,6 @@ def test_gate_delays_sidecar_parsing(tmp_path):
 
 
 def test_gate_delays_sidecar_validation(tmp_path):
-    import pytest
-
     circuit, _, _ = _single_path_circuit()
     bad = tmp_path / "unknown.json"
     bad.write_text(json.dumps({"gates": {"nope": {"min": 1, "max": 1}}}))
@@ -414,3 +526,28 @@ def test_gate_delays_sidecar_validation(tmp_path):
         GateDelays.from_payload({"default": {"min": 2.0, "max": 1.0}})
     with pytest.raises(ValueError):
         GateDelays.from_payload([1, 2, 3])
+
+
+def test_missing_sidecar_fails_before_any_decide_work(tmp_path, monkeypatch):
+    from repro.circuit.library import fig1_circuit
+    from repro.core.session import DecisionSession
+
+    decided = []
+    decide_group = DecisionSession.decide_group
+
+    def recording(self, *args, **kwargs):
+        decided.append(args)
+        return decide_group(self, *args, **kwargs)
+
+    monkeypatch.setattr(DecisionSession, "decide_group", recording)
+    circuit = fig1_circuit()
+    with pytest.raises(DelaySidecarError, match="cannot read"):
+        _detect(
+            circuit,
+            hazard_check="exact",
+            hazard_delays=str(tmp_path / "missing.json"),
+        )
+    assert decided == []
+    # The same run without the sidecar does reach the decide stage.
+    _detect(circuit, hazard_check="exact")
+    assert decided

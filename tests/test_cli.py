@@ -1,10 +1,15 @@
 """CLI smoke tests through the argparse entry point."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.circuit.bench import dump
 from repro.circuit.library import fig1_circuit
 from repro.cli import main
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "circuits"
 
 
 @pytest.fixture
@@ -44,6 +49,49 @@ def test_analyze_hazard_check_ternary(fig1_file, capsys):
 def test_analyze_hazard_check_rejects_unknown_mode(fig1_file):
     with pytest.raises(SystemExit):
         main(["analyze", fig1_file, "--hazard-check", "bogus"])
+
+
+def test_analyze_hazard_check_exact_lines(capsys):
+    bench = str(EXAMPLES / "fig1.bench")
+    assert main(["analyze", bench, "--hazard-check", "exact"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line for line in lines if line.startswith("hazard verdicts:")]
+    assert verdicts == [
+        "hazard verdicts:    2 safe, 0 glitch-possible, 3 glitch-proven"
+    ]
+    exact = [line for line in lines if line.startswith("hazard exact:")]
+    assert len(exact) == 1
+    assert "resolution fraction 1.00" in exact[0]
+
+
+@pytest.mark.parametrize(
+    "circuit, sidecar",
+    [
+        ("fig1.bench", None),
+        ("fig1.bench", "{not json"),
+        ("fig1.bench", '{"default": {"min": 2.0, "max": 1.0}}'),
+        ("fig1.bench", '{"gates": {"nope": {"min": 1.0, "max": 1.0}}}'),
+        # No multi-cycle pair: the sidecar is still read, up front.
+        ("s27.bench", None),
+    ],
+    ids=["missing", "invalid-json", "min-above-max", "unknown-gate",
+         "missing-no-mc-pairs"],
+)
+def test_bad_hazard_delays_sidecar_is_one_error_line(
+    tmp_path, capsys, circuit, sidecar
+):
+    path = tmp_path / "delays.json"
+    if sidecar is not None:
+        path.write_text(sidecar)
+    code = main([
+        "analyze", str(EXAMPLES / circuit),
+        "--hazard-check", "exact", "--hazard-delays", str(path),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
 
 
 def test_sta(fig1_file, capsys):

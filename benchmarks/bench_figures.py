@@ -9,9 +9,8 @@
 from __future__ import annotations
 
 from repro.circuit.library import fig1_circuit, fig3_circuit, fig4_fragment
-from repro.circuit.timeframe import expand
-from repro.core.detector import detect_multi_cycle_pairs
-from repro.core.hazard import check_hazards
+from repro.circuit.timeframe import expand, expand_cached
+from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 from repro.core.sensitization import (
     PathSearchOutcome,
     SensitizationMode,
@@ -56,18 +55,23 @@ def test_fig2_implication_run(benchmark):
 
 
 def test_fig3_hazard_detection(benchmark):
-    """F3: static sensitization flags (FF3, FF2) on the mapped circuit."""
+    """F3: static sensitization flags (FF3, FF2) on the mapped circuit,
+    with a hazard path through MUX2's AND/OR structure."""
     circuit = fig3_circuit()
-    detection = detect_multi_cycle_pairs(circuit)
-    result = benchmark(
-        check_hazards, circuit, detection,
-        SensitizationMode.STATIC_SENSITIZATION,
+    detection = benchmark(
+        detect_multi_cycle_pairs, circuit,
+        DetectorOptions(hazard_check="exact"),
     )
-    flagged = {
-        (circuit.names[p.pair.source], circuit.names[p.pair.sink])
-        for p in result.flagged_pairs
-    }
-    assert ("FF3", "FF2") in flagged
+    (verdict,) = [
+        v for v in detection.hazard_verdicts
+        if (circuit.names[v.pair.source], circuit.names[v.pair.sink])
+        == ("FF3", "FF2")
+    ]
+    assert verdict.sensitize_flagged
+    comb = expand_cached(circuit, frames=2).comb
+    path = [comb.names[node] for node in verdict.witness_path]
+    assert path[-1] == "MUX2@1"
+    assert any(name.startswith("MUX2_a") for name in path)
 
 
 def test_fig4_sensitization_gap(benchmark):

@@ -32,14 +32,8 @@ Two measurements per circuit of the selected suite profile, recorded to
   engine.  Search is excluded on both sides, so the ratio isolates the
   closure kernels and is hardware-independent; both kernels must
   classify every case identically.
-* **Hazard stage**: detected multi-cycle pairs validated per second by
-  the ternary checker (``hazard_pairs_per_sec``, full check including
-  witness search), plus the hardware-independent ``hazard_speedup`` —
-  the packed bit-parallel verdict sweep against the scalar per-case dict
-  evaluation over the *same* precomputed witness lanes, so the ratio
-  isolates the evaluation kernels.
 * **Exact hazard stage**: the SAT-backed three-way classifier over the
-  same detected multi-cycle pairs — ``hazard_disagreement`` counts
+  detected multi-cycle pairs — ``hazard_disagreement`` counts
   pairs where the sensitization/co-sensitization bounds disagreed and
   ``exact_resolution_fraction`` the share the dual-rail SAT encoding
   settled to a definite safe / glitch-proven verdict.  The fraction is
@@ -101,7 +95,6 @@ from repro.circuit.topology import (
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.random_filter import random_filter
 from repro.core.session import DecisionSession
-from repro.core.ternary_hazard import TernaryHazardChecker
 from repro.core.trace import Tracer
 from repro.logic.bitsim import BitSimulator, simulate_three_frames
 
@@ -386,46 +379,6 @@ def _sustained_packed_decision(circuit) -> dict[str, float | int]:
     }
 
 
-def _sustained_hazard(circuit, detection) -> dict[str, float | int]:
-    """Hazard-stage metrics over the run's detected multi-cycle pairs.
-
-    ``hazard_seconds`` / ``hazard_pairs_per_sec`` time the full packed
-    check (witness search included).  ``hazard_speedup`` isolates the
-    verdict kernels: scalar against packed evaluation of the *same*
-    precomputed witness lanes, back to back — hardware-independent."""
-    checker = TernaryHazardChecker(circuit)
-    pairs = detection.multi_cycle_pairs
-    lanes = checker.collect_lanes(pairs)
-    if not lanes:
-        return {
-            "hazard_pairs": len(pairs), "hazard_lanes": 0,
-            "hazard_seconds": 0.0, "hazard_pairs_per_sec": 0.0,
-            "hazard_speedup": 0.0,
-        }
-    checker.packed_lane_verdicts(lanes)  # warmup (simulator buffers)
-    checker.scalar_lane_verdicts(lanes)
-    started = time.perf_counter()
-    checker.scalar_lane_verdicts(lanes)
-    scalar_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    checker.packed_lane_verdicts(lanes)
-    packed_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    checker.check_pairs(pairs)
-    full_seconds = time.perf_counter() - started
-    return {
-        "hazard_pairs": len(pairs),
-        "hazard_lanes": len(lanes),
-        "hazard_seconds": round(full_seconds, 6),
-        "hazard_pairs_per_sec": round(
-            len(pairs) / full_seconds if full_seconds else 0.0
-        ),
-        "hazard_speedup": round(
-            scalar_seconds / packed_seconds if packed_seconds else 0.0, 3
-        ),
-    }
-
-
 def _exact_hazard_metrics(circuit, detection) -> dict[str, float | int]:
     """Exact SAT-backed hazard classification over the detected MC pairs.
 
@@ -542,7 +495,7 @@ def test_pipeline_report(bench_circuits):
         f"{'circuit':>10}  {'pairs':>6}  {'serial(s)':>10}  "
         f"{'workers=' + str(_WORKERS) + '(s)':>14}  {'speedup':>8}  "
         f"{'Mpat/s':>8}  {'simx':>6}  {'dec p/s':>8}  {'decx':>6}  "
-        f"{'pdecx':>6}  {'hazx':>6}  {'exres':>9}  {'impl db/base':>12}  "
+        f"{'pdecx':>6}  {'exres':>9}  {'impl db/base':>12}  "
         f"{'db build':>9}",
     ]
     for circuit in bench_circuits:
@@ -584,7 +537,6 @@ def test_pipeline_report(bench_circuits):
             dps, decision_speedup = 0.0, 1.0
 
         packed_decide = _sustained_packed_decision(circuit)
-        hazard = _sustained_hazard(circuit, serial)
         exact_hazard = _exact_hazard_metrics(circuit, serial)
         topology = _topology_metrics(circuit)
         implication = _implication_metrics(circuit, serial)
@@ -606,7 +558,6 @@ def test_pipeline_report(bench_circuits):
                 "decision_pairs_per_sec": round(dps),
                 "decision_speedup": round(decision_speedup, 3),
                 **packed_decide,
-                **hazard,
                 **exact_hazard,
                 **topology,
                 **implication,
@@ -618,7 +569,6 @@ def test_pipeline_report(bench_circuits):
             f"{speedup:>8.2f}  {pps / 1e6:>8.2f}  {sim_speedup:>6.1f}  "
             f"{dps:>8.0f}  {decision_speedup:>6.2f}  "
             f"{packed_decide['decide_speedup']:>6.1f}  "
-            f"{hazard['hazard_speedup']:>6.1f}  "
             f"{exact_hazard['exact_resolved']:>3}/"
             f"{exact_hazard['hazard_disagreement']:<3}"
             f"{exact_hazard['exact_resolution_fraction']:>5.2f}  "
@@ -647,14 +597,6 @@ def test_pipeline_report(bench_circuits):
         assert with_cases[-1]["decide_speedup"] >= 4.0, (
             f"decide_speedup {with_cases[-1]['decide_speedup']} < 4 on "
             f"{with_cases[-1]['circuit']}"
-        )
-    # Acceptance: on the largest circuit with detected MC pairs the packed
-    # verdict sweep must beat the scalar evaluation at least 3x.
-    with_pairs = [e for e in entries if e["hazard_lanes"]]
-    if with_pairs:
-        assert with_pairs[-1]["hazard_speedup"] >= 3.0, (
-            f"hazard_speedup {with_pairs[-1]['hazard_speedup']} < 3 on "
-            f"{with_pairs[-1]['circuit']}"
         )
     # Fixed-size topology probe (see module docstring): the bitset pass
     # must hold a >= 2x win at scale.

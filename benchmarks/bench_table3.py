@@ -1,23 +1,25 @@
 """Experiment T3 — the paper's Table 3: static hazard checking.
 
 Counts multi-cycle pairs before hazard checking and after validation by
-static sensitization and static co-sensitization, with the checking CPU
-time.  The reproduced shape:
+static sensitization, the exact check and static co-sensitization, with
+the checking CPU time.  One exact hazard pass per circuit records both
+static bounds on every verdict, so every row is a count over one
+verdict list.  The reproduced shape:
 
-    pairs(before) >= pairs(sensitize) >= pairs(co-sensitize)
+    pairs(before) >= pairs(sensitize) >= pairs(exact) >= pairs(co-sensitize)
 
-(co-sensitization over-approximates the exact sensitization condition, so
-it flags more pairs as potentially hazardous).
+(sensitization under-approximates the exact condition and
+co-sensitization over-approximates it, so co-sensitization flags the
+most pairs as potentially hazardous).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.hazard_exact import ExactHazardChecker
 from repro.circuit.techmap import techmap
 from repro.core.detector import detect_multi_cycle_pairs
-from repro.core.hazard import check_hazards
-from repro.core.sensitization import SensitizationMode
 from repro.reporting.tables import run_table3
 
 from conftest import PROFILE, record_report
@@ -28,57 +30,20 @@ _IDS = [c.name for c in _CIRCUITS]
 _DETECTIONS = {c.name: detect_multi_cycle_pairs(c) for c in _CIRCUITS}
 
 
-@pytest.mark.parametrize("mode", list(SensitizationMode),
-                         ids=[m.value for m in SensitizationMode])
 @pytest.mark.parametrize("circuit", _CIRCUITS, ids=_IDS)
-def test_hazard_checking(benchmark, circuit, mode):
-    detection = _DETECTIONS[circuit.name]
-    result = benchmark(check_hazards, circuit, detection, mode)
-    assert len(result.reports) == len(detection.multi_cycle_pairs)
+def test_hazard_checking(benchmark, circuit):
+    pairs = _DETECTIONS[circuit.name].multi_cycle_pairs
+    verdicts = benchmark(lambda: ExactHazardChecker(circuit).check_pairs(pairs))
+    assert len(verdicts) == len(pairs)
+    for verdict in verdicts:
+        # sensitize flagged <= exact flagged <= co-sensitize flagged
+        assert verdict.cosensitize_flagged >= verdict.flagged
+        assert verdict.flagged >= verdict.sensitize_flagged
 
 
 def test_table3_report(benchmark, bench_circuits):
     table = benchmark.pedantic(run_table3, args=(bench_circuits,),
                                rounds=1, iterations=1)
     record_report(table.format())
-    before, sensitize, cosensitize = (row[1] for row in table.rows)
-    assert before >= sensitize >= cosensitize
-
-
-def test_hazard_method_comparison(benchmark, bench_circuits):
-    """Three independently derived hazard checks side by side: static
-    sensitization, static co-sensitization (paper §5) and Eichelberger
-    ternary simulation (dynamic spot check)."""
-    from repro.core.ternary_hazard import ternary_check_hazards
-    from repro.reporting.tables import format_table
-
-    def run_all():
-        rows = []
-        for circuit in _CIRCUITS:
-            detection = _DETECTIONS[circuit.name]
-            before = len(detection.multi_cycle_pairs)
-            sens = check_hazards(
-                circuit, detection, SensitizationMode.STATIC_SENSITIZATION
-            )
-            cosens = check_hazards(
-                circuit, detection, SensitizationMode.STATIC_CO_SENSITIZATION
-            )
-            ternary, _ = ternary_check_hazards(circuit, detection)
-            ternary_flagged = sum(1 for r in ternary if r.has_potential_hazard)
-            rows.append([
-                circuit.name, before,
-                len(sens.flagged_pairs), ternary_flagged,
-                len(cosens.flagged_pairs),
-            ])
-            # Ternary (per-witness) never flags beyond co-sensitization.
-            assert ternary_flagged <= len(cosens.flagged_pairs)
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    record_report(format_table(
-        "Hazard checks compared: flagged MC pairs per method",
-        ["circuit", "MC-pair", "sensitize", "ternary", "co-sensitize"],
-        rows,
-        ["sensitize/co-sensitize: §5 path conditions; ternary: "
-         "Eichelberger X-propagation on case witnesses."],
-    ))
+    before, sensitize, exact, cosensitize = (row[1] for row in table.rows)
+    assert before >= sensitize >= exact >= cosensitize

@@ -8,11 +8,10 @@ Raw throughput is only comparable on like-for-like hardware, so the
 metrics are chosen per the recorded ``cpu_count``:
 
 * same ``cpu_count`` in baseline and current → compare
-  ``patterns_per_sec`` (stage-1 simulation),
-  ``decision_pairs_per_sec`` (decision stage) and
-  ``hazard_pairs_per_sec`` (hazard stage) directly;
-* different hardware → compare ``sim_speedup``, ``decision_speedup``
-  and ``hazard_speedup`` — ratios of the shipping engines over their
+  ``patterns_per_sec`` (stage-1 simulation) and
+  ``decision_pairs_per_sec`` (decision stage) directly;
+* different hardware → compare ``sim_speedup`` and
+  ``decision_speedup`` — ratios of the shipping engines over their
   pre-optimisation counterparts, measured back-to-back on the same
   machine, hence hardware-independent.
 
@@ -79,7 +78,6 @@ def _metrics(baseline: dict, current: dict) -> tuple[str, ...]:
             "patterns_per_sec",
             "decision_pairs_per_sec",
             "decide_speedup",
-            "hazard_pairs_per_sec",
             "implication_proved_db",
         )
     # implication_proved_db (a pair count) and decide_speedup (a
@@ -89,7 +87,6 @@ def _metrics(baseline: dict, current: dict) -> tuple[str, ...]:
         "sim_speedup",
         "decision_speedup",
         "decide_speedup",
-        "hazard_speedup",
         "implication_proved_db",
     )
 

@@ -4,8 +4,9 @@
 Demonstrates the paper's Fig. 3/Fig. 4 story:
 
 1. Technology-map Fig. 1 (each MUX becomes NOT/AND/AND/OR — Fig. 3).
-2. Detect its multi-cycle FF pairs (functionally identical to Fig. 1).
-3. Re-validate each pair against static hazards using
+2. Detect its multi-cycle FF pairs (functionally identical to Fig. 1)
+   with the exact hazard pass on.
+3. Read what each verdict records about the two static bounds:
    * static sensitization (optimistic; survivors may depend on each other),
    * static co-sensitization (safe upper bound).
 4. Show that the pair (FF3, FF2) — multi-cycle by the MC condition — is
@@ -19,47 +20,49 @@ Usage::
 
 from __future__ import annotations
 
-from repro import MultiCycleDetector, SensitizationMode, check_hazards
+from repro import DetectorOptions, MultiCycleDetector
 from repro.circuit.library import fig1_circuit, fig3_circuit
-from repro.core.hazard import HazardChecker
+from repro.circuit.timeframe import expand_cached
+
+EXACT = DetectorOptions(hazard_check="exact")
 
 
 def main() -> None:
     mapped = fig3_circuit()
     print(f"Technology-mapped circuit: {mapped!r}")
 
-    detection = MultiCycleDetector(mapped).run()
+    detection = MultiCycleDetector(mapped, EXACT).run()
     print(f"\nMulti-cycle pairs by the MC condition: "
           f"{len(detection.multi_cycle_pairs)}")
     for source, sink in detection.multi_cycle_pair_names():
         print(f"  {source} -> {sink}")
 
-    for mode in SensitizationMode:
-        result = check_hazards(mapped, detection, mode)
+    def names(verdict):
+        return (mapped.names[verdict.pair.source],
+                mapped.names[verdict.pair.sink])
+
+    for label, field in (("sensitize", "sensitize_flagged"),
+                         ("co-sensitize", "cosensitize_flagged")):
         kept = sorted(
-            (mapped.names[p.pair.source], mapped.names[p.pair.sink])
-            for p in result.verified_pairs
+            names(v) for v in detection.hazard_verdicts
+            if not getattr(v, field)
         )
-        print(f"\nAfter the {mode.value} check "
-              f"({result.total_seconds:.3f}s): {len(kept)} pair(s) verified")
+        print(f"\nAfter the {label} check: {len(kept)} pair(s) verified")
         for source, sink in kept:
             print(f"  {source} -> {sink}")
 
     # Zoom in on the paper's example pair.
     print("\n=== The (FF3, FF2) hazard of Fig. 3 ===")
-    checker = HazardChecker(mapped, SensitizationMode.STATIC_SENSITIZATION)
-    pair_result = next(
-        p for p in detection.multi_cycle_pairs
-        if (mapped.names[p.pair.source], mapped.names[p.pair.sink])
-        == ("FF3", "FF2")
+    verdict = next(
+        v for v in detection.hazard_verdicts if names(v) == ("FF3", "FF2")
     )
-    report = checker.check_pair(pair_result)
-    assert report.has_potential_hazard
-    a, b = report.witness_case
+    assert verdict.sensitize_flagged
+    a, b = verdict.witness_case
     print(f"Witness case: FF3(t) = {a}, FF3 toggles, FF2(t+1) = {b}")
     print("Statically sensitizable hazard path into FF2's data input:")
-    for node in report.witness_path:
-        print(f"  {checker.expansion.comb.names[node]}")
+    comb = expand_cached(mapped, frames=2).comb
+    for node in verdict.witness_path:
+        print(f"  {comb.names[node]}")
     print(
         "\nIf the OR's other AND is slower, this path glitches FF2 during"
         "\nthe relaxed cycle — the pair must keep its single-cycle budget."
@@ -69,12 +72,10 @@ def main() -> None:
     # path (the MUX data inputs are equal whenever FF3 toggles) — hazards
     # are a property of the implementation, not the function.
     unmapped = fig1_circuit()
-    detection1 = MultiCycleDetector(unmapped).run()
-    result1 = check_hazards(unmapped, detection1,
-                            SensitizationMode.STATIC_SENSITIZATION)
+    detection1 = MultiCycleDetector(unmapped, EXACT).run()
     flagged = {
-        (unmapped.names[p.pair.source], unmapped.names[p.pair.sink])
-        for p in result1.flagged_pairs
+        (unmapped.names[v.pair.source], unmapped.names[v.pair.sink])
+        for v in detection1.hazard_verdicts if v.sensitize_flagged
     }
     print(
         f"\nOn the composite-MUX Fig. 1 the pair (FF3, FF2) is "

@@ -34,7 +34,7 @@ from repro.core.detector import (
     detect_multi_cycle_pairs,
 )
 from repro.core.extended import condition2_extension
-from repro.core.hazard import HazardChecker, check_hazards
+from repro.core.hazard import HazardChecker
 from repro.core.kcycle import (
     KCycleAnalyzer,
     KCycleDetector,
@@ -43,7 +43,6 @@ from repro.core.kcycle import (
 )
 from repro.core.pipeline import AnalysisContext, Pipeline
 from repro.core.streaming import StreamingStage
-from repro.core.ternary_hazard import TernaryHazardChecker, ternary_check_hazards
 from repro.core.result import Classification, DetectionResult, PairResult, Stage
 from repro.core.sensitization import SensitizationMode
 from repro.core.trace import Tracer, open_trace, read_trace
@@ -69,10 +68,8 @@ __all__ = [
     "SensitizationMode",
     "Stage",
     "StreamingStage",
-    "TernaryHazardChecker",
     "Tracer",
     "available_engines",
-    "check_hazards",
     "condition2_extension",
     "connected_ff_pairs",
     "create_decider",
@@ -82,6 +79,5 @@ __all__ = [
     "open_trace",
     "read_trace",
     "register_decider",
-    "ternary_check_hazards",
     "validate",
 ]

@@ -25,7 +25,7 @@ from repro.analysis.diagnostics import (
     LintReport,
     Severity,
 )
-from repro.analysis.hazard_exact import ExactHazardChecker, verdict_flags_pair
+from repro.analysis.hazard_exact import ExactHazardChecker
 from repro.analysis.implication_db import (
     ImplicationDB,
     build_implication_db,
@@ -51,5 +51,4 @@ __all__ = [
     "lint_file",
     "simplified",
     "sweep",
-    "verdict_flags_pair",
 ]

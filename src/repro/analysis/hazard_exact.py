@@ -49,15 +49,14 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
 from repro.circuit.topology import FFPair
-from repro.logic.simulator import evaluate_gate
+from repro.logic.simulator import evaluate_gate, ternary_eval
 from repro.logic.values import X
-from repro.core.hazard import HazardChecker
+from repro.core.hazard import BoundsVerdict, HazardChecker
 from repro.core.result import (
     HazardVerdictKind,
     PairHazardVerdict,
     PairResult,
 )
-from repro.core.ternary_hazard import ternary_eval
 from repro.sat.solver import CdclSolver, SolveStatus
 from repro.sat.tseitin import CircuitEncoding, encode_circuit
 from repro.sta.delays import GateDelays
@@ -120,19 +119,6 @@ def _xor_rail(solver: CdclSolver, a: Rail, b: Rail) -> Rail:
     return p, q
 
 
-def verdict_flags_pair(verdict: PairHazardVerdict) -> bool:
-    """Whether a verdict keeps the pair on the hazard-flagged list.
-
-    ``glitch-proven`` pairs are flagged unless the delay filter showed
-    the pulse cannot form; ``glitch-possible`` is flagged conservatively.
-    """
-    if verdict.verdict is HazardVerdictKind.GLITCH_POSSIBLE:
-        return True
-    if verdict.verdict is HazardVerdictKind.GLITCH_PROVEN:
-        return not verdict.delay_safe
-    return False
-
-
 class ExactHazardChecker:
     """Three-way exact hazard classifier over a shared 2-frame expansion.
 
@@ -150,6 +136,12 @@ class ExactHazardChecker:
     path.  Only bounds-disagreeing or limit-hit pairs (and, with a delay
     sidecar, proven ones) reach the SAT encoding, which is built lazily
     and then shared by every remaining pair through assumptions.
+
+    Every verdict records what the bounds said: ``sensitize_flagged``
+    (a sensitizable path was found), ``cosensitize_flagged`` (not
+    cleared within budget) and the sensitizable ``witness_path``.  A
+    search that hits its budget neither clears a pair nor proves a
+    glitch, so it sets ``cosensitize_flagged`` only.
     """
 
     def __init__(
@@ -193,7 +185,11 @@ class ExactHazardChecker:
         """Classify one multi-cycle pair as safe / possible / proven."""
         self.counters["checked"] += 1
         cases = HazardChecker._satisfiable_cases(pair_result)
-        verdict = self._classify(pair_result, cases)
+        bounds = self._bounds.check_bounds(pair_result)
+        verdict = self._classify(pair_result.pair, cases, bounds)
+        verdict.sensitize_flagged = bounds.proven_case is not None
+        verdict.cosensitize_flagged = not bounds.cleared
+        verdict.witness_path = bounds.witness_path
         self.counters[verdict.verdict.value.replace("-", "_")] += 1
         if verdict.delay_safe:
             self.counters["delay_filtered"] += 1
@@ -215,14 +211,15 @@ class ExactHazardChecker:
         return summary
 
     def _classify(
-        self, pair_result: PairResult, cases: list[tuple[int, int]]
+        self,
+        pair: FFPair,
+        cases: list[tuple[int, int]],
+        bounds: BoundsVerdict,
     ) -> PairHazardVerdict:
-        pair = pair_result.pair
         if not cases:
             # Every premise contradicts: the source cannot toggle while
             # the sink holds, so there is no transition to glitch with.
             return PairHazardVerdict(pair, HazardVerdictKind.SAFE, "cases")
-        bounds = self._bounds.check_bounds(pair_result)
         if bounds.cleared:
             return PairHazardVerdict(pair, HazardVerdictKind.SAFE, "cosensitize")
         proven = bounds.proven_case is not None

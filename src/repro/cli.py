@@ -32,9 +32,7 @@ from pathlib import Path
 from repro.circuit.bench import dump, load as load_bench
 from repro.core.deciders import available_engines
 from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
-from repro.core.hazard import check_hazards
-from repro.core.sensitization import SensitizationMode
-from repro.core.result import Stage
+from repro.core.result import DetectionResult, HazardVerdictKind, Stage
 from repro.core.trace import open_trace
 
 
@@ -165,16 +163,13 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                              "worker pool but not yet folded "
                              "(default: 8192)")
     parser.add_argument("--hazard-check", default="off",
-                        choices=("off", "ternary", "sensitize",
-                                 "cosensitize", "exact"),
+                        choices=("off", "exact"),
                         help="validate detected multi-cycle pairs against "
-                             "static hazards (Section 5): bit-parallel "
-                             "ternary simulation, a static "
-                             "(co-)sensitization path search, or the "
-                             "SAT-backed exact three-way classification "
-                             "(safe / glitch-possible / glitch-proven); "
-                             "flagged pairs are reported, classifications "
-                             "are unchanged (default: off)")
+                             "static hazards (Section 5): exact = both "
+                             "static bounds plus the SAT-backed three-way "
+                             "classification (safe / glitch-possible / "
+                             "glitch-proven); flagged pairs are reported, "
+                             "classifications are unchanged (default: off)")
     parser.add_argument("--hazard-delays", metavar="FILE", default=None,
                         help="exact mode only: per-gate min/max delay "
                              "sidecar JSON; glitch-proven verdicts whose "
@@ -272,26 +267,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               f"{result.hazard_checked} checked, "
               f"{result.hazard_flagged} flagged, "
               f"{len(result.hazard_verified_pairs)} verified")
+        _print_verdict_counts(result)
         exact = result.hazard_exact
-        if exact is not None:
-            kinds = {"safe": 0, "glitch-possible": 0, "glitch-proven": 0}
-            delay_safe = 0
-            for verdict in result.hazard_verdicts:
-                kinds[verdict.verdict.value] += 1
-                if verdict.delay_safe:
-                    delay_safe += 1
-            line = (f"hazard verdicts:    {kinds['safe']} safe, "
-                    f"{kinds['glitch-possible']} glitch-possible, "
-                    f"{kinds['glitch-proven']} glitch-proven")
-            if delay_safe:
-                line += f" ({delay_safe} delay-safe)"
-            print(line)
-            print(f"hazard exact:       {exact['disagreement']} bound "
-                  f"disagreements, resolution fraction "
-                  f"{exact['resolution_fraction']:.2f}, "
-                  f"{exact['sat_solves']} SAT solves "
-                  f"({exact['sat']} sat / {exact['unsat']} unsat / "
-                  f"{exact['unknown']} unknown)")
+        assert exact is not None
+        print(f"hazard exact:       {exact['disagreement']} bound "
+              f"disagreements, resolution fraction "
+              f"{exact['resolution_fraction']:.2f}, "
+              f"{exact['sat_solves']} SAT solves "
+              f"({exact['sat']} sat / {exact['unsat']} unsat / "
+              f"{exact['unknown']} unknown)")
         for pair in result.hazard_flagged_pairs:
             print(f"  hazard-flagged {circuit.names[pair.source]} -> "
                   f"{circuit.names[pair.sink]}")
@@ -368,45 +352,62 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_verdict_counts(result: DetectionResult) -> None:
+    """The ``hazard verdicts:`` line: three-way counts plus delay-safe."""
+    kinds = {"safe": 0, "glitch-possible": 0, "glitch-proven": 0}
+    for verdict in result.hazard_verdicts:
+        kinds[verdict.verdict.value] += 1
+    delay_safe = sum(1 for v in result.hazard_verdicts if v.delay_safe)
+    line = (f"hazard verdicts:    {kinds['safe']} safe, "
+            f"{kinds['glitch-possible']} glitch-possible, "
+            f"{kinds['glitch-proven']} glitch-proven")
+    if delay_safe:
+        line += f" ({delay_safe} delay-safe)"
+    print(line)
+
+
 def cmd_hazard(args: argparse.Namespace) -> int:
-    """Detection plus Section-5 hazard validation and classification."""
+    """Detection plus Section-5 hazard validation on the mapped netlist.
+
+    One detection with the exact hazard pass; every section is a count
+    over its verdicts, so the run's hazard options shape all of them.
+    """
+    from dataclasses import replace
+
     from repro.circuit.techmap import techmap
 
     circuit = techmap(load(args.file))
+    options = replace(_detector_options(args), hazard_check="exact")
     with _tracer_for(args) as tracer:
-        result = detect_multi_cycle_pairs(
-            circuit, _detector_options(args), tracer=tracer
-        )
-    print(f"multi-cycle pairs before hazard checking: "
-          f"{len(result.multi_cycle_pairs)}")
-    for mode in SensitizationMode:
-        hazard = check_hazards(circuit, result, mode)
-        print(f"after {mode.value:13s}: {len(hazard.verified_pairs)} kept, "
-              f"{len(hazard.flagged_pairs)} flagged "
-              f"({hazard.total_seconds:.2f}s)")
-    from repro.core.hazard import HazardClass, classify_hazards
-
-    classes = classify_hazards(circuit, result)
+        result = detect_multi_cycle_pairs(circuit, options, tracer=tracer)
+    verdicts = result.hazard_verdicts
+    before = len(verdicts)
+    print(f"multi-cycle pairs before hazard checking: {before}")
+    for label, flagged in (
+        ("sensitize", sum(1 for v in verdicts if v.sensitize_flagged)),
+        ("exact", result.hazard_flagged),
+        ("co-sensitize", sum(1 for v in verdicts if v.cosensitize_flagged)),
+    ):
+        print(f"after {label:13s}: {before - flagged} kept, {flagged} flagged")
     print("classification (Section 5.2/5.3):")
-    for key in (HazardClass.SAFE, HazardClass.DEPENDENT, HazardClass.HAZARDOUS):
-        print(f"  {key:10s}: {len(classes[key])}")
-    from repro.analysis.hazard_exact import ExactHazardChecker
-
-    exact = ExactHazardChecker(circuit)
-    verdicts = exact.check_pairs(result.multi_cycle_pairs)
-    summary = exact.summary()
-    print("exact classification (SAT-backed):")
-    for kind in ("safe", "glitch-possible", "glitch-proven"):
-        hits = [v for v in verdicts if v.verdict.value == kind]
-        print(f"  {kind:15s}: {len(hits)}")
-        for verdict in hits:
-            if kind == "safe":
-                continue
-            print(f"    {circuit.names[verdict.pair.source]} -> "
-                  f"{circuit.names[verdict.pair.sink]} "
-                  f"(by {verdict.decided_by})")
-    print(f"  resolution fraction: {summary['resolution_fraction']:.2f} "
-          f"over {summary['disagreement']} bound disagreement(s)")
+    for key in ("safe", "dependent", "hazardous"):
+        count = sum(1 for v in verdicts if v.bound_class == key)
+        print(f"  {key:10s}: {count}")
+    _print_verdict_counts(result)
+    for verdict in verdicts:
+        if verdict.verdict is HazardVerdictKind.SAFE:
+            continue
+        line = (f"  {verdict.verdict.value} "
+                f"{circuit.names[verdict.pair.source]} -> "
+                f"{circuit.names[verdict.pair.sink]} "
+                f"(by {verdict.decided_by})")
+        if verdict.delay_safe:
+            line += " delay-safe"
+        print(line)
+    exact = result.hazard_exact
+    assert exact is not None
+    print(f"resolution fraction: {exact['resolution_fraction']:.2f} "
+          f"over {exact['disagreement']} bound disagreement(s)")
     return 0
 
 

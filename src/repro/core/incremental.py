@@ -159,16 +159,13 @@ def result_bundle(
 
     Per pair: names, the launch/capture cone hashes, and the full
     decide record (classification, stage, cases) in exactly the shape
-    :meth:`DetectionResult.pair_records` exposes — plus the hazard flag
-    when the hazard stage ran.
+    :meth:`DetectionResult.pair_records` exposes — plus the hazard
+    verdict and its two static bounds when the hazard stage ran.
     """
     circuit = result.circuit
     names = circuit.names
     launch = launch_cone_hashes(circuit, frames)
     capture = capture_cone_hashes(circuit, frames)
-    flagged = {
-        (p.source, p.sink) for p in result.hazard_flagged_pairs
-    }
     verdicts = {
         (v.pair.source, v.pair.sink): v for v in result.hazard_verdicts
     }
@@ -194,13 +191,12 @@ def result_bundle(
                 }
                 for case in pair_result.cases
             ],
-            "hazard_flagged": (pair.source, pair.sink) in flagged,
-            "hazard_verdict": (
-                verdict.verdict.value if verdict is not None else None
-            ),
-            "hazard_delay_safe": (
-                verdict.delay_safe if verdict is not None else None
-            ),
+            "hazard": None if verdict is None else {
+                "verdict": verdict.verdict.value,
+                "delay_safe": verdict.delay_safe,
+                "sensitize_flagged": verdict.sensitize_flagged,
+                "cosensitize_flagged": verdict.cosensitize_flagged,
+            },
         })
     return {
         "circuit": circuit.name,

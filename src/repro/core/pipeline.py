@@ -32,9 +32,6 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
 from repro.circuit.topology import FFPair
 from repro.core.deciders import PairDecider
-from repro.core.hazard import HazardChecker
-from repro.core.sensitization import mode_from_flag
-from repro.core.ternary_hazard import TernaryHazardChecker
 from repro.core.workqueue import WorkStealingPool
 from repro.logic.bitsim import BitSimulator
 from repro.core.result import (
@@ -121,12 +118,11 @@ class DetectorOptions:
     #: (0 = automatic, see :func:`_auto_chunk_size`).
     chunk_pairs: int = 0
     #: hazard validation of detected multi-cycle pairs (Section 5):
-    #: "off" (default), "ternary" (bit-parallel Eichelberger simulation),
-    #: "sensitize" or "cosensitize" (static path sensitization), or
-    #: "exact" (both bounds plus a SAT decision of every disagreeing
-    #: pair — see ``docs/hazards.md``).  Pair classifications and records
-    #: are identical either way — the stage only annotates the result
-    #: with flagged pairs (and, for "exact", per-pair verdicts).
+    #: "off" (default) or "exact" (both static bounds plus a SAT
+    #: decision of every pair they disagree on — see
+    #: ``docs/hazards.md``).  Pair classifications and records are
+    #: identical either way — the stage only annotates the result with
+    #: one verdict per multi-cycle pair.
     hazard_check: str = "off"
     #: backtrack limit for the hazard stage's witness/path searches.
     hazard_backtrack_limit: int = 200
@@ -285,12 +281,9 @@ class PipelineState:
     implication_db: dict[str, float | int] | None = None
     #: packed-implication totals (None when lane packing was disabled).
     packed_implication: dict[str, int] | None = None
-    #: hazard-stage outcome (mode "off" when the stage was disabled).
+    #: hazard-stage outcome (mode "off" when the stage was disabled):
+    #: per-pair three-way verdicts and pass counters.
     hazard_mode: str = "off"
-    hazard_checked: int = 0
-    hazard_flagged: int = 0
-    hazard_flagged_pairs: list[FFPair] = field(default_factory=list)
-    #: exact mode only: per-pair three-way verdicts and pass counters.
     hazard_verdicts: list[PairHazardVerdict] = field(default_factory=list)
     hazard_exact: dict[str, float | int] | None = None
     #: incremental re-analysis stats (set by the incremental stage only).
@@ -477,30 +470,28 @@ def load_gate_delays(options: DetectorOptions, circuit: Circuit):
 
 
 #: the ``DetectorOptions.hazard_check`` modes.
-HAZARD_MODES = ("off", "ternary", "sensitize", "cosensitize", "exact")
+HAZARD_MODES = ("off", "exact")
 
 
 class HazardPass:
     """Hazard validation of a run's multi-cycle pairs (Section 5).
 
     Built once per run, before any decide work, so an unknown
-    ``options.hazard_check`` mode or a bad exact-mode delay sidecar
-    fails fast.  The fold hands it each unit's fresh results
-    (:meth:`check`), an incremental run the verdicts its prior bundle
-    records (:meth:`adopt`), and :meth:`finish` fills the result's
-    hazard fields and emits the ``hazard_stage`` trace event.  In mode
+    ``options.hazard_check`` mode or a bad delay sidecar fails fast.
+    The fold hands it each unit's fresh results (:meth:`check`), an
+    incremental run the verdicts its prior bundle records
+    (:meth:`adopt`), and :meth:`finish` fills the result's hazard
+    fields and emits the ``hazard_stage`` trace event.  In mode
     ``"off"`` every call is a no-op.
 
-    The mode picks the condition: bit-parallel ternary (Eichelberger)
-    simulation, a static (co-)sensitization path search, or the exact
-    SAT-backed three-way classification (both bounds plus a CNF
-    decision of every disagreeing pair — ``docs/hazards.md``).
-    Classifications and ``pair_records`` are never modified: a flagged
-    pair is only reported (it should not be timing-relaxed even though
-    its settled-value MC condition holds), and exact mode also records
-    per-pair safe / glitch-possible / glitch-proven verdicts.  The one
-    checker is built on first use over the context's cached 2-frame
-    expansion, the deciders' own, so nothing is re-expanded.
+    Mode ``"exact"`` classifies every multi-cycle pair as safe /
+    glitch-possible / glitch-proven, with both static bounds recorded
+    on its verdict (``docs/hazards.md``).  Classifications and
+    ``pair_records`` are never modified: a flagged pair is only
+    reported (it should not be timing-relaxed even though its
+    settled-value MC condition holds).  The checker is built on first
+    use over the context's cached 2-frame expansion, the deciders' own,
+    so nothing is re-expanded.
     """
 
     def __init__(self, ctx: AnalysisContext) -> None:
@@ -514,39 +505,9 @@ class HazardPass:
         self.delays = (
             load_gate_delays(ctx.options, ctx.circuit) if mode == "exact" else None
         )
-        self.checked = 0
         self.seconds = 0.0
-        self.flagged: list[FFPair] = []
         self.verdicts: list[PairHazardVerdict] = []
         self._checker: Any = None
-
-    def _build(self) -> Any:
-        ctx = self.ctx
-        options = ctx.options
-        expansion = ctx.expansion(2)
-        if self.mode == "ternary":
-            return TernaryHazardChecker(
-                ctx.circuit,
-                options.hazard_backtrack_limit,
-                expansion=expansion,
-                words=options.sim_words,
-            )
-        if self.mode == "exact":
-            from repro.analysis.hazard_exact import ExactHazardChecker
-
-            return ExactHazardChecker(
-                ctx.circuit,
-                expansion,
-                backtrack_limit=options.hazard_backtrack_limit,
-                conflict_limit=options.hazard_conflict_limit,
-                delays=self.delays,
-            )
-        return HazardChecker(
-            ctx.circuit,
-            mode_from_flag(self.mode),
-            backtrack_limit=options.hazard_backtrack_limit,
-            expansion=expansion,
-        )
 
     def check(self, results: Sequence[PairResult]) -> None:
         """Check the multi-cycle pairs among ``results``."""
@@ -560,58 +521,39 @@ class HazardPass:
             return
         started = self.ctx.clock()
         if self._checker is None:
-            self._checker = self._build()
-        checker = self._checker
-        self.checked += len(pairs)
-        if self.mode == "exact":
-            from repro.analysis.hazard_exact import verdict_flags_pair
+            from repro.analysis.hazard_exact import ExactHazardChecker
 
-            verdicts = checker.check_pairs(pairs)
-            self.verdicts.extend(verdicts)
-            self.flagged.extend(
-                v.pair for v in verdicts if verdict_flags_pair(v)
+            options = self.ctx.options
+            self._checker = ExactHazardChecker(
+                self.ctx.circuit,
+                self.ctx.expansion(2),
+                backtrack_limit=options.hazard_backtrack_limit,
+                conflict_limit=options.hazard_conflict_limit,
+                delays=self.delays,
             )
-        else:
-            if self.mode == "ternary":
-                reports = checker.check_pairs(pairs)
-            else:
-                reports = [checker.check_pair(r) for r in pairs]
-            self.flagged.extend(
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
-            )
+        self.verdicts.extend(self._checker.check_pairs(pairs))
         self.seconds += self.ctx.clock() - started
 
     def adopt(self, pair: FFPair, record: dict[str, Any]) -> bool:
         """Take one multi-cycle pair's verdict from a prior bundle record.
 
         Only valid when the prior run's hazard options match this run's.
-        Returns ``False`` when the record holds no verdict this mode can
-        use (an exact run over a pre-verdict bundle); the caller then
-        checks the pair instead.
+        Returns ``False`` when the record holds no verdict; the caller
+        then checks the pair instead.
         """
         if self.mode == "off":
             return True
-        if self.mode == "exact":
-            from repro.analysis.hazard_exact import verdict_flags_pair
-
-            kind = record.get("hazard_verdict")
-            if kind is None:
-                return False
-            verdict = PairHazardVerdict(
-                pair,
-                HazardVerdictKind(kind),
-                "inherited",
-                delay_safe=record.get("hazard_delay_safe"),
-            )
-            self.verdicts.append(verdict)
-            flagged = verdict_flags_pair(verdict)
-        else:
-            flagged = bool(record.get("hazard_flagged"))
-        self.checked += 1
-        if flagged:
-            self.flagged.append(pair)
+        hazard = record.get("hazard")
+        if hazard is None:
+            return False
+        self.verdicts.append(PairHazardVerdict(
+            pair,
+            HazardVerdictKind(hazard["verdict"]),
+            "inherited",
+            delay_safe=hazard["delay_safe"],
+            sensitize_flagged=hazard["sensitize_flagged"],
+            cosensitize_flagged=hazard["cosensitize_flagged"],
+        ))
         return True
 
     def finish(self, state: PipelineState) -> None:
@@ -619,33 +561,24 @@ class HazardPass:
         state.hazard_mode = self.mode
         if self.mode == "off":
             return
-        state.hazard_flagged_pairs = sorted(
-            self.flagged, key=lambda p: (p.source, p.sink)
+        state.hazard_verdicts = sorted(
+            self.verdicts, key=lambda v: (v.pair.source, v.pair.sink)
         )
-        state.hazard_flagged = len(self.flagged)
-        state.hazard_checked = self.checked
-        checker = self._checker
-        event: dict = dict(
-            mode=self.mode,
-            checked=self.checked,
-            flagged=state.hazard_flagged,
-            lanes=getattr(checker, "lanes_evaluated", 0),
-            batches=getattr(checker, "batches_evaluated", 0),
-            seconds=round(self.seconds, 6),
-        )
-        if self.mode == "exact":
-            state.hazard_verdicts = sorted(
-                self.verdicts, key=lambda v: (v.pair.source, v.pair.sink)
-            )
-            if checker is not None:
-                state.hazard_exact = checker.summary()
-            else:
-                # No multi-cycle pair to check: a trivially complete pass.
-                from repro.analysis.hazard_exact import empty_exact_summary
+        if self._checker is not None:
+            state.hazard_exact = self._checker.summary()
+        else:
+            # No multi-cycle pair to check: a trivially complete pass.
+            from repro.analysis.hazard_exact import empty_exact_summary
 
-                state.hazard_exact = empty_exact_summary()
-            event["exact"] = state.hazard_exact
-        self.ctx.emit("hazard_stage", **event)
+            state.hazard_exact = empty_exact_summary()
+        self.ctx.emit(
+            "hazard_stage",
+            mode=self.mode,
+            checked=len(self.verdicts),
+            flagged=sum(1 for v in self.verdicts if v.flagged),
+            seconds=round(self.seconds, 6),
+            exact=state.hazard_exact,
+        )
 
 
 class Pipeline:
@@ -706,9 +639,6 @@ class Pipeline:
             implication_db=state.implication_db,
             packed_implication=state.packed_implication,
             hazard_mode=state.hazard_mode,
-            hazard_checked=state.hazard_checked,
-            hazard_flagged=state.hazard_flagged,
-            hazard_flagged_pairs=state.hazard_flagged_pairs,
             hazard_verdicts=state.hazard_verdicts,
             hazard_exact=state.hazard_exact,
             cache=cache_stats,

@@ -129,6 +129,43 @@ class PairHazardVerdict:
     #: delay-annotated runs only: True when the proven glitch cannot
     #: survive the annotated min/max gate delays (zero-width pulse).
     delay_safe: bool | None = None
+    #: the static sensitization bound found a justified path in some
+    #: case (the paper's Table 3 "sensitize" row drops the pair).
+    sensitize_flagged: bool = False
+    #: the static co-sensitization bound did not clear every case
+    #: within budget (Table 3's "co-sensitize" row drops the pair).
+    cosensitize_flagged: bool = False
+    #: expanded-circuit node ids of the sensitizable path, source first
+    witness_path: list[int] | None = None
+
+    @property
+    def flagged(self) -> bool:
+        """Whether the pair stays on the hazard-flagged list.
+
+        ``glitch-proven`` pairs are flagged unless the delay filter
+        showed the pulse cannot form; ``glitch-possible`` is flagged
+        conservatively.
+        """
+        if self.verdict is HazardVerdictKind.GLITCH_POSSIBLE:
+            return True
+        if self.verdict is HazardVerdictKind.GLITCH_PROVEN:
+            return not self.delay_safe
+        return False
+
+    @property
+    def bound_class(self) -> str:
+        """The §5.2 split by the two static bounds.
+
+        ``hazardous`` — sensitization found a hazard path; ``dependent``
+        — only co-sensitization flags it, so the pair is safe as long as
+        the blocking paths keep their own timing; ``safe`` — clean under
+        both.
+        """
+        if self.sensitize_flagged:
+            return "hazardous"
+        if self.cosensitize_flagged:
+            return "dependent"
+        return "safe"
 
 
 @dataclass
@@ -157,21 +194,15 @@ class DetectionResult:
     #: lane packing was disabled.  Observability only — the packed path
     #: never changes classifications or :meth:`pair_records`.
     packed_implication: dict[str, int] | None = None
-    #: hazard-validation mode the pipeline ran ("off" when disabled;
-    #: "ternary", "sensitize" or "cosensitize" otherwise).
+    #: hazard-validation mode the pipeline ran: "off" or "exact".
     hazard_mode: str = "off"
-    #: multi-cycle pairs the hazard stage examined / flagged.
-    hazard_checked: int = 0
-    hazard_flagged: int = 0
-    #: flagged (source, sink) pairs, sorted — observability only, the
-    #: per-pair classifications and :meth:`pair_records` are unchanged.
-    hazard_flagged_pairs: list[FFPair] = field(default_factory=list)
-    #: ``exact`` mode only: per-pair three-way verdicts, sorted by pair.
-    #: Observability only — excluded from :meth:`pair_records`.
+    #: one verdict per multi-cycle pair, sorted by pair; empty when the
+    #: hazard stage was off.  Observability only — excluded from
+    #: :meth:`pair_records`.
     hazard_verdicts: list[PairHazardVerdict] = field(default_factory=list)
-    #: ``exact`` mode only: counters of the exact pass (bounds
-    #: disagreement, resolution fraction, SAT solve outcomes, delay
-    #: filtering); ``None`` for every other hazard mode.
+    #: counters of the exact pass (bounds disagreement, resolution
+    #: fraction, SAT solve outcomes, delay filtering); ``None`` when the
+    #: hazard stage was off.
     hazard_exact: dict[str, float | int] | None = None
     #: artifact-store counter deltas for this run (hits/misses/stores/
     #: evictions/corrupt); ``None`` when no on-disk store was active.
@@ -191,6 +222,25 @@ class DetectionResult:
     @property
     def multi_cycle_pairs(self) -> list[PairResult]:
         return [p for p in self.pair_results if p.is_multi_cycle]
+
+    @property
+    def hazard_checked(self) -> int:
+        """Multi-cycle pairs the hazard stage examined."""
+        return len(self.hazard_verdicts)
+
+    @property
+    def hazard_flagged_pairs(self) -> list[FFPair]:
+        """Flagged ``(source, sink)`` pairs, sorted.
+
+        Observability only: the per-pair classifications and
+        :meth:`pair_records` are unchanged.
+        """
+        return [v.pair for v in self.hazard_verdicts if v.flagged]
+
+    @property
+    def hazard_flagged(self) -> int:
+        """Multi-cycle pairs the hazard stage flagged."""
+        return len(self.hazard_flagged_pairs)
 
     @property
     def hazard_verified_pairs(self) -> list[PairResult]:

@@ -40,21 +40,6 @@ class SensitizationMode(Enum):
     STATIC_CO_SENSITIZATION = "co-sensitize"
 
 
-def mode_from_flag(flag: str) -> SensitizationMode:
-    """Map a CLI/option spelling to a :class:`SensitizationMode`.
-
-    Accepts the enum values plus the hyphen-less ``cosensitize`` used by
-    ``--hazard-check`` (where ``ternary`` and ``off`` are not path-search
-    modes and are handled by the caller).
-    """
-    normalized = flag.replace("-", "").lower()
-    if normalized == "sensitize":
-        return SensitizationMode.STATIC_SENSITIZATION
-    if normalized == "cosensitize":
-        return SensitizationMode.STATIC_CO_SENSITIZATION
-    raise ValueError(f"unknown sensitization mode {flag!r}")
-
-
 class PathSearchOutcome(Enum):
     """Result of a sensitizable-path search."""
 

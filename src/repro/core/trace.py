@@ -26,9 +26,9 @@ Event types emitted by the pipeline:
 ``disagreement``
     Emitted by the cross-check decider when two engines disagree.
 ``hazard_stage``
-    One per run with ``--hazard-check`` enabled: the mode, how many
-    multi-cycle pairs were checked/flagged, the packed-lane counts
-    (``lanes``/``batches``, ternary mode only) and seconds.
+    One per run with ``--hazard-check exact``: the mode, how many
+    multi-cycle pairs were checked/flagged, the pass's seconds and its
+    ``exact`` counters.
 ``decision_exec``
     One per run with ``workers > 1`` that decided any pair: whether the
     pool ran (``parallel``) or the pairs stayed below

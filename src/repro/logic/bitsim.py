@@ -21,9 +21,8 @@ refreshes its sources in place instead of reallocating buffers per round.
 
 :class:`TernarySimulator` extends the same compiled plan to three-valued
 lanes — two bit planes (value/care) encode {0, 1, X} per bit, and the
-plan's ternary kernels settle all lanes at once.  The hazard checker
-packs one Eichelberger witness per lane and reads every glitch verdict
-in one sweep.
+plan's ternary kernels settle all lanes at once, so one sweep answers
+one X-propagation question per lane.
 """
 
 from __future__ import annotations
@@ -177,9 +176,9 @@ class TernarySimulator:
     ``value`` plane carries that value (canonically 0 on X lanes, so
     ``value & ~care == 0`` everywhere).  One :meth:`comb_eval` settles
     all combinational nodes of all ``64 * words`` lanes with the same
-    handful of whole-array kernels per level that binary mode uses —
-    this is what lets the hazard checker evaluate every witness of every
-    FF pair in one sweep instead of per-case dict walks.
+    handful of whole-array kernels per level that binary mode uses,
+    instead of one :func:`~repro.logic.simulator.ternary_eval` dict walk
+    per lane.
 
     Constant nodes are preset known; INPUT and DFF rows are sources the
     caller seeds (:meth:`set_source_planes` or direct plane writes —
@@ -242,8 +241,8 @@ class TernarySimulator:
 
         Pinned rows (see :meth:`SimPlan.run_ternary
         <repro.logic.simplan.SimPlan.run_ternary>`) keep their forced
-        value/care planes even when the plan would compute them — the
-        hazard checker pins the frame-1 state nodes this way.
+        value/care planes even when the plan would compute them — how a
+        caller holds the frame-1 state nodes of an expansion fixed.
         ``pin_mask`` limits the pin to a subset of lanes per row; clear
         lanes keep their computed planes.
         """

@@ -46,7 +46,7 @@ and the identity rows extend naturally: both padding rows are fully
 *known* (``care`` all ones), with the value plane zero / all-ones as in
 binary mode — so the very same ``fanins`` gather matrices stay exact.
 An optional pin set re-asserts caller-forced rows after every level,
-which is how the hazard checker holds mid-circuit state nodes at X.
+which is how a caller holds mid-circuit state nodes at X.
 
 Plans are pure functions of the netlist; :func:`compiled_plan` caches
 them on the circuit through :meth:`Circuit.derived`, so every simulator,
@@ -351,9 +351,9 @@ class SimPlan:
 class TernaryScratch:
     """Reusable plane buffers for repeated ternary fixpoint sweeps.
 
-    Packed fixpoint passes (the hazard checker's lane sweeps, the packed
-    implication closure) allocate the same ``(planes, buffer_rows,
-    words)`` uint64 stacks over and over; at the tiny word counts the
+    Packed fixpoint passes (the packed implication closure) allocate
+    the same ``(planes, buffer_rows, words)`` uint64 stacks over and
+    over; at the tiny word counts the
     decide stage uses, ``np.zeros`` setup is a measurable slice of a
     closure.  A scratch pool hands out one buffer per ``(planes,
     words)`` shape, zeroed on reuse, so steady-state closures allocate

@@ -66,6 +66,28 @@ def evaluate_gate(gate_type: GateType, values: Sequence[int]) -> int:
     raise ValueError(f"not a combinational gate: {gate_type}")
 
 
+def ternary_eval(circuit: Circuit, values: dict[int, int]) -> dict[int, int]:
+    """Three-valued full evaluation of a combinational circuit.
+
+    ``values`` seeds the INPUT nodes (missing ones default to X); every
+    other node is computed with the ternary gate algebra.
+    """
+    result = dict(values)
+    for node in circuit.topo_order():
+        gate_type = circuit.types[node]
+        if gate_type == GateType.INPUT:
+            result.setdefault(node, X)
+        elif gate_type == GateType.CONST0:
+            result[node] = ZERO
+        elif gate_type == GateType.CONST1:
+            result[node] = ONE
+        else:
+            result[node] = evaluate_gate(
+                gate_type, [result[f] for f in circuit.fanins[node]]
+            )
+    return result
+
+
 class Simulator:
     """Three-valued simulator with explicit state and clocking.
 

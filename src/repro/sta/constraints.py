@@ -12,13 +12,13 @@ timing before and after applying the detector's verdicts:
 :func:`sdc_constraints` turns the verdicts into interchange form — SDC
 ``set_multicycle_path`` / ``set_false_path`` commands (plus a JSON
 mirror) that downstream synthesis/STA tools consume directly.  When the
-detector's hazard stage ran, flagged pairs are *not* relaxed: the MC
-condition holds for settled values but a static hazard could latch a
-transient, so the constraint is emitted commented-out with the reason.
-Under ``--hazard-check exact`` the reason carries the three-way verdict
-(glitch-proven / glitch-possible) and the JSON mirror grows a
-``hazard_verdict`` field per pair — "safe" pairs relax normally even
-when a bounding mode would have flagged them.
+detector's hazard stage ran (``--hazard-check exact``), flagged pairs
+are *not* relaxed: the MC condition holds for settled values but a
+static hazard could latch a transient, so the constraint is emitted
+commented-out with its three-way verdict (glitch-proven /
+glitch-possible) as the reason, and the JSON mirror carries a
+``hazard_verdict`` field per pair.  "safe" pairs relax normally even
+when co-sensitization alone would have flagged them.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class SdcConstraint:
     hazard_flagged: bool = False
     #: the exact three-way verdict ("safe" / "glitch-possible" /
     #: "glitch-proven") when the detection ran ``--hazard-check exact``;
-    #: ``None`` under the bounding modes.
+    #: ``None`` when the hazard stage was off.
     hazard_verdict: str | None = None
 
     @property
@@ -145,16 +145,12 @@ def sdc_constraints(
     :func:`format_sdc`; undecided and single-cycle pairs yield nothing.
     """
     names = detection.circuit.names
-    flagged = {
-        (p.source, p.sink) for p in detection.hazard_flagged_pairs
-    }
     verdicts = {
-        (v.pair.source, v.pair.sink): v.verdict.value
-        for v in detection.hazard_verdicts
+        (v.pair.source, v.pair.sink): v for v in detection.hazard_verdicts
     }
     constraints: list[SdcConstraint] = []
     for result in detection.multi_cycle_pairs:
-        pair = (result.pair.source, result.pair.sink)
+        verdict = verdicts.get((result.pair.source, result.pair.sink))
         all_contradicted = bool(result.cases) and all(
             case.outcome is CaseOutcome.CONTRADICTION
             for case in result.cases
@@ -165,8 +161,10 @@ def sdc_constraints(
                 sink=names[result.pair.sink],
                 kind="false-path" if all_contradicted else "multicycle",
                 cycles=0 if all_contradicted else multi_cycle_budget,
-                hazard_flagged=pair in flagged,
-                hazard_verdict=verdicts.get(pair),
+                hazard_flagged=verdict is not None and verdict.flagged,
+                hazard_verdict=(
+                    verdict.verdict.value if verdict is not None else None
+                ),
             )
         )
     constraints.sort(key=lambda c: (c.source, c.sink))

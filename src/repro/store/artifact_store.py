@@ -68,7 +68,9 @@ SCHEMA_VERSIONS: dict[str, int] = {
     # 2: decide records of the backjumping ATPG search, whose
     # decisions/backtracks counts are smaller than the chronological
     # search's; inheriting a v1 record would differ from a full run.
-    "pair-records": 2,
+    # 3: a record's hazard fields are one ``hazard`` entry, the verdict
+    # with its two static bounds, in place of the per-mode hazard flag.
+    "pair-records": 3,
 }
 
 #: default store size bound: 1 GiB.

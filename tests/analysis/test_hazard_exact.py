@@ -18,7 +18,8 @@ single-source X-propagation condition exactly:
 * *bound order* — the one-walk, co-sensitization-first bounds must give
   every verdict field and counter of the sensitization-first reference
   (``tests/analysis/sensitize_first.py``), within budget and when the
-  path searches hit their budgets.
+  path searches hit their budgets, and each recorded bound must be the
+  flag of its per-mode walk (``tests/core/hazard_oracle.py``).
 
 The delay-annotated re-filter gets deterministic unit tests: a single
 X-path cannot pulse under any delay assignment, while unequal-depth
@@ -37,11 +38,12 @@ from hypothesis import assume, given, settings
 from repro.analysis.hazard_exact import (
     ExactHazardChecker,
     empty_exact_summary,
-    verdict_flags_pair,
 )
+from repro.bench_gen.suite import suite
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, validate
+from repro.circuit.techmap import techmap
 from repro.circuit.timeframe import expand
 from repro.circuit.topology import FFPair
 from repro.core.detector import DetectorOptions, MultiCycleDetector
@@ -54,11 +56,11 @@ from repro.core.result import (
     Stage,
 )
 from repro.core.sensitization import SensitizationMode
-from repro.core.ternary_hazard import ternary_eval
-from repro.logic.simulator import evaluate_gate
+from repro.logic.simulator import evaluate_gate, ternary_eval
 from repro.logic.values import X
 from repro.sta.delays import DelaySidecarError, GateDelays
 from tests.analysis.sensitize_first import SensitizeFirstChecker
+from tests.core.hazard_oracle import ModeWalk, check_hazards, flagged_names
 from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
@@ -198,10 +200,8 @@ def test_exact_respects_sensitization_bounds(seed):
     detection = _detect(circuit, hazard_check="exact")
     if not detection.hazard_verdicts:
         return
-    sens = HazardChecker(circuit, SensitizationMode.STATIC_SENSITIZATION)
-    cosens = HazardChecker(
-        circuit, SensitizationMode.STATIC_CO_SENSITIZATION
-    )
+    sens = ModeWalk(circuit, SensitizationMode.STATIC_SENSITIZATION)
+    cosens = ModeWalk(circuit, SensitizationMode.STATIC_CO_SENSITIZATION)
     by_pair = {
         (r.pair.source, r.pair.sink): r for r in detection.pair_results
     }
@@ -240,6 +240,9 @@ def _verdict_fields(verdict):
         verdict.witness_case,
         verdict.witness,
         verdict.delay_safe,
+        verdict.sensitize_flagged,
+        verdict.cosensitize_flagged,
+        verdict.witness_path,
     )
 
 
@@ -270,10 +273,36 @@ def test_bound_walk_matches_sensitize_first(build, budgets, seed):
     records = _bound_inputs(circuit)
     walk = ExactHazardChecker(circuit, **budgets)
     reference = SensitizeFirstChecker(circuit, **budgets)
-    got = [_verdict_fields(v) for v in walk.check_pairs(records)]
+    verdicts = walk.check_pairs(records)
+    got = [_verdict_fields(v) for v in verdicts]
     want = [_verdict_fields(v) for v in reference.check_pairs(records)]
     assert got == want
     assert walk.summary() == reference.summary()
+    # Each recorded bound is its per-mode walk's flag; a budget hit
+    # flags co-sensitization but proves nothing for sensitization.
+    for verdict, (sens, cosens) in zip(verdicts, reference.reports):
+        assert verdict.cosensitize_flagged == cosens.has_potential_hazard
+        assert verdict.sensitize_flagged == (
+            sens.has_potential_hazard and not sens.limited
+        )
+
+
+def test_bound_fields_equal_per_mode_flags_on_tiny_suite():
+    """Under default budgets no search hits its limit on the mapped tiny
+    suite, so each bound's flagged set is exactly its per-mode walk's."""
+    for circuit in map(techmap, suite("tiny")):
+        detection = _detect(circuit, hazard_check="exact")
+        for field, mode in (
+            ("sensitize_flagged", SensitizationMode.STATIC_SENSITIZATION),
+            ("cosensitize_flagged", SensitizationMode.STATIC_CO_SENSITIZATION),
+        ):
+            reports = check_hazards(circuit, detection, mode)
+            assert not any(r.limited for r in reports)
+            assert sorted(
+                (circuit.names[v.pair.source], circuit.names[v.pair.sink])
+                for v in detection.hazard_verdicts
+                if getattr(v, field)
+            ) == flagged_names(circuit, reports), (circuit.name, field)
 
 
 def test_bound_walk_saves_searches_and_premises(monkeypatch):
@@ -340,10 +369,7 @@ def test_pair_records_byte_identical_with_and_without_exact(seed):
 
 
 def _verdict_fingerprint(detection):
-    return [
-        (v.pair, v.verdict.value, v.witness_case, v.delay_safe)
-        for v in detection.hazard_verdicts
-    ]
+    return [_verdict_fields(v) for v in detection.hazard_verdicts]
 
 
 @given(seeds)
@@ -374,6 +400,13 @@ def test_incremental_inherits_exact_verdicts(seed):
     ]
     assert kinds == [
         (v.pair, v.verdict.value) for v in prior.hazard_verdicts
+    ]
+    assert [
+        (v.sensitize_flagged, v.cosensitize_flagged)
+        for v in merged.hazard_verdicts
+    ] == [
+        (v.sensitize_flagged, v.cosensitize_flagged)
+        for v in prior.hazard_verdicts
     ]
     assert merged.hazard_flagged_pairs == prior.hazard_flagged_pairs
     assert all(
@@ -424,7 +457,7 @@ def test_single_x_path_is_glitch_proven_without_delays():
     verdict = checker.check_pair(_mc_pair_result(source, sink))
     assert verdict.verdict is HazardVerdictKind.GLITCH_PROVEN
     assert verdict.delay_safe is None
-    assert verdict_flags_pair(verdict)
+    assert verdict.flagged
 
 
 def test_delay_filter_kills_single_x_path():
@@ -435,7 +468,7 @@ def test_delay_filter_kills_single_x_path():
     assert verdict.verdict is HazardVerdictKind.GLITCH_PROVEN
     assert verdict.decided_by == "exact"
     assert verdict.delay_safe is True
-    assert not verdict_flags_pair(verdict)
+    assert not verdict.flagged
     assert checker.counters["delay_filtered"] == 1
 
 
@@ -453,7 +486,7 @@ def test_delay_filter_keeps_unequal_depth_reconvergence():
     verdict = checker.check_pair(_mc_pair_result(source, sink))
     assert verdict.verdict is HazardVerdictKind.GLITCH_PROVEN
     assert verdict.delay_safe is False
-    assert verdict_flags_pair(verdict)
+    assert verdict.flagged
 
 
 def test_delay_filter_balanced_reconvergence_through_pipeline(tmp_path):

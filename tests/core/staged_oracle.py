@@ -6,8 +6,10 @@ materialized pair list:
     connected_ff_pairs → random_filter / random_filter_k
     → one decide_group over all survivors → the hazard checker
 
-It runs serially in one process and builds its own hazard checker, so
-it shares no unit cutting, executor, fold or hazard pass with
+It runs serially in one process and builds its own hazard checker, the
+sensitization-first reference whose bounds come from the per-mode walks
+of ``tests/core/hazard_oracle.py``, so it shares no unit cutting,
+executor, fold, hazard pass or bound walk with
 :class:`repro.core.streaming.StreamingStage`.  The differentials compare
 its :class:`~repro.core.result.DetectionResult` — ``pair_records``,
 stage counters, session totals, hazard results — against the fold's.
@@ -18,7 +20,6 @@ from __future__ import annotations
 from repro.circuit.netlist import Circuit
 from repro.circuit.topology import connected_ff_pairs
 from repro.core.deciders import PairDecider, create_decider
-from repro.core.hazard import HazardChecker
 from repro.core.pipeline import (
     AnalysisContext,
     DetectorOptions,
@@ -33,8 +34,7 @@ from repro.core.result import (
     Stage,
     StageStats,
 )
-from repro.core.sensitization import mode_from_flag
-from repro.core.ternary_hazard import TernaryHazardChecker
+from tests.analysis.sensitize_first import SensitizeFirstChecker
 
 
 def staged_detect(
@@ -114,49 +114,25 @@ def staged_detect(
 
     # Hazard check of the multi-cycle pairs.
     mode = options.hazard_check
-    flagged = []
     verdicts = []
     exact_summary = None
-    multi_cycle = [
-        r for r in results if r.classification is Classification.MULTI_CYCLE
-    ]
-    expansion = ctx.expansion(2) if mode != "off" else None
-    if mode == "ternary":
-        checker = TernaryHazardChecker(
-            circuit, options.hazard_backtrack_limit,
-            expansion=expansion, words=options.sim_words,
-        )
-        reports = checker.check_pairs(multi_cycle)
-        flagged = [r.pair_result.pair for r in reports if r.has_potential_hazard]
-    elif mode in ("sensitize", "cosensitize"):
-        checker = HazardChecker(
-            circuit, mode_from_flag(mode),
-            backtrack_limit=options.hazard_backtrack_limit,
-            expansion=expansion,
-        )
-        reports = [checker.check_pair(r) for r in multi_cycle]
-        flagged = [r.pair_result.pair for r in reports if r.has_potential_hazard]
-    elif mode == "exact":
-        from repro.analysis.hazard_exact import (
-            ExactHazardChecker,
-            verdict_flags_pair,
-        )
-
-        exact = ExactHazardChecker(
-            circuit, expansion,
+    if mode == "exact":
+        checker = SensitizeFirstChecker(
+            circuit, ctx.expansion(2),
             backtrack_limit=options.hazard_backtrack_limit,
             conflict_limit=options.hazard_conflict_limit,
             delays=load_gate_delays(options, circuit),
         )
         verdicts = sorted(
-            exact.check_pairs(multi_cycle),
+            checker.check_pairs(
+                r for r in results
+                if r.classification is Classification.MULTI_CYCLE
+            ),
             key=lambda v: (v.pair.source, v.pair.sink),
         )
-        exact_summary = exact.summary()
-        flagged = [v.pair for v in verdicts if verdict_flags_pair(v)]
+        exact_summary = checker.summary()
     elif mode != "off":
         raise ValueError(f"unknown hazard_check mode {mode!r}")
-    flagged.sort(key=lambda p: (p.source, p.sink))
 
     results.sort(key=lambda r: (r.pair.source, r.pair.sink))
     return DetectionResult(
@@ -172,9 +148,6 @@ def staged_detect(
         implication_db=db_info,
         packed_implication=packed_summary(session),
         hazard_mode=mode,
-        hazard_checked=len(multi_cycle) if mode != "off" else 0,
-        hazard_flagged=len(flagged),
-        hazard_flagged_pairs=flagged,
         hazard_verdicts=verdicts,
         hazard_exact=exact_summary,
     )

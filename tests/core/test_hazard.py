@@ -1,9 +1,14 @@
-"""Static hazard checking: the paper's Section 5 claims on Fig. 3/Fig. 4."""
+"""Static hazard checking: the paper's Section 5 claims on Fig. 3/Fig. 4.
+
+The per-mode claims run against the per-mode walk of
+``tests/core/hazard_oracle.py``; the §5.2 split and the budget rule run
+against the bounds an exact hazard pass records on every verdict.
+"""
 
 from repro.circuit.techmap import techmap
 from repro.circuit.timeframe import expand
-from repro.core.detector import detect_multi_cycle_pairs
-from repro.core.hazard import HazardChecker, check_hazards
+from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
+from repro.core.hazard import HazardChecker
 from repro.core.sensitization import (
     PathSearchOutcome,
     SensitizationMode,
@@ -12,49 +17,60 @@ from repro.core.sensitization import (
 from repro.atpg.implication import ImplicationEngine
 
 from hypothesis import given
+from tests.core.hazard_oracle import ModeWalk, check_hazards, flagged_names
 from tests.strategies import random_sequential_circuit, seeds
 
+SENS = SensitizationMode.STATIC_SENSITIZATION
+COSENS = SensitizationMode.STATIC_CO_SENSITIZATION
+#: search budgets no random test circuit exhausts
+UNLIMITED = {"backtrack_limit": 10_000, "max_attempts": 50_000}
 
-def _pair_names(circuit, pair_results):
-    return sorted(
-        (circuit.names[p.pair.source], circuit.names[p.pair.sink])
-        for p in pair_results
+
+def _exact(circuit):
+    return detect_multi_cycle_pairs(
+        circuit, DetectorOptions(hazard_check="exact")
     )
+
+
+def _names(circuit, verdict):
+    return circuit.names[verdict.pair.source], circuit.names[verdict.pair.sink]
 
 
 def test_fig3_ff3_ff2_flagged_by_sensitization(fig3):
     """The paper's Fig. 3 example: the MC pair (FF3, FF2) admits a static
     hazard through MUX2's AND/OR structure, found by static sensitization."""
     detection = detect_multi_cycle_pairs(fig3)
-    result = check_hazards(fig3, detection,
-                           SensitizationMode.STATIC_SENSITIZATION)
-    flagged = _pair_names(fig3, result.flagged_pairs)
-    assert ("FF3", "FF2") in flagged
+    assert ("FF3", "FF2") in flagged_names(
+        fig3, check_hazards(fig3, detection, SENS)
+    )
 
 
 def test_fig3_hazard_witness_runs_through_mux2(fig3):
     detection = detect_multi_cycle_pairs(fig3)
-    checker = HazardChecker(fig3, SensitizationMode.STATIC_SENSITIZATION)
+    walk = ModeWalk(fig3, SENS)
     target = next(
         p for p in detection.multi_cycle_pairs
         if (fig3.names[p.pair.source], fig3.names[p.pair.sink]) == ("FF3", "FF2")
     )
-    report = checker.check_pair(target)
+    report = walk.check_pair(target)
     assert report.has_potential_hazard
-    path_names = [checker.expansion.comb.names[n] for n in report.witness_path]
+    path_names = [walk.expansion.comb.names[n] for n in report.witness_path]
     assert any("MUX2" in name for name in path_names)
+    # The exact pass records the same witness on the pair's verdict.
+    (verdict,) = [
+        v for v in _exact(fig3).hazard_verdicts
+        if _names(fig3, v) == ("FF3", "FF2")
+    ]
+    assert verdict.witness_case == report.witness_case
+    assert verdict.witness_path == report.witness_path
 
 
 def test_cosensitization_flags_superset(fig3):
     """Every pair flagged by sensitization is flagged by co-sensitization
     (a statically sensitizable path is statically co-sensitizable)."""
     detection = detect_multi_cycle_pairs(fig3)
-    sens = check_hazards(fig3, detection,
-                         SensitizationMode.STATIC_SENSITIZATION)
-    cosens = check_hazards(fig3, detection,
-                           SensitizationMode.STATIC_CO_SENSITIZATION)
-    assert set(_pair_names(fig3, sens.flagged_pairs)) <= set(
-        _pair_names(fig3, cosens.flagged_pairs)
+    assert set(flagged_names(fig3, check_hazards(fig3, detection, SENS))) <= set(
+        flagged_names(fig3, check_hazards(fig3, detection, COSENS))
     )
 
 
@@ -66,15 +82,11 @@ def test_table3_ordering_on_random_circuits(seed):
     )
     detection = detect_multi_cycle_pairs(circuit)
     before = len(detection.multi_cycle_pairs)
-    kept_sens = len(
-        check_hazards(circuit, detection,
-                      SensitizationMode.STATIC_SENSITIZATION,
-                      backtrack_limit=10_000, max_attempts=50_000).verified_pairs
+    kept_sens = before - len(
+        flagged_names(circuit, check_hazards(circuit, detection, SENS, **UNLIMITED))
     )
-    kept_cosens = len(
-        check_hazards(circuit, detection,
-                      SensitizationMode.STATIC_CO_SENSITIZATION,
-                      backtrack_limit=10_000, max_attempts=50_000).verified_pairs
+    kept_cosens = before - len(
+        flagged_names(circuit, check_hazards(circuit, detection, COSENS, **UNLIMITED))
     )
     assert before >= kept_sens >= kept_cosens
 
@@ -132,14 +144,26 @@ def test_unreachable_source_is_none(fig3):
 
 
 def test_attempt_limit_flags_conservatively(fig3):
-    detection = detect_multi_cycle_pairs(fig3)
-    result = check_hazards(
-        fig3, detection, SensitizationMode.STATIC_SENSITIZATION,
-        max_attempts=0,
-    )
-    # With no search budget everything with a structural path is flagged.
-    assert all(r.has_potential_hazard or r.witness_path is None
-               for r in result.reports)
+    """A search budget hit neither clears a pair nor proves a glitch.
+
+    With no path-search budget every search ends UNKNOWN: the
+    co-sensitization bound flags every pair with a satisfiable case and
+    the sensitization bound flags none (the per-mode sensitization walk
+    flagged them all, as ``limited``).
+    """
+    from repro.analysis.hazard_exact import ExactHazardChecker
+
+    pair_results = detect_multi_cycle_pairs(fig3).multi_cycle_pairs
+    verdicts = ExactHazardChecker(fig3, max_attempts=0).check_pairs(pair_results)
+    assert [v.cosensitize_flagged for v in verdicts] == [
+        bool(HazardChecker._satisfiable_cases(p)) for p in pair_results
+    ]
+    assert any(v.cosensitize_flagged for v in verdicts)
+    assert not any(v.sensitize_flagged for v in verdicts)
+    assert all(v.witness_path is None for v in verdicts)
+    walk = ModeWalk(fig3, SENS, max_attempts=0)
+    reports = [walk.check_pair(p) for p in pair_results]
+    assert all(r.limited == r.has_potential_hazard for r in reports)
 
 
 def test_hazard_appears_only_after_mapping(fig1, fig3):
@@ -149,46 +173,51 @@ def test_hazard_appears_only_after_mapping(fig1, fig3):
     forced equal whenever FF3 toggles), but the Fig. 3 AND/OR mapping of
     the same function exposes a sensitizable hazard path through
     MUX2's AND1/OR — hence hazard analysis runs on mapped netlists."""
-    unmapped = check_hazards(
-        fig1, detect_multi_cycle_pairs(fig1),
-        SensitizationMode.STATIC_SENSITIZATION,
-    )
-    assert ("FF3", "FF2") not in _pair_names(fig1, unmapped.flagged_pairs)
+    def sensitize_flagged(circuit):
+        return {
+            _names(circuit, v) for v in _exact(circuit).hazard_verdicts
+            if v.sensitize_flagged
+        }
 
-    mapped = check_hazards(
-        fig3, detect_multi_cycle_pairs(fig3),
-        SensitizationMode.STATIC_SENSITIZATION,
-    )
-    assert ("FF3", "FF2") in _pair_names(fig3, mapped.flagged_pairs)
+    assert ("FF3", "FF2") not in sensitize_flagged(fig1)
+    assert ("FF3", "FF2") in sensitize_flagged(fig3)
 
 
 def test_classify_hazards_partitions_mc_pairs(fig3):
-    from repro.core.hazard import HazardClass, classify_hazards
-
-    detection = detect_multi_cycle_pairs(fig3)
-    classes = classify_hazards(fig3, detection)
+    detection = _exact(fig3)
+    classes = {}
+    for verdict in detection.hazard_verdicts:
+        classes.setdefault(verdict.bound_class, []).append(
+            _names(fig3, verdict)
+        )
+    assert set(classes) <= {"safe", "dependent", "hazardous"}
     total = sum(len(v) for v in classes.values())
     assert total == len(detection.multi_cycle_pairs)
     # The paper's Fig. 3 pair is outright hazardous.
-    hazardous = _pair_names(fig3, classes[HazardClass.HAZARDOUS])
-    assert ("FF3", "FF2") in hazardous
+    assert ("FF3", "FF2") in classes["hazardous"]
     # (FF1, FF2) is clean under sensitization but co-sensitization flags
     # it: the dependency class of §5.2.
-    dependent = _pair_names(fig3, classes[HazardClass.DEPENDENT])
-    assert ("FF1", "FF2") in dependent
+    assert ("FF1", "FF2") in classes["dependent"]
 
 
 @given(seeds)
 def test_classify_hazards_consistent_with_individual_checks(seed):
-    from repro.core.hazard import HazardClass, classify_hazards
+    from repro.analysis.hazard_exact import ExactHazardChecker
 
     circuit = techmap(
         random_sequential_circuit(seed, max_inputs=2, max_dffs=3, max_gates=8)
     )
     detection = detect_multi_cycle_pairs(circuit)
-    classes = classify_hazards(circuit, detection,
-                               backtrack_limit=10_000, max_attempts=50_000)
-    sens = check_hazards(circuit, detection,
-                         SensitizationMode.STATIC_SENSITIZATION,
-                         backtrack_limit=10_000, max_attempts=50_000)
-    assert len(classes[HazardClass.HAZARDOUS]) == len(sens.flagged_pairs)
+    verdicts = ExactHazardChecker(circuit, **UNLIMITED).check_pairs(
+        detection.multi_cycle_pairs
+    )
+    hazardous = sorted(
+        _names(circuit, v) for v in verdicts if v.bound_class == "hazardous"
+    )
+    dependent_or_worse = sorted(
+        _names(circuit, v) for v in verdicts if v.bound_class != "safe"
+    )
+    sens = check_hazards(circuit, detection, SENS, **UNLIMITED)
+    cosens = check_hazards(circuit, detection, COSENS, **UNLIMITED)
+    assert hazardous == flagged_names(circuit, sens)
+    assert dependent_or_worse == flagged_names(circuit, cosens)

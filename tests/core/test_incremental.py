@@ -220,8 +220,16 @@ def test_globally_sensitive_options_re_decide_everything():
     assert _records(incremental) == _records(full)
 
 
+def _bound_fields(result):
+    return [
+        (v.pair.source, v.pair.sink, v.verdict, v.delay_safe,
+         v.sensitize_flagged, v.cosensitize_flagged)
+        for v in result.hazard_verdicts
+    ]
+
+
 def test_hazard_flags_inherit_with_matching_mode(fig1):
-    options = DetectorOptions(hazard_check="ternary")
+    options = DetectorOptions(hazard_check="exact")
     full = MultiCycleDetector(fig1, options).run()
     bundle = result_bundle(full, options)
     rerun = incremental_detect(_clone(fig1), options, bundle)
@@ -229,15 +237,19 @@ def test_hazard_flags_inherit_with_matching_mode(fig1):
     assert [
         (p.source, p.sink) for p in rerun.hazard_flagged_pairs
     ] == [(p.source, p.sink) for p in full.hazard_flagged_pairs]
+    # Inherited verdicts carry the bounds a fresh run records.
+    assert all(v.decided_by == "inherited" for v in rerun.hazard_verdicts)
+    assert any(v.sensitize_flagged for v in full.hazard_verdicts)
+    assert _bound_fields(rerun) == _bound_fields(full)
 
 
 def test_hazard_mode_mismatch_rechecks(fig1):
     plain = DetectorOptions()
     bundle = result_bundle(MultiCycleDetector(fig1, plain).run(), plain)
-    checked = DetectorOptions(hazard_check="ternary")
+    checked = DetectorOptions(hazard_check="exact")
     # Fingerprint excludes hazard options, so decide verdicts inherit —
-    # but the prior run carries no usable flags and every inherited MC
-    # pair is re-checked.
+    # but the prior run carries no usable verdicts and every inherited
+    # MC pair is re-checked.
     rerun = incremental_detect(_clone(fig1), checked, bundle)
     full = MultiCycleDetector(_clone(fig1), checked).run()
     assert rerun.incremental["re_decided"] == 0
@@ -245,6 +257,8 @@ def test_hazard_mode_mismatch_rechecks(fig1):
     assert [
         (p.source, p.sink) for p in rerun.hazard_flagged_pairs
     ] == [(p.source, p.sink) for p in full.hazard_flagged_pairs]
+    assert not any(v.decided_by == "inherited" for v in rerun.hazard_verdicts)
+    assert _bound_fields(rerun) == _bound_fields(full)
 
 
 def test_bundle_roundtrips_through_store(tmp_path, fig1):

@@ -288,31 +288,15 @@ class TestHazardStage:
         byte-identical whether the hazard check runs or not."""
         off = MultiCycleDetector(fig3).run()
         on = MultiCycleDetector(
-            fig3, DetectorOptions(hazard_check="ternary")
+            fig3, DetectorOptions(hazard_check="exact")
         ).run()
         assert json.dumps(off.pair_records(), sort_keys=True) == json.dumps(
             on.pair_records(), sort_keys=True
         )
 
-    def test_ternary_mode_matches_standalone_checker(self, fig3):
-        from repro.core.ternary_hazard import ternary_check_hazards
-
-        result = MultiCycleDetector(
-            fig3, DetectorOptions(hazard_check="ternary")
-        ).run()
-        reports, _seconds = ternary_check_hazards(fig3, result)
-        expected = sorted(
-            (r.pair_result.pair for r in reports if r.has_potential_hazard),
-            key=lambda p: (p.source, p.sink),
-        )
-        assert result.hazard_mode == "ternary"
-        assert result.hazard_checked == len(result.multi_cycle_pairs)
-        assert result.hazard_flagged_pairs == expected
-        assert result.hazard_flagged == len(expected)
-
     def test_verified_pairs_partition_multi_cycle(self, fig3):
         result = MultiCycleDetector(
-            fig3, DetectorOptions(hazard_check="ternary")
+            fig3, DetectorOptions(hazard_check="exact")
         ).run()
         flagged = {(p.source, p.sink) for p in result.hazard_flagged_pairs}
         verified = {
@@ -326,45 +310,53 @@ class TestHazardStage:
 
     def test_hazard_stage_trace_event(self, fig3):
         tracer = Tracer()
-        MultiCycleDetector(
-            fig3, DetectorOptions(hazard_check="ternary"), tracer=tracer
+        result = MultiCycleDetector(
+            fig3, DetectorOptions(hazard_check="exact"), tracer=tracer
         ).run()
         (record,) = tracer.select("hazard_stage")
-        assert record["mode"] == "ternary"
-        assert record["checked"] >= record["flagged"] >= 0
-        assert record["lanes"] > 0
+        assert record["mode"] == "exact"
+        assert record["checked"] == result.hazard_checked
+        assert record["flagged"] == result.hazard_flagged
+        assert record["exact"] == result.hazard_exact
+        assert record["seconds"] >= 0
         assert [r["stage"] for r in tracer.select("stage_start")] == [
             "stream"
         ]
 
     @pytest.mark.parametrize("mode", ["sensitize", "cosensitize"])
     def test_sensitization_modes(self, fig3, mode):
-        result = MultiCycleDetector(
-            fig3, DetectorOptions(hazard_check=mode)
-        ).run()
-        assert result.hazard_mode == mode
-        assert result.hazard_checked == len(result.multi_cycle_pairs)
+        """Each static bound is a view of the exact run's verdicts: its
+        flagged pairs are the ones its per-mode walk flags."""
+        from repro.core.sensitization import SensitizationMode
+        from tests.core.hazard_oracle import check_hazards, flagged_names
 
-    def test_ternary_is_no_more_pessimistic_than_cosensitize(self, fig3):
-        ternary = MultiCycleDetector(
-            fig3, DetectorOptions(hazard_check="ternary")
+        result = MultiCycleDetector(
+            fig3, DetectorOptions(hazard_check="exact")
         ).run()
-        cosens = MultiCycleDetector(
-            fig3, DetectorOptions(hazard_check="cosensitize")
-        ).run()
-        ternary_flagged = {
-            (p.source, p.sink) for p in ternary.hazard_flagged_pairs
-        }
-        cosens_flagged = {
-            (p.source, p.sink) for p in cosens.hazard_flagged_pairs
-        }
-        assert ternary_flagged <= cosens_flagged
+        assert result.hazard_mode == "exact"
+        assert result.hazard_checked == len(result.multi_cycle_pairs)
+        field = f"{mode}_flagged"
+        flagged = sorted(
+            (fig3.names[v.pair.source], fig3.names[v.pair.sink])
+            for v in result.hazard_verdicts
+            if getattr(v, field)
+        )
+        walk_mode = {
+            "sensitize": SensitizationMode.STATIC_SENSITIZATION,
+            "cosensitize": SensitizationMode.STATIC_CO_SENSITIZATION,
+        }[mode]
+        assert flagged == flagged_names(
+            fig3, check_hazards(fig3, result, walk_mode)
+        )
 
     def test_unknown_mode_raises(self, fig1):
-        with pytest.raises(ValueError, match="hazard"):
-            MultiCycleDetector(
-                fig1, DetectorOptions(hazard_check="bogus")
-            ).run()
+        # Only "off" and "exact" run; the names of the removed modes
+        # are unknown like any other.
+        for mode in ("bogus", "ternary", "sensitize", "cosensitize"):
+            with pytest.raises(ValueError, match="hazard"):
+                MultiCycleDetector(
+                    fig1, DetectorOptions(hazard_check=mode)
+                ).run()
 
 
 # ----------------------------------------------------------------------

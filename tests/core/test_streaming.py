@@ -95,7 +95,7 @@ def test_streaming_matches_staged_with_workers(seed):
 @settings(max_examples=8)
 def test_streaming_matches_staged_with_hazard(seed):
     circuit = random_sequential_circuit(seed, max_dffs=5, max_gates=16)
-    _assert_identical(circuit, hazard_check="ternary")
+    _assert_identical(circuit, hazard_check="exact")
 
 
 @given(seeds)
@@ -181,7 +181,7 @@ def test_split_launch_group_matches_staged(workers):
 def test_streaming_matches_on_paper_circuits(fig1):
     for circuit in (fig1, s27()):
         _assert_identical(circuit)
-        _assert_identical(circuit, hazard_check="ternary", workers=2,
+        _assert_identical(circuit, hazard_check="exact", workers=2,
                           parallel_threshold=2)
 
 

@@ -1,154 +1,57 @@
-"""Eichelberger ternary hazard analysis.
+"""The single-source ternary hazard condition on the paper's Fig. 3.
 
-The checker searches witnesses scalar but evaluates them bit-parallel
-(one :class:`TernarySimulator` lane per satisfiable case); the scalar
-per-case dict walk survives as the reference path, and the differential
-tests here hold the two verdict-identical — including the reported
-witness case — on fixtures and random circuits.
+The exact hazard pass decides Section 5's question in ternary (Kleene)
+terms: with only the source's second-frame state entry at X, can the
+sink's data input evaluate to X under some premise-satisfying input?
+These tests pin its verdicts on the mapped Fig. 3 circuit, the order
+of those verdicts against the two static bounds, and how the checker
+takes its 2-frame expansion.
 """
 
-import itertools
-
 import pytest
-from hypothesis import given
 
-from repro.circuit.builder import CircuitBuilder
+from repro.analysis.hazard_exact import ExactHazardChecker
 from repro.circuit.timeframe import expand_cached
 from repro.core.detector import detect_multi_cycle_pairs
-from repro.core.ternary_hazard import (
-    TernaryHazardChecker,
-    ternary_check_hazards,
-    ternary_eval,
-)
-from repro.logic.values import ONE, X, ZERO
-from tests.strategies import random_sequential_circuit, seeds
+from repro.core.result import HazardVerdictKind
 
 
-def test_ternary_eval_matches_binary_on_full_inputs():
-    builder = CircuitBuilder("t")
-    a, b = builder.input("a"), builder.input("b")
-    g = builder.xor(builder.and_(a, b, name="g1"), a, name="g2")
-    builder.output("o", g)
-    circuit = builder.build()
-    for bits in itertools.product((0, 1), repeat=2):
-        values = ternary_eval(circuit, dict(zip(circuit.inputs, bits)))
-        assert values[circuit.id_of("g2")] == (bits[0] & bits[1]) ^ bits[0]
-
-
-def test_ternary_eval_x_dominated_by_controlling():
-    builder = CircuitBuilder("t")
-    a, b = builder.input("a"), builder.input("b")
-    builder.output("o", builder.and_(a, b, name="g"))
-    circuit = builder.build()
-    values = ternary_eval(circuit, {a: ZERO, b: X})
-    assert values[circuit.id_of("g")] == ZERO
-    values = ternary_eval(circuit, {a: ONE, b: X})
-    assert values[circuit.id_of("g")] == X
+def _verdict(fig3, source, sink):
+    detection = detect_multi_cycle_pairs(fig3)
+    target = next(
+        p for p in detection.multi_cycle_pairs
+        if (fig3.names[p.pair.source], fig3.names[p.pair.sink]) == (source, sink)
+    )
+    return ExactHazardChecker(fig3).check_pair(target)
 
 
 def test_fig3_pair_ff3_ff2_glitches(fig3):
-    """The Fig. 3 hazard also shows up under ternary simulation: X-ing the
-    changed counter bit drives MUX2's AND/OR to X."""
-    detection = detect_multi_cycle_pairs(fig3)
-    checker = TernaryHazardChecker(fig3)
-    target = next(
-        p for p in detection.multi_cycle_pairs
-        if (fig3.names[p.pair.source], fig3.names[p.pair.sink]) == ("FF3", "FF2")
-    )
-    report = checker.check_pair(target)
-    assert report.has_potential_hazard
-    assert report.witness_case is not None
+    """X-ing the toggling counter bit drives MUX2's AND/OR to X."""
+    verdict = _verdict(fig3, "FF3", "FF2")
+    assert verdict.verdict is HazardVerdictKind.GLITCH_PROVEN
+    assert verdict.witness_case is not None
 
 
 def test_blocked_pair_does_not_glitch(fig3):
     """(FF1, FF2): when FF1 toggles, EN2 is held 0 by the *unchanged* FF3
     bit, so the X from FF1 is blocked — consistent with the static
     sensitization verdict (and unlike co-sensitization's pessimism)."""
-    detection = detect_multi_cycle_pairs(fig3)
-    checker = TernaryHazardChecker(fig3)
-    target = next(
-        p for p in detection.multi_cycle_pairs
-        if (fig3.names[p.pair.source], fig3.names[p.pair.sink]) == ("FF1", "FF2")
-    )
-    report = checker.check_pair(target)
-    assert not report.has_potential_hazard
-
-
-def test_report_covers_all_mc_pairs(fig3):
-    detection = detect_multi_cycle_pairs(fig3)
-    reports, seconds = ternary_check_hazards(fig3, detection)
-    assert len(reports) == len(detection.multi_cycle_pairs)
-    assert seconds >= 0
+    verdict = _verdict(fig3, "FF1", "FF2")
+    assert verdict.verdict is HazardVerdictKind.SAFE
+    assert not verdict.sensitize_flagged
+    assert verdict.cosensitize_flagged
 
 
 def test_ternary_flags_subset_of_cosensitization(fig3):
-    """Per-witness ternary X-propagation cannot flag a pair whose every
-    path family is already co-sensitization-clean."""
-    from repro.core.hazard import check_hazards
-    from repro.core.sensitization import SensitizationMode
-
+    """Single-source X-propagation cannot flag a pair whose every path
+    family is co-sensitization-clean, and flags every pair with a
+    sensitizable path: sensitize ⊆ exact ⊆ co-sensitize, pair by pair."""
     detection = detect_multi_cycle_pairs(fig3)
-    ternary_reports, _ = ternary_check_hazards(fig3, detection)
-    ternary_flagged = {
-        (r.pair_result.pair.source, r.pair_result.pair.sink)
-        for r in ternary_reports
-        if r.has_potential_hazard
-    }
-    cosens = check_hazards(
-        fig3, detection, SensitizationMode.STATIC_CO_SENSITIZATION
-    )
-    cosens_flagged = {
-        (r.pair_result.pair.source, r.pair_result.pair.sink)
-        for r in cosens.reports
-        if r.has_potential_hazard
-    }
-    assert ternary_flagged <= cosens_flagged
-
-
-# ----------------------------------------------------------------------
-# Packed bit-parallel path vs the scalar reference path
-# ----------------------------------------------------------------------
-def _verdicts(reports):
-    return [(r.has_potential_hazard, r.witness_case) for r in reports]
-
-
-def _assert_packed_matches_scalar(circuit, words=4):
-    detection = detect_multi_cycle_pairs(circuit)
-    pairs = detection.multi_cycle_pairs
-    checker = TernaryHazardChecker(circuit, words=words)
-    packed = checker.check_pairs(pairs, packed=True)
-    scalar = checker.check_pairs(pairs, packed=False)
-    assert _verdicts(packed) == _verdicts(scalar)
-    # ... and both agree with the short-circuiting per-pair path.
-    per_pair = [checker.check_pair(p) for p in pairs]
-    assert _verdicts(packed) == _verdicts(per_pair)
-
-
-def test_packed_matches_scalar_on_fig3(fig3):
-    _assert_packed_matches_scalar(fig3)
-
-
-def test_packed_matches_scalar_on_counter(counter3):
-    _assert_packed_matches_scalar(counter3)
-
-
-def test_packed_matches_scalar_with_one_word_batches(fig3):
-    """words=1 forces multi-batch packing once lanes exceed 64."""
-    _assert_packed_matches_scalar(fig3, words=1)
-
-
-@given(seeds)
-def test_packed_matches_scalar_on_random_circuits(seed):
-    circuit = random_sequential_circuit(seed, max_dffs=5, max_gates=14)
-    _assert_packed_matches_scalar(circuit)
-
-
-def test_lane_counters_populated(fig3):
-    detection = detect_multi_cycle_pairs(fig3)
-    checker = TernaryHazardChecker(fig3)
-    checker.check_pairs(detection.multi_cycle_pairs)
-    assert checker.lanes_evaluated > 0
-    assert checker.batches_evaluated >= 1
+    verdicts = ExactHazardChecker(fig3).check_pairs(detection.multi_cycle_pairs)
+    assert verdicts
+    for verdict in verdicts:
+        assert verdict.cosensitize_flagged >= verdict.flagged
+        assert verdict.flagged >= verdict.sensitize_flagged
 
 
 # ----------------------------------------------------------------------
@@ -156,15 +59,15 @@ def test_lane_counters_populated(fig3):
 # ----------------------------------------------------------------------
 def test_checker_reuses_cached_expansion(fig3):
     expansion = expand_cached(fig3, frames=2)
-    assert TernaryHazardChecker(fig3).expansion is expansion
+    assert ExactHazardChecker(fig3).expansion is expansion
 
 
 def test_checker_accepts_injected_expansion(fig3):
     expansion = expand_cached(fig3, frames=3)
-    checker = TernaryHazardChecker(fig3, expansion=expansion)
+    checker = ExactHazardChecker(fig3, expansion=expansion)
     assert checker.expansion is expansion
 
 
 def test_checker_rejects_short_expansion(fig3):
     with pytest.raises(ValueError, match="2-frame"):
-        TernaryHazardChecker(fig3, expansion=expand_cached(fig3, frames=1))
+        ExactHazardChecker(fig3, expansion=expand_cached(fig3, frames=1))

@@ -7,7 +7,7 @@ import pytest
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
 from repro.circuit.library import binary_counter, gray_counter, shift_register
-from repro.logic.simulator import Simulator, evaluate_gate
+from repro.logic.simulator import Simulator, evaluate_gate, ternary_eval
 from repro.logic.values import ONE, X, ZERO
 
 
@@ -156,3 +156,25 @@ def test_constants_are_preassigned():
     builder.output("o", builder.and_(one, builder.not_(zero, name="nz"), name="g"))
     sim = Simulator(builder.build())
     assert sim.value("g") == ONE
+
+
+def test_ternary_eval_matches_binary_on_full_inputs():
+    builder = CircuitBuilder("t")
+    a, b = builder.input("a"), builder.input("b")
+    g = builder.xor(builder.and_(a, b, name="g1"), a, name="g2")
+    builder.output("o", g)
+    circuit = builder.build()
+    for bits in itertools.product((0, 1), repeat=2):
+        values = ternary_eval(circuit, dict(zip(circuit.inputs, bits)))
+        assert values[circuit.id_of("g2")] == (bits[0] & bits[1]) ^ bits[0]
+
+
+def test_ternary_eval_x_dominated_by_controlling():
+    builder = CircuitBuilder("t")
+    a, b = builder.input("a"), builder.input("b")
+    builder.output("o", builder.and_(a, b, name="g"))
+    circuit = builder.build()
+    values = ternary_eval(circuit, {a: ZERO, b: X})
+    assert values[circuit.id_of("g")] == ZERO
+    values = ternary_eval(circuit, {a: ONE, b: X})
+    assert values[circuit.id_of("g")] == X

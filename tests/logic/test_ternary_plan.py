@@ -10,7 +10,8 @@ contract:
   (combinational circuits and 2-frame expansions alike);
 * the planes stay canonical (``value & ~care == 0``) after evaluation;
 * pinned rows override the plan's own computation and propagate
-  downstream, which is how the hazard checker holds frame-1 state nodes;
+  downstream, which is how a caller holds an expansion's frame-1 state
+  nodes;
 * :func:`pack_lane_matrix` packs lane matrices in the simulator's
   little-endian lane order and rejects overflowing lane counts.
 """
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.timeframe import expand_cached
-from repro.core.ternary_hazard import ternary_eval
+from repro.logic.simulator import ternary_eval
 from repro.logic.bitsim import TernarySimulator, pack_lane_matrix
 from repro.logic.values import X
 

@@ -61,7 +61,7 @@ def test_sdc_text_shape(fig1):
 
 def test_hazard_flagged_pairs_are_commented_out(fig1):
     detection = detect_multi_cycle_pairs(
-        fig1, DetectorOptions(hazard_check="ternary")
+        fig1, DetectorOptions(hazard_check="exact")
     )
     assert detection.hazard_flagged  # fig1 has hazard-flagged MC pairs
     constraints = sdc_constraints(detection)
@@ -70,7 +70,7 @@ def test_hazard_flagged_pairs_are_commented_out(fig1):
     text = format_sdc(detection, constraints=constraints)
     for constraint in flagged:
         assert (
-            f"# hazard-flagged, not relaxed: "
+            f"# {constraint.hazard_verdict}, not relaxed: "
             f"{constraint.source} -> {constraint.sink}" in text
         )
     # Active (uncommented) commands cover exactly the safe constraints.
@@ -97,11 +97,11 @@ def test_budget_controls_setup_multiplier(fig1):
 
 def test_json_interchange_roundtrip(fig1):
     detection = detect_multi_cycle_pairs(
-        fig1, DetectorOptions(hazard_check="ternary")
+        fig1, DetectorOptions(hazard_check="exact")
     )
     payload = json.loads(constraints_json(detection))
     assert payload["circuit"] == "fig1"
-    assert payload["hazard_mode"] == "ternary"
+    assert payload["hazard_mode"] == "exact"
     constraints = sdc_constraints(detection)
     assert len(payload["constraints"]) == len(constraints)
     for entry, constraint in zip(payload["constraints"], constraints):

@@ -35,15 +35,42 @@ def test_analyze_without_self_loops(fig1_file, capsys):
 def test_hazard(fig1_file, capsys):
     assert main(["hazard", fig1_file]) == 0
     out = capsys.readouterr().out
-    assert "before hazard checking" in out
-    assert "co-sensitize" in out
+    assert "before hazard checking: 5" in out
+    assert "after sensitize    : 1 kept, 4 flagged" in out
+    assert "after exact        : 1 kept, 4 flagged" in out
+    assert "after co-sensitize : 0 kept, 5 flagged" in out
+    assert "hazard verdicts:    1 safe, 0 glitch-possible, 4 glitch-proven" in out
+
+
+def test_hazard_honours_the_runs_hazard_options(tmp_path, capsys):
+    """``repro hazard`` prints the verdicts of its own run: a unit-delay
+    sidecar marks the single-path glitches of mapped fig1 delay-safe,
+    and only FF3 -> FF2 (unequal reconvergence) survives."""
+    sidecar = tmp_path / "unit.json"
+    sidecar.write_text('{"default": {"min": 1.0, "max": 1.0}}')
+    assert main([
+        "hazard", str(EXAMPLES / "fig1.bench"),
+        "--hazard-check", "exact", "--hazard-delays", str(sidecar),
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "hazard verdicts:    1 safe, 0 glitch-possible, 4 glitch-proven "
+        "(3 delay-safe)" in lines
+    )
+    assert "after exact        : 4 kept, 1 flagged" in lines
+    proven = [line for line in lines if line.startswith("  glitch-proven ")]
+    assert len(proven) == 4
+    survivors = [line for line in proven if not line.endswith("delay-safe")]
+    assert survivors == ["  glitch-proven FF3 -> FF2 (by exact)"]
 
 
 def test_analyze_hazard_check_ternary(fig1_file, capsys):
-    assert main(["analyze", fig1_file, "--hazard-check", "ternary"]) == 0
-    out = capsys.readouterr().out
-    assert "hazard check:       ternary" in out
-    assert "5 checked" in out
+    """``--hazard-check`` accepts only off and exact."""
+    for mode in ("ternary", "sensitize", "cosensitize"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", fig1_file, "--hazard-check", mode])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_analyze_hazard_check_rejects_unknown_mode(fig1_file):
@@ -370,12 +397,12 @@ def test_sdc_command_writes_files(fig1_file, tmp_path, capsys):
     js = tmp_path / "out.json"
     assert main([
         "sdc", fig1_file, "-o", str(sdc), "--json", str(js),
-        "--hazard-check", "ternary",
+        "--hazard-check", "exact",
     ]) == 0
     out = capsys.readouterr().out
     assert "hazard-gated" in out
     text = sdc.read_text()
-    assert "# hazard-flagged, not relaxed:" in text
+    assert "# glitch-proven, not relaxed:" in text
     payload = json.loads(js.read_text())
     assert payload["circuit"] == "fig1"
     assert any(not c["safe"] for c in payload["constraints"])

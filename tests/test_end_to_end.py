@@ -9,9 +9,8 @@ from repro.bench_gen.synth import CircuitSpec, generate
 from repro.circuit.bench import dumps, loads
 from repro.circuit.techmap import techmap
 from repro.circuit.topology import connected_ff_pairs
-from repro.core.detector import detect_multi_cycle_pairs
+from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 from repro.core.extended import condition2_extension
-from repro.core.hazard import HazardClass, classify_hazards
 from repro.core.kcycle import KCycleDetector
 from repro.core.result import Classification
 from repro.sat.equivalence import check_sequential_equivalence_1step
@@ -44,12 +43,13 @@ def test_full_flow():
 
     # Hazard classification on the mapped circuit partitions the MC set.
     mapped = techmap(reloaded)
-    mapped_detection = detect_multi_cycle_pairs(mapped)
-    classes = classify_hazards(mapped, mapped_detection)
-    assert (len(classes[HazardClass.SAFE])
-            + len(classes[HazardClass.DEPENDENT])
-            + len(classes[HazardClass.HAZARDOUS])
-            ) == len(mapped_detection.multi_cycle_pairs)
+    mapped_detection = detect_multi_cycle_pairs(
+        mapped, DetectorOptions(hazard_check="exact")
+    )
+    classes = {"safe": 0, "dependent": 0, "hazardous": 0}
+    for verdict in mapped_detection.hazard_verdicts:
+        classes[verdict.bound_class] += 1
+    assert sum(classes.values()) == len(mapped_detection.multi_cycle_pairs)
 
     # Timing relaxation can only help, and every pair is accounted for.
     sta = relaxation_report(reloaded, detection)

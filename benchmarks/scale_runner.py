@@ -8,7 +8,9 @@ object on stdout::
     {"circuit": "syn20000", "num_nodes": 19556, "num_gates": ...,
      "num_dffs": 954, "connected_pairs": ..., "multi_cycle": ...,
      "single_cycle": ..., "undecided": ..., "groups": ...,
-     "wall_seconds": ..., "peak_rss_bytes": ...}
+     "wall_seconds": ..., "peak_rss_bytes": ...,
+     "packed_implication": {"lanes": ..., "resolved": ...,
+                            "closures": ..., "visits": ..., ...}}
 
 ``peak_rss_bytes`` is the interpreter's lifetime high-water mark
 (``getrusage(RUSAGE_SELF).ru_maxrss``, kilobytes on Linux), which is
@@ -134,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         "undecided": len(result.undecided_pairs),
         "sim_dropped": result.stats[Stage.SIMULATION].single_cycle,
         "groups": groups,
-        "packed_implication": args.packed_implication,
+        "packed_mode": args.packed_implication,
         "workers": args.workers,
         "wall_seconds": round(seconds, 3),
         "peak_rss_bytes": peak_rss_bytes(),
@@ -150,6 +152,10 @@ def main(argv: list[str] | None = None) -> int:
         report["aggregate_peak_rss_bytes"] = (
             report["peak_rss_bytes"] + args.workers * child_peak
         )
+    if result.packed_implication is not None:
+        # closures, lanes, gate visits, resolved lanes: visits / lanes
+        # is the per-lane cost of the decide stage's packed closure
+        report["packed_implication"] = result.packed_implication
     if result.backplane is not None:
         report["backplane"] = result.backplane
         report["worker_spawn_seconds"] = result.backplane[

@@ -22,14 +22,16 @@ its levelized, identity-padded gate batches become per-gate records
 map, and the preset rows (identity pads and constants) extracted from
 ``install_ternary_identity_rows``.  The closure kernel is a dirty-gate
 worklist over those records.  Per-node lane words are held as Python
-integers — at decide-stage lane counts (4–8 uint64 limbs) CPython
+integers — at decide-stage lane counts (up to 32 uint64 limbs) CPython
 bigint bitwise ops cost tens of nanoseconds, far below numpy's per-call
 dispatch on the same data, and the cost of a closure scales with the
 *activity cone* of the seeds rather than with circuit size (the same
 property that lets the scalar engine stream 100k-gate circuits).  The
-numpy planes of a :class:`~repro.logic.simplan.TernaryScratch` are
-retained as the staging buffers that translate between array-shaped
-seed matrices and the per-node lane words.
+lanes of one closure share its gate visits, so the more cases one
+closure holds, the fewer visits each case costs.  Array-shaped seed
+matrices are staged in a ``(seed nodes, words)`` array sized by the
+distinct seed nodes, never by the circuit, before they become per-node
+lane words.
 
 Exactness contract
 ------------------
@@ -80,15 +82,14 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.logic.simplan import (
     SimPlan,
-    TernaryScratch,
     _MuxBatch,
     _ReduceBatch,
     _UnaryBatch,
     compiled_plan,
 )
 
-#: lane capacity of one closure: 8 uint64 words of 64 cases.
-MAX_LANE_WORDS = 8
+#: lane capacity of one closure: 32 uint64 words of 64 cases.
+MAX_LANE_WORDS = 32
 MAX_LANES = 64 * MAX_LANE_WORDS
 
 _KIND_CGATE = 0  # AND / NAND / OR / NOR
@@ -219,7 +220,6 @@ class PackedImplicationEngine:
         self.plan = packed_plan(circuit)
         self.learned = learned if learned else None
         rows = self.plan.buffer_rows
-        self._scratch = TernaryScratch(rows)
         self._value = [0] * rows
         self._care = [0] * rows
         self._posted = [0] * rows
@@ -265,33 +265,37 @@ class PackedImplicationEngine:
         """:meth:`close` fast path: ``(lanes, k)`` seed node/value arrays.
 
         Row ``lane`` seeds ``nodes[lane, j] := values[lane, j]`` for all
-        ``j`` — the decide stage's fixed three-literal premises, staged
-        through the ternary scratch planes so the per-node lane words
-        are built by a handful of array scatters instead of a Python
-        loop over every literal.
+        ``j`` — the decide stage's fixed three-literal premises.  One
+        array scatter ORs every seed bit into a ``(2, seed nodes,
+        words)`` staging array (plane 1 for value 1, plane 0 for value
+        0), whose rows become the per-node lane words, so there is no
+        Python loop over literals and nothing scales with circuit size.
         """
-        lanes, _width = nodes.shape
+        lanes, width = nodes.shape
         self._reset(lanes)
         words = (lanes + 63) >> 6
-        planes = self._scratch.planes(2, words)
+        seeds, row = np.unique(nodes.ravel(), return_inverse=True)
         lane_ids = np.arange(lanes, dtype=np.intp)
-        word_col = np.broadcast_to((lane_ids >> 6)[:, None], nodes.shape)
-        bits = (np.uint64(1) << (lane_ids & 63).astype(np.uint64))[:, None]
-        bits = np.broadcast_to(bits, nodes.shape)
-        ones = values.astype(bool)
+        staged = np.zeros((2, len(seeds), words), dtype=np.uint64)
         np.bitwise_or.at(
-            planes[1], (nodes[ones], word_col[ones]), bits[ones]
+            staged,
+            (
+                (values.ravel() != 0).astype(np.intp),
+                row,
+                np.repeat(lane_ids >> 6, width),
+            ),
+            np.repeat(np.uint64(1) << (lane_ids & 63).astype(np.uint64), width),
         )
-        zeros = ~ones
-        np.bitwise_or.at(
-            planes[0], (nodes[zeros], word_col[zeros]), bits[zeros]
-        )
-        for node in np.unique(nodes).tolist():
-            m1 = int.from_bytes(planes[1, node].tobytes(), "little")
-            m0 = int.from_bytes(planes[0, node].tobytes(), "little")
-            planes[1, node] = 0
-            planes[0, node] = 0
-            self._post(node, m1, m0)
+        stride = 8 * words
+        zeros = staged[0].tobytes()
+        ones = staged[1].tobytes()
+        for index, node in enumerate(seeds.tolist()):
+            span = slice(index * stride, (index + 1) * stride)
+            self._post(
+                node,
+                int.from_bytes(ones[span], "little"),
+                int.from_bytes(zeros[span], "little"),
+            )
         self._propagate()
 
     def extend(self, literals: Iterable[tuple[int, int, int]]) -> None:
@@ -313,12 +317,8 @@ class PackedImplicationEngine:
 
     def conflict_lanes(self, lanes: np.ndarray | Sequence[int]) -> np.ndarray:
         """Boolean conflict flag per requested lane."""
-        conflict = self._conflict
-        return np.fromiter(
-            ((conflict >> int(lane)) & 1 for lane in lanes),
-            dtype=bool,
-            count=len(lanes),
-        )
+        lanes = np.asarray(lanes, dtype=np.intp)
+        return self._pick(self._lane_bytes([self._conflict]), 0, lanes) == 1
 
     def read_nodes(
         self,
@@ -326,16 +326,26 @@ class PackedImplicationEngine:
         lanes: np.ndarray | Sequence[int],
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per (node, lane): ``(known, value)`` uint8 vectors."""
-        count = len(nodes)
-        known = np.zeros(count, dtype=np.uint8)
-        value = np.zeros(count, dtype=np.uint8)
-        care_list = self._care
-        value_list = self._value
-        for i, (node, lane) in enumerate(zip(nodes, lanes)):
-            shift = int(lane)
-            known[i] = (care_list[node] >> shift) & 1
-            value[i] = (value_list[node] >> shift) & 1
-        return known, value
+        lanes = np.asarray(lanes, dtype=np.intp)
+        unique, row = np.unique(np.asarray(nodes, np.intp), return_inverse=True)
+        picked = unique.tolist()
+        care = self._lane_bytes([self._care[node] for node in picked])
+        value = self._lane_bytes([self._value[node] for node in picked])
+        return self._pick(care, row, lanes), self._pick(value, row, lanes)
+
+    def _lane_bytes(self, masks: list[int]) -> np.ndarray:
+        """``(len(masks), lane bytes)`` little-endian matrix of lane masks."""
+        width = (self.lanes + 7) >> 3
+        full = self._full
+        raw = b"".join((mask & full).to_bytes(width, "little") for mask in masks)
+        return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+
+    @staticmethod
+    def _pick(
+        table: np.ndarray, rows: np.ndarray | int, lanes: np.ndarray
+    ) -> np.ndarray:
+        """Bit ``lanes[i]`` of byte-matrix row ``rows[i]``, as uint8."""
+        return (table[rows, lanes >> 3] >> (lanes & 7).astype(np.uint8)) & 1
 
     # ------------------------------------------------------------------
     # Closure state.

@@ -333,16 +333,16 @@ def _auto_chunk_size(num_pairs: int, workers: int) -> int:
     """Default work-unit size.
 
     A unit fills at most one packed implication closure (``MAX_LANES //
-    4`` pairs of four cases each), and a serial run uses exactly that.
-    A pool run aims for ~4 units per worker, so a slow unit cannot idle
-    the other workers for long.
+    4`` = 512 pairs of four cases each), and a serial run uses exactly
+    that.  A pool run aims for ~8 units per worker, so a slow unit cannot
+    idle the other workers for long.
     """
     from repro.atpg.packed_implication import MAX_LANES
 
     cap = MAX_LANES // 4
     if workers <= 1:
         return cap
-    return max(1, min(cap, -(-num_pairs // (workers * 4))))
+    return max(1, min(cap, -(-num_pairs // (workers * 8))))
 
 
 def packed_summary(session: dict[str, int] | None) -> dict[str, int] | None:

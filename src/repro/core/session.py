@@ -140,6 +140,8 @@ class DecisionSession:
         )
         self._learned = learned
         self._packed_engine = None
+        # ff_at rows t, t+1, t+2 as one (3, FFs) gather table
+        self._ff_rows = np.asarray(expansion.ff_at[:3], dtype=np.intp)
         self.clock = clock
         if search_engine == "podem":
             from repro.atpg.podem import podem_justify
@@ -260,56 +262,56 @@ class DecisionSession:
                 self.expansion.comb, learned=self._learned
             )
             self._packed_engine = engine
-        expansion = self.expansion
-        ff_at = expansion.ff_at
+        ff_rows = self._ff_rows
+        ff_index = self.expansion.ff_index
         resolved: PackedResolved = {}
         chunk = MAX_LANES // 4
         for chunk_start in range(0, len(pairs), chunk):
             block = pairs[chunk_start:chunk_start + chunk]
             lanes = len(block) * 4
-            nodes = np.empty((lanes, 3), dtype=np.intp)
-            values = np.empty((lanes, 3), dtype=np.uint8)
-            targets = np.empty(lanes, dtype=np.intp)
-            lane = 0
-            for pair in block:
-                source_index = expansion.ff_index(pair.source)
-                sink_index = expansion.ff_index(pair.sink)
-                ffi_t = ff_at[0][source_index]
-                ffi_t1 = ff_at[1][source_index]
-                ffj_t1 = ff_at[1][sink_index]
-                ffj_t2 = ff_at[2][sink_index]
-                for a in BINARY:
-                    for b in BINARY:
-                        nodes[lane] = (ffi_t, ffi_t1, ffj_t1)
-                        values[lane] = (a, 1 - a, b)
-                        targets[lane] = ffj_t2
-                        lane += 1
-            engine.close_matrix(nodes, values)
+            # Lane 4p + 2a + b is case (a, b) of the block's pair p.
             lane_ids = np.arange(lanes)
+            a = (lane_ids >> 1) & 1
+            b = lane_ids & 1
+            source = np.fromiter(
+                (ff_index(pair.source) for pair in block), np.intp, len(block)
+            ).repeat(4)
+            sink = np.fromiter(
+                (ff_index(pair.sink) for pair in block), np.intp, len(block)
+            ).repeat(4)
+            nodes = np.stack(
+                (ff_rows[0, source], ff_rows[1, source], ff_rows[1, sink]),
+                axis=1,
+            )
+            values = np.stack((a, 1 - a, b), axis=1)
+            targets = ff_rows[2, sink]
+            engine.close_matrix(nodes, values)
             conflicted = engine.conflict_lanes(lane_ids)
             known, value = engine.read_nodes(targets, lane_ids)
             open_lanes = np.flatnonzero(~conflicted & (known == 0))
             probe_stable = np.zeros(lanes, dtype=bool)
             if len(open_lanes):
                 engine.extend(
-                    (int(l), int(targets[l]), 1 - (int(l) & 1))
-                    for l in open_lanes
+                    zip(
+                        open_lanes.tolist(),
+                        targets[open_lanes].tolist(),
+                        (1 - b[open_lanes]).tolist(),
+                    )
                 )
                 probe_stable[open_lanes] = engine.conflict_lanes(open_lanes)
-            for lane in range(lanes):
-                a, b = (lane >> 1) & 1, lane & 1
-                if conflicted[lane]:
-                    outcome = CaseOutcome.CONTRADICTION
-                elif known[lane]:
-                    if value[lane] != b:
-                        continue  # implied unstable: search required
-                    outcome = CaseOutcome.IMPLIED_STABLE
-                elif probe_stable[lane]:
-                    outcome = CaseOutcome.IMPLIED_STABLE
-                else:
-                    continue  # target free both ways: search required
-                key = (chunk_start + (lane >> 2), a, b)
-                resolved[key] = CaseResult(a, b, outcome)
+            # Settled: a contradicted premise, a target forced to b, or a
+            # contradicted probe FF_j(t+2) = 1-b.  The rest need a search.
+            settled = conflicted | ((known == 1) & (value == b)) | probe_stable
+            contradicted = conflicted.tolist()
+            for lane in np.flatnonzero(settled).tolist():
+                a_lane, b_lane = (lane >> 1) & 1, lane & 1
+                outcome = (
+                    CaseOutcome.CONTRADICTION
+                    if contradicted[lane]
+                    else CaseOutcome.IMPLIED_STABLE
+                )
+                key = (chunk_start + (lane >> 2), a_lane, b_lane)
+                resolved[key] = CaseResult(a_lane, b_lane, outcome)
             self.packed_lanes += lanes
         self.packed_resolved += len(resolved)
         self.packed_fallbacks += 4 * len(pairs) - len(resolved)

@@ -348,37 +348,6 @@ class SimPlan:
         )
 
 
-class TernaryScratch:
-    """Reusable plane buffers for repeated ternary fixpoint sweeps.
-
-    Packed fixpoint passes (the packed implication closure) allocate
-    the same ``(planes, buffer_rows, words)`` uint64 stacks over and
-    over; at the tiny word counts the
-    decide stage uses, ``np.zeros`` setup is a measurable slice of a
-    closure.  A scratch pool hands out one buffer per ``(planes,
-    words)`` shape, zeroed on reuse, so steady-state closures allocate
-    nothing.  Buffers are owned by the caller until the next request
-    for the same shape — callers needing two live stacks must request
-    distinct shapes (as the implication engine's state/accumulator
-    stacks do).
-    """
-
-    def __init__(self, rows: int) -> None:
-        self.rows = rows
-        self._buffers: dict[tuple[int, int], np.ndarray] = {}
-
-    def planes(self, count: int, words: int) -> np.ndarray:
-        """A zeroed ``(count, rows, words)`` uint64 stack, reused by shape."""
-        key = (count, words)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = np.zeros((count, self.rows, words), dtype=np.uint64)
-            self._buffers[key] = buffer
-        else:
-            buffer.fill(0)
-        return buffer
-
-
 def compiled_plan(circuit: Circuit) -> SimPlan:
     """The circuit's compiled simulation plan (cached per netlist version).
 

@@ -14,7 +14,7 @@ records are byte-identical with the pre-pass on or off.
 import random
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.implication_db import implication_db
@@ -133,6 +133,33 @@ def test_close_matrix_matches_close(seed):
         for lane in range(lanes)
     ]
     _assert_lanes_match_scalar(circuit, literals, by_matrix)
+
+
+@settings(max_examples=4)
+@given(seeds)
+def test_close_matrix_fills_every_word(seed):
+    """``close_matrix`` at lane counts on word edges up to
+    :data:`MAX_LANES`, on one engine reused from the widest closure down
+    (a narrower closure must not read lanes or rows a wider one left
+    behind); every lane equals a fresh scalar closure of its seeds."""
+    circuit = random_sequential_circuit(seed)
+    rng = random.Random(seed ^ 0x5EED)
+    packed = PackedImplicationEngine(circuit)
+    for lanes in (MAX_LANES, MAX_LANES - 1, 513, 512, 65, 64):
+        width = rng.randrange(1, 4)
+        nodes = np.array(
+            [rng.randrange(circuit.num_nodes) for _ in range(lanes * width)],
+            dtype=np.intp,
+        ).reshape(lanes, width)
+        values = np.array(
+            [rng.randrange(2) for _ in range(lanes * width)], dtype=np.uint8
+        ).reshape(lanes, width)
+        packed.close_matrix(nodes, values)
+        literals = [
+            list(zip(nodes[lane].tolist(), values[lane].tolist()))
+            for lane in range(lanes)
+        ]
+        _assert_lanes_match_scalar(circuit, literals, packed)
 
 
 def test_constant_driven_cone_stays_x():

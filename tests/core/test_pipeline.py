@@ -187,13 +187,14 @@ class TestExpansionCache:
 # ----------------------------------------------------------------------
 class TestParallelExecutor:
     def test_auto_chunk_size_bounds(self):
-        # ~4 units per worker, never below 1, capped at one packed
-        # closure's capacity (MAX_LANES // 4 pairs); serial runs use
-        # the cap.
+        # ~8 units per worker, never below 1, capped at one packed
+        # closure's capacity (MAX_LANES // 4 = 512 pairs); serial runs
+        # use the cap.
         assert _auto_chunk_size(1, 4) == 1
-        assert _auto_chunk_size(160, 4) == 10
-        assert _auto_chunk_size(100_000, 4) == 128
-        assert _auto_chunk_size(10, 1) == 128
+        assert _auto_chunk_size(160, 4) == 5
+        assert _auto_chunk_size(161, 4) == 6
+        assert _auto_chunk_size(100_000, 4) == 512
+        assert _auto_chunk_size(10, 1) == 512
 
     @pytest.mark.parametrize("engine", ["dalg", "sat"])
     def test_workers_match_serial_byte_for_byte(self, fig1, engine):

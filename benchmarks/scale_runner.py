@@ -12,6 +12,11 @@ object on stdout::
      "packed_implication": {"lanes": ..., "resolved": ...,
                             "closures": ..., "visits": ..., ...}}
 
+With ``--hazard-check exact`` the run includes the exact hazard pass,
+and the report adds its ``hazard_exact`` summary (disagreements, pairs
+X-reach settled, SAT solves, ...) and ``hazard_seconds``, the pass's
+own time from the ``hazard_stage`` trace event.
+
 ``peak_rss_bytes`` is the interpreter's lifetime high-water mark
 (``getrusage(RUSAGE_SELF).ru_maxrss``, kilobytes on Linux), which is
 exactly the bound the fold must hold — it includes the
@@ -26,7 +31,7 @@ ceiling is therefore set with headroom over the expected RSS.)
 
 Usage::
 
-    python scale_runner.py syn20000 [--workers 1]
+    python scale_runner.py syn20000 [--workers 1] [--hazard-check exact]
         [--rss-limit-mb 1536] [--trace FILE]
 """
 
@@ -67,6 +72,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="shared-memory artifact backplane for the "
                              "worker pool (workers > 1 only)")
     parser.add_argument("--max-pairs-in-flight", type=int, default=8192)
+    parser.add_argument("--hazard-check", default="off",
+                        choices=("off", "exact"),
+                        help="static-hazard pass over the multi-cycle pairs")
     parser.add_argument("--rss-limit-mb", type=int, default=0,
                         help="hard address-space ceiling (0 = none)")
     parser.add_argument("--cache-dir", default=None,
@@ -95,13 +103,15 @@ def main(argv: list[str] | None = None) -> int:
         max_pairs_in_flight=args.max_pairs_in_flight,
         packed_implication=args.packed_implication,
         cache_dir=args.cache_dir,
+        hazard_check=args.hazard_check,
     )
 
     groups = 0
     queue_summary = None
+    hazard_seconds = None
 
     def run(tracer):
-        nonlocal groups, queue_summary
+        nonlocal groups, queue_summary, hazard_seconds
         started = time.perf_counter()
         result = MultiCycleDetector(circuit, options, tracer=tracer).run()
         seconds = time.perf_counter() - started
@@ -109,6 +119,9 @@ def main(argv: list[str] | None = None) -> int:
             (e["groups_total"] for e in tracer.select("launch_group")),
             default=0,
         )
+        hazard = tracer.select("hazard_stage")
+        if hazard:
+            hazard_seconds = hazard[-1]["seconds"]
         queues = tracer.select("decision_queue")
         if queues:
             queue_summary = {
@@ -156,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
         # closures, lanes, gate visits, resolved lanes: visits / lanes
         # is the per-lane cost of the decide stage's packed closure
         report["packed_implication"] = result.packed_implication
+    if result.hazard_exact is not None:
+        report["hazard_exact"] = result.hazard_exact
+        report["hazard_seconds"] = hazard_seconds
     if result.backplane is not None:
         report["backplane"] = result.backplane
         report["worker_spawn_seconds"] = result.backplane[

@@ -24,11 +24,26 @@ plain monotone AND/OR structure over the rails, sharing the solver with
 the binary Tseitin plane of the whole expansion.  Each state entry
 carries a *force-X selector* variable so one encoding serves every pair
 under assumptions, exactly like the SAT MC decider shares its CNF.
+Flip-flops whose D inputs come from one node share that state entry,
+so forcing it forces all of them.
+
+Before any bound walk, an *X-reach* pre-pass settles whole cases
+without the solver.  One packed implication closure of the 2-frame
+expansion holds every (pair, satisfiable case) lane, seeded with the
+case premise.  Its implied values on the second frame's state entries
+and primary inputs seed a Kleene sweep of the sequential circuit's
+logic, with X on every flip-flop reading the source's state entry and
+on every input the closure left open.  A case is *X-reach safe* when
+its premise conflicts or the sink's data input stays binary.  That is
+sound: every assignment satisfying the premise refines the implied
+values, and Kleene evaluation is monotone, so its sink cannot be X.
+The bound walk and the solver skip those cases.
 
 The resulting three-way classification per pair:
 
-* ``safe`` — no satisfiable case glitches (UNSAT everywhere, or the
-  co-sensitization bound already cleared the pair),
+* ``safe`` — no satisfiable case glitches (the co-sensitization bound
+  cleared the pair, X-reach settled every case it left open, or the
+  solver proved the rest UNSAT),
 * ``glitch-proven`` — a sensitizable path or a SAT witness proves it,
 * ``glitch-possible`` — only when a resource limit (path search and
   conflict limit both) leaves the pair undecided; flagged downstream.
@@ -43,12 +58,16 @@ glitch reports die here — a lone clean edge is not a hazard.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
+from repro.atpg.packed_implication import MAX_LANES, PackedImplicationEngine
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
 from repro.circuit.topology import FFPair
+from repro.logic.bitsim import TernarySimulator, pack_lane_matrix
 from repro.logic.simulator import evaluate_gate, ternary_eval
 from repro.logic.values import X
 from repro.core.hazard import BoundsVerdict, HazardChecker
@@ -61,6 +80,9 @@ from repro.sat.solver import CdclSolver, SolveStatus
 from repro.sat.tseitin import CircuitEncoding, encode_circuit
 from repro.sta.delays import GateDelays
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.pipeline import DetectorOptions
+
 #: Dual-rail representation of one ternary signal: ``(p, q)`` literals
 #: with ``p`` = "can evaluate to 1" and ``q`` = "can evaluate to 0".
 Rail = tuple[int, int]
@@ -70,6 +92,7 @@ COUNTER_KEYS = (
     "checked",
     "disagreement",
     "resolved",
+    "xreach",
     "safe",
     "glitch_possible",
     "glitch_proven",
@@ -122,20 +145,25 @@ def _xor_rail(solver: CdclSolver, a: Rail, b: Rail) -> Rail:
 class ExactHazardChecker:
     """Three-way exact hazard classifier over a shared 2-frame expansion.
 
-    Both path-search bounds come from one walk over the pair's
-    satisfiable cases on one implication engine, each case premise
-    closed once (:meth:`~repro.core.hazard.HazardChecker.check_bounds`).
-    The safe co-sensitization bound goes first: a pair it clears in
-    every case is ``safe`` and runs no sensitization search.  From the
-    first case it does not clear, the sensitization search looks for a
-    proof, and the first case with a sensitizable path makes the pair
-    ``glitch-proven``.  Every verdict equals that of a full
-    sensitization walk followed by a co-sensitization walk: a
+    :meth:`check_pairs` first runs the X-reach pre-pass (module
+    docstring) over every satisfiable case of its pairs.  Both
+    path-search bounds then come from one walk over each pair's cases on
+    one implication engine, each case premise closed at most once
+    (:meth:`~repro.core.hazard.HazardChecker.check_bounds`).  The safe
+    co-sensitization bound goes first: a pair it clears in every case is
+    ``safe`` and runs no sensitization search.  From the first case it
+    does not clear, the sensitization search looks for a proof in each
+    case X-reach did not settle, and the first case with a sensitizable
+    path makes the pair ``glitch-proven``.  Every verdict equals that of
+    a full sensitization walk followed by a co-sensitization walk: a
     sensitization witness meets a co-sensitization option at every gate
     of its path, so a case cleared within budget holds no sensitizable
-    path.  Only bounds-disagreeing or limit-hit pairs (and, with a delay
-    sidecar, proven ones) reach the SAT encoding, which is built lazily
-    and then shared by every remaining pair through assumptions.
+    path, and a sensitizable path is a real glitch, so an X-reach safe
+    case holds none either.  A disagreeing pair whose open cases X-reach
+    settled is ``safe`` by ``xreach``.  Only pairs with an open case
+    left (and, with a delay sidecar, proven ones) reach the SAT
+    encoding, which is built lazily and then shared by every remaining
+    pair through assumptions.
 
     Every verdict records what the bounds said: ``sensitize_flagged``
     (a sensitizable path was found), ``cosensitize_flagged`` (not
@@ -169,6 +197,7 @@ class ExactHazardChecker:
             expansion=expansion,
         )
         self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
+        self._packed: PackedImplicationEngine | None = None
         self._solver: CdclSolver | None = None
         self._encoding: CircuitEncoding | None = None
         self._rails: dict[int, Rail] = {}
@@ -178,14 +207,58 @@ class ExactHazardChecker:
         #: (sequential node, second-frame copy) in topological order
         self._frame_gates: list[tuple[int, int]] = []
 
+    @classmethod
+    def from_options(
+        cls,
+        circuit: Circuit,
+        options: DetectorOptions,
+        expansion: TimeFrameExpansion | None = None,
+        delays: GateDelays | None = None,
+    ) -> ExactHazardChecker:
+        """The checker a run under ``options`` uses.
+
+        The one mapping from a run's hazard options to the path-search
+        budget, the SAT conflict limit and the delay sidecar, shared by
+        the pipeline's hazard pass and the report.  ``delays`` passes a
+        sidecar the caller already loaded; by default it is read from
+        ``options.hazard_delays``.
+        """
+        if delays is None:
+            from repro.core.pipeline import load_gate_delays
+
+            delays = load_gate_delays(options, circuit)
+        return cls(
+            circuit,
+            expansion,
+            backtrack_limit=options.hazard_backtrack_limit,
+            conflict_limit=options.hazard_conflict_limit,
+            delays=delays,
+        )
+
     # ------------------------------------------------------------------
     # Classification.
     # ------------------------------------------------------------------
     def check_pair(self, pair_result: PairResult) -> PairHazardVerdict:
         """Classify one multi-cycle pair as safe / possible / proven."""
+        return self.check_pairs([pair_result])[0]
+
+    def check_pairs(
+        self, pair_results: Iterable[PairResult]
+    ) -> list[PairHazardVerdict]:
+        """Classify pairs in order, after one X-reach pre-pass over all."""
+        pair_results = list(pair_results)
+        safe = self._xreach_safe(pair_results)
+        return [
+            self._check(pair_result, xsafe)
+            for pair_result, xsafe in zip(pair_results, safe)
+        ]
+
+    def _check(
+        self, pair_result: PairResult, xsafe: set[tuple[int, int]]
+    ) -> PairHazardVerdict:
         self.counters["checked"] += 1
         cases = HazardChecker._satisfiable_cases(pair_result)
-        bounds = self._bounds.check_bounds(pair_result)
+        bounds = self._bounds.check_bounds(pair_result, xsafe)
         verdict = self._classify(pair_result.pair, cases, bounds)
         verdict.sensitize_flagged = bounds.proven_case is not None
         verdict.cosensitize_flagged = not bounds.cleared
@@ -194,11 +267,6 @@ class ExactHazardChecker:
         if verdict.delay_safe:
             self.counters["delay_filtered"] += 1
         return verdict
-
-    def check_pairs(
-        self, pair_results: Iterable[PairResult]
-    ) -> list[PairHazardVerdict]:
-        return [self.check_pair(p) for p in pair_results]
 
     def summary(self) -> dict[str, float | int]:
         """Counter snapshot plus the bench-gated resolution fraction."""
@@ -235,7 +303,12 @@ class ExactHazardChecker:
         disagreeing = not proven
         if disagreeing:
             self.counters["disagreement"] += 1
-        case, witness, unknown = self._solve_pair(pair, cases)
+            if not bounds.open_cases:
+                # X-reach settled every case co-sensitization left open.
+                self.counters["resolved"] += 1
+                self.counters["xreach"] += 1
+                return PairHazardVerdict(pair, HazardVerdictKind.SAFE, "xreach")
+        case, witness, unknown = self._solve_pair(pair, bounds.open_cases)
         if witness is not None:
             if disagreeing:
                 self.counters["resolved"] += 1
@@ -268,12 +341,85 @@ class ExactHazardChecker:
         return PairHazardVerdict(pair, HazardVerdictKind.SAFE, "exact")
 
     # ------------------------------------------------------------------
+    # X-reach pre-pass.
+    # ------------------------------------------------------------------
+    def _xreach_safe(
+        self, pair_results: list[PairResult]
+    ) -> list[set[tuple[int, int]]]:
+        """The X-reach safe cases of each pair (module docstring).
+
+        One lane per (pair, satisfiable case), up to :data:`MAX_LANES`
+        per closure.  The closure gets no learned table, like the
+        scalar engine of the bound walk.
+        """
+        safe: list[set[tuple[int, int]]] = [set() for _ in pair_results]
+        lanes = [
+            (index, case)
+            for index, pair_result in enumerate(pair_results)
+            for case in HazardChecker._satisfiable_cases(pair_result)
+        ]
+        if not lanes:
+            return safe
+        expansion = self.expansion
+        circuit = self.circuit
+        if self._packed is None:
+            self._packed = PackedImplicationEngine(expansion.comb)
+        engine = self._packed
+        ff_at = [np.asarray(row, dtype=np.intp) for row in expansion.ff_at]
+        d_inputs = np.asarray(
+            [circuit.next_state_node(dff) for dff in circuit.dffs],
+            dtype=np.intp,
+        )
+        for start in range(0, len(lanes), MAX_LANES):
+            chunk = lanes[start:start + MAX_LANES]
+            pairs = [pair_results[index].pair for index, _ in chunk]
+            source = np.asarray(
+                [expansion.ff_index(pair.source) for pair in pairs],
+                dtype=np.intp,
+            )
+            sink = np.asarray(
+                [expansion.ff_index(pair.sink) for pair in pairs],
+                dtype=np.intp,
+            )
+            a, b = np.asarray([case for _, case in chunk], dtype=np.intp).T
+            engine.close_matrix(
+                np.stack(
+                    [ff_at[0][source], ff_at[1][source],
+                     ff_at[1][sink], ff_at[2][sink]],
+                    axis=1,
+                ),
+                np.stack([a, 1 - a, b, b], axis=1),
+            )
+            ff_value, ff_care = engine.planes(expansion.ff_at[1])
+            pi_value, pi_care = engine.planes(expansion.pi_at[1])
+            words = ff_care.shape[1]
+            # X on every flip-flop whose t+1 value is the lane's source
+            # entry: flip-flops whose D inputs come from one node share it.
+            forced = pack_lane_matrix(
+                ff_at[1][:, None] == ff_at[1][source][None, :], words
+            )
+            sim = TernarySimulator(circuit, words)
+            sim.set_source_planes(circuit.dffs, ff_value, ff_care & ~forced)
+            sim.set_source_planes(circuit.inputs, pi_value, pi_care)
+            sim.comb_eval()
+            lane_ids = np.arange(len(chunk), dtype=np.intp)
+            sink_known = (
+                sim.care[d_inputs[sink], lane_ids >> 6]
+                >> (lane_ids & 63).astype(np.uint64)
+            ) & np.uint64(1)
+            settled = engine.conflict_lanes(lane_ids) | (sink_known == 1)
+            for lane in np.flatnonzero(settled).tolist():
+                index, case = chunk[lane]
+                safe[index].add(case)
+        return safe
+
+    # ------------------------------------------------------------------
     # SAT decision.
     # ------------------------------------------------------------------
     def _solve_pair(
-        self, pair: FFPair, cases: list[tuple[int, int]]
+        self, pair: FFPair, cases: Iterable[tuple[int, int]]
     ) -> tuple[tuple[int, int] | None, dict[int, int] | None, bool]:
-        """Try every satisfiable case; returns (case, witness, unknown)."""
+        """Try each case in turn; returns (case, witness, unknown)."""
         self._ensure_encoding()
         solver = self._solver
         encoding = self._encoding

@@ -333,9 +333,21 @@ class PackedImplicationEngine:
         value = self._lane_bytes([self._value[node] for node in picked])
         return self._pick(care, row, lanes), self._pick(value, row, lanes)
 
+    def planes(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``(value, care)`` lane planes of ``nodes``, ``(len(nodes), words)``.
+
+        uint64 words in :class:`~repro.logic.bitsim.TernarySimulator`
+        lane order (lane ``l`` is bit ``l % 64`` of word ``l // 64``);
+        bits past the closure's lane count are clear.  A conflicted
+        lane's bits hold whatever the closure had when it froze.
+        """
+        value = self._lane_bytes([self._value[node] for node in nodes])
+        care = self._lane_bytes([self._care[node] for node in nodes])
+        return value.view("<u8"), care.view("<u8")
+
     def _lane_bytes(self, masks: list[int]) -> np.ndarray:
-        """``(len(masks), lane bytes)`` little-endian matrix of lane masks."""
-        width = (self.lanes + 7) >> 3
+        """``(len(masks), 8 * words)`` little-endian matrix of lane masks."""
+        width = 8 * ((self.lanes + 63) >> 6)
         full = self._full
         raw = b"".join((mask & full).to_bytes(width, "little") for mask in masks)
         return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)

@@ -271,7 +271,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         exact = result.hazard_exact
         assert exact is not None
         print(f"hazard exact:       {exact['disagreement']} bound "
-              f"disagreements, resolution fraction "
+              f"disagreements ({exact['xreach']} settled by X-reach), "
+              f"resolution fraction "
               f"{exact['resolution_fraction']:.2f}, "
               f"{exact['sat_solves']} SAT solves "
               f"({exact['sat']} sat / {exact['unsat']} unsat / "

@@ -27,6 +27,7 @@ on every verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from repro.circuit.gates import COMBINATIONAL_TYPES
 from repro.circuit.netlist import Circuit
@@ -52,6 +53,9 @@ class BoundsVerdict:
     cleared: bool
     #: the sensitizable path of ``proven_case``, source first
     witness_path: list[int] | None = None
+    #: the cases neither bound settled: from the first case
+    #: co-sensitization does not clear on, those not X-reach safe
+    open_cases: tuple[tuple[int, int], ...] = ()
 
 
 class HazardChecker:
@@ -81,7 +85,11 @@ class HazardChecker:
             if circuit.types[n] in COMBINATIONAL_TYPES
         )
 
-    def check_bounds(self, pair_result: PairResult) -> BoundsVerdict:
+    def check_bounds(
+        self,
+        pair_result: PairResult,
+        xsafe: Collection[tuple[int, int]],
+    ) -> BoundsVerdict:
         """Both static bounds of one pair in one walk over its cases.
 
         Each satisfiable case's premise ``FF_i(t) = a``, ``FF_i(t+1) =
@@ -93,6 +101,14 @@ class HazardChecker:
         only sensitization searches run.  The walk stops at the first
         case with a sensitizable path.  A pair cleared in every case runs
         no sensitization search.
+
+        ``xsafe`` holds the pair's X-reach safe cases, which cannot
+        glitch (:mod:`repro.analysis.hazard_exact`).  Co-sensitization
+        still walks them, so ``cleared`` does not depend on them.  They
+        run no sensitization search, because a sensitizable path there
+        would be a real glitch, and past the first uncleared case they
+        are skipped whole, premise included.  The other cases from the
+        first uncleared one on are the verdict's ``open_cases``.
 
         Both verdicts equal those of two separate walks (sensitization
         over every case, then co-sensitization).  A sensitization witness
@@ -115,7 +131,9 @@ class HazardChecker:
         # The sink's cone is shared by every case's path search; it lives
         # only for this call, so memory stays flat however many pairs run.
         reach: set[int] | None = None
-        cleared = True
+        cases = self._satisfiable_cases(pair_result)
+        # Index of the first case co-sensitization does not clear.
+        first_open: int | None = None
 
         def search(mode: SensitizationMode) -> PathSearchResult:
             return find_sensitizable_path(
@@ -129,7 +147,11 @@ class HazardChecker:
                 reach=reach,
             )
 
-        for case in self._satisfiable_cases(pair_result):
+        proven_case: tuple[int, int] | None = None
+        path: list[int] | None = None
+        for index, case in enumerate(cases):
+            if first_open is not None and case in xsafe:
+                continue
             a, b = case
             mark = engine.checkpoint()
             premise = [(ffi_t, a), (ffi_t1, 1 - a), (ffj_t1, b), (ffj_t2, b)]
@@ -137,15 +159,22 @@ class HazardChecker:
             if engine.assume_all(premise):
                 if reach is None:
                     reach = expansion.comb.transitive_fanin([ffj_t2])
-                if cleared:
+                if first_open is None:
                     cosens = search(SensitizationMode.STATIC_CO_SENSITIZATION)
-                    cleared = cosens.outcome is PathSearchOutcome.NONE
-                if not cleared:
+                    if cosens.outcome is not PathSearchOutcome.NONE:
+                        first_open = index
+                if first_open is not None and case not in xsafe:
                     path = search(SensitizationMode.STATIC_SENSITIZATION).path
             engine.backtrack(mark)
             if path is not None:
-                return BoundsVerdict(case, cleared=False, witness_path=path)
-        return BoundsVerdict(None, cleared)
+                proven_case = case
+                break
+        if first_open is None:
+            return BoundsVerdict(None, cleared=True)
+        open_cases = tuple(
+            case for case in cases[first_open:] if case not in xsafe
+        )
+        return BoundsVerdict(proven_case, False, path, open_cases)
 
     @staticmethod
     def _satisfiable_cases(pair_result: PairResult) -> list[tuple[int, int]]:

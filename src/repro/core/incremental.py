@@ -25,8 +25,8 @@ records:
    they are on — any edit then invalidates every prior record, which is
    sound (never wrong, merely slower).
 4. **Hazard verdicts inherit with the decide records** when the prior
-   run used the same hazard options; otherwise inherited multi-cycle
-   pairs are re-checked alongside the fresh ones.
+   run used the same hazard options and hazard rules; otherwise
+   inherited multi-cycle pairs are re-checked alongside the fresh ones.
 
 The prior state travels as a *pair-record bundle* — a pickleable dict
 the detector publishes to the artifact store after every run (kind
@@ -86,6 +86,13 @@ _GLOBAL_ENGINES = frozenset({"sat", "bdd", "cross-check"})
 #: artifact kind of the persisted bundle.
 BUNDLE_KIND = "pair-records"
 
+#: version of the hazard rules, mixed into :func:`hazard_fingerprint`.
+#: Bump it whenever a rule change can move a stored verdict or bound
+#: under unchanged options, so older bundles re-check their pairs.
+#: 2: co-sensitization through a MUX select takes no side constraint
+#: (the old ``d0 != d1`` rule cleared some glitching pairs).
+HAZARD_RULES = 2
+
 
 def options_fingerprint(
     options: DetectorOptions, circuit: Circuit, frames: int = 2
@@ -128,9 +135,10 @@ def hazard_fingerprint(options: DetectorOptions) -> str:
     per-pair hazard verdicts.  For ``exact`` mode the SAT conflict
     budget and the delay sidecar's *content* are mixed in; a missing
     sidecar file hashes as absent (the run's hazard pass rejects it
-    before any decide work).
+    before any decide work).  :data:`HAZARD_RULES` is mixed in too.
     """
     parts = [
+        f"rules={HAZARD_RULES}",
         f"mode={options.hazard_check}",
         f"backtrack={options.hazard_backtrack_limit}",
     ]

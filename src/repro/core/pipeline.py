@@ -523,12 +523,10 @@ class HazardPass:
         if self._checker is None:
             from repro.analysis.hazard_exact import ExactHazardChecker
 
-            options = self.ctx.options
-            self._checker = ExactHazardChecker(
+            self._checker = ExactHazardChecker.from_options(
                 self.ctx.circuit,
+                self.ctx.options,
                 self.ctx.expansion(2),
-                backtrack_limit=options.hazard_backtrack_limit,
-                conflict_limit=options.hazard_conflict_limit,
                 delays=self.delays,
             )
         self.verdicts.extend(self._checker.check_pairs(pairs))

@@ -119,8 +119,10 @@ class PairHazardVerdict:
     pair: FFPair
     verdict: HazardVerdictKind
     #: what settled the pair: ``cases`` (no satisfiable premise),
-    #: ``sensitize`` / ``cosensitize`` (a bound decided it), ``exact``
-    #: (the SAT decision) or ``inherited`` (incremental reuse).
+    #: ``sensitize`` / ``cosensitize`` (a bound decided it), ``xreach``
+    #: (safe: the X-reach sweep settled every case co-sensitization left
+    #: open, with no solver call), ``exact`` (the SAT decision) or
+    #: ``inherited`` (incremental reuse).
     decided_by: str
     #: the ``(a, b)`` case exhibiting the proven glitch, if any
     witness_case: tuple[int, int] | None = None

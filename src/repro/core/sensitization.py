@@ -87,6 +87,11 @@ def _extension_options(
 
     if gate_type == GateType.MUX:
         select, d0, d1 = fanins
+        if via == select and mode is SensitizationMode.STATIC_CO_SENSITIZATION:
+            # Kleene MUX(X, v, X) is X whatever v and the settled data
+            # inputs are, so an X select needs no side constraint; this
+            # is co-sensitization of OR(AND(NOT s, d0), AND(s, d1)).
+            return None
         options: list[list[tuple[int, int]]] = []
         if via == select:
             # The select only matters when the data inputs differ.

@@ -7,18 +7,20 @@ per-mode walks (``tests/core/hazard_oracle.py``), each with its own
 engine: a full sensitization walk over every case, then a full
 co-sensitization walk.  The classification, the SAT stage and the
 delay filter are inherited unchanged, so a differential against it
-checks exactly the bound walk.  The per-mode reports of every pair are
-kept in :attr:`SensitizeFirstChecker.reports`.
+checks exactly the bound walk.  The X-reach pre-pass is inherited too:
+the open cases it leaves are computed here from co-sensitization's first
+flagged case, so both sides make the same solver calls.  The per-mode
+reports of every pair are kept in :attr:`SensitizeFirstChecker.reports`.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Collection
 
 from repro.analysis.hazard_exact import ExactHazardChecker
 from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion
-from repro.core.hazard import BoundsVerdict
+from repro.core.hazard import BoundsVerdict, HazardChecker
 from repro.core.result import PairResult
 from repro.core.sensitization import SensitizationMode
 from tests.core.hazard_oracle import ModeWalk, PairHazardReport
@@ -42,17 +44,30 @@ class _TwoWalkBounds:
             **budgets,
         )
 
-    def check_bounds(self, pair_result: PairResult) -> BoundsVerdict:
+    def check_bounds(
+        self, pair_result: PairResult, xsafe: Collection[tuple[int, int]]
+    ) -> BoundsVerdict:
         sens = self.sens.check_pair(pair_result)
         cosens = self.cosens.check_pair(pair_result)
         self.checker.reports.append((sens, cosens))
+        if not cosens.has_potential_hazard:
+            return BoundsVerdict(None, cleared=True)
+        # Open: from co-sensitization's first flagged case on, every
+        # case the X-reach pre-pass did not settle.
+        cases = HazardChecker._satisfiable_cases(pair_result)
+        open_cases = tuple(
+            case
+            for case in cases[cases.index(cosens.first_flagged):]
+            if case not in xsafe
+        )
         if sens.has_potential_hazard and not sens.limited:
             return BoundsVerdict(
                 sens.witness_case,
-                cleared=not cosens.has_potential_hazard,
+                cleared=False,
                 witness_path=sens.witness_path,
+                open_cases=open_cases,
             )
-        return BoundsVerdict(None, cleared=not cosens.has_potential_hazard)
+        return BoundsVerdict(None, cleared=False, open_cases=open_cases)
 
 
 class SensitizeFirstChecker(ExactHazardChecker):

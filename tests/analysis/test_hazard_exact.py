@@ -1,13 +1,18 @@
 """Exact SAT-backed hazard classification: oracle differential + bounds.
 
-Three layers of evidence that :class:`ExactHazardChecker` decides the
+Layers of evidence that :class:`ExactHazardChecker` decides the
 single-source X-propagation condition exactly:
 
 * a brute-force *enumerative oracle* that tries every binary input
   assignment of the 2-frame expansion and re-evaluates the second frame
   ternarily with the source's state entry forced to X — the checker's
   verdict must match it bit for bit on small random circuits (including
-  parity/MUX-heavy ones, where reconvergence is densest);
+  parity/MUX-heavy ones, where reconvergence is densest).  The oracle
+  lives in ``tests/analysis/oracle_sweep.py``, which also sweeps it
+  over 2,000 seeds of each circuit family outside tier-1;
+* *X-reach soundness* — every case the packed pre-pass settles is UNSAT
+  for the solver and glitch-free for the oracle, and a pre-pass that
+  settles nothing gives the same verdicts;
 * *bound consistency* — a sensitizable path (justification-verified)
   forces ``glitch-proven``; a clean co-sensitization pass forces
   ``safe``;
@@ -29,8 +34,6 @@ reconvergence under unit delays can.
 from __future__ import annotations
 
 import json
-import random
-from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,10 +44,8 @@ from repro.analysis.hazard_exact import (
 )
 from repro.bench_gen.suite import suite
 from repro.circuit.builder import CircuitBuilder
-from repro.circuit.gates import GateType
-from repro.circuit.netlist import Circuit, validate
+from repro.circuit.netlist import Circuit
 from repro.circuit.techmap import techmap
-from repro.circuit.timeframe import expand
 from repro.circuit.topology import FFPair
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.hazard import HazardChecker
@@ -56,9 +57,14 @@ from repro.core.result import (
     Stage,
 )
 from repro.core.sensitization import SensitizationMode
-from repro.logic.simulator import evaluate_gate, ternary_eval
-from repro.logic.values import X
 from repro.sta.delays import DelaySidecarError, GateDelays
+from tests.analysis.oracle_sweep import (
+    MAX_INPUTS,
+    glitching_cases,
+    oracle_mismatches,
+    parity_mux_circuit,
+    replays_to_x,
+)
 from tests.analysis.sensitize_first import SensitizeFirstChecker
 from tests.core.hazard_oracle import ModeWalk, check_hazards, flagged_names
 from tests.core.staged_oracle import staged_detect
@@ -70,78 +76,13 @@ def _detect(circuit, **kw):
 
 
 # ----------------------------------------------------------------------
-# The enumerative oracle.
+# The enumerative oracle (``tests/analysis/oracle_sweep.py``).
 # ----------------------------------------------------------------------
-def _phase_eval(circuit, expansion, full, source_node):
-    """Second-frame ternary values with only ``source_node`` forced to X."""
-    node_map = expansion.node_at[1]
-    phase = {
-        node: full[node] for node in dict.fromkeys(expansion.ff_at[1])
-    }
-    phase[source_node] = X
-    for node in expansion.pi_at[1]:
-        phase.setdefault(node, full[node])
-    for node in circuit.topo_order():
-        gate_type = circuit.types[node]
-        if gate_type in (GateType.INPUT, GateType.DFF):
-            continue
-        copy = node_map[node]
-        if gate_type is GateType.CONST0:
-            phase[copy] = 0
-            continue
-        if gate_type is GateType.CONST1:
-            phase[copy] = 1
-            continue
-        phase[copy] = evaluate_gate(
-            gate_type,
-            [phase[node_map[f]] for f in circuit.fanins[node]],
-        )
-    return phase
-
-
-def oracle_glitches(circuit, expansion, pair, cases):
-    """Does ANY premise-satisfying binary assignment drive the sink to X?"""
-    comb = expansion.comb
-    inputs = list(comb.inputs)
-    source = expansion.ff_index(pair.source)
-    sink = expansion.ff_index(pair.sink)
-    source_node = expansion.ff_at[1][source]
-    target = expansion.ff_at[2][sink]
-    ffi_t = expansion.ff_at[0][source]
-    ffj_t1 = expansion.ff_at[1][sink]
-    for bits in product((0, 1), repeat=len(inputs)):
-        full = ternary_eval(comb, dict(zip(inputs, bits)))
-        for a, b in cases:
-            if full[ffi_t] != a or full[source_node] != 1 - a:
-                continue
-            if full[ffj_t1] != b or full[target] != b:
-                continue
-            phase = _phase_eval(circuit, expansion, full, source_node)
-            if phase[target] == X:
-                return True
-    return False
-
-
 def _assert_matches_oracle(circuit):
     detection = _detect(circuit, hazard_check="exact")
-    expansion = expand(circuit, frames=2)
-    assume(len(expansion.comb.inputs) <= 12)
-    by_pair = {
-        (r.pair.source, r.pair.sink): r for r in detection.pair_results
-    }
-    for verdict in detection.hazard_verdicts:
-        pair_result = by_pair[(verdict.pair.source, verdict.pair.sink)]
-        cases = HazardChecker._satisfiable_cases(pair_result)
-        expected = oracle_glitches(circuit, expansion, verdict.pair, cases)
-        # Small circuits must always resolve: no budget exhaustion here.
-        assert verdict.verdict is not HazardVerdictKind.GLITCH_POSSIBLE
-        assert (
-            verdict.verdict is HazardVerdictKind.GLITCH_PROVEN
-        ) == expected, (
-            f"{circuit.name}: pair {verdict.pair} verdict "
-            f"{verdict.verdict.value} (by {verdict.decided_by}) but "
-            f"oracle says glitches={expected}"
-        )
+    mismatches = oracle_mismatches(circuit, detection)
+    assume(mismatches is not None)
+    assert mismatches == []
     summary = detection.hazard_exact
     assert summary is not None
     assert summary["resolution_fraction"] == 1.0
@@ -156,38 +97,26 @@ def test_exact_matches_enumerative_oracle(seed):
     _assert_matches_oracle(circuit)
 
 
-def _parity_mux_circuit(seed: int) -> Circuit:
-    """XOR/MUX-biased random circuit: maximal X-propagation density."""
-    rng = random.Random(seed)
-    heavy = [GateType.XOR, GateType.XNOR, GateType.MUX, GateType.MUX]
-    circuit = Circuit(f"parity{seed}")
-    pool = [
-        circuit.add_node(GateType.INPUT, (), f"pi{i}")
-        for i in range(rng.randint(1, 2))
-    ]
-    dffs = [
-        circuit.add_node(GateType.DFF, (0,), f"ff{i}")
-        for i in range(rng.randint(2, 4))
-    ]
-    pool.extend(dffs)
-    for g in range(rng.randint(2, 8)):
-        gate_type = rng.choice(heavy)
-        if gate_type is GateType.MUX:
-            fanins = tuple(rng.choice(pool) for _ in range(3))
-        else:
-            fanins = tuple(rng.choice(pool) for _ in range(2))
-        pool.append(circuit.add_node(gate_type, fanins, f"g{g}"))
-    for dff in dffs:
-        circuit.set_fanins(dff, (rng.choice(pool),))
-    circuit.add_node(GateType.OUTPUT, (pool[-1],), "po0")
-    validate(circuit)
-    return circuit
-
-
 @given(seeds)
 @settings(max_examples=25)
 def test_exact_matches_oracle_on_parity_mux_circuits(seed):
-    _assert_matches_oracle(_parity_mux_circuit(seed))
+    _assert_matches_oracle(parity_mux_circuit(seed))
+
+
+@pytest.mark.parametrize("seed", [273, 524, 1107, 1238, 1982])
+def test_cosensitization_through_mux_select_is_an_upper_bound(seed):
+    """Kleene ``MUX(X, v, X)`` is X: with the source's X on both the
+    select and a data input, co-sensitization must not demand settled
+    ``d0 != d1`` at the select, or it clears pairs that glitch."""
+    circuit = parity_mux_circuit(seed)
+    detection = _detect(circuit, hazard_check="exact")
+    assert oracle_mismatches(circuit, detection) == []
+    proven = [
+        v for v in detection.hazard_verdicts
+        if v.verdict is HazardVerdictKind.GLITCH_PROVEN
+    ]
+    assert proven
+    assert all(v.cosensitize_flagged for v in proven)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +149,28 @@ def test_exact_respects_sensitization_bounds(seed):
 # ----------------------------------------------------------------------
 # Bound order: one co-sensitization-first walk == sensitization first.
 # ----------------------------------------------------------------------
+_BUILDS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: random_sequential_circuit(seed, max_dffs=5, max_gates=16),
+        parity_mux_circuit,
+    ],
+    ids=["random", "parity-mux"],
+)
+_BUDGETS = pytest.mark.parametrize(
+    "budgets",
+    [
+        {},
+        # Starved searches: justification aborts, path walks hit the
+        # attempt cap, and UNKNOWN outcomes reach both bounds.
+        {"backtrack_limit": 0, "max_attempts": 3},
+        # A delay sidecar sends proven pairs on to the solver.
+        {"delays": GateDelays()},
+    ],
+    ids=["default", "starved", "delays"],
+)
+
+
 def _bound_inputs(circuit):
     """The detected multi-cycle records plus a bare record per FF pair.
 
@@ -246,26 +197,8 @@ def _verdict_fields(verdict):
     )
 
 
-@pytest.mark.parametrize(
-    "budgets",
-    [
-        {},
-        # Starved searches: justification aborts, path walks hit the
-        # attempt cap, and UNKNOWN outcomes reach both bounds.
-        {"backtrack_limit": 0, "max_attempts": 3},
-        # A delay sidecar sends proven pairs on to the solver.
-        {"delays": GateDelays()},
-    ],
-    ids=["default", "starved", "delays"],
-)
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda seed: random_sequential_circuit(seed, max_dffs=5, max_gates=16),
-        _parity_mux_circuit,
-    ],
-    ids=["random", "parity-mux"],
-)
+@_BUDGETS
+@_BUILDS
 @given(seed=seeds)
 @settings(max_examples=15)
 def test_bound_walk_matches_sensitize_first(build, budgets, seed):
@@ -306,7 +239,10 @@ def test_bound_fields_equal_per_mode_flags_on_tiny_suite():
 
 
 def test_bound_walk_saves_searches_and_premises(monkeypatch):
-    """Cleared pairs run no sensitization search; premises close once."""
+    """Cleared pairs run no sensitization search; premises close once.
+
+    A pair X-reach settles closes no premise and runs no search past
+    co-sensitization's first uncleared case, and solves nothing."""
     import repro.core.hazard as hazard_module
     from repro.atpg.implication import ImplicationEngine
     from repro.circuit.library import fig1_circuit
@@ -340,18 +276,110 @@ def test_bound_walk_saves_searches_and_premises(monkeypatch):
 
     checker = ExactHazardChecker(circuit)
     cleared = 0
+    settled = 0
     for pair_result in pair_results:
         searches.clear()
         premises = 0
         verdict = checker.check_pair(pair_result)
         cases = HazardChecker._satisfiable_cases(pair_result)
         assert premises <= len(cases)
+        cosens = searches.get(SensitizationMode.STATIC_CO_SENSITIZATION, 0)
         if verdict.decided_by == "cosensitize":
             cleared += 1
             assert premises == len(cases)
             assert searches.get(SensitizationMode.STATIC_SENSITIZATION, 0) == 0
-            assert searches[SensitizationMode.STATIC_CO_SENSITIZATION] == len(cases)
-    assert cleared == 2
+            assert cosens == len(cases)
+        if verdict.decided_by == "xreach":
+            settled += 1
+            # Every premise closed ran one co-sensitization search, up
+            # to the first case it did not clear, and nothing after it.
+            assert verdict.cosensitize_flagged
+            assert premises == cosens < len(cases)
+            assert searches.get(SensitizationMode.STATIC_SENSITIZATION, 0) == 0
+    # FF3 -> FF2 glitches through no MUX2 select path co-sensitization
+    # accepts, but X-reach settles every case it leaves open.
+    assert (cleared, settled) == (1, 1)
+    assert checker.counters["sat_solves"] == 0
+    assert checker._solver is None
+
+
+# ----------------------------------------------------------------------
+# X-reach pre-pass.
+# ----------------------------------------------------------------------
+class NoXReachChecker(ExactHazardChecker):
+    """The exact pass with a pre-pass that settles nothing."""
+
+    def _xreach_safe(self, pair_results):
+        return [set() for _ in pair_results]
+
+
+@_BUILDS
+@given(seed=seeds)
+@settings(max_examples=25)
+def test_xreach_safe_cases_cannot_glitch(build, seed):
+    """Every X-reach safe case, of detected and bare records alike, is
+    UNSAT for the solver and glitch-free for the enumerative oracle."""
+    circuit = build(seed)
+    checker = ExactHazardChecker(circuit)
+    assume(len(checker.expansion.comb.inputs) <= MAX_INPUTS)
+    records = _bound_inputs(circuit)
+    safe = checker._xreach_safe(records)
+    pair_cases: dict[FFPair, list[tuple[int, int]]] = {}
+    for record, cases in zip(records, safe):
+        pair_cases.setdefault(record.pair, []).extend(cases)
+    glitching = glitching_cases(circuit, checker.expansion, pair_cases)
+    for record, cases in zip(records, safe):
+        for case in cases:
+            assert (record.pair, case) not in glitching
+            assert checker._solve_pair(record.pair, [case]) == (
+                None, None, False
+            )
+
+
+@_BUDGETS
+@_BUILDS
+@given(seed=seeds)
+@settings(max_examples=15)
+def test_xreach_keeps_every_verdict(build, budgets, seed):
+    """Against a pre-pass that settles nothing: the same verdicts,
+    witness cases, bounds and paths, ``xreach`` standing for ``exact``.
+
+    The shared solver sees a different history, so witness bits may
+    differ; each side's witness must replay to X at the sink under its
+    case premise, and its ``delay_safe`` must be its own delay sweep."""
+    circuit = build(seed)
+    records = _bound_inputs(circuit)
+    plain = NoXReachChecker(circuit, **budgets)
+    xreach = ExactHazardChecker(circuit, **budgets)
+    before = plain.check_pairs(records)
+    after = xreach.check_pairs(records)
+
+    def fields(verdict):
+        decided_by = "exact" if verdict.decided_by == "xreach" else verdict.decided_by
+        return (
+            verdict.pair,
+            verdict.verdict,
+            decided_by,
+            verdict.witness_case,
+            verdict.sensitize_flagged,
+            verdict.cosensitize_flagged,
+            verdict.witness_path,
+        )
+
+    assert [fields(v) for v in after] == [fields(v) for v in before]
+    for checker, verdicts in ((plain, before), (xreach, after)):
+        for verdict in verdicts:
+            if verdict.witness is None:
+                continue
+            assert replays_to_x(
+                circuit, checker.expansion, verdict.pair,
+                verdict.witness_case, verdict.witness,
+            )
+            if checker.delays is not None:
+                assert verdict.delay_safe is not checker._survives_delays(
+                    verdict.pair, verdict.witness
+                )
+    assert xreach.counters["sat_solves"] <= plain.counters["sat_solves"]
 
 
 # ----------------------------------------------------------------------

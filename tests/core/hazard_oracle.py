@@ -37,6 +37,8 @@ class PairHazardReport:
     witness_path: list[int] | None = None
     #: True when a search budget forced the conservative verdict
     limited: bool = False
+    #: the first case whose search found a path or hit its budget
+    first_flagged: tuple[int, int] | None = None
 
 
 class ModeWalk:
@@ -69,6 +71,7 @@ class ModeWalk:
         sink = expansion.ff_index(pair_result.pair.sink)
         target = expansion.ff_at[2][sink]
         limited = False
+        first_flagged = None
         for a, b in HazardChecker._satisfiable_cases(pair_result):
             mark = engine.checkpoint()
             premise = [
@@ -89,15 +92,19 @@ class ModeWalk:
                     max_attempts=self.max_attempts,
                 )
             engine.backtrack(mark)
-            if result is None:
+            if result is None or result.outcome is PathSearchOutcome.NONE:
                 continue
+            if first_flagged is None:
+                first_flagged = (a, b)
             if result.outcome is PathSearchOutcome.FOUND:
                 return PairHazardReport(
                     pair_result, True, witness_case=(a, b),
-                    witness_path=result.path,
+                    witness_path=result.path, first_flagged=first_flagged,
                 )
-            limited |= result.outcome is PathSearchOutcome.UNKNOWN
-        return PairHazardReport(pair_result, limited, limited=limited)
+            limited = True
+        return PairHazardReport(
+            pair_result, limited, limited=limited, first_flagged=first_flagged
+        )
 
 
 def check_hazards(

@@ -7,6 +7,7 @@ the staged reference flow of ``tests/core/staged_oracle.py``.  Hypothesis drives
 edits (gate-type flips, fanin rewires, DFF insertions) at the property.
 """
 
+import hashlib
 import json
 import random
 
@@ -22,14 +23,16 @@ from repro.circuit.structhash import (
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.incremental import (
     IncrementalStage,
+    hazard_fingerprint,
     incremental_detect,
     load_result_bundle,
     options_fingerprint,
     result_bundle,
     save_result_bundle,
 )
-from repro.core.result import Stage
+from repro.core.result import HazardVerdictKind, Stage
 from repro.store import ArtifactStore
+from tests.analysis.oracle_sweep import parity_mux_circuit
 from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
@@ -259,6 +262,45 @@ def test_hazard_mode_mismatch_rechecks(fig1):
     ] == [(p.source, p.sink) for p in full.hazard_flagged_pairs]
     assert not any(v.decided_by == "inherited" for v in rerun.hazard_verdicts)
     assert _bound_fields(rerun) == _bound_fields(full)
+
+
+def _unversioned_hazard_fingerprint(options):
+    """The hazard fingerprint of bundles written before the rules tag."""
+    parts = [
+        f"mode={options.hazard_check}",
+        f"backtrack={options.hazard_backtrack_limit}",
+        f"conflict={options.hazard_conflict_limit}",
+    ]
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
+
+
+def test_verdicts_of_older_hazard_rules_are_rechecked():
+    """Under the old MUX-select co-sensitization rule, parity273's two
+    pairs out of ff1 were ``safe`` by co-sensitization, yet they glitch.
+    A bundle carrying those verdicts must be re-checked, not adopted."""
+    circuit = parity_mux_circuit(273)
+    options = DetectorOptions(hazard_check="exact")
+    full = MultiCycleDetector(circuit, options).run()
+    stale = result_bundle(full, options)
+    stale["hazard_fingerprint"] = _unversioned_hazard_fingerprint(options)
+    assert stale["hazard_fingerprint"] != hazard_fingerprint(options)
+    rewritten = 0
+    for record in stale["records"]:
+        if record["source"] == "ff1" and record["hazard"] is not None:
+            record["hazard"] = {
+                "verdict": "safe", "delay_safe": None,
+                "sensitize_flagged": False, "cosensitize_flagged": False,
+            }
+            rewritten += 1
+    assert rewritten == 2
+    rerun = incremental_detect(_clone(circuit), options, stale)
+    assert rerun.incremental["re_decided"] == 0
+    assert not any(v.decided_by == "inherited" for v in rerun.hazard_verdicts)
+    assert _bound_fields(rerun) == _bound_fields(full)
+    assert all(
+        v.verdict is HazardVerdictKind.GLITCH_PROVEN
+        for v in rerun.hazard_verdicts
+    )
 
 
 def test_bundle_roundtrips_through_store(tmp_path, fig1):

@@ -1,6 +1,7 @@
 """The one-shot markdown report generator."""
 
 from repro.circuit.library import fig1_circuit, s27
+from repro.core.detector import DetectorOptions
 from repro.reporting.summary import _markdown_table, generate_report
 from repro.reporting.tables import Table
 
@@ -29,6 +30,26 @@ def test_generate_report_without_sat():
     report = generate_report([fig1_circuit()], run_sat=False,
                              kcycle_circuits=1, k_max=2)
     assert "| - | - |" in report
+
+
+def test_report_exact_table_takes_the_run_hazard_options(monkeypatch):
+    from repro.analysis import hazard_exact
+
+    limits = []
+    init = hazard_exact.ExactHazardChecker.__init__
+
+    def recording(self, circuit, expansion=None, **kwargs):
+        limits.append(
+            (kwargs.get("backtrack_limit"), kwargs.get("conflict_limit"))
+        )
+        init(self, circuit, expansion, **kwargs)
+
+    monkeypatch.setattr(hazard_exact.ExactHazardChecker, "__init__", recording)
+    options = DetectorOptions(hazard_backtrack_limit=7, hazard_conflict_limit=11)
+    report = generate_report([fig1_circuit()], options, run_sat=False,
+                             kcycle_circuits=1, k_max=2)
+    assert limits and set(limits) == {(7, 11)}
+    assert "| disagreements | X-reach | resolution |" in report
 
 
 def test_report_cli(tmp_path, capsys):

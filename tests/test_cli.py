@@ -88,6 +88,7 @@ def test_analyze_hazard_check_exact_lines(capsys):
     ]
     exact = [line for line in lines if line.startswith("hazard exact:")]
     assert len(exact) == 1
+    assert "1 bound disagreements (1 settled by X-reach)" in exact[0]
     assert "resolution fraction 1.00" in exact[0]
 
 

@@ -14,16 +14,19 @@ Two measurements per circuit of the selected suite profile, recorded to
   (``patterns_per_sec``) over a fixed round budget using the shipping
   engine — compiled plan, reused simulators, round batching — against
   the pre-optimisation engine (``patterns_per_sec_python_fresh``): the
-  per-node python loop with a fresh simulator every round.  Their ratio
+  per-node python loop of ``tests/logic/python_sim.py`` with a fresh
+  simulator every round.  Their ratio
   (``sim_speedup``) is what the CI regression gate falls back to when
   the baseline was recorded on different hardware.
-* **Decision stage**: surviving pairs settled per second by the shared
-  decision session (``decision_pairs_per_sec``, from the same survivors
-  the pipeline's decide stage sees), plus the hardware-independent ratio
-  ``decision_speedup`` — launch-prefix sharing on against off (full
-  premise re-derived per case), measured back-to-back on one session
-  engine.  The regression gate applies the same same-hardware /
-  cross-hardware metric choice as for stage 1.
+* **Decision stage**: surviving pairs settled per second by the scalar
+  launch-run walk of the decision session (``decision_pairs_per_sec``,
+  from the same survivors the pipeline's decide stage sees), plus the
+  hardware-independent ratio ``decision_speedup`` — that walk against
+  the full-premise-per-case walk of one ``PairAnalyzer`` engine
+  (``tests/core/pair_analysis.py``), measured back to back, so it
+  isolates launch-prefix sharing.  Both sides skip the packed pre-pass
+  (the decide kernel below measures it).  The regression gate applies
+  the same same-hardware / cross-hardware metric choice as for stage 1.
 * **Decide kernel**: the packed bit-parallel implication closure
   (``decide_speedup``) — all four ``(a, b)`` cases of every surviving
   pair evaluated 64 lanes per word in one shared closure — against the
@@ -94,13 +97,14 @@ from repro.circuit.topology import (
 )
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.random_filter import random_filter
-from repro.core.session import DecisionSession
 from repro.core.trace import Tracer
 from repro.logic.bitsim import BitSimulator, simulate_three_frames
 
 from conftest import PROFILE, record_report
 from repro.bench_gen.suite import suite, spec_by_name
 from repro.bench_gen.synth import generate
+from tests.core.pair_analysis import PairAnalyzer, ScalarSession
+from tests.logic.python_sim import PythonBitSimulator
 
 _RESULT_PATH = Path(__file__).parent.parent / "BENCH_pipeline.json"
 #: at least 2 so the sharded path is exercised even on one core.
@@ -188,7 +192,7 @@ def _sustained_compiled(circuit) -> float:
         width = k * _SIM_WORDS
         sim = sims.get(width)
         if sim is None:
-            sim = BitSimulator(circuit, width, plan="compiled")
+            sim = BitSimulator(circuit, width)
             sims[width] = sim
         if sources:
             sim.values[sources] = rng.integers(
@@ -215,7 +219,7 @@ def _sustained_python_fresh(circuit) -> float:
     rng = np.random.default_rng(2002)
     started = time.perf_counter()
     for _ in range(_SIM_ROUNDS):
-        sim = BitSimulator(circuit, _SIM_WORDS, plan="python")
+        sim = PythonBitSimulator(circuit, _SIM_WORDS)
         simulate_three_frames(circuit, rng, _SIM_WORDS, sim=sim)
     return time.perf_counter() - started
 
@@ -223,26 +227,33 @@ def _sustained_python_fresh(circuit) -> float:
 def _sustained_decision(circuit) -> tuple[int, float, float]:
     """(survivors, shared_seconds, fresh_seconds) for the decision stage.
 
-    Decides the pipeline's actual surviving pairs on one session engine,
-    launch-prefix sharing on and off, back to back — the off run
-    re-derives the full three-assumption premise per case, so the ratio
-    isolates what the shared-launch session buys, independent of
-    hardware."""
+    Decides the pipeline's actual surviving pairs back to back on the
+    scalar session walk (launch prefixes shared) and on one
+    :class:`PairAnalyzer` engine, which re-derives the full
+    three-assumption premise per case — the ratio isolates what the
+    shared-launch session buys, independent of hardware."""
     pairs = connected_ff_pairs(circuit)
     survivors = random_filter(
         circuit, pairs, words=_SIM_WORDS, round_batch=_ROUND_BATCH
     ).survivors
     expansion = expand_cached(circuit, frames=2)
 
-    def timed(share_prefix: bool) -> float:
-        session = DecisionSession(expansion, share_prefix=share_prefix)
+    def timed_shared() -> float:
+        session = ScalarSession(expansion)
         started = time.perf_counter()
         session.decide_group(survivors)
         return time.perf_counter() - started
 
-    timed(True)  # warmup (expansion + CSR caches)
-    timed(False)
-    return len(survivors), timed(True), timed(False)
+    def timed_fresh() -> float:
+        analyzer = PairAnalyzer(expansion)
+        started = time.perf_counter()
+        for pair in survivors:
+            analyzer.analyze(pair)
+        return time.perf_counter() - started
+
+    timed_shared()  # warmup (expansion + CSR caches)
+    timed_fresh()
+    return len(survivors), timed_shared(), timed_fresh()
 
 
 def _sustained_packed_decision(circuit) -> dict[str, float | int]:

@@ -13,8 +13,8 @@ import pytest
 
 from repro.circuit.timeframe import expand
 from repro.circuit.topology import connected_ff_pairs
-from repro.core.pair_analysis import PairAnalyzer
 from repro.core.random_filter import random_filter
+from repro.core.session import DecisionSession
 from repro.core.detector import detect_multi_cycle_pairs
 from repro.reporting.tables import run_table2
 
@@ -34,13 +34,12 @@ def test_stage_random_simulation(benchmark, circuit):
 
 @pytest.mark.parametrize("circuit", _CIRCUITS, ids=_IDS)
 def test_stage_implication_and_atpg(benchmark, circuit):
-    """Time the per-pair analysis on the simulation survivors only."""
+    """Time the decision session on the simulation survivors only."""
     pairs = random_filter(circuit, connected_ff_pairs(circuit)).survivors
     expansion = expand(circuit, frames=2)
 
     def analyse_all():
-        analyzer = PairAnalyzer(expansion)
-        return [analyzer.analyze(pair) for pair in pairs]
+        return DecisionSession(expansion).decide_group(pairs)
 
     results = benchmark(analyse_all)
     assert len(results) == len(pairs)

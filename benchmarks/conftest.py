@@ -10,16 +10,25 @@ selected with the ``REPRO_BENCH_PROFILE`` environment variable:
 
 Formatted tables are printed at the end of the run (use ``-s`` to see
 them immediately); they are also appended to ``benchmarks/_reports.txt``.
+
+The repository root goes on ``sys.path`` so benchmarks can time the
+reference flows that live in ``tests/`` (the per-node simulator, the
+scalar decision session) against the shipping ones.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.bench_gen.suite import suite
+
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "tiny")
 _REPORT_PATH = Path(__file__).parent / "_reports.txt"

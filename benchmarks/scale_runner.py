@@ -63,9 +63,6 @@ def arm_rss_ceiling(limit_mb: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("circuit", help="suite or scale-ladder spec name")
-    parser.add_argument("--packed-implication", default="auto",
-                        choices=("auto", "on", "off"),
-                        help="packed decide-stage pre-pass mode")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--backplane", default="auto",
                         choices=("auto", "on", "off"),
@@ -101,7 +98,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         backplane=args.backplane,
         max_pairs_in_flight=args.max_pairs_in_flight,
-        packed_implication=args.packed_implication,
         cache_dir=args.cache_dir,
         hazard_check=args.hazard_check,
     )
@@ -149,7 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         "undecided": len(result.undecided_pairs),
         "sim_dropped": result.stats[Stage.SIMULATION].single_cycle,
         "groups": groups,
-        "packed_mode": args.packed_implication,
         "workers": args.workers,
         "wall_seconds": round(seconds, 3),
         "peak_rss_bytes": peak_rss_bytes(),

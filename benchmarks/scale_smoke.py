@@ -1,9 +1,9 @@
 """CI scale smoke: one ~20k-gate detection under a hard memory ceiling.
 
 Launches :mod:`scale_runner` on the ``syn20000`` scale-ladder circuit in
-a fresh interpreter with ``setrlimit``-enforced address-space ceiling,
-with the packed decide-stage pre-pass forced on so its lane planes and
-plan lowering are part of the bounded footprint —
+a fresh interpreter with ``setrlimit``-enforced address-space ceiling
+(the packed decide-stage pre-pass's lane planes and plan lowering are
+part of the bounded footprint) —
 if the launch-group fold's memory bound regresses past the ceiling the
 child dies with ``MemoryError`` and the smoke fails loudly.  On success
 the child's ``peak_rss_bytes`` is additionally gated against the
@@ -76,7 +76,6 @@ def main(argv: list[str] | None = None) -> int:
 
     command = [
         sys.executable, str(_RUNNER), args.circuit,
-        "--packed-implication", "on",
         "--rss-limit-mb", str(args.rss_limit_mb),
     ]
     print("running:", " ".join(command))
@@ -140,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         # backplane buys.
         command = [
             sys.executable, str(_RUNNER), args.circuit,
-            "--packed-implication", "on",
             "--workers", str(args.workers), "--backplane", "on",
             "--rss-limit-mb", str(args.rss_limit_mb),
         ]

@@ -66,8 +66,9 @@ reaches, including its deliberate quirks:
 The scalar engine remains the oracle: any lane the packed closure
 leaves open (target still X after the stability probe, or known with
 the non-implied polarity so a search is required) falls back to the
-per-case :class:`~repro.core.session.DecisionSession` path, and the
-differential tests assert byte-identical ``pair_records`` either way.
+per-case :class:`~repro.core.session.DecisionSession` walk, and the
+differential tests assert byte-identical case records against a
+session that packs nothing (``tests/core/pair_analysis.py``).
 """
 
 from __future__ import annotations

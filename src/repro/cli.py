@@ -54,12 +54,8 @@ def _detector_options(args: argparse.Namespace) -> DetectorOptions:
         include_self_loops=not args.no_self_loops,
         search_engine=args.engine,
         scoap_guidance=args.scoap,
-        launch_prefix=not args.no_launch_prefix,
-        packed_implication=args.packed_implication,
         sim_seed=args.seed,
         sim_words=args.sim_words,
-        sim_plan=args.sim_plan,
-        sim_round_batch=args.sim_round_batch,
         workers=args.workers,
         parallel_threshold=args.parallel_threshold,
         chunk_pairs=args.chunk_pairs,
@@ -112,32 +108,10 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                              "command always uses the implication engine)")
     parser.add_argument("--scoap", action="store_true",
                         help="SCOAP-guided decision ordering (dalg engine)")
-    parser.add_argument("--no-launch-prefix", action="store_true",
-                        help="re-derive the full case premise per pair "
-                             "instead of sharing launch-assumption "
-                             "implications across same-source pairs "
-                             "(ablation; verdicts are identical)")
-    parser.add_argument("--packed-implication", default="auto",
-                        choices=("auto", "on", "off"),
-                        help="bit-parallel implication pre-pass: settle "
-                             "up to 64 (pair, a, b) cases per uint64 "
-                             "word in one packed closure before the "
-                             "scalar engine; verdicts and pair records "
-                             "are identical in every mode (default: "
-                             "auto = on for large expansions)")
     parser.add_argument("--seed", type=int, default=2002,
                         help="random-simulation seed (default: 2002)")
     parser.add_argument("--sim-words", type=int, default=4,
                         help="64-bit words per simulation round (default: 4)")
-    parser.add_argument("--sim-plan", default="compiled",
-                        choices=("compiled", "python"),
-                        help="random-simulation evaluator: compiled "
-                             "levelized plan (default) or the per-node "
-                             "python reference loop (bit-identical)")
-    parser.add_argument("--sim-round-batch", type=int, default=8,
-                        help="max simulation rounds packed into one wide "
-                             "pass (default: 8; 1 disables batching, "
-                             "results are identical)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the decision stage "
                              "(default: 1 = serial)")
@@ -453,8 +427,6 @@ def cmd_kcycle(args: argparse.Namespace) -> int:
             result = KCycleDetector(
                 circuit, k, backtrack_limit=args.backtrack_limit,
                 sim_words=args.sim_words, sim_seed=args.seed,
-                sim_plan=args.sim_plan,
-                sim_round_batch=args.sim_round_batch,
                 include_self_loops=not args.no_self_loops,
                 workers=args.workers,
                 parallel_threshold=args.parallel_threshold,

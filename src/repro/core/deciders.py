@@ -172,8 +172,6 @@ class ImplicationAtpgDecider:
             learned=learned,
             search_engine="podem" if self.name == "podem" else "dalg",
             scoap_guidance=options.scoap_guidance or self.name == "scoap",
-            share_prefix=options.launch_prefix,
-            packed=options.packed_implication,
             clock=ctx.clock,
         )
 

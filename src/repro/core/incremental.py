@@ -99,9 +99,9 @@ def options_fingerprint(
 ) -> str:
     """Digest of every option that can influence a pair's decide record.
 
-    Execution-shape options (workers, unit sizing, lane packing, the
-    launch-prefix cache) are excluded — prior PRs pin their record
-    byte-identity.  Simulation options are excluded too: the random
+    Execution-shape options (workers, unit sizing, the backplane) are
+    excluded — the differentials pin their record byte-identity.
+    Simulation options are excluded too: the random
     filter reruns fresh on every incremental pass.  When a
     globally-sensitive feature is on (learned tables, SCOAP, the
     SAT/BDD engines) the circuit's structural hash is mixed in, so any

@@ -283,8 +283,6 @@ class KCycleDetector:
         sim_words: int = 4,
         sim_max_rounds: int = 256,
         sim_seed: int = 2002,
-        sim_plan: str = "compiled",
-        sim_round_batch: int = 8,
         include_self_loops: bool = True,
         workers: int = 1,
         parallel_threshold: int = 128,
@@ -302,8 +300,6 @@ class KCycleDetector:
         self.sim_words = sim_words
         self.sim_max_rounds = sim_max_rounds
         self.sim_seed = sim_seed
-        self.sim_plan = sim_plan
-        self.sim_round_batch = sim_round_batch
         self.include_self_loops = include_self_loops
         self.workers = workers
         self.parallel_threshold = parallel_threshold
@@ -324,8 +320,6 @@ class KCycleDetector:
             sim_words=self.sim_words,
             sim_max_rounds=self.sim_max_rounds,
             sim_seed=self.sim_seed,
-            sim_plan=self.sim_plan,
-            sim_round_batch=self.sim_round_batch,
             backtrack_limit=self.backtrack_limit,
             include_self_loops=self.include_self_loops,
             workers=self.workers,

@@ -83,17 +83,6 @@ class DetectorOptions:
     search_engine: str = "dalg"
     #: SCOAP-guided decision ordering in the dalg search (ablation).
     scoap_guidance: bool = False
-    #: share launch-assumption implications across same-source pairs in
-    #: the decision session; disabling re-derives the full premise per
-    #: case (ablation — verdicts are identical either way).
-    launch_prefix: bool = True
-    #: bit-parallel implication pre-pass in the decision session: "auto"
-    #: (enabled above :data:`repro.core.session.PACKED_AUTO_MIN_NODES`
-    #: expanded nodes), "on", or "off".  Up to 64 ``(pair, a, b)`` cases
-    #: share one packed closure per uint64 word; cases needing a
-    #: backtrack search fall back to the scalar engine, so verdicts and
-    #: ``pair_records`` are byte-identical in every mode.
-    packed_implication: str = "auto"
     #: worker processes for the decision stage (1 = in-process serial).
     workers: int = 1
     #: zero-copy shared-memory backplane for parallel decision workers:
@@ -104,12 +93,6 @@ class DetectorOptions:
     #: in every mode; publishing is best-effort (a failure falls back to
     #: the pickled path).
     backplane: str = "auto"
-    #: simulation evaluator: "compiled" (levelized batched plan, default)
-    #: or "python" (the reference per-node loop).  Both are bit-identical.
-    sim_plan: str = "compiled"
-    #: max logical rounds packed into one wide simulation pass (the word
-    #: axis); results are identical for every value, 1 disables batching.
-    sim_round_batch: int = 8
     #: minimum surviving pairs before the decision stage actually shards;
     #: below it a ``workers > 1`` run falls back to in-process serial,
     #: because pool/dispatch overhead would dominate.
@@ -171,7 +154,7 @@ class AnalysisContext:
     _adopted: dict[int, TimeFrameExpansion] = field(
         default_factory=dict, repr=False
     )
-    #: cached bit simulators keyed by (words, plan mode, circuit version).
+    #: cached bit simulators keyed by (words, circuit version).
     _simulators: dict[tuple, BitSimulator] = field(
         default_factory=dict, repr=False
     )
@@ -199,10 +182,10 @@ class AnalysisContext:
         """
         if words is None:
             words = self.options.sim_words
-        key = (words, self.options.sim_plan, self.circuit.version)
+        key = (words, self.circuit.version)
         sim = self._simulators.get(key)
         if sim is None:
-            sim = BitSimulator(self.circuit, words, plan=self.options.sim_plan)
+            sim = BitSimulator(self.circuit, words)
             self._simulators[key] = sim
         return sim
 
@@ -279,7 +262,7 @@ class PipelineState:
     session: dict[str, int] | None = None
     #: implication-DB stats block (None when the DB was not enabled).
     implication_db: dict[str, float | int] | None = None
-    #: packed-implication totals (None when lane packing was disabled).
+    #: packed-implication totals (None for non-session engines).
     packed_implication: dict[str, int] | None = None
     #: hazard-stage outcome (mode "off" when the stage was disabled):
     #: per-pair three-way verdicts and pass counters.
@@ -349,12 +332,12 @@ def packed_summary(session: dict[str, int] | None) -> dict[str, int] | None:
     """Extract the packed-implication block from session counter totals.
 
     The decision session reports its lane-packing counters as
-    ``packed_*`` keys (present only when packing is enabled, summed
-    across workers by :func:`merge_session_stats`); this strips the
-    prefix into the block stored on the result and emitted as the
-    ``packed_implication`` trace event.  ``None`` when packing was off.
+    ``packed_*`` keys (summed across workers by
+    :func:`merge_session_stats`); this strips the prefix into the block
+    stored on the result and emitted as the ``packed_implication`` trace
+    event.  ``None`` for non-session engines.
     """
-    if not session or "packed_lanes" not in session:
+    if not session:
         return None
     prefix = "packed_"
     return {
@@ -390,14 +373,14 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
     """Publish the decide-stage artifacts into shared memory (best-effort).
 
     Returns ``(backplane, worker_expansion, worker_shared)`` for the
-    pool spawn: with a successful publish the expansion travels in the
-    block (workers get ``None`` and attach), and an
+    pool spawn: with a successful publish the expansion, its CSR views,
+    SimPlan and packed plan travel in the block (workers get ``None``
+    and attach), and an
     :class:`~repro.analysis.implication_db.ImplicationDB` shared table
     rides along the same way; anything else — mode "off", a non-DB
     shared payload, or a publish failure — keeps the pickled path.
     """
-    options = ctx.options
-    mode = getattr(options, "backplane", "auto")
+    mode = getattr(ctx.options, "backplane", "auto")
     if mode not in ("auto", "on", "off"):
         raise ValueError(f"unknown backplane mode {mode!r}")
     if mode == "off":
@@ -406,7 +389,6 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
         from repro.analysis.implication_db import ImplicationDB
         from repro.atpg.packed_implication import packed_plan
         from repro.circuit.csr import csr_arrays
-        from repro.core.session import PACKED_AUTO_MIN_NODES
         from repro.logic.simplan import compiled_plan
         from repro.store.backplane import publish
 
@@ -415,12 +397,8 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
             ("expansion", expansion),
             ("csr-arrays", csr_arrays(comb)),
             ("simplan", compiled_plan(comb)),
+            ("packed-implication", packed_plan(comb)),
         ]
-        packed = options.packed_implication
-        if packed == "on" or (
-            packed == "auto" and comb.num_nodes >= PACKED_AUTO_MIN_NODES
-        ):
-            artifacts.append(("packed-implication", packed_plan(comb)))
         worker_shared = shared
         if isinstance(shared, ImplicationDB):
             artifacts.append(("implication-db", shared))

@@ -214,7 +214,6 @@ def _run_rounds(
     max_rounds: int,
     seed: int,
     sim: BitSimulator | None,
-    plan: str,
     round_batch: int,
 ) -> tuple[int, int]:
     """The shared super-round engine; returns ``(rounds, patterns)``.
@@ -230,15 +229,14 @@ def _run_rounds(
 
     # One simulator per super-round width, reused across the whole run.
     sims: dict[int, BitSimulator] = {}
+    plan = None
     if sim is not None:
         if sim.circuit is not circuit or sim.words != words:
             raise ValueError(
                 "sim was built for a different circuit or word width"
             )
         sims[words] = sim
-        plan_arg: object = sim.plan if sim.plan is not None else "python"
-    else:
-        plan_arg = plan
+        plan = sim.plan
 
     sources = circuit.inputs + circuit.dffs
     pis = circuit.inputs
@@ -252,7 +250,7 @@ def _run_rounds(
         width = k * words
         wide = sims.get(width)
         if wide is None:
-            wide = BitSimulator(circuit, width, plan=plan_arg)
+            wide = BitSimulator(circuit, width, plan=plan)
             sims[width] = wide
 
         # Draw per logical round, in the exact order the round-by-round
@@ -315,7 +313,6 @@ def _filter_core(
     max_rounds: int,
     seed: int,
     sim: BitSimulator | None,
-    plan: str,
     round_batch: int,
 ) -> RandomFilterReport:
     """Shared core of :func:`random_filter` and :func:`random_filter_k`.
@@ -328,8 +325,7 @@ def _filter_core(
         return RandomFilterReport([], [], 0, 0)
     strategy = _PairListDrops(circuit, pairs)
     rounds, patterns = _run_rounds(
-        circuit, strategy, frames, words, max_rounds, seed, sim, plan,
-        round_batch,
+        circuit, strategy, frames, words, max_rounds, seed, sim, round_batch
     )
     alive = strategy.alive
     survivors = [p for p, live in zip(pairs, alive) if live]
@@ -349,7 +345,6 @@ def random_filter(
     max_rounds: int = 256,
     seed: int = 2002,
     sim: BitSimulator | None = None,
-    plan: str = "compiled",
     round_batch: int = ROUND_BATCH,
 ) -> RandomFilterReport:
     """Drop pairs whose MC condition is refuted by random simulation.
@@ -361,7 +356,7 @@ def random_filter(
     super-round simulators the run creates).
     """
     return _filter_core(
-        circuit, pairs, 2, words, max_rounds, seed, sim, plan, round_batch
+        circuit, pairs, 2, words, max_rounds, seed, sim, round_batch
     )
 
 
@@ -373,7 +368,6 @@ def random_filter_k(
     max_rounds: int = 256,
     seed: int = 2002,
     sim: BitSimulator | None = None,
-    plan: str = "compiled",
     round_batch: int = ROUND_BATCH,
 ) -> RandomFilterReport:
     """k-cycle variant of :func:`random_filter`.
@@ -386,7 +380,7 @@ def random_filter_k(
     if k < 2:
         raise ValueError("k must be >= 2")
     return _filter_core(
-        circuit, pairs, k, words, max_rounds, seed, sim, plan, round_batch
+        circuit, pairs, k, words, max_rounds, seed, sim, round_batch
     )
 
 
@@ -398,7 +392,6 @@ def random_filter_packed(
     max_rounds: int = 256,
     seed: int = 2002,
     sim: BitSimulator | None = None,
-    plan: str = "compiled",
     round_batch: int = ROUND_BATCH,
 ) -> PackedFilterReport:
     """The random filter over a packed pair matrix (the launch-group fold).
@@ -427,8 +420,7 @@ def random_filter_packed(
         return PackedFilterReport(alive, 0, 0, 0)
     strategy = _PackedDrops(alive)
     rounds, patterns = _run_rounds(
-        circuit, strategy, frames, words, max_rounds, seed, sim, plan,
-        round_batch,
+        circuit, strategy, frames, words, max_rounds, seed, sim, round_batch
     )
     return PackedFilterReport(
         alive=alive, rounds=rounds, patterns=patterns, initial=initial

@@ -192,9 +192,9 @@ class DetectionResult:
     #: set.  Observability only — excluded from :meth:`pair_records`.
     implication_db: dict[str, float | int] | None = None
     #: packed-implication pre-pass totals (lanes packed, lanes resolved,
-    #: scalar fallbacks, closures/visits/microseconds); ``None`` when
-    #: lane packing was disabled.  Observability only — the packed path
-    #: never changes classifications or :meth:`pair_records`.
+    #: scalar fallbacks, closures/visits/microseconds); ``None`` for
+    #: non-session engines (sat/bdd).  Observability only — the packed
+    #: path never changes classifications or :meth:`pair_records`.
     packed_implication: dict[str, int] | None = None
     #: hazard-validation mode the pipeline ran: "off" or "exact".
     hazard_mode: str = "off"

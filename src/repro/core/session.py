@@ -2,11 +2,10 @@
 
 The MC condition of every case ``(a, b)`` for a pair ``(FF_i, FF_j)``
 starts from the same *launch* assumption ``FF_i(t)=a, FF_i(t+1)=¬a`` —
-identical for every pair sharing the launching FF.  The per-pair analyzer
-(:class:`~repro.core.pair_analysis.PairAnalyzer`) re-derives its
-implications from scratch four times per pair; a
-:class:`DecisionSession` instead walks the surviving pairs in *launch
-runs* (consecutive pairs with the same source, which is how
+identical for every pair sharing the launching FF.  Re-deriving the
+full three-assumption premise per case repeats that work four times per
+pair; a :class:`DecisionSession` instead walks the surviving pairs in
+*launch runs* (consecutive pairs with the same source, which is how
 :func:`~repro.circuit.topology.connected_ff_pairs` orders them), pushes
 each launch assumption once per ``(FF_i, a)``, keeps the implied trail
 segment on the engine, and per pair/case only replays the capture-side
@@ -24,7 +23,14 @@ reaches the same fixpoint the one-shot ``assume_all`` did, and every
 downstream search starts from an identical state — verdicts, decision
 and backtrack counts, and witnesses all match byte for byte.  The
 property tests in ``tests/core/test_session.py`` pin this down against
-the fresh-engine oracle.
+the full-premise-per-case oracle (``tests/core/pair_analysis.py``).
+
+Before the scalar walk, every group's cases run through the
+bit-parallel closure of :mod:`repro.atpg.packed_implication`: each
+``(pair, a, b)`` case is one lane, and every lane the closure proves
+contradicted or implied-stable skips the scalar engine entirely.  Cases
+needing a backtrack search fall back to the scalar walk, so the records
+are the ones the scalar walk alone would produce.
 
 The session runs on the O(1)-checkpoint array engine of
 :mod:`repro.atpg.implication` and is what the ``dalg``/``podem``/
@@ -54,15 +60,6 @@ from repro.core.result import (
 
 #: available backtrack-search engines (paper §4.5 compares these styles)
 SEARCH_ENGINES = ("dalg", "podem")
-
-#: ``packed`` modes accepted by :class:`DecisionSession` (and the CLI).
-PACKED_MODES = ("auto", "on", "off")
-
-#: ``packed="auto"`` enables lane packing at this many expanded
-#: combinational nodes.  Below it the per-closure bookkeeping of the
-#: packed engine rivals what the scalar cases cost outright; above it
-#: the shared closure wins and keeps winning as circuits grow.
-PACKED_AUTO_MIN_NODES = 160
 
 #: a decided case resolved by the packed closure — mapping key is
 #: ``(pair index in the group, a, b)``.
@@ -96,20 +93,10 @@ class DecisionSession:
 
     Built once per expanded circuit (per process); :meth:`decide_group`
     settles a list of pairs and returns ``(PairResult, seconds)`` per
-    pair in input order.  ``share_prefix=False`` disables the launch
-    cache (each case re-derives the full three-assumption premise, the
-    pre-session behaviour) — an ablation switch, reached through
-    ``DetectorOptions.launch_prefix`` / ``--no-launch-prefix``.
-
-    ``packed`` ("auto"/"on"/"off", via ``--packed-implication``) runs
-    the group's cases through the bit-parallel closure of
-    :mod:`repro.atpg.packed_implication` first: up to 64 cases per
-    uint64 word share one implication fixpoint, and every case it
-    proves contradicted or implied-stable skips the scalar engine
-    entirely.  Cases needing a backtrack search fall back to the scalar
-    path, so verdicts and ``pair_records`` are byte-identical in every
-    mode; "auto" enables packing at :data:`PACKED_AUTO_MIN_NODES`
-    expanded nodes.
+    pair in input order.  Each group first runs through the packed
+    pre-pass (:meth:`_packed_resolve`: 64 cases per uint64 word share
+    one implication fixpoint), then the scalar launch-run walk settles
+    the cases the pre-pass left open.
     """
 
     def __init__(
@@ -120,24 +107,14 @@ class DecisionSession:
         learned: LearnedTable | None = None,
         search_engine: str = "dalg",
         scoap_guidance: bool = False,
-        share_prefix: bool = True,
-        packed: str = "off",
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if expansion.frames < 2:
             raise ValueError("pair decisions need at least a 2-frame expansion")
         if search_engine not in SEARCH_ENGINES:
             raise ValueError(f"unknown search engine {search_engine!r}")
-        if packed not in PACKED_MODES:
-            raise ValueError(f"unknown packed mode {packed!r}")
         self.expansion = expansion
         self.backtrack_limit = backtrack_limit
-        self.share_prefix = share_prefix
-        self.packed_mode = packed
-        self.packed_enabled = packed == "on" or (
-            packed == "auto"
-            and expansion.comb.num_nodes >= PACKED_AUTO_MIN_NODES
-        )
         self._learned = learned
         self._packed_engine = None
         # ff_at rows t, t+1, t+2 as one (3, FFs) gather table
@@ -174,31 +151,25 @@ class DecisionSession:
     def stats(self) -> dict[str, int]:
         """Counter snapshot for the ``decision_session`` summary event.
 
-        The packed counters appear only when lane packing is enabled, so
-        the default-off snapshot (and the reports built from it) is
-        unchanged.  Packing shifts work between counters — lanes the
-        packed closure settles never touch the scalar engine, so
-        ``implications`` and the prefix counters drop while the case
-        records stay byte-identical; the packed block is what accounts
-        for the difference.
+        Lanes the packed closure settles never touch the scalar engine,
+        so ``implications`` and the prefix counters count only the
+        scalar walk; the ``packed_*`` counters account for the rest.
         """
-        stats = {
+        packed = self._packed_engine
+        return {
             "pairs": self.pairs_decided,
             "prefix_hits": self.prefix_hits,
             "prefix_misses": self.prefix_misses,
             "launch_conflicts": self.launch_conflicts,
             "implications": self.engine.implications,
             "trail_high_water": self.trail_high_water,
+            "packed_lanes": self.packed_lanes,
+            "packed_resolved": self.packed_resolved,
+            "packed_fallbacks": self.packed_fallbacks,
+            "packed_closures": packed.closures if packed else 0,
+            "packed_visits": packed.visits if packed else 0,
+            "packed_us": self.packed_us,
         }
-        if self.packed_enabled:
-            packed = self._packed_engine
-            stats["packed_lanes"] = self.packed_lanes
-            stats["packed_resolved"] = self.packed_resolved
-            stats["packed_fallbacks"] = self.packed_fallbacks
-            stats["packed_closures"] = packed.closures if packed else 0
-            stats["packed_visits"] = packed.visits if packed else 0
-            stats["packed_us"] = self.packed_us
-        return stats
 
     # ------------------------------------------------------------------
     # Deciding.
@@ -211,27 +182,18 @@ class DecisionSession:
         self, pairs: Sequence[FFPair]
     ) -> list[tuple[PairResult, float]]:
         """Settle ``pairs`` in order; returns ``(result, seconds)`` each."""
-        out: list[tuple[PairResult, float] | None] = [None] * len(pairs)
-        resolved: PackedResolved | None = None
-        packed_share = 0.0
-        if self.packed_enabled and pairs:
-            started = self.clock()
-            resolved = self._packed_resolve(pairs)
-            packed_share = (self.clock() - started) / len(pairs)
-        if self.share_prefix:
-            for start, end in launch_runs(pairs):
-                self._decide_run(pairs, start, end, out, resolved)
-        else:
-            for index, pair in enumerate(pairs):
-                out[index] = self._decide_fresh(pair, index, resolved)
+        if not pairs:
+            return []
+        out: list = [None] * len(pairs)
+        started = self.clock()
+        resolved = self._packed_resolve(pairs)
+        packed_share = (self.clock() - started) / len(pairs)
+        for start, end in launch_runs(pairs):
+            self._decide_run(pairs, start, end, out, resolved)
         self.pairs_decided += len(pairs)
-        if packed_share:
-            # The shared closure's cost is attributed evenly — per-pair
-            # seconds stay meaningful and the group total is exact.
-            for index, entry in enumerate(out):
-                if entry is not None:
-                    out[index] = (entry[0], entry[1] + packed_share)
-        return out  # type: ignore[return-value]
+        # The shared closure's cost is attributed evenly — per-pair
+        # seconds stay meaningful and the group total is exact.
+        return [(result, seconds + packed_share) for result, seconds in out]
 
     # ------------------------------------------------------------------
     # Packed pre-pass.
@@ -324,7 +286,7 @@ class DecisionSession:
         start: int,
         end: int,
         out: list,
-        resolved: PackedResolved | None = None,
+        resolved: PackedResolved,
     ) -> None:
         """Settle one same-source run, sharing the launch prefixes.
 
@@ -366,9 +328,7 @@ class DecisionSession:
                 prefix_counted = False
                 ffj_t1 = ffj_t2 = -1
                 for b in BINARY:
-                    case = None
-                    if resolved is not None:
-                        case = resolved.get((start + i, a, b))
+                    case = resolved.get((start + i, a, b))
                     if case is None:
                         if prefix_ok is None:
                             mark = engine.checkpoint()
@@ -432,68 +392,6 @@ class DecisionSession:
             )
             out[start + i] = (result, seconds[i])
 
-    def _decide_fresh(
-        self,
-        pair: FFPair,
-        index: int = 0,
-        resolved: PackedResolved | None = None,
-    ) -> tuple[PairResult, float]:
-        """Full-premise path (``share_prefix=False``): the pre-session flow."""
-        expansion = self.expansion
-        engine = self.engine
-        started = self.clock()
-        posted_before = engine.implications
-        source_index = expansion.ff_index(pair.source)
-        sink_index = expansion.ff_index(pair.sink)
-        ffi_t = expansion.ff_at[0][source_index]
-        ffi_t1 = expansion.ff_at[1][source_index]
-        ffj_t1 = expansion.ff_at[1][sink_index]
-        ffj_t2 = expansion.ff_at[2][sink_index]
-
-        cases: list[CaseResult] = []
-        verdict: tuple[Classification, Stage] | None = None
-        used_search = False
-        for a in BINARY:
-            for b in BINARY:
-                case = None
-                if resolved is not None:
-                    case = resolved.get((index, a, b))
-                if case is None:
-                    case = self._premise_case(
-                        ffi_t, ffi_t1, ffj_t1, ffj_t2, a, b
-                    )
-                cases.append(case)
-                if case.decisions:
-                    used_search = True
-                if case.outcome is CaseOutcome.VIOLATED:
-                    verdict = (
-                        Classification.SINGLE_CYCLE,
-                        Stage.ATPG if case.decisions else Stage.IMPLICATION,
-                    )
-                    break
-                if case.outcome is CaseOutcome.ABORTED:
-                    verdict = (Classification.UNDECIDED, Stage.ATPG)
-                    break
-            if verdict is not None:
-                break
-        if verdict is not None:
-            classification, stage = verdict
-        else:
-            classification = Classification.MULTI_CYCLE
-            stage = Stage.ATPG if used_search else Stage.IMPLICATION
-        result = PairResult(
-            pair,
-            classification,
-            stage,
-            cases,
-            metrics={
-                "implications": engine.implications - posted_before,
-                "prefix_hits": 0,
-                "prefix_misses": 0,
-            },
-        )
-        return result, self.clock() - started
-
     # ------------------------------------------------------------------
     # Case analysis.
     # ------------------------------------------------------------------
@@ -511,27 +409,22 @@ class DecisionSession:
         finally:
             engine.backtrack(mark)
 
-    def _premise_case(
-        self, ffi_t: int, ffi_t1: int, ffj_t1: int, ffj_t2: int, a: int, b: int
-    ) -> CaseResult:
-        """One case deriving the full three-assumption premise from scratch."""
-        engine = self.engine
-        mark = engine.checkpoint()
-        try:
-            premise = [(ffi_t, a), (ffi_t1, 1 - a), (ffj_t1, b)]
-            if not engine.assume_all(premise):
-                return CaseResult(a, b, CaseOutcome.CONTRADICTION)
-            self._note_high_water()
-            return self._case_tail(ffj_t2, a, b)
-        finally:
-            engine.backtrack(mark)
-
     def _case_tail(self, ffj_t2: int, a: int, b: int) -> CaseResult:
-        """Shared post-premise logic: implied value checks + searches.
+        """Post-premise logic: implied value checks + searches.
 
-        Mirrors :meth:`PairAnalyzer._analyze_case` (including the
-        justifiability confirmation refinement over the paper's Step
-        4.1.3 — see that module's docstring).
+        With the premise ``FF_i(t)=a, FF_i(t+1)=¬a, FF_j(t+1)=b``
+        propagated, the case closes when ``FF_j(t+2)=b`` is implied (the
+        MC condition holds); otherwise a search for an input pattern
+        with ``FF_j(t+2)=¬b`` either finds one (the pair is
+        single-cycle) or proves none exists.
+
+        One refinement over the paper's Step 4.1.3: when implication
+        derives ``FF_j(t+2)=¬b`` the paper immediately declares the
+        pair single-cycle.  That conclusion needs the assumed values to
+        be justifiable, so the justification search confirms it (it
+        starts from the implied state and is near-instant); an
+        unjustifiable premise is treated like the contradiction case.
+        See DESIGN.md "Algorithmic notes".
         """
         engine = self.engine
         implied = engine.value(ffj_t2)

@@ -164,13 +164,10 @@ class StreamingStage:
                 max_rounds=options.sim_max_rounds,
                 seed=options.sim_seed,
                 sim=ctx.bit_simulator(options.sim_words),
-                round_batch=options.sim_round_batch,
             )
             seconds = ctx.clock() - sim_started
             ctx.emit(
                 "random_sim",
-                plan=options.sim_plan,
-                round_batch=options.sim_round_batch,
                 frames=self.frames,
                 rounds=report.rounds,
                 patterns=report.patterns,
@@ -225,7 +222,6 @@ class StreamingStage:
             ctx.emit(
                 "packed_implication",
                 engine=decider.name,
-                mode=options.packed_implication,
                 **state.packed_implication,
             )
         fold.disagreements.sort(key=lambda d: (d.pair.source, d.pair.sink))

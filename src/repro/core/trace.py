@@ -38,16 +38,16 @@ Event types emitted by the pipeline:
     sizing (``unit_pairs``/``split``/``max_pairs_in_flight``) plus
     per-worker unit/pair/second totals from the work-stealing queue.
 ``packed_implication``
-    One per run with lane packing enabled (``--packed-implication``):
-    the resolved mode plus the packed pre-pass totals — lanes packed,
-    lanes resolved without the scalar engine, scalar fallbacks, and the
-    closure/visit/microsecond counters of the packed engine.
+    One per run of a session engine (``dalg``/``podem``/``scoap``): the
+    packed pre-pass totals — lanes packed, lanes resolved without the
+    scalar engine, scalar fallbacks, and the closure/visit/microsecond
+    counters of the packed engine.
 ``stream_topology``
     One per run: launch-group and connected-pair totals, whether the
     packed reachability matrix was built in row blocks, and seconds.
 ``random_sim``
-    One per run with random simulation: rounds, patterns, dropped
-    pairs and seconds.
+    One per run with random simulation: frames, rounds, patterns,
+    dropped pairs, seconds and patterns per second.
 ``launch_group``
     One per launch group once all its pairs are folded into the result:
     ``group_index``/``groups_total``, the launching FF, the group's

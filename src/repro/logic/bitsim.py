@@ -6,18 +6,14 @@ patterns at once, and the MC-condition check per FF pair becomes three
 bitwise operations.  With a word-batch width ``W`` the simulator evaluates
 ``64 * W`` patterns per pass over the netlist.
 
-Two evaluation strategies share one simulator:
-
-* ``plan="compiled"`` (default) — the levelized, gate-type-batched
-  :class:`~repro.logic.simplan.SimPlan`; a few whole-array kernels per
-  level, no per-gate Python.  Plans are cached on the circuit, so every
-  simulator of the same netlist shares one.
-* ``plan="python"`` — the original per-node loop, kept as the reference
-  implementation the compiled plan is property-tested against.
-
-Both produce bit-identical values.  Simulators are designed to be
-*reused*: :func:`simulate_frames` accepts a caller-held simulator and
-refreshes its sources in place instead of reallocating buffers per round.
+Evaluation runs the levelized, gate-type-batched
+:class:`~repro.logic.simplan.SimPlan`: a few whole-array kernels per
+level, no per-gate Python.  Plans are cached on the circuit, so every
+simulator of the same netlist shares one.  (The original per-node loop
+survives as the test oracle ``tests/logic/python_sim.py``.)  Simulators
+are designed to be *reused*: :func:`simulate_frames` accepts a
+caller-held simulator and refreshes its sources in place instead of
+reallocating buffers per round.
 
 :class:`TernarySimulator` extends the same compiled plan to three-valued
 lanes — two bit planes (value/care) encode {0, 1, X} per bit, and the
@@ -35,9 +31,6 @@ from repro.logic.simplan import SimPlan, compiled_plan
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: accepted ``plan`` arguments besides a :class:`SimPlan` instance.
-PLAN_MODES = ("compiled", "python")
-
 
 class BitSimulator:
     """Evaluate the combinational part over packed 64-bit pattern words.
@@ -47,38 +40,23 @@ class BitSimulator:
     view into a slightly larger internal buffer whose two extra rows hold
     the compiled plan's padding identities; assigning to ``values``
     copies into the buffer, so plan evaluation keeps working after
-    wholesale replacement.
+    wholesale replacement.  ``plan=None`` uses the circuit's cached
+    compiled plan.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         words: int = 4,
-        plan: SimPlan | str = "compiled",
+        plan: SimPlan | None = None,
     ) -> None:
         if words < 1:
             raise ValueError("words must be >= 1")
         self.circuit = circuit
         self.words = words
-        if isinstance(plan, SimPlan):
-            self.plan: SimPlan | None = plan
-        elif plan == "compiled":
-            self.plan = compiled_plan(circuit)
-        elif plan == "python":
-            self.plan = None
-        else:
-            raise ValueError(
-                f"unknown plan {plan!r}; expected a SimPlan or one of "
-                f"{PLAN_MODES}"
-            )
-        if self.plan is not None and self.plan.num_nodes != circuit.num_nodes:
+        self.plan = compiled_plan(circuit) if plan is None else plan
+        if self.plan.num_nodes != circuit.num_nodes:
             raise ValueError("plan was compiled for a different circuit")
-        self._order = [
-            n
-            for n in circuit.topo_order()
-            if circuit.types[n]
-            not in (GateType.INPUT, GateType.DFF, GateType.CONST0, GateType.CONST1)
-        ] if self.plan is None else []
         self._buf = np.zeros((circuit.num_nodes + 2, words), dtype=np.uint64)
         self._buf[circuit.num_nodes + 1] = _ALL_ONES
         for node_id in circuit.ids_of_type(GateType.CONST1):
@@ -113,43 +91,7 @@ class BitSimulator:
 
     def comb_eval(self) -> None:
         """Evaluate all combinational nodes in topological order."""
-        if self.plan is not None:
-            self.plan.run(self._buf)
-        else:
-            self._comb_eval_python()
-
-    def _comb_eval_python(self) -> None:
-        """Reference per-node evaluation loop (the pre-plan implementation)."""
-        values = self.values
-        types = self.circuit.types
-        fanins = self.circuit.fanins
-        for node_id in self._order:
-            gate_type = types[node_id]
-            fins = fanins[node_id]
-            if gate_type in (GateType.BUF, GateType.OUTPUT):
-                values[node_id] = values[fins[0]]
-            elif gate_type == GateType.NOT:
-                values[node_id] = ~values[fins[0]]
-            elif gate_type == GateType.AND or gate_type == GateType.NAND:
-                acc = values[fins[0]].copy()
-                for fanin in fins[1:]:
-                    acc &= values[fanin]
-                values[node_id] = ~acc if gate_type == GateType.NAND else acc
-            elif gate_type == GateType.OR or gate_type == GateType.NOR:
-                acc = values[fins[0]].copy()
-                for fanin in fins[1:]:
-                    acc |= values[fanin]
-                values[node_id] = ~acc if gate_type == GateType.NOR else acc
-            elif gate_type == GateType.XOR or gate_type == GateType.XNOR:
-                acc = values[fins[0]].copy()
-                for fanin in fins[1:]:
-                    acc ^= values[fanin]
-                values[node_id] = ~acc if gate_type == GateType.XNOR else acc
-            elif gate_type == GateType.MUX:
-                select = values[fins[0]]
-                values[node_id] = (~select & values[fins[1]]) | (select & values[fins[2]])
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unexpected gate type {gate_type}")
+        self.plan.run(self._buf)
 
     def clock(self) -> None:
         """Capture every DFF's D value (call after :meth:`comb_eval`)."""

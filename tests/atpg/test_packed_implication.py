@@ -7,15 +7,15 @@ differential: seed both engines identically (random circuits with
 self-loop FFs, constant-driven cones, learned tables, lane counts below
 and above one 64-bit word) and compare states bit for bit.  On top of
 the closure identity, the decision-session tests pin the end-to-end
-contract of ``--packed-implication``: classifications, stages and case
-records are byte-identical with the pre-pass on or off.
+contract of the packed pre-pass: classifications, stages and case
+records are byte-identical to a session whose pre-pass settles nothing
+(``ScalarSession``).
 """
 
 import random
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.implication_db import implication_db
 from repro.circuit.builder import CircuitBuilder
@@ -29,6 +29,7 @@ from repro.atpg.packed_implication import (
     packed_plan,
 )
 
+from tests.core.pair_analysis import ScalarSession
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -196,23 +197,19 @@ def test_packed_plan_is_cached_per_version():
     assert packed_plan(circuit) is packed_plan(circuit)
 
 
-@given(seeds, st.booleans())
-def test_session_records_identical_packed_on_off(seed, share_prefix):
-    """The end-to-end contract: ``packed="on"`` and ``"off"`` produce
-    byte-identical classifications, stages and case records — launch
-    groups smaller than one word, self-loops and constant cones
-    included."""
+@given(seeds)
+def test_session_records_identical_packed_on_off(seed):
+    """The end-to-end contract: the packed pre-pass and the scalar walk
+    alone produce byte-identical classifications, stages and case
+    records — launch groups smaller than one word, self-loops and
+    constant cones included."""
     circuit = random_sequential_circuit(seed)
     pairs = connected_ff_pairs(circuit)
     if not pairs:
         return
     expansion = expand_cached(circuit, frames=2)
-    scalar = DecisionSession(
-        expansion, share_prefix=share_prefix, packed="off"
-    )
-    packed = DecisionSession(
-        expansion, share_prefix=share_prefix, packed="on"
-    )
+    scalar = ScalarSession(expansion)
+    packed = DecisionSession(expansion)
     reference = scalar.decide_group(pairs)
     candidate = packed.decide_group(pairs)
     for (expected, _), (actual, _) in zip(reference, candidate):
@@ -236,8 +233,8 @@ def test_session_records_identical_with_learned(seed):
         return
     expansion = expand_cached(circuit, frames=2)
     learned = implication_db(expansion.comb)
-    scalar = DecisionSession(expansion, learned=learned, packed="off")
-    packed = DecisionSession(expansion, learned=learned, packed="on")
+    scalar = ScalarSession(expansion, learned=learned)
+    packed = DecisionSession(expansion, learned=learned)
     for (expected, _), (actual, _) in zip(
         scalar.decide_group(pairs), packed.decide_group(pairs)
     ):

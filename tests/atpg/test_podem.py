@@ -145,7 +145,7 @@ def test_unknown_engine_rejected(fig1):
     import pytest
 
     from repro.circuit.timeframe import expand
-    from repro.core.pair_analysis import PairAnalyzer
+    from repro.core.session import DecisionSession
 
     with pytest.raises(ValueError):
-        PairAnalyzer(expand(fig1, 2), search_engine="magic")
+        DecisionSession(expand(fig1, 2), search_engine="magic")

@@ -76,7 +76,6 @@ def staged_detect(
             max_rounds=options.sim_max_rounds,
             seed=options.sim_seed,
             sim=ctx.bit_simulator(options.sim_words),
-            round_batch=options.sim_round_batch,
         )
         if frames == 2:
             report = random_filter(circuit, pairs, **sim)

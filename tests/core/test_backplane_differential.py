@@ -70,8 +70,7 @@ def test_backplane_matches_on_paper_circuits():
     for circuit in (fig1_circuit(), s27()):
         _assert_identical(circuit)
         _assert_identical(circuit, chunk_pairs=2)
-        _assert_identical(circuit, packed_implication="on",
-                          implication_db=True)
+        _assert_identical(circuit, implication_db=True)
 
 
 def test_backplane_publishes_on_paper_circuit():

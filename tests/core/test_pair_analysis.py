@@ -1,11 +1,12 @@
-"""Case-level behaviour of the implication+ATPG pair analyser."""
+"""Case-level behaviour of the implication+ATPG pair analyser oracle."""
 
 import pytest
 
 from repro.circuit.timeframe import expand
 from repro.circuit.topology import FFPair
-from repro.core.pair_analysis import PairAnalyzer
 from repro.core.result import CaseOutcome, Classification, Stage
+
+from tests.core.pair_analysis import PairAnalyzer
 
 
 def test_fig1_ff1_ff2_settled_by_implication(fig1):

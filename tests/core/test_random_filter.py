@@ -103,8 +103,10 @@ def _report_key(report):
 @given(seeds)
 def test_round_batching_never_changes_results(seed):
     """Super-round width is an execution detail: every ``round_batch``
-    (and both evaluation plans) must produce the same report."""
+    (and the per-node reference evaluator) must produce the same
+    report."""
     from repro.core.random_filter import random_filter_k
+    from tests.logic.python_sim import PythonBitSimulator
 
     circuit = random_sequential_circuit(seed, max_inputs=2, max_dffs=3,
                                         max_gates=8)
@@ -115,7 +117,9 @@ def test_round_batching_never_changes_results(seed):
             random_filter(circuit, pairs, round_batch=round_batch)
         ) == _report_key(baseline)
     assert _report_key(
-        random_filter(circuit, pairs, plan="python")
+        random_filter(
+            circuit, pairs, sim=PythonBitSimulator(circuit), round_batch=1
+        )
     ) == _report_key(baseline)
     baseline_k = random_filter_k(circuit, pairs, 3, round_batch=1)
     assert _report_key(
@@ -211,7 +215,7 @@ def test_packed_filter_matches_pair_list_across_words_and_blocks():
     assert alive.shape[1] == 2
     strategy = _PackedDrops(alive.copy(), block_rows=5)
     rounds, patterns = _run_rounds(
-        circuit, strategy, 2, 4, 256, 2002, None, "compiled", 8
+        circuit, strategy, 2, 4, 256, 2002, None, 8
     )
     assert (rounds, patterns) == (reference.rounds, reference.patterns)
     report = SimpleNamespace(alive=strategy.alive)

@@ -1,13 +1,16 @@
 """DecisionSession: shared-launch prefixes must be invisible in results.
 
 The session splits each case premise into a cached launch prefix plus a
-per-pair capture suffix.  The confluence argument in
-``repro.core.session`` claims this cannot change anything observable —
-verdicts, stage attribution, case lists, decision/backtrack counts,
-witnesses.  These tests pin that claim against the fresh-engine oracle
-(:class:`PairAnalyzer`, one engine per pair), against the brute-force
-simulator, and across arbitrary pair orderings; plus the launch-group
-sharding and observability plumbing the pipeline builds on top.
+per-pair capture suffix, after a packed pre-pass that settles the
+search-free cases.  The confluence argument in ``repro.core.session``
+claims this cannot change anything observable — verdicts, stage
+attribution, case lists, decision/backtrack counts, witnesses.  These
+tests pin that claim against the fresh-engine oracle
+(:class:`PairAnalyzer`, one engine per pair, full premise per case),
+against the brute-force simulator, and across arbitrary pair orderings;
+plus the launch-group sharding and observability plumbing the pipeline
+builds on top.  Tests of the scalar walk's own counters run on
+:class:`ScalarSession`, so that packing cannot leave them vacuous.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from repro.circuit.timeframe import expand_cached
 from repro.circuit.topology import FFPair, connected_ff_pairs
 from repro.core.brute import brute_force_mc_pairs
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.pair_analysis import PairAnalyzer
 from repro.core.result import Classification
 from repro.core.session import DecisionSession, launch_runs
 from repro.core.trace import Tracer
 from repro.core.workqueue import launch_units
+from tests.core.pair_analysis import PairAnalyzer, ScalarSession
 from tests.strategies import random_sequential_circuit, seeds, shuffled
 
 
@@ -41,9 +44,9 @@ def oracle_results(circuit, pairs, search_engine="dalg"):
     return out
 
 
-def session_results(circuit, pairs, **kwargs):
+def session_results(circuit, pairs, session_class=DecisionSession, **kwargs):
     expansion = expand_cached(circuit, frames=3)
-    session = DecisionSession(expansion, **kwargs)
+    session = session_class(expansion, **kwargs)
     return [result for result, _ in session.decide_group(pairs)], session
 
 
@@ -79,19 +82,6 @@ def test_session_podem_matches_oracle(seed):
     assert got == expected
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=seeds)
-def test_prefix_sharing_is_invisible(seed):
-    """share_prefix=False (full premise per case) changes nothing."""
-    circuit = random_sequential_circuit(seed)
-    pairs = connected_ff_pairs(circuit)
-    if not pairs:
-        return
-    shared, _ = session_results(circuit, pairs, share_prefix=True)
-    fresh, _ = session_results(circuit, pairs, share_prefix=False)
-    assert shared == fresh
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds)
 def test_session_agrees_with_brute_force(seed):
@@ -114,7 +104,7 @@ def test_session_agrees_with_brute_force(seed):
 # ----------------------------------------------------------------------
 def test_counters_account_for_every_pair(fig1):
     pairs = connected_ff_pairs(fig1)
-    results, session = session_results(fig1, pairs)
+    results, session = session_results(fig1, pairs, ScalarSession)
     stats = session.stats()
     assert stats["pairs"] == len(pairs) == len(results)
     # One miss per (launch FF, polarity) actually reached; each further
@@ -133,7 +123,7 @@ def test_prefix_cache_hits_within_a_launch_group():
     pairs = connected_ff_pairs(circuit)
     runs = launch_runs(pairs)
     assert sum(end - start for start, end in runs) == len(pairs)
-    results, session = session_results(circuit, pairs)
+    results, session = session_results(circuit, pairs, ScalarSession)
     multi_pair_runs = [(s, e) for s, e in runs if e - s > 1]
     if multi_pair_runs:
         assert session.prefix_hits > 0
@@ -210,12 +200,18 @@ def test_detection_result_carries_session_counters(fig1):
     result = MultiCycleDetector(fig1, DetectorOptions()).run()
     session = result.decision_session
     assert session is not None
-    assert session["implications"] > 0
+    # fig1's packed closure settles every case: the scalar walk never runs.
+    assert session["packed_lanes"] == 4 * session["pairs"] > 0
+    assert session["packed_resolved"] == session["packed_lanes"]
+    assert session["packed_fallbacks"] == 0
+    assert session["implications"] == 0
+    assert result.packed_implication["lanes"] == session["packed_lanes"]
     # sat decider has no session.
     sat = MultiCycleDetector(
         fig1, DetectorOptions(search_engine="sat")
     ).run()
     assert sat.decision_session is None
+    assert sat.packed_implication is None
 
 
 def test_parallel_session_records_match_serial():

@@ -41,8 +41,19 @@ def _run(circuit, tracer=None, **kw):
     ).run()
 
 
+#: session counters that follow the unit split (closures, gate visits)
+#: or the wall clock (microseconds), not the verdicts.
+_UNIT_SHAPED = ("packed_closures", "packed_visits", "packed_us")
+
+
 def _fingerprint(result):
     """Everything the differential must hold equal (no wall-clock floats)."""
+    session = result.decision_session
+    if session is not None:
+        session = {
+            key: value for key, value in session.items()
+            if key not in _UNIT_SHAPED
+        }
     return (
         json.dumps(result.pair_records(), sort_keys=True),
         result.connected_pairs,
@@ -50,7 +61,7 @@ def _fingerprint(result):
             stage.name: (s.multi_cycle, s.single_cycle, s.undecided)
             for stage, s in result.stats.items()
         },
-        result.decision_session,
+        session,
         result.learned_implications,
         result.engine,
         result.hazard_mode,

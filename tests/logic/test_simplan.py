@@ -23,13 +23,14 @@ from repro.logic.bitsim import BitSimulator
 from repro.logic.simplan import SimPlan, compiled_plan
 from repro.logic.simulator import Simulator
 
+from tests.logic.python_sim import PythonBitSimulator
 from tests.strategies import random_sequential_circuit, seeds
 
 
 def _randomized_pair(circuit, rng_seed, words=2):
     """Compiled and python simulators holding identical random sources."""
-    compiled = BitSimulator(circuit, words=words, plan="compiled")
-    python = BitSimulator(circuit, words=words, plan="python")
+    compiled = BitSimulator(circuit, words=words)
+    python = PythonBitSimulator(circuit, words=words)
     rng = np.random.default_rng(rng_seed)
     compiled.randomize_sources(rng)
     python.values = compiled.values.copy()
@@ -50,7 +51,7 @@ def test_compiled_plan_matches_python_loop(seed, rng_seed):
 def test_compiled_plan_matches_scalar_simulator(seed, rng_seed):
     """On X-free assignments the plan reproduces the 3-valued simulator."""
     circuit = random_sequential_circuit(seed)
-    sim = BitSimulator(circuit, words=1, plan="compiled")
+    sim = BitSimulator(circuit, words=1)
     rng = np.random.default_rng(rng_seed)
     sim.randomize_sources(rng)
     sim.comb_eval()
@@ -135,7 +136,7 @@ def test_values_replacement_keeps_padding_rows():
     """The fault simulator assigns ``sim.values = matrix`` wholesale; the
     plan's identity padding rows must survive that."""
     circuit = fig1_circuit()
-    sim = BitSimulator(circuit, words=2, plan="compiled")
+    sim = BitSimulator(circuit, words=2)
     rng = np.random.default_rng(3)
     fresh = rng.integers(
         0, 1 << 64, size=(circuit.num_nodes, 2), dtype=np.uint64
@@ -144,18 +145,13 @@ def test_values_replacement_keeps_padding_rows():
     assert np.array_equal(sim.values, fresh)
     sim.comb_eval()  # would corrupt outputs if the pad rows were clobbered
 
-    reference = BitSimulator(circuit, words=2, plan="python")
+    reference = PythonBitSimulator(circuit, words=2)
     reference.values = fresh
     reference.comb_eval()
     assert np.array_equal(sim.values, reference.values)
 
     with pytest.raises(ValueError):
         sim.values = fresh[:, :1]
-
-
-def test_unknown_plan_mode_rejected():
-    with pytest.raises(ValueError):
-        BitSimulator(fig1_circuit(), words=1, plan="weird")
 
 
 def test_plan_levels_cover_every_combinational_node():

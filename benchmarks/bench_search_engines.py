@@ -68,7 +68,8 @@ def test_engines_agree_and_report(benchmark, bench_circuits):
 def test_scoap_guidance_cost(benchmark, guided):
     """SCOAP-ordered decisions vs declaration order (verdict-invariant)."""
     circuit = _CIRCUITS[-1]
-    options = DetectorOptions(use_random_sim=False, scoap_guidance=guided,
+    options = DetectorOptions(use_random_sim=False,
+                              search_engine="scoap" if guided else "dalg",
                               backtrack_limit=10_000)
     result = benchmark(detect_multi_cycle_pairs, circuit, options)
     assert result.connected_pairs > 0

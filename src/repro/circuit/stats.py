@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.circuit.gates import COMBINATIONAL_TYPES, GateType
 from repro.circuit.netlist import Circuit
-from repro.circuit.topology import connected_ff_pairs
+from repro.circuit.topology import launch_group_stats
 
 
 @dataclass
@@ -58,7 +58,7 @@ def compute_stats(circuit: Circuit) -> CircuitStats:
     drivers = [c for c in fanout_counts if c > 0]
 
     num_dffs = len(circuit.dffs)
-    pairs = len(connected_ff_pairs(circuit)) if num_dffs else 0
+    pairs = launch_group_stats(circuit)[1]
     density = pairs / (num_dffs * num_dffs) if num_dffs else 0.0
 
     base = circuit.stats()

@@ -1,45 +1,30 @@
-"""Structural analyses: FF-pair connectivity and cone extraction.
+"""Structural analyses: FF-pair connectivity.
 
 Step 1 of the paper's flow drops every FF pair with no combinational path
 between them; only *topologically connected* pairs enter the expensive
 stages.  :func:`connected_ff_pairs` computes exactly that relation (the
 "FF-pair" column of Table 1).
 
-Connectivity is computed with one packed-bitset forward pass instead of a
-per-sink set BFS: flip-flop ``k`` seeds bit ``k`` of its own reach row,
-and a levelized sweep over the cached CSR views ORs fanin rows into each
-combinational node (``words = ceil(num_dffs / 64)`` ``uint64`` words per
-node, so one sweep resolves *every* (source, sink) question at once —
-the reach row of a sink's D driver *is* its source-FF set).  Each level
+The relation is built in one form, the packed sink-major matrix of
+:func:`sink_reach`: bit ``k`` of row ``j`` is set iff flip-flop ``k``
+reaches the D input of flip-flop ``j`` (``words = ceil(num_dffs / 64)``
+``uint64`` words per row).  It comes from a levelized sweep over the
+cached CSR views: each source flip-flop seeds its own bit, each level
 is one flat gather of every fanin row plus a segmented
-``bitwise_or.reduceat``, which handles ragged fanin counts natively.
-The pass is cached per netlist version via :meth:`Circuit.derived`;
-:func:`source_ffs_of_sink`, :func:`connected_ff_pairs` and
-:func:`pair_count_matrix` all read the same matrix.  The original BFS
-survives as :func:`source_ffs_of_sink_bfs` / ``connected_ff_pairs_bfs``
-— the reference implementation the bitset pass is tested and benchmarked
-against.  Pair order is unchanged: ascending bit index is ascending DFF
-node id, and the final ``(source, sink)`` sort reproduces the legacy
-order exactly.
+``bitwise_or.reduceat`` (which handles ragged fanin counts natively),
+and the D-driver rows are harvested at the end — in source blocks when
+the scratch would exceed :data:`FULL_REACH_BUDGET_WORDS` (see
+:func:`build_sink_reach`).  The matrix is cached per netlist version via
+:meth:`Circuit.derived` and persisted to the artifact store when one is
+active.
 
-Scaling
--------
-Two size regimes get dedicated treatment:
-
-* *Tiny* circuits (``num_nodes * num_dffs`` below :data:`BFS_CUTOFF`)
-  answer :func:`connected_ff_pairs` / :func:`source_ffs_of_sink` with
-  the per-sink BFS outright — the vectorized pass has a fixed numpy
-  setup cost that dwarfs such inputs.
-* *Large* circuits never materialize the full ``num_nodes × words``
-  reach matrix.  :func:`sink_reach` builds only the D-driver rows, and
-  above :data:`FULL_REACH_BUDGET_WORDS` it does so in fixed-size source
-  blocks: one ``num_nodes × SINK_BLOCK_WORDS`` scratch matrix is seeded
-  with a block of source bits, swept, harvested at the driver rows, and
-  reused for the next block — peak memory is bounded by the scratch plus
-  the ``num_dffs × words`` result regardless of circuit size.
-  :func:`iter_launch_groups` then streams the connected relation one
-  launching FF at a time (via a blocked bit-transpose of the sink-reach
-  matrix) without ever building the full pair list.
+Every query reads it: :func:`iter_launch_groups` streams the relation
+one launching FF at a time (via a blocked bit-transpose, without ever
+building the full pair list), :func:`launch_group_stats` counts it by
+popcount, and :func:`connected_ff_pairs` / :func:`source_ffs_of_sink`
+read it back as pairs or per-sink sets.  Pair order is canonical:
+ascending bit index is ascending DFF node id, so the transposed
+extraction yields pairs sorted by ``(source, sink)`` without a sort.
 """
 
 from __future__ import annotations
@@ -50,25 +35,21 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from repro.circuit.csr import csr_arrays
-from repro.circuit.gates import COMBINATIONAL_TYPES, GateType
+from repro.circuit.gates import COMBINATIONAL_TYPES
 from repro.circuit.netlist import Circuit
 
-#: :meth:`Circuit.derived` cache key for the packed FF-reach matrix.
-_DERIVED_KEY = "ff-reach"
-#: cache key for the levelized sweep schedule shared by every reach pass.
+#: cache key for the levelized sweep schedule.
 _SWEEP_KEY = "reach-sweep-plan"
 #: cache key for the sink-major packed source sets (D-driver rows only).
 _SINK_KEY = "sink-reach"
 #: cache key for the source-major packed sink sets (the transpose).
 _LAUNCH_KEY = "launch-reach"
+#: cache key for the DFF node id -> sink-reach row map.
+_ROWS_KEY = "dff-rows"
 
-#: ``num_nodes * num_dffs`` products below this answer the pair queries
-#: with the per-sink BFS — the vectorized pass pays a fixed numpy setup
-#: cost that dominates tiny circuits (the s27-class bench regression).
-BFS_CUTOFF = 120_000
-
-#: full per-node reach matrices above this many uint64 words (16 MiB of
-#: packed rows) are never materialized; the sink-reach pass goes blocked.
+#: ``num_nodes × words`` scratch matrices above this many uint64 words
+#: (16 MiB of packed rows) are never materialized; the sink-reach sweep
+#: then runs in source blocks.
 FULL_REACH_BUDGET_WORDS = 1 << 21
 
 #: source words per blocked sink-reach sweep (256 launching FFs at a time).
@@ -107,7 +88,7 @@ class LaunchGroup(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# Levelized OR-sweep core (shared by every packed reach pass).
+# Levelized OR-sweep core.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _SweepPlan:
@@ -116,7 +97,7 @@ class _SweepPlan:
     Combinational nodes sorted by level, their flat fanin gather index,
     and the per-level bounds — everything the sweep needs that does not
     depend on the row payload, cached once per netlist version so the
-    blocked builders can re-run the sweep per source block cheaply.
+    sweep re-runs per source block cheaply.
     """
 
     node_ids: np.ndarray
@@ -178,68 +159,19 @@ def _or_sweep(rows: np.ndarray, plan: _SweepPlan) -> None:
 
 
 # ----------------------------------------------------------------------
-# Full per-node reach matrix (small/medium circuits and cone queries).
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FFReach:
-    """Packed FF-reachability of one circuit (see module docstring).
-
-    ``rows`` has one ``words``-word bitset per node: bit ``k`` of
-    ``rows[n]`` is set iff flip-flop ``dffs[k]`` has a combinational
-    path to node ``n``.  DFF rows carry only their own bit
-    (reachability stops at state elements, exactly like
-    :meth:`Circuit.transitive_fanin`).
-    """
-
-    dffs: tuple[int, ...]
-    words: int
-    rows: np.ndarray
-
-    def sources_of(self, node: int) -> list[int]:
-        """DFF node ids whose bit is set in ``rows[node]``, ascending."""
-        bits = np.unpackbits(
-            self.rows[node].view(np.uint8), bitorder="little"
-        )[: len(self.dffs)]
-        return [self.dffs[k] for k in np.nonzero(bits)[0]]
-
-
-def build_ff_reach(circuit: Circuit) -> FFReach:
-    """Uncached :class:`FFReach` construction (one levelized bitset pass).
-
-    Callers normally want :func:`ff_reach`; the raw builder exists for
-    benchmarks that time the pass itself.
-    """
-    dffs = tuple(circuit.dffs)
-    words = max(1, -(-len(dffs) // 64))
-    rows = np.zeros((circuit.num_nodes, words), dtype=np.uint64)
-    for k, dff in enumerate(dffs):
-        rows[dff, k // 64] |= np.uint64(1) << np.uint64(k % 64)
-    _or_sweep(rows, _sweep_plan(circuit))
-    rows.flags.writeable = False
-    return FFReach(dffs=dffs, words=words, rows=rows)
-
-
-def ff_reach(circuit: Circuit) -> FFReach:
-    """The circuit's packed FF-reach matrix (built once per version).
-
-    Persisted to the on-disk artifact store when one is active — the
-    rows are pure ``uint64`` words keyed by node id, so the matrix is
-    shared by content address across processes.
-    """
-    return circuit.derived(_DERIVED_KEY, build_ff_reach, persist="ff-reach")
-
-
-# ----------------------------------------------------------------------
-# Sink-reach: only the D-driver rows, blocked above a size threshold.
+# Sink-reach: the D-driver rows, swept in source blocks over budget.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SinkReach:
     """Packed source sets of every sink DFF's next-state cone.
 
     Bit ``k`` of ``rows[j]`` is set iff flip-flop ``dffs[k]`` reaches
-    the D input of ``dffs[j]`` — exactly ``ff_reach(circuit).rows``
-    restricted to the D-driver rows, but buildable without the full
-    per-node matrix.  ``blocked`` records which builder produced it.
+    the D input of ``dffs[j]``.  A DFF row carries only its own bit
+    during the sweep (reachability stops at state elements, exactly
+    like :meth:`Circuit.transitive_fanin`), so a direct DFF->DFF edge
+    reports the driving flip-flop without special casing.  ``blocked``
+    records that the full scratch was over
+    :data:`FULL_REACH_BUDGET_WORDS`, so the sweep ran in source blocks.
     """
 
     dffs: tuple[int, ...]
@@ -253,48 +185,42 @@ def build_sink_reach(
 ) -> SinkReach:
     """Uncached :class:`SinkReach` construction.
 
-    Small circuits slice the (cached) full reach matrix.  Above
-    :data:`FULL_REACH_BUDGET_WORDS` the pass runs in source blocks of
-    ``block_words * 64`` flip-flops: one ``num_nodes × block_words``
-    scratch matrix is seeded, swept and harvested per block, then
-    reused — peak memory stays bounded by the scratch plus the
-    ``num_dffs × words`` result however large the circuit grows.
+    Each block of source flip-flops is seeded into a ``num_nodes ×
+    block`` scratch matrix, swept, and harvested at the D-driver rows.
+    One block holds every source when the full ``num_nodes × words``
+    scratch fits :data:`FULL_REACH_BUDGET_WORDS`; above it blocks are
+    ``block_words * 64`` flip-flops wide and the scratch is reused, so
+    peak memory stays bounded by the scratch plus the ``num_dffs ×
+    words`` result however large the circuit grows.
     """
     dffs = tuple(circuit.dffs)
     words = max(1, -(-len(dffs) // 64))
-    if not dffs:
-        rows = np.zeros((0, words), dtype=np.uint64)
-        rows.flags.writeable = False
-        return SinkReach(dffs=dffs, words=words, rows=rows, blocked=False)
-    drivers = np.fromiter(
-        (circuit.next_state_node(d) for d in dffs), dtype=np.intp,
-        count=len(dffs),
-    )
-    if circuit.num_nodes * words <= FULL_REACH_BUDGET_WORDS:
-        rows = np.ascontiguousarray(ff_reach(circuit).rows[drivers])
-        rows.flags.writeable = False
-        return SinkReach(dffs=dffs, words=words, rows=rows, blocked=False)
-
-    plan = _sweep_plan(circuit)
-    block_words = max(1, block_words)
+    blocked = circuit.num_nodes * words > FULL_REACH_BUDGET_WORDS
     rows = np.zeros((len(dffs), words), dtype=np.uint64)
-    scratch = np.empty(
-        (circuit.num_nodes, min(block_words, words)), dtype=np.uint64
-    )
-    dff_ids = np.asarray(dffs, dtype=np.intp)
-    for w0 in range(0, words, block_words):
-        w1 = min(w0 + block_words, words)
-        view = scratch[:, : w1 - w0]
-        view[:] = 0
-        k0, k1 = w0 * 64, min(w1 * 64, len(dffs))
-        local = np.arange(k1 - k0)
-        view[dff_ids[k0:k1], local // 64] |= (
-            np.uint64(1) << (local % 64).astype(np.uint64)
+    if dffs:
+        step = max(1, block_words) if blocked else words
+        plan = _sweep_plan(circuit)
+        drivers = np.fromiter(
+            (circuit.next_state_node(d) for d in dffs), dtype=np.intp,
+            count=len(dffs),
         )
-        _or_sweep(view, plan)
-        rows[:, w0:w1] = view[drivers]
+        dff_ids = np.asarray(dffs, dtype=np.intp)
+        scratch = np.empty(
+            (circuit.num_nodes, min(step, words)), dtype=np.uint64
+        )
+        for w0 in range(0, words, step):
+            w1 = min(w0 + step, words)
+            view = scratch[:, : w1 - w0]
+            view[:] = 0
+            k0, k1 = w0 * 64, min(w1 * 64, len(dffs))
+            local = np.arange(k1 - k0)
+            view[dff_ids[k0:k1], local // 64] |= (
+                np.uint64(1) << (local % 64).astype(np.uint64)
+            )
+            _or_sweep(view, plan)
+            rows[:, w0:w1] = view[drivers]
     rows.flags.writeable = False
-    return SinkReach(dffs=dffs, words=words, rows=rows, blocked=True)
+    return SinkReach(dffs=dffs, words=words, rows=rows, blocked=blocked)
 
 
 def sink_reach(circuit: Circuit) -> SinkReach:
@@ -396,37 +322,25 @@ def launch_group_stats(
 
 
 # ----------------------------------------------------------------------
-# Pair queries (BFS below the tiny-circuit cutoff, packed above it).
+# Pair queries (read back from the sink-reach matrix).
 # ----------------------------------------------------------------------
-def _prefer_bfs(circuit: Circuit) -> bool:
-    """Whether the per-sink BFS should answer pair queries outright."""
-    return circuit.num_nodes * max(1, len(circuit.dffs)) < BFS_CUTOFF
-
-
-def prefers_bfs(circuit: Circuit) -> bool:
-    """True when pair queries auto-select the per-sink BFS path.
-
-    Exposed for benchmarks/telemetry: below :data:`BFS_CUTOFF` the
-    vectorized bitset pass cannot amortise its fixed numpy setup cost,
-    so tiny circuits are answered by the reference BFS instead.
-    """
-    return _prefer_bfs(circuit)
+def dff_rows(circuit: Circuit) -> dict[int, int]:
+    """DFF node id -> ``k``: row ``k`` of every packed pair matrix, and
+    bit ``k`` of every row, belongs to ``circuit.dffs[k]``."""
+    return circuit.derived(
+        _ROWS_KEY, lambda c: {dff: k for k, dff in enumerate(c.dffs)}
+    )
 
 
 def source_ffs_of_sink(circuit: Circuit, sink_dff: int) -> set[int]:
-    """Flip-flops with a combinational path into ``sink_dff``'s D input."""
-    if _prefer_bfs(circuit):
-        return source_ffs_of_sink_bfs(circuit, sink_dff)
-    reach = ff_reach(circuit)
-    # A DFF row carries its own bit, so a direct DFF->DFF edge reports
-    # the driving flip-flop without special casing.
-    return set(reach.sources_of(circuit.next_state_node(sink_dff)))
+    """Flip-flops with a combinational path into ``sink_dff``'s D input.
 
-
-def source_ffs_of_sink_bfs(circuit: Circuit, sink_dff: int) -> set[int]:
-    """Reference BFS implementation of :func:`source_ffs_of_sink`."""
-    cone = circuit.transitive_fanin([circuit.next_state_node(sink_dff)])
-    return {n for n in cone if circuit.types[n] == GateType.DFF}
+    Reads the sink's row of :func:`sink_reach`.
+    """
+    reach = sink_reach(circuit)
+    row = reach.rows[dff_rows(circuit)[sink_dff]]
+    bits = np.unpackbits(row.view(np.uint8), bitorder="little")
+    return {reach.dffs[k] for k in np.flatnonzero(bits[: len(reach.dffs)])}
 
 
 def connected_pair_arrays(
@@ -446,10 +360,10 @@ def connected_pair_arrays(
     bits = np.unpackbits(
         reach.rows.view(np.uint8), axis=1, bitorder="little"
     )[:, : len(dffs)]
-    # Transposed nonzero enumerates (source, sink) in row-major order;
-    # ascending bit/DFF-list index is ascending node id, so the result is
-    # already in the canonical (source, sink) sort without a sort call.
-    source_index, sink_index = np.nonzero(np.ascontiguousarray(bits.T))
+    # A flat nonzero over the transpose enumerates (source, sink) in
+    # row-major order; ascending bit/DFF-list index is ascending node id,
+    # so the result is already in the canonical (source, sink) sort.
+    source_index, sink_index = np.divmod(np.flatnonzero(bits.T), len(dffs))
     dff_ids = np.asarray(dffs, dtype=np.intp)
     sources = dff_ids[source_index]
     sinks = dff_ids[sink_index]
@@ -466,55 +380,10 @@ def connected_ff_pairs(
 
     Pairs are returned sorted by (source, sink) id for determinism.  The
     paper analyses self-loop pairs too (its SAT-based comparison excluded
-    them), so they are included by default.  Tiny circuits (below
-    :data:`BFS_CUTOFF`) take the BFS path — same pairs, none of the
-    vectorized pass's fixed setup cost.
+    them), so they are included by default.
     """
-    if _prefer_bfs(circuit):
-        return connected_ff_pairs_bfs(circuit, include_self_loops)
     sources, sinks = connected_pair_arrays(circuit, include_self_loops)
     # ``_make`` binds straight to ``tuple.__new__`` — materialising
     # thousands of pairs this way is measurably cheaper than calling the
     # generated ``FFPair.__new__``.
     return list(map(FFPair._make, zip(sources.tolist(), sinks.tolist())))
-
-
-def connected_ff_pairs_bfs(
-    circuit: Circuit, include_self_loops: bool = True
-) -> list[FFPair]:
-    """Reference BFS implementation of :func:`connected_ff_pairs`."""
-    pairs: list[FFPair] = []
-    for sink in circuit.dffs:
-        for source in source_ffs_of_sink_bfs(circuit, sink):
-            if source == sink and not include_self_loops:
-                continue
-            pairs.append(FFPair(source, sink))
-    pairs.sort(key=lambda p: (p.source, p.sink))
-    return pairs
-
-
-def pair_count_matrix(circuit: Circuit) -> dict[int, set[int]]:
-    """Map each sink DFF id to the set of its source DFF ids.
-
-    Reads the same cached reach matrix as :func:`connected_ff_pairs` —
-    the per-sink cones are not recomputed.
-    """
-    return {
-        sink: source_ffs_of_sink(circuit, sink) for sink in circuit.dffs
-    }
-
-
-def nodes_reaching(circuit: Circuit, target: int) -> set[int]:
-    """Nodes with a combinational path to ``target`` (including it)."""
-    return circuit.transitive_fanin([target])
-
-
-def nodes_reachable_from(circuit: Circuit, source: int) -> set[int]:
-    """Nodes combinationally reachable from ``source`` (including it)."""
-    return circuit.transitive_fanout([source])
-
-
-def combinational_depth(circuit: Circuit) -> int:
-    """Maximum combinational level in the circuit."""
-    levels = circuit.levels()
-    return max(levels) if levels else 0

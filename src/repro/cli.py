@@ -53,7 +53,6 @@ def _detector_options(args: argparse.Namespace) -> DetectorOptions:
         lint=args.lint,
         include_self_loops=not args.no_self_loops,
         search_engine=args.engine,
-        scoap_guidance=args.scoap,
         sim_seed=args.seed,
         sim_words=args.sim_words,
         workers=args.workers,
@@ -106,8 +105,6 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                         help="pair-decision engine (default: dalg, the "
                              "paper's implication+ATPG flow; the kcycle "
                              "command always uses the implication engine)")
-    parser.add_argument("--scoap", action="store_true",
-                        help="SCOAP-guided decision ordering (dalg engine)")
     parser.add_argument("--seed", type=int, default=2002,
                         help="random-simulation seed (default: 2002)")
     parser.add_argument("--sim-words", type=int, default=4,

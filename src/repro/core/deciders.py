@@ -170,8 +170,7 @@ class ImplicationAtpgDecider:
             expansion,
             backtrack_limit=options.backtrack_limit,
             learned=learned,
-            search_engine="podem" if self.name == "podem" else "dalg",
-            scoap_guidance=options.scoap_guidance or self.name == "scoap",
+            search_engine=self.name,
             clock=ctx.clock,
         )
 

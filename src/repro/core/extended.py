@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.topology import source_ffs_of_sink
+from repro.circuit.topology import iter_launch_groups
 from repro.core.detector import DetectionResult
 from repro.core.result import Classification, PairResult
 from repro.core.trace import ProgressFn, Tracer
@@ -106,17 +106,12 @@ def condition2_extension(
         (p.pair.source, p.pair.sink) for p in detection.multi_cycle_pairs
     }
 
-    # Successor map: FF_j -> every FF_k whose cone contains FF_j.
-    successor_cache: dict[int, list[int]] = {}
-
-    def successors(dff: int) -> list[int]:
-        if dff not in successor_cache:
-            successor_cache[dff] = [
-                sink
-                for sink in circuit.dffs
-                if dff in source_ffs_of_sink(circuit, sink)
-            ]
-        return successor_cache[dff]
+    # Successor map: FF_j -> every FF_k whose cone contains FF_j, which
+    # is exactly FF_j's launch group (its launch-matrix row), ascending.
+    successors = {
+        group.source: group.sinks.tolist()
+        for group in iter_launch_groups(circuit)
+    }
 
     observable_cache: dict[int, bool] = {}
 
@@ -137,7 +132,8 @@ def condition2_extension(
         pair_started = time.perf_counter()
         sink = pair_result.pair.sink
         succ_ok = all(
-            (sink, follower) in multi_cycle_keys for follower in successors(sink)
+            (sink, follower) in multi_cycle_keys
+            for follower in successors.get(sink, ())
         )
         # Check observability second: the SAT miter is the expensive part.
         unobservable = not observable(sink) if succ_ok else False

@@ -19,11 +19,14 @@ records:
    whose key matches a prior record inherit its verdict and case list
    verbatim; only the changed subset is cut into work units and decided.
 3. **Globally-sensitive options force a full re-decide.**  Static
-   learning, the compiled implication DB, SCOAP guidance and the
-   SAT/BDD/cross-check engines read (or index) the whole circuit, so
-   the options fingerprint mixes in the full structural hash whenever
-   they are on — any edit then invalidates every prior record, which is
-   sound (never wrong, merely slower).
+   learning, the compiled implication DB and the SAT/BDD/cross-check
+   engines read (or index) the whole circuit, so the options
+   fingerprint mixes in the full structural hash whenever they are on —
+   any edit then invalidates every prior record, which is sound (never
+   wrong, merely slower).  The ``scoap`` engine is not among them: its
+   decision order reads only SCOAP controllability, and a node's
+   controllability depends only on its fanin cone, which the cone
+   hashes already cover.
 4. **Hazard verdicts inherit with the decide records** when the prior
    run used the same hazard options and hazard rules; otherwise
    inherited multi-cycle pairs are re-checked alongside the fresh ones.
@@ -103,9 +106,9 @@ def options_fingerprint(
     excluded — the differentials pin their record byte-identity.
     Simulation options are excluded too: the random
     filter reruns fresh on every incremental pass.  When a
-    globally-sensitive feature is on (learned tables, SCOAP, the
-    SAT/BDD engines) the circuit's structural hash is mixed in, so any
-    edit invalidates every prior record.
+    globally-sensitive feature is on (learned tables, the SAT/BDD
+    engines) the circuit's structural hash is mixed in, so any edit
+    invalidates every prior record.
     """
     parts = [
         f"frames={frames}",
@@ -113,12 +116,10 @@ def options_fingerprint(
         f"backtrack={options.backtrack_limit}",
         f"static_learning={options.static_learning}",
         f"implication_db={options.implication_db}",
-        f"scoap={options.scoap_guidance}",
     ]
     globally_sensitive = (
         options.static_learning
         or options.implication_db
-        or options.scoap_guidance
         or options.search_engine in _GLOBAL_ENGINES
     )
     if globally_sensitive:

@@ -81,8 +81,6 @@ class DetectorOptions:
     #: "dalg" (paper's choice), "podem", "scoap", "sat", "bdd",
     #: "cross-check".
     search_engine: str = "dalg"
-    #: SCOAP-guided decision ordering in the dalg search (ablation).
-    scoap_guidance: bool = False
     #: worker processes for the decision stage (1 = in-process serial).
     workers: int = 1
     #: zero-copy shared-memory backplane for parallel decision workers:

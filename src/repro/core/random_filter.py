@@ -34,32 +34,30 @@ The filter is built for throughput, not just correctness:
   the dropped-pair sets, round counts and pattern counts are identical
   to the unbatched execution (``round_batch=1``).
 
-Two drop representations share one round engine
------------------------------------------------
-:func:`_run_rounds` owns the super-round loop — the RNG draw order, the
-wide simulation pass and the per-round drop/stop replay — and delegates
-only the representation of "which pairs are still alive" to a strategy
-object.  :func:`random_filter` keeps the original pair-list strategy
-(one bool per input pair).  :func:`random_filter_packed` runs the very
-same rounds over a *packed pair matrix* (bit ``k`` of sink row ``j`` =
-pair ``(dffs[k], dffs[j])``), never materializing a pair list — the
-bounded-memory representation the launch-group fold reads group by
-group.  Because the engine is shared, the two executions draw
-identical random words, stop at the identical quiet round, and drop the
-identical pair set: a pair is dropped iff its first simulated hit round
-is at most the global stop round, and hits are masked by the alive set
-only for *counting*, never for outcome.
+One drop representation
+-----------------------
+The alive set is a *packed pair matrix* (bit ``k`` of sink row ``j`` =
+pair ``(dffs[k], dffs[j])``), the bounded-memory form the launch-group
+fold reads group by group.  :func:`random_filter_packed` runs the rounds
+over it; :func:`random_filter` and :func:`random_filter_k` pack their
+pair list into it and read the survivors back in input order.
+:func:`_run_rounds` owns every stochastic and control decision — the
+RNG draw order, the wide simulation pass and the per-round drop/stop
+replay — and delegates only the alive-set bookkeeping to
+:class:`_PackedDrops`.  A pair is dropped iff its first simulated hit
+round is at most the global stop round; hits are masked by the alive
+set only for *counting*, never for outcome.  One bool per pair, driven
+by the same engine, is the test oracle ``tests/core/pair_list_filter.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.topology import FFPair
+from repro.circuit.topology import FFPair, dff_rows
 from repro.logic.bitsim import BitSimulator
 
 #: default cap for rounds evaluated per super-round; the batch grows
@@ -117,50 +115,6 @@ class PackedFilterReport:
         return self.initial - self.survivors
 
 
-class _DropStrategy(Protocol):
-    """How the round engine represents and updates the alive pair set."""
-
-    def any_alive(self) -> bool: ...
-
-    def drop_round(
-        self,
-        source_toggles: np.ndarray,
-        sink_changes: np.ndarray,
-        window: slice,
-    ) -> bool:
-        """Apply one round's hits; True iff any alive pair was dropped."""
-        ...
-
-
-class _PairListDrops:
-    """The original representation: one bool per pair in a flat list."""
-
-    def __init__(self, circuit: Circuit, pairs: list[FFPair]) -> None:
-        dff_index = {dff: k for k, dff in enumerate(circuit.dffs)}
-        self.source_rows = np.array([dff_index[p.source] for p in pairs])
-        self.sink_rows = np.array([dff_index[p.sink] for p in pairs])
-        self.alive = np.ones(len(pairs), dtype=bool)
-
-    def any_alive(self) -> bool:
-        return bool(self.alive.any())
-
-    def drop_round(
-        self,
-        source_toggles: np.ndarray,
-        sink_changes: np.ndarray,
-        window: slice,
-    ) -> bool:
-        live_idx = np.flatnonzero(self.alive)
-        hits = (
-            source_toggles[self.source_rows[live_idx], window]
-            & sink_changes[self.sink_rows[live_idx], window]
-        ).any(axis=1)
-        if hits.any():
-            self.alive[live_idx[hits]] = False
-            return True
-        return False
-
-
 class _PackedDrops:
     """Packed pair-matrix representation (sink rows × source bits).
 
@@ -208,7 +162,7 @@ class _PackedDrops:
 
 def _run_rounds(
     circuit: Circuit,
-    strategy: _DropStrategy,
+    strategy: _PackedDrops,
     frames: int,
     words: int,
     max_rounds: int,
@@ -220,9 +174,11 @@ def _run_rounds(
 
     Every stochastic and control decision lives here — the RNG draw
     order, the wide simulation pass, the per-round replay and the
-    quiet-stop — so any two strategies presented with the same circuit
-    and the same initial alive set see identical rounds and identical
-    hit matrices.
+    quiet-stop.  ``strategy`` holds the alive set: ``any_alive()`` and
+    ``drop_round(source_toggles, sink_changes, window)``, which applies
+    one round's hits and returns True iff an alive pair was dropped.
+    Any bookkeeping presented with the same circuit and the same
+    initial alive set sees identical rounds and identical hit matrices.
     """
     round_batch = max(1, round_batch)
     rng = np.random.default_rng(seed)
@@ -305,7 +261,7 @@ def _run_rounds(
     return rounds, patterns
 
 
-def _filter_core(
+def _filter_pairs(
     circuit: Circuit,
     pairs: list[FFPair],
     frames: int,
@@ -315,7 +271,7 @@ def _filter_core(
     sim: BitSimulator | None,
     round_batch: int,
 ) -> RandomFilterReport:
-    """Shared core of :func:`random_filter` and :func:`random_filter_k`.
+    """Filter a pair list through its packed sink-major matrix.
 
     ``frames`` is the number of clock cycles simulated per round; the
     source must toggle across the first edge and the sink change across
@@ -323,18 +279,22 @@ def _filter_core(
     """
     if not pairs:
         return RandomFilterReport([], [], 0, 0)
-    strategy = _PairListDrops(circuit, pairs)
-    rounds, patterns = _run_rounds(
-        circuit, strategy, frames, words, max_rounds, seed, sim, round_batch
+    row = dff_rows(circuit)
+    sources = np.array([row[p.source] for p in pairs], dtype=np.intp)
+    sinks = np.array([row[p.sink] for p in pairs], dtype=np.intp)
+    cols = sources // 64
+    bits = np.uint64(1) << (sources % 64).astype(np.uint64)
+    alive = np.zeros((len(row), max(1, -(-len(row) // 64))), dtype=np.uint64)
+    np.bitwise_or.at(alive, (sinks, cols), bits)
+    report = random_filter_packed(
+        circuit, alive, frames, words, max_rounds, seed, sim, round_batch
     )
-    alive = strategy.alive
-    survivors = [p for p, live in zip(pairs, alive) if live]
-    dropped_pairs = [p for p, live in zip(pairs, alive) if not live]
+    live = ((report.alive[sinks, cols] & bits) != 0).tolist()
     return RandomFilterReport(
-        survivors=survivors,
-        dropped_pairs=dropped_pairs,
-        rounds=rounds,
-        patterns=patterns,
+        survivors=[p for p, keep in zip(pairs, live) if keep],
+        dropped_pairs=[p for p, keep in zip(pairs, live) if not keep],
+        rounds=report.rounds,
+        patterns=report.patterns,
     )
 
 
@@ -355,7 +315,7 @@ def random_filter(
     ``words`` to reuse (its evaluation plan is adopted for any wider
     super-round simulators the run creates).
     """
-    return _filter_core(
+    return _filter_pairs(
         circuit, pairs, 2, words, max_rounds, seed, sim, round_batch
     )
 
@@ -379,7 +339,7 @@ def random_filter_k(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    return _filter_core(
+    return _filter_pairs(
         circuit, pairs, k, words, max_rounds, seed, sim, round_batch
     )
 
@@ -399,12 +359,8 @@ def random_filter_packed(
     ``alive`` is the sink-major connected-pair matrix (bit ``k`` of row
     ``j`` = pair ``(dffs[k], dffs[j])``, e.g. the
     :func:`~repro.circuit.topology.sink_reach` rows with unwanted pairs
-    masked off); it is copied, never mutated.  The run shares
-    :func:`_run_rounds` with the pair-list path, so for the same circuit
-    and the same connected relation it consumes the identical RNG
-    stream, stops at the identical quiet round and drops the identical
-    pair set — only the representation differs, with peak memory bounded
-    by the packed matrix instead of per-pair arrays.
+    masked off); it is copied, never mutated.  Peak memory is bounded
+    by the packed matrix, never by per-pair arrays.
     """
     if frames < 2:
         raise ValueError("random filtering needs at least 2 frames")

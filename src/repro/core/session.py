@@ -58,8 +58,9 @@ from repro.core.result import (
     Stage,
 )
 
-#: available backtrack-search engines (paper §4.5 compares these styles)
-SEARCH_ENGINES = ("dalg", "podem")
+#: available backtrack-search engines (paper §4.5 compares dalg and
+#: podem; scoap is dalg with SCOAP-ordered decisions)
+SEARCH_ENGINES = ("dalg", "podem", "scoap")
 
 #: a decided case resolved by the packed closure — mapping key is
 #: ``(pair index in the group, a, b)``.
@@ -106,7 +107,6 @@ class DecisionSession:
         backtrack_limit: int = 50,
         learned: LearnedTable | None = None,
         search_engine: str = "dalg",
-        scoap_guidance: bool = False,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if expansion.frames < 2:
@@ -124,7 +124,7 @@ class DecisionSession:
             from repro.atpg.podem import podem_justify
 
             self._search = podem_justify
-        elif scoap_guidance:
+        elif search_engine == "scoap":
             from repro.atpg.scoap import compute_scoap, make_choice_sorter
 
             sorter = make_choice_sorter(compute_scoap(expansion.comb))

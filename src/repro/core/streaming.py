@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.circuit.topology import (
     FFPair,
+    dff_rows,
     iter_launch_groups,
     launch_group_stats,
     sink_reach,
@@ -185,7 +186,7 @@ class StreamingStage:
         decider = self._resolve(ctx)
         state.engine = decider.name
         fold = Fold(ctx, state, hazard, decider.name, groups_total)
-        dff_index = {dff: k for k, dff in enumerate(reach.dffs)}
+        dff_index = dff_rows(circuit)
 
         def fresh_groups() -> Iterator[list[FFPair]]:
             for group in iter_launch_groups(circuit, include_self):

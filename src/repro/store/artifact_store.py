@@ -58,7 +58,6 @@ from typing import Any
 SCHEMA_VERSIONS: dict[str, int] = {
     "simplan": 2,
     "csr-arrays": 1,
-    "ff-reach": 2,
     "sink-reach": 2,
     "implication-db": 2,
     "packed-implication": 1,

@@ -17,8 +17,7 @@ Registered kinds (:data:`FLAT_KINDS`):
 ``csr-arrays``
     :class:`~repro.circuit.csr.CsrArrays` — the ``*_np`` views alias
     the buffer directly; row tuples and ``array('i')`` mirrors rebuild.
-``ff-reach`` / ``sink-reach``
-    :class:`~repro.circuit.topology.FFReach` /
+``sink-reach``
     :class:`~repro.circuit.topology.SinkReach` — the packed ``uint64``
     row matrix is the whole payload.
 ``packed-implication``
@@ -218,23 +217,8 @@ def _decode_csr(meta: dict[str, Any], arrays: dict[str, Any]) -> object:
 
 
 # ----------------------------------------------------------------------
-# ff-reach / sink-reach
+# sink-reach
 # ----------------------------------------------------------------------
-def _encode_ff_reach(reach: Any) -> _Encoded:
-    meta = {"words": reach.words}
-    return meta, {"dffs": _int_array(reach.dffs), "rows": reach.rows}
-
-
-def _decode_ff_reach(meta: dict[str, Any], arrays: dict[str, Any]) -> object:
-    from repro.circuit.topology import FFReach
-
-    return FFReach(
-        dffs=tuple(arrays["dffs"].tolist()),
-        words=int(meta["words"]),
-        rows=arrays["rows"],
-    )
-
-
 def _encode_sink_reach(reach: Any) -> _Encoded:
     meta = {"words": reach.words, "blocked": bool(reach.blocked)}
     return meta, {"dffs": _int_array(reach.dffs), "rows": reach.rows}
@@ -468,7 +452,6 @@ def _decode_expansion(meta: dict[str, Any], arrays: dict[str, Any]) -> object:
 _CODECS: dict[str, tuple[_Encoder, _Decoder]] = {
     "simplan": (_encode_simplan, _decode_simplan),
     "csr-arrays": (_encode_csr, _decode_csr),
-    "ff-reach": (_encode_ff_reach, _decode_ff_reach),
     "sink-reach": (_encode_sink_reach, _decode_sink_reach),
     "packed-implication": (_encode_packed, _decode_packed),
     "implication-db": (_encode_implication_db, _decode_implication_db),

@@ -109,7 +109,7 @@ def test_guidance_never_changes_verdicts(fig1, pipeline):
             circuit, DetectorOptions(use_random_sim=False)
         )
         guided = detect_multi_cycle_pairs(
-            circuit, DetectorOptions(use_random_sim=False, scoap_guidance=True)
+            circuit, DetectorOptions(use_random_sim=False, search_engine="scoap")
         )
         assert plain.multi_cycle_pair_names() == guided.multi_cycle_pair_names()
 

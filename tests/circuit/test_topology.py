@@ -1,26 +1,26 @@
-"""FF-pair connectivity and cone analyses.
+"""FF-pair connectivity.
 
-The connected relation is computed by a packed-bitset reachability pass;
-the per-sink set BFS survives as the reference implementation, and the
-property tests here hold the two exactly equal — pair lists (with and
-without self loops), per-sink source sets and the canonical ordering.
+The connected relation lives in the packed sink-reach matrix; the
+per-sink set BFS of ``tests/circuit/bfs_oracle.py`` is the reference,
+and the property tests here hold the two exactly equal — pair lists
+(with and without self loops), per-sink source sets and the canonical
+ordering.
 """
 
-from hypothesis import given
+from hypothesis import example, given
 
 from repro.bench_gen.suite import suite
+from repro.circuit.library import shift_register
 from repro.circuit.topology import (
     FFPair,
-    build_ff_reach,
-    combinational_depth,
+    build_sink_reach,
     connected_ff_pairs,
-    connected_ff_pairs_bfs,
     connected_pair_arrays,
-    ff_reach,
-    nodes_reachable_from,
-    nodes_reaching,
-    pair_count_matrix,
+    sink_reach,
     source_ffs_of_sink,
+)
+from tests.circuit.bfs_oracle import (
+    connected_ff_pairs_bfs,
     source_ffs_of_sink_bfs,
 )
 from tests.strategies import random_sequential_circuit, seeds
@@ -58,30 +58,12 @@ def test_source_ffs_of_sink(fig1):
     assert sources == {"FF1", "FF2", "FF3", "FF4"}
 
 
-def test_pair_count_matrix(fig1):
-    matrix = pair_count_matrix(fig1)
-    assert sum(len(v) for v in matrix.values()) == 9
-
-
 def test_pairs_sorted_and_deterministic(pipeline):
     pairs1 = connected_ff_pairs(pipeline)
     pairs2 = connected_ff_pairs(pipeline)
     assert pairs1 == pairs2
     keys = [(p.source, p.sink) for p in pairs1]
     assert keys == sorted(keys)
-
-
-def test_nodes_reaching_and_reachable(fig1):
-    ff2 = fig1.id_of("FF2")
-    mux2 = fig1.id_of("MUX2")
-    assert mux2 in nodes_reaching(fig1, mux2)
-    assert ff2 in nodes_reachable_from(fig1, mux2)
-    assert fig1.id_of("IN") in nodes_reaching(fig1, fig1.id_of("MUX1"))
-
-
-def test_combinational_depth(counter3, shift4):
-    assert combinational_depth(shift4) <= 1
-    assert combinational_depth(counter3) >= 2  # carry chain plus XOR
 
 
 # ----------------------------------------------------------------------
@@ -121,28 +103,27 @@ def test_pair_arrays_match_pairs_in_canonical_order(fig1):
     assert keys == sorted(keys)
 
 
-def test_ff_reach_rows_and_sources(fig1):
-    reach = ff_reach(fig1)
+def test_sink_reach_rows_and_sources(fig1):
+    reach = sink_reach(fig1)
     assert reach.words == 1
-    assert reach.rows.shape == (fig1.num_nodes, 1)
+    assert reach.rows.shape == (len(fig1.dffs), 1)
     assert not reach.rows.flags.writeable
-    for k, dff in enumerate(reach.dffs):
-        assert reach.sources_of(dff) == [dff]  # own bit only
-    # sources_of lists ascending node ids.
-    driver = fig1.next_state_node(fig1.id_of("FF2"))
-    sources = reach.sources_of(driver)
-    assert sources == sorted(sources)
-    assert set(sources) == source_ffs_of_sink(fig1, fig1.id_of("FF2"))
+    assert not reach.blocked
+    for k, sink in enumerate(reach.dffs):
+        bits = int(reach.rows[k, 0])
+        sources = {dff for j, dff in enumerate(reach.dffs) if bits >> j & 1}
+        assert sources == source_ffs_of_sink(fig1, sink)
+    assert source_ffs_of_sink(fig1, fig1.id_of("FF4")) == {fig1.id_of("FF3")}
 
 
-def test_ff_reach_is_cached_and_version_invalidated(shift4):
+def test_sink_reach_is_cached_and_version_invalidated(shift4):
     from repro.circuit.gates import GateType
 
-    first = ff_reach(shift4)
-    assert ff_reach(shift4) is first
-    assert build_ff_reach(shift4) is not first  # raw builder never caches
+    first = sink_reach(shift4)
+    assert sink_reach(shift4) is first
+    assert build_sink_reach(shift4) is not first  # raw builder never caches
     shift4.add_node(GateType.INPUT, (), "late_pi")
-    assert ff_reach(shift4) is not first
+    assert sink_reach(shift4) is not first
 
 
 def test_no_dffs_yields_no_pairs():
@@ -158,10 +139,8 @@ def test_no_dffs_yields_no_pairs():
 
 
 def test_wide_circuit_spills_into_second_word():
-    from repro.circuit.library import shift_register
-
     circuit = shift_register(70)  # 70 DFFs -> words = 2
-    reach = ff_reach(circuit)
+    reach = sink_reach(circuit)
     assert reach.words == 2
     assert connected_ff_pairs(circuit) == connected_ff_pairs_bfs(circuit)
 
@@ -195,14 +174,16 @@ def test_launch_group_stats_count_pairs(seed):
         )
 
 
-@given(seeds)
-def test_blocked_sink_reach_matches_full_build(seed):
-    """Row-blocked packed reachability is byte-identical to the full pass."""
+@given(seeds.map(
+    lambda seed: random_sequential_circuit(seed, max_dffs=8, max_gates=24)
+))
+@example(shift_register(130))  # three words: three one-word blocks
+def test_blocked_sink_reach_matches_full_build(circuit):
+    """Row-blocked packed reachability is byte-identical to one sweep."""
     import numpy as np
 
     from repro.circuit import topology as topo
 
-    circuit = random_sequential_circuit(seed, max_dffs=8, max_gates=24)
     full = topo.build_sink_reach(circuit)
     budget = topo.FULL_REACH_BUDGET_WORDS
     topo.FULL_REACH_BUDGET_WORDS = 0  # force the blocked path
@@ -213,12 +194,3 @@ def test_blocked_sink_reach_matches_full_build(seed):
     assert blocked.blocked and not full.blocked
     assert np.array_equal(full.rows, blocked.rows)
     assert full.dffs == blocked.dffs
-
-
-def test_prefers_bfs_threshold():
-    from repro.circuit.library import fig1_circuit
-    from repro.circuit.topology import BFS_CUTOFF, prefers_bfs
-
-    fig1 = fig1_circuit()
-    assert prefers_bfs(fig1)  # tiny: nodes * dffs far below the cutoff
-    assert fig1.num_nodes * len(fig1.dffs) < BFS_CUTOFF

@@ -51,16 +51,15 @@ class PairAnalyzer:
 
     Construct once per circuit (the engine and expansion are reused), then
     call :meth:`analyze` per pair.  ``search_engine`` selects the backtrack
-    search: ``"dalg"`` (internal-node decisions, the paper's choice) or
-    ``"podem"`` (primary-input decisions, the alternative it rejects).
+    search: ``"dalg"`` (internal-node decisions, the paper's choice),
+    ``"podem"`` (primary-input decisions, the alternative it rejects) or
+    ``"scoap"`` (``dalg`` with SCOAP-ordered decisions).
     """
 
     expansion: TimeFrameExpansion
     backtrack_limit: int = 50
     learned: dict[tuple[int, int], list[tuple[int, int]]] | None = None
     search_engine: str = "dalg"
-    #: order frontier decisions by SCOAP controllability (dalg engine only)
-    scoap_guidance: bool = False
 
     def __post_init__(self) -> None:
         if self.expansion.frames < 2:
@@ -71,7 +70,7 @@ class PairAnalyzer:
             from repro.atpg.podem import podem_justify
 
             self._search = podem_justify
-        elif self.scoap_guidance:
+        elif self.search_engine == "scoap":
             from repro.atpg.scoap import compute_scoap, make_choice_sorter
 
             sorter = make_choice_sorter(compute_scoap(self.expansion.comb))

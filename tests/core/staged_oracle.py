@@ -3,16 +3,18 @@
 The paper's Section 4.1 flow written out stage by stage over a full,
 materialized pair list:
 
-    connected_ff_pairs → random_filter / random_filter_k
+    connected_ff_pairs → the pair-list random filter
     → one decide_group over all survivors → the hazard checker
 
-It runs serially in one process and builds its own hazard checker, the
-sensitization-first reference whose bounds come from the per-mode walks
-of ``tests/core/hazard_oracle.py``, so it shares no unit cutting,
-executor, fold, hazard pass or bound walk with
-:class:`repro.core.streaming.StreamingStage`.  The differentials compare
-its :class:`~repro.core.result.DetectionResult` — ``pair_records``,
-stage counters, session totals, hazard results — against the fold's.
+It runs serially in one process, filters with the one-bool-per-pair
+oracle of ``tests/core/pair_list_filter.py`` and builds its own hazard
+checker, the sensitization-first reference whose bounds come from the
+per-mode walks of ``tests/core/hazard_oracle.py``, so it shares no
+packed alive matrix, unit cutting, executor, fold, hazard pass or bound
+walk with :class:`repro.core.streaming.StreamingStage`.  The
+differentials compare its :class:`~repro.core.result.DetectionResult` —
+``pair_records``, stage counters, session totals, hazard results —
+against the fold's.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.core.pipeline import (
     load_gate_delays,
     packed_summary,
 )
-from repro.core.random_filter import random_filter, random_filter_k
 from repro.core.result import (
     Classification,
     DetectionResult,
@@ -35,6 +36,7 @@ from repro.core.result import (
     StageStats,
 )
 from tests.analysis.sensitize_first import SensitizeFirstChecker
+from tests.core.pair_list_filter import pair_list_filter
 
 
 def staged_detect(
@@ -71,16 +73,15 @@ def staged_detect(
 
     # Random simulation.
     if options.use_random_sim and pairs:
-        sim = dict(
+        report = pair_list_filter(
+            circuit,
+            pairs,
+            frames,
             words=options.sim_words,
             max_rounds=options.sim_max_rounds,
             seed=options.sim_seed,
             sim=ctx.bit_simulator(options.sim_words),
         )
-        if frames == 2:
-            report = random_filter(circuit, pairs, **sim)
-        else:
-            report = random_filter_k(circuit, pairs, frames, **sim)
         for pair in report.dropped_pairs:
             record(PairResult(
                 pair, Classification.SINGLE_CYCLE, Stage.SIMULATION

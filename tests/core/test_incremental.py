@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -125,12 +126,18 @@ def _records(result) -> str:
     return json.dumps(result.pair_records(), sort_keys=True)
 
 
+@pytest.mark.parametrize("engine", ["dalg", "podem", "scoap"])
 @given(seeds, st.integers(0, 2))
-def test_incremental_matches_full_run_after_eco(seed, kind):
+def test_incremental_matches_full_run_after_eco(engine, seed, kind):
+    """Every session engine's records are inherited by cone hash: the
+    edit leaves the options fingerprint alone."""
     base = random_sequential_circuit(seed)
     edited = eco_edit(base, seed, kind)
     assume(edited is not None)
-    options = DetectorOptions()
+    options = DetectorOptions(search_engine=engine)
+    assert options_fingerprint(options, base) == (
+        options_fingerprint(options, edited)
+    )
     bundle = result_bundle(
         MultiCycleDetector(base, options).run(), options
     )

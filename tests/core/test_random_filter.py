@@ -7,6 +7,7 @@ from repro.circuit.topology import connected_ff_pairs
 from repro.core.brute import brute_force_mc_pairs
 from repro.core.random_filter import random_filter
 
+from tests.core.pair_list_filter import pair_list_filter
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -147,6 +148,27 @@ def test_mismatched_simulator_rejected(fig1):
         random_filter(fig1, pairs, words=4, sim=BitSimulator(fig1, words=2))
 
 
+@given(seeds)
+def test_pair_lists_match_the_oracle_in_input_order(seed):
+    """Any pair list — a shuffled subset with repeats — is packed, filtered
+    and read back in input order exactly as the one-bool-per-pair oracle
+    keeps it."""
+    import random
+
+    from repro.core.random_filter import random_filter_k
+
+    circuit = random_sequential_circuit(seed, max_dffs=7, max_gates=24)
+    rng = random.Random(seed)
+    pairs = connected_ff_pairs(circuit)
+    pairs = rng.sample(pairs, rng.randint(0, len(pairs)))
+    pairs += pairs[:2]
+    rng.shuffle(pairs)
+    assert random_filter(circuit, pairs) == pair_list_filter(circuit, pairs)
+    assert random_filter_k(circuit, pairs, 3) == (
+        pair_list_filter(circuit, pairs, 3)
+    )
+
+
 def _packed_alive(circuit, include_self_loops=True):
     """The connected-pair matrix the streaming pipeline filters over."""
     import numpy as np
@@ -188,7 +210,7 @@ def test_packed_filter_matches_pair_list(seed):
         pairs = connected_ff_pairs(
             circuit, include_self_loops=include_self_loops
         )
-        reference = random_filter(circuit, pairs)
+        reference = pair_list_filter(circuit, pairs)
         reach, alive = _packed_alive(circuit, include_self_loops)
         packed = random_filter_packed(circuit, alive)
         assert packed.rounds == reference.rounds
@@ -210,7 +232,7 @@ def test_packed_filter_matches_pair_list_across_words_and_blocks():
 
     circuit = generate(spec_by_name("syn330"))
     pairs = connected_ff_pairs(circuit)
-    reference = random_filter(circuit, pairs)
+    reference = pair_list_filter(circuit, pairs)
     reach, alive = _packed_alive(circuit)
     assert alive.shape[1] == 2
     strategy = _PackedDrops(alive.copy(), block_rows=5)
@@ -225,10 +247,10 @@ def test_packed_filter_matches_pair_list_across_words_and_blocks():
 
 
 def test_packed_filter_matches_k_frame_variant(fig1):
-    from repro.core.random_filter import random_filter_k, random_filter_packed
+    from repro.core.random_filter import random_filter_packed
 
     pairs = connected_ff_pairs(fig1)
-    reference = random_filter_k(fig1, pairs, 3)
+    reference = pair_list_filter(fig1, pairs, 3)
     reach, alive = _packed_alive(fig1)
     packed = random_filter_packed(fig1, alive, frames=3)
     assert packed.rounds == reference.rounds

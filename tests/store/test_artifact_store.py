@@ -170,8 +170,13 @@ class TestUsageAndClear:
     def test_clear_removes_everything(self, store):
         store.save("sweep-report", "a" * 64, [1])
         store.save("lint-report", "b" * 64, [2])
+        # A kind no codec reads any more is still scanned, so it ages out.
+        retired = store.root / "ff-reach" / f"{'d' * 64}-v2.rfb"
+        retired.parent.mkdir()
+        retired.write_bytes(b"x" * 10)
+        assert store.usage()["ff-reach"] == {"entries": 1, "bytes": 10}
         total = store.total_bytes()
-        assert store.clear() == (2, total)
+        assert store.clear() == (3, total)
         assert store.total_bytes() == 0
         assert store.usage() == {}
         assert store.clear() == (0, 0)

@@ -17,7 +17,7 @@ from repro.atpg.packed_implication import packed_plan
 from repro.circuit.csr import csr_arrays
 from repro.circuit.library import s27
 from repro.circuit.timeframe import expand_cached
-from repro.circuit.topology import build_ff_reach, build_sink_reach
+from repro.circuit.topology import build_sink_reach
 from repro.logic.simplan import compiled_plan
 from repro.store.codecs import (
     FLAT_KINDS,
@@ -39,7 +39,7 @@ def _roundtrip(kind, artifact):
 
 def test_kind_registry():
     assert FLAT_KINDS == frozenset({
-        "simplan", "csr-arrays", "ff-reach", "sink-reach",
+        "simplan", "csr-arrays", "sink-reach",
         "packed-implication", "implication-db", "expansion",
     })
     assert is_flat_kind("simplan")
@@ -69,17 +69,6 @@ def test_csr_arrays_roundtrip(fig1):
     assert decoded.fanouts == original.fanouts
     np.testing.assert_array_equal(decoded.types, original.types)
     np.testing.assert_array_equal(decoded.levels_np, original.levels_np)
-
-
-def test_ff_reach_roundtrip():
-    circuit = s27()
-    original = build_ff_reach(circuit)
-    decoded = _roundtrip("ff-reach", original)
-    assert decoded.dffs == original.dffs
-    assert decoded.words == original.words
-    np.testing.assert_array_equal(decoded.rows, original.rows)
-    for node in range(circuit.num_nodes):
-        assert decoded.sources_of(node) == original.sources_of(node)
 
 
 def test_sink_reach_roundtrip():

@@ -71,7 +71,7 @@ Two measurements per circuit of the selected suite profile, recorded to
 Every timed section runs one warmup iteration first and is clocked with
 ``time.perf_counter``.  Per-stage wall times come from the structured
 trace (the fold's ``stream_topology``/``random_sim``/``hazard_stage``
-events, decide being the rest of its ``stage_end`` time), not ad-hoc
+events, decide being the rest of the ``run_end`` time), not ad-hoc
 timers.
 
 ``pytest benchmarks/bench_pipeline.py --benchmark-only`` runs it alone.
@@ -451,7 +451,7 @@ def _stage_seconds(tracer: Tracer) -> dict[str, float]:
 
     Topology, random simulation and hazard validation each report their
     own seconds (``stream_topology``, ``random_sim``, ``hazard_stage``);
-    decide is the rest of the fold's ``stage_end`` time.
+    decide is the rest of the run's ``run_end`` time.
     """
     def seconds(event: str) -> float:
         return sum(record["seconds"] for record in tracer.select(event))
@@ -461,7 +461,7 @@ def _stage_seconds(tracer: Tracer) -> dict[str, float]:
         "random-sim": seconds("random_sim"),
         "hazard": seconds("hazard_stage"),
     }
-    decide = seconds("stage_end") - sum(phases.values())
+    decide = seconds("run_end") - sum(phases.values())
     phases["decide"] = round(max(0.0, decide), 6)
     return phases
 
@@ -686,8 +686,9 @@ def test_cache_report(tmp_path):
     assert cold_result.pair_records() == warm_result.pair_records()
     # The warm run must have loaded every expensive artifact instead of
     # rebuilding: hits prove the skips, zero misses proves no rebuild.
-    assert warm_result.cache["misses"] == 0, warm_result.cache
-    assert warm_result.cache["hits"] >= 3, warm_result.cache
+    warm_cache = warm_result.metrics["cache"]
+    assert warm_cache["misses"] == 0, warm_cache
+    assert warm_cache["hits"] >= 3, warm_cache
     warm_speedup = cold_seconds / warm_seconds if warm_seconds else 0.0
     assert warm_speedup > 1.0, (
         f"warm run not faster: {warm_seconds:.2f}s vs {cold_seconds:.2f}s"
@@ -720,7 +721,7 @@ def test_cache_report(tmp_path):
     started = time.perf_counter()
     eco_result = incremental_detect(edited, plain, bundle)
     eco_seconds = time.perf_counter() - started
-    stats = eco_result.incremental
+    stats = eco_result.metrics["incremental"]
     fraction = (
         stats["re_decided"] / stats["survivors"] if stats["survivors"]
         else 0.0
@@ -735,8 +736,8 @@ def test_cache_report(tmp_path):
         "cold_seconds": round(cold_seconds, 6),
         "warm_seconds": round(warm_seconds, 6),
         "warm_speedup": round(warm_speedup, 3),
-        "warm_hits": warm_result.cache["hits"],
-        "warm_misses": warm_result.cache["misses"],
+        "warm_hits": warm_cache["hits"],
+        "warm_misses": warm_cache["misses"],
         "eco_survivors": stats["survivors"],
         "eco_inherited": stats["inherited"],
         "eco_re_decided": stats["re_decided"],
@@ -752,7 +753,7 @@ def test_cache_report(tmp_path):
     record_report(
         f"Artifact store ({_CACHE_PROBE}): cold {cold_seconds:.2f}s, warm "
         f"{warm_seconds:.2f}s ({warm_speedup:.2f}x, "
-        f"{warm_result.cache['hits']} hits); ECO re-decided "
+        f"{warm_cache['hits']} hits); ECO re-decided "
         f"{stats['re_decided']}/{stats['survivors']} survivors "
         f"({fraction:.1%}) in {eco_seconds:.2f}s"
     )
@@ -787,9 +788,11 @@ def test_backplane_report():
     assert records == off_result.pair_records(), (
         "backplane=off changed a pair record"
     )
-    summary = on_result.backplane
+    summary = on_result.metrics.get("backplane")
     assert summary is not None, "workers>1 backplane=on published nothing"
-    assert off_result.backplane is None, "backplane=off still published"
+    assert "backplane" not in off_result.metrics, (
+        "backplane=off still published"
+    )
     assert summary["attached"] == summary["workers"], summary
     # Attach replaces rebuild: a worker that reaches for the on-disk
     # store during prepare would count a miss here.

@@ -160,20 +160,20 @@ def main(argv: list[str] | None = None) -> int:
         report["aggregate_peak_rss_bytes"] = (
             report["peak_rss_bytes"] + args.workers * child_peak
         )
-    if result.packed_implication is not None:
-        # closures, lanes, gate visits, resolved lanes: visits / lanes
-        # is the per-lane cost of the decide stage's packed closure
-        report["packed_implication"] = result.packed_implication
-    if result.hazard_exact is not None:
-        report["hazard_exact"] = result.hazard_exact
+    metrics = result.metrics
+    # packed_implication: closures, lanes, gate visits, resolved lanes;
+    # visits / lanes is the per-lane cost of the decide stage's packed
+    # closure.
+    for name in ("packed_implication", "hazard_exact", "backplane",
+                 "cache"):
+        if name in metrics:
+            report[name] = metrics[name]
+    if "hazard_exact" in metrics:
         report["hazard_seconds"] = hazard_seconds
-    if result.backplane is not None:
-        report["backplane"] = result.backplane
-        report["worker_spawn_seconds"] = result.backplane[
+    if "backplane" in metrics:
+        report["worker_spawn_seconds"] = metrics["backplane"][
             "spawn_seconds_max"
         ]
-    if result.cache is not None:
-        report["cache"] = result.cache
     if queue_summary is not None:
         report["decision_queue"] = queue_summary
     json.dump(report, sys.stdout)

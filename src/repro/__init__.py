@@ -41,7 +41,7 @@ from repro.core.kcycle import (
     is_k_cycle_pair,
     max_cycles,
 )
-from repro.core.pipeline import AnalysisContext, Pipeline
+from repro.core.pipeline import AnalysisContext
 from repro.core.streaming import StreamingStage
 from repro.core.result import Classification, DetectionResult, PairResult, Stage
 from repro.core.sensitization import SensitizationMode
@@ -64,7 +64,6 @@ __all__ = [
     "MultiCycleDetector",
     "PairDecider",
     "PairResult",
-    "Pipeline",
     "SensitizationMode",
     "Stage",
     "StreamingStage",

@@ -93,14 +93,11 @@ def _build(circuit: Circuit) -> LintReport:
 
 
 def lint(circuit: Circuit) -> LintReport:
-    """The circuit's full lint report (cached; store-persisted).
+    """The circuit's full lint report (cached in memory).
 
-    Diagnostics embed node names, so the cache entry is name-scoped and
-    the store address includes the name table.
+    Diagnostics embed node names, so the cache entry is name-scoped.
     """
-    return circuit.derived(
-        _DERIVED_KEY, _build, scope="names", persist="lint-report"
-    )
+    return circuit.derived(_DERIVED_KEY, _build, scope="names")
 
 
 def enforce(circuit: Circuit, mode: str) -> LintReport | None:

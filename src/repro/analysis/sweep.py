@@ -158,14 +158,11 @@ def _build(circuit: Circuit) -> SweepReport:
 
 
 def sweep(circuit: Circuit) -> SweepReport:
-    """The circuit's sweep report (cached; persisted when a store is on).
+    """The circuit's sweep report (cached in memory).
 
-    The report embeds node names, so the cache entry is name-scoped and
-    the store address includes the name table.
+    The report embeds node names, so the cache entry is name-scoped.
     """
-    return circuit.derived(
-        _DERIVED_KEY, _build, scope="names", persist="sweep-report"
-    )
+    return circuit.derived(_DERIVED_KEY, _build, scope="names")
 
 
 def _fresh_name(circuit: Circuit, base: str) -> str:

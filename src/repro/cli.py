@@ -32,7 +32,12 @@ from pathlib import Path
 from repro.circuit.bench import dump, load as load_bench
 from repro.core.deciders import available_engines
 from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
-from repro.core.result import DetectionResult, HazardVerdictKind, Stage
+from repro.core.result import (
+    DetectionResult,
+    HazardVerdictKind,
+    Stage,
+    metric_items,
+)
 from repro.core.trace import open_trace
 
 
@@ -58,24 +63,21 @@ def _detector_options(args: argparse.Namespace) -> DetectorOptions:
         workers=args.workers,
         parallel_threshold=args.parallel_threshold,
         chunk_pairs=args.chunk_pairs,
-        backplane=getattr(args, "backplane", "auto"),
-        hazard_check=getattr(args, "hazard_check", "off"),
-        hazard_delays=getattr(args, "hazard_delays", None),
-        hazard_conflict_limit=getattr(
-            args, "hazard_conflict_limit", 100_000
-        ),
+        backplane=args.backplane,
+        hazard_check=args.hazard_check,
+        hazard_delays=args.hazard_delays,
+        hazard_conflict_limit=args.hazard_conflict_limit,
         max_pairs_in_flight=args.max_pairs_in_flight,
-        cache_dir=getattr(args, "cache_dir", None),
-        cache_max_bytes=getattr(args, "cache_max_bytes", 1 << 30),
+        cache_dir=args.cache_dir,
+        cache_max_bytes=args.cache_max_bytes,
     )
 
 
 @contextmanager
 def _tracer_for(args: argparse.Namespace):
     """Yield a JSONL tracer when ``--trace FILE`` was given, else None."""
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        with open_trace(trace_path) as tracer:
+    if args.trace:
+        with open_trace(args.trace) as tracer:
             yield tracer
     else:
         yield None
@@ -185,7 +187,8 @@ def _run_incremental(circuit, options, prior_path, tracer):
     else:
         prior_circuit = load(prior_path)
         with store_enabled(cache_dir, options.cache_max_bytes) as store:
-            bundle = load_result_bundle(store, prior_circuit, options)
+            if store is not None:
+                bundle = load_result_bundle(store, prior_circuit, options)
         if bundle is None:
             print(f"warning: no cached pair records for {prior_path} under "
                   f"these options; re-deciding every pair", file=sys.stderr)
@@ -197,7 +200,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     circuit = load(args.file)
     options = _detector_options(args)
     with _tracer_for(args) as tracer:
-        if getattr(args, "incremental_from", None):
+        if args.incremental_from:
             result = _run_incremental(
                 circuit, options, args.incremental_from, tracer
             )
@@ -215,61 +218,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         s = result.stats[stage]
         print(f"  {stage.value:12s} single={s.single_cycle:6d} "
               f"multi={s.multi_cycle:6d} cpu={s.cpu_seconds:.2f}s")
-    cache = result.cache
-    if cache is not None:
-        print(f"cache:              {cache['hits']} hits, "
-              f"{cache['misses']} misses, {cache['stores']} stores, "
-              f"{cache['evictions']} evicted, {cache['corrupt']} healed")
-    backplane = result.backplane
-    if backplane is not None:
-        print(f"backplane:          {len(backplane['kinds'])} artifacts, "
-              f"{backplane['bytes']} bytes shared, "
-              f"{backplane['attached']}/{backplane['workers']} workers "
-              f"attached, "
-              f"{backplane['worker_store_misses']} worker store misses, "
-              f"spawn {backplane['spawn_seconds_max']:.3f}s")
-    incremental = result.incremental
-    if incremental is not None:
-        print(f"incremental:        {incremental['survivors']} survivors, "
-              f"{incremental['inherited']} inherited, "
-              f"{incremental['re_decided']} re-decided")
+    for name, block in result.metrics.items():
+        print(_metrics_line(name, block))
     if result.hazard_mode != "off":
         print(f"hazard check:       {result.hazard_mode}: "
               f"{result.hazard_checked} checked, "
               f"{result.hazard_flagged} flagged, "
               f"{len(result.hazard_verified_pairs)} verified")
         _print_verdict_counts(result)
-        exact = result.hazard_exact
-        assert exact is not None
-        print(f"hazard exact:       {exact['disagreement']} bound "
-              f"disagreements ({exact['xreach']} settled by X-reach), "
-              f"resolution fraction "
-              f"{exact['resolution_fraction']:.2f}, "
-              f"{exact['sat_solves']} SAT solves "
-              f"({exact['sat']} sat / {exact['unsat']} unsat / "
-              f"{exact['unknown']} unknown)")
         for pair in result.hazard_flagged_pairs:
             print(f"  hazard-flagged {circuit.names[pair.source]} -> "
                   f"{circuit.names[pair.sink]}")
-    db = result.implication_db
-    if db:
-        print(f"implication DB:     {db['keys']} keys, {db['edges']} edges, "
-              f"{db['impossible']} impossible literals, "
-              f"built in {db['build_seconds']:.2f}s")
-    session = result.decision_session
-    if session:
-        print(f"decision session:   {session['implications']} implications, "
-              f"prefix hits/misses {session['prefix_hits']}/"
-              f"{session['prefix_misses']}, "
-              f"{session['launch_conflicts']} launch conflicts, "
-              f"trail high-water {session['trail_high_water']}")
-    packed = result.packed_implication
-    if packed:
-        print(f"packed implication: {packed['lanes']} lanes packed, "
-              f"{packed['resolved']} resolved, "
-              f"{packed['fallbacks']} scalar fallbacks, "
-              f"{packed['closures']} closures / {packed['visits']} gate "
-              f"visits in {packed['us'] / 1000:.1f}ms")
     for disagreement in result.disagreements:
         source, sink = (circuit.names[disagreement.pair.source],
                         circuit.names[disagreement.pair.sink])
@@ -280,6 +239,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for source, sink in result.multi_cycle_pair_names():
             print(f"  multicycle {source} -> {sink}")
     return 1 if result.disagreements else 0
+
+
+def _metrics_line(name: str, block: dict) -> str:
+    """One ``metrics`` block as a summary line.
+
+    ``cache`` prints as ``cache:``, padded to the summary's value
+    column, then ``0 hits, 3 misses, ...``: each key after its value,
+    formatted by :func:`~repro.core.result.metric_items`; ``_`` in the
+    block name becomes a space.
+    """
+    label = name.replace("_", " ") + ":"
+    body = ", ".join(f"{value} {key}" for key, value in metric_items(block))
+    return f"{label:20s}{body}"
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -376,8 +348,7 @@ def cmd_hazard(args: argparse.Namespace) -> int:
         if verdict.delay_safe:
             line += " delay-safe"
         print(line)
-    exact = result.hazard_exact
-    assert exact is not None
+    exact = result.metrics["hazard_exact"]
     print(f"resolution fraction: {exact['resolution_fraction']:.2f} "
           f"over {exact['disagreement']} bound disagreement(s)")
     return 0
@@ -573,7 +544,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print("error: cache needs --cache-dir or REPRO_CACHE_DIR",
               file=sys.stderr)
         return 2
-    store = ArtifactStore(cache_dir, max_bytes=args.cache_max_bytes)
+    try:
+        store = ArtifactStore(cache_dir, max_bytes=args.cache_max_bytes)
+    except OSError as exc:
+        print(f"error: cache directory {cache_dir} is unusable ({exc})",
+              file=sys.stderr)
+        return 2
     if args.action == "clear":
         removed, freed = store.clear()
         print(f"{cache_dir}: removed {removed} entries, freed {freed} bytes")

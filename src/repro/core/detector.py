@@ -27,7 +27,7 @@ Usage::
 from __future__ import annotations
 
 from repro.circuit.netlist import Circuit
-from repro.core.pipeline import AnalysisContext, DetectorOptions, Pipeline
+from repro.core.pipeline import AnalysisContext, DetectorOptions
 from repro.core.result import DetectionResult
 from repro.core.trace import ProgressFn, Tracer
 
@@ -79,7 +79,7 @@ class MultiCycleDetector:
         )
         cache_dir = resolve_cache_dir(self.options.cache_dir)
         with store_enabled(cache_dir, self.options.cache_max_bytes) as store:
-            result = Pipeline([StreamingStage()]).run(ctx)
+            result = StreamingStage().run(ctx)
             if store is not None:
                 from repro.core.incremental import save_result_bundle
 

@@ -57,12 +57,7 @@ from repro.circuit.structhash import (
     launch_cone_hashes,
 )
 from repro.circuit.topology import FFPair
-from repro.core.pipeline import (
-    AnalysisContext,
-    DetectorOptions,
-    Pipeline,
-    PipelineState,
-)
+from repro.core.pipeline import AnalysisContext, DetectorOptions
 from repro.core.result import (
     CaseOutcome,
     CaseResult,
@@ -268,18 +263,20 @@ class IncrementalStage(StreamingStage):
     Topology and random simulation run fresh; each launch group's
     survivors whose cone-hash key matches a prior decide record inherit
     it (and, under matching hazard options, its hazard verdict), and
-    the rest are decided exactly as in a full run.  Result assembly,
-    sorting and the trace envelope come from
-    :class:`~repro.core.pipeline.Pipeline` as usual.
+    the rest are decided exactly as in a full run.  :meth:`run` wraps
+    the whole fold and counts survivors, inherited and re-decided pairs
+    in the result's ``incremental`` metrics block.
     """
-
-    name = "incremental"
 
     def __init__(self, bundle: dict[str, object], frames: int = 2) -> None:
         super().__init__(frames=frames)
         self.bundle = bundle
 
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
+    def run(self, ctx: AnalysisContext) -> DetectionResult:
+        fold = Fold(ctx)
+        self._counts = fold.metrics["incremental"] = {
+            "survivors": 0, "inherited": 0, "re_decided": 0,
+        }
         fingerprint = options_fingerprint(
             ctx.options, ctx.circuit, self.frames
         )
@@ -294,11 +291,7 @@ class IncrementalStage(StreamingStage):
         ) == hazard_fingerprint(ctx.options)
         self._launch = launch_cone_hashes(ctx.circuit, self.frames)
         self._capture = capture_cone_hashes(ctx.circuit, self.frames)
-        self._counts = {"survivors": 0, "inherited": 0, "re_decided": 0}
-        super().run(ctx, state)
-        state.incremental = dict(self._counts)
-        ctx.emit("incremental", fingerprint=fingerprint[:16],
-                 **state.incremental)
+        return self._drive(fold)
 
     def select(self, fold: Fold, pairs: list[FFPair]) -> list[FFPair]:
         """Fold the pairs a prior record settles; return the rest."""
@@ -348,13 +341,6 @@ def _inherited_result(pair: FFPair, record: dict[str, object]) -> PairResult:
     )
 
 
-def incremental_pipeline(
-    bundle: dict[str, object], frames: int = 2
-) -> Pipeline:
-    """A pipeline running the incremental stage over a prior bundle."""
-    return Pipeline([IncrementalStage(bundle, frames=frames)])
-
-
 def incremental_detect(
     circuit: Circuit,
     options: DetectorOptions | None = None,
@@ -367,9 +353,9 @@ def incremental_detect(
     With ``bundle=None`` (or a fingerprint mismatch) every surviving
     pair is re-decided — the result is then identical to a full run.
     The merged result's per-pair records are byte-identical to a fresh
-    full run either way; ``result.incremental`` reports how much work
-    was inherited.  When an artifact store is active the merged bundle
-    is republished, so chains of ECOs keep inheriting.
+    full run either way; ``result.metrics["incremental"]`` reports how
+    much work was inherited.  When an artifact store is active the
+    merged bundle is republished, so chains of ECOs keep inheriting.
     """
     from repro.analysis.lint import enforce
     from repro.store.runtime import resolve_cache_dir, store_enabled
@@ -379,7 +365,7 @@ def incremental_detect(
     ctx = AnalysisContext(circuit, options, tracer=tracer, progress=progress)
     cache_dir = resolve_cache_dir(options.cache_dir)
     with store_enabled(cache_dir, options.cache_max_bytes) as store:
-        result = incremental_pipeline(bundle or {}).run(ctx)
+        result = IncrementalStage(bundle or {}).run(ctx)
         if store is not None:
             save_result_bundle(store, result, options)
     return result

@@ -309,11 +309,7 @@ class KCycleDetector:
         self.progress = progress
 
     def run(self) -> KCycleDetectionResult:
-        from repro.core.pipeline import (
-            AnalysisContext,
-            DetectorOptions,
-            Pipeline,
-        )
+        from repro.core.pipeline import AnalysisContext, DetectorOptions
         from repro.core.streaming import StreamingStage
 
         options = DetectorOptions(
@@ -331,7 +327,7 @@ class KCycleDetector:
             self.circuit, options, tracer=self.tracer, progress=self.progress
         )
         decider = KCycleDecider(self.k, self.backtrack_limit)
-        detection = Pipeline([StreamingStage(decider, frames=self.k)]).run(ctx)
+        detection = StreamingStage(decider, frames=self.k).run(ctx)
         results = [
             KCycleResult(r.pair, self.k, r.classification)
             for r in detection.pair_results

@@ -1,24 +1,21 @@
-"""Pipeline core: options, run context, result state and hazard pass.
+"""Pipeline core: options, run context and hazard pass.
 
 The paper's Section 4.1 flow — topology → random simulation → per-pair
-decision → (optional) hazard validation — runs as a :class:`Pipeline`
-of :class:`PipelineStage` objects over an :class:`AnalysisContext`.
-The one executor is the launch-group fold,
-:class:`~repro.core.streaming.StreamingStage`; the incremental ECO stage
+decision → (optional) hazard validation — runs as the launch-group
+fold, :class:`~repro.core.streaming.StreamingStage`, over an
+:class:`AnalysisContext`; the incremental ECO stage
 (:class:`~repro.core.incremental.IncrementalStage`) is the same fold
 with an inherit-or-decide filter.  This module holds what they share:
 
 * :class:`DetectorOptions`, the tuning knobs;
 * :class:`AnalysisContext` — circuit, cached expansions and simulators,
   the run's persistent worker pool, tracer and progress callback;
-* :class:`PipelineState` and the :class:`Pipeline` driver that turns it
-  into a :class:`~repro.core.result.DetectionResult`;
 * :class:`HazardPass`, the run's single hazard-validation pass;
 * the session-counter merge and the shared-memory backplane hooks of
   the worker pool.
 
 The decision procedure is pluggable (:mod:`repro.core.deciders`), and
-every stage boundary and analyzed pair emits a structured trace event
+every run phase and analyzed pair emits a structured trace event
 (:mod:`repro.core.trace`).
 """
 
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
@@ -36,13 +33,9 @@ from repro.core.workqueue import WorkStealingPool
 from repro.logic.bitsim import BitSimulator
 from repro.core.result import (
     Classification,
-    DetectionResult,
-    Disagreement,
     HazardVerdictKind,
     PairHazardVerdict,
     PairResult,
-    Stage,
-    StageStats,
 )
 from repro.core.trace import ProgressFn, Tracer
 
@@ -125,9 +118,9 @@ class DetectorOptions:
     #: (:mod:`repro.store`); ``None`` falls back to the
     #: ``REPRO_CACHE_DIR`` environment variable, and an empty result
     #: disables persistence (in-memory caches only).  Derived artifacts
-    #: (SimPlan, reach matrices, implication DB, lint/sweep reports,
-    #: pair-record bundles) round-trip through the store transparently;
-    #: verdicts are identical with or without it.
+    #: (SimPlan, reach matrices, implication DB, pair-record bundles)
+    #: round-trip through the store transparently; verdicts are
+    #: identical with or without it.
     cache_dir: str | None = None
     #: size bound of the artifact store in bytes (LRU eviction beyond it).
     cache_max_bytes: int = 1 << 30
@@ -243,73 +236,6 @@ class AnalysisContext:
             self.tracer.emit(event, **fields)
 
 
-@dataclass
-class PipelineState:
-    """Mutable run state threaded through the stages."""
-
-    pairs: list[FFPair] = field(default_factory=list)
-    results: list[PairResult] = field(default_factory=list)
-    stats: dict[Stage, StageStats] = field(
-        default_factory=lambda: {stage: StageStats() for stage in Stage}
-    )
-    connected_pairs: int = 0
-    learned_implications: int = 0
-    engine: str = "dalg"
-    disagreements: list[Disagreement] = field(default_factory=list)
-    #: decision-session counter totals (None for non-session engines).
-    session: dict[str, int] | None = None
-    #: implication-DB stats block (None when the DB was not enabled).
-    implication_db: dict[str, float | int] | None = None
-    #: packed-implication totals (None for non-session engines).
-    packed_implication: dict[str, int] | None = None
-    #: hazard-stage outcome (mode "off" when the stage was disabled):
-    #: per-pair three-way verdicts and pass counters.
-    hazard_mode: str = "off"
-    hazard_verdicts: list[PairHazardVerdict] = field(default_factory=list)
-    hazard_exact: dict[str, float | int] | None = None
-    #: incremental re-analysis stats (set by the incremental stage only).
-    incremental: dict[str, int] | None = None
-    #: shared-memory backplane summary (None when none was published).
-    backplane: dict | None = None
-
-
-class PipelineStage(Protocol):
-    """One step of the pipeline; reads and mutates the run state."""
-
-    name: str
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None: ...
-
-
-def _emit_pair(
-    ctx: AnalysisContext,
-    state: PipelineState,
-    result: PairResult,
-    seconds: float,
-    engine: str | None,
-) -> None:
-    """Emit the per-pair trace event and progress callback."""
-    names = ctx.circuit.names
-    record = {
-        "stage": result.stage.value,
-        "source": names[result.pair.source],
-        "sink": names[result.pair.sink],
-        "classification": result.classification.value,
-        "seconds": round(seconds, 6),
-    }
-    if engine is not None:
-        record["engine"] = engine
-    if result.cases:
-        record["cases"] = len(result.cases)
-        record["decisions"] = sum(c.decisions for c in result.cases)
-        record["backtracks"] = sum(c.backtracks for c in result.cases)
-    if result.metrics:
-        record.update(result.metrics)
-    ctx.emit("pair", **record)
-    if ctx.progress is not None:
-        ctx.progress(len(state.results), state.connected_pairs, record)
-
-
 def _auto_chunk_size(num_pairs: int, workers: int) -> int:
     """Default work-unit size.
 
@@ -331,9 +257,9 @@ def packed_summary(session: dict[str, int] | None) -> dict[str, int] | None:
 
     The decision session reports its lane-packing counters as
     ``packed_*`` keys (summed across workers by
-    :func:`merge_session_stats`); this strips the prefix into the block
-    stored on the result and emitted as the ``packed_implication`` trace
-    event.  ``None`` for non-session engines.
+    :func:`merge_session_stats`); this strips the prefix into the
+    result's ``packed_implication`` metrics block.  ``None`` for
+    non-session engines.
     """
     if not session:
         return None
@@ -409,7 +335,7 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
 
 
 def backplane_summary(pool: WorkStealingPool) -> dict | None:
-    """Fold the workers' prepare reports into the backplane trace block.
+    """Fold the workers' prepare reports into the ``backplane`` block.
 
     ``None`` when no backplane was published (mode "off", publish
     failure, or a serial run).  Must run before the pool shuts down.
@@ -456,8 +382,8 @@ class HazardPass:
     ``options.hazard_check`` mode or a bad delay sidecar fails fast.
     The fold hands it each unit's fresh results (:meth:`check`), an
     incremental run the verdicts its prior bundle records
-    (:meth:`adopt`), and :meth:`finish` fills the result's hazard
-    fields and emits the ``hazard_stage`` trace event.  In mode
+    (:meth:`adopt`), and :meth:`finish` records the ``hazard_exact``
+    block and emits the ``hazard_stage`` trace event.  In mode
     ``"off"`` every call is a no-op.
 
     Mode ``"exact"`` classifies every multi-cycle pair as safe /
@@ -530,104 +456,22 @@ class HazardPass:
         ))
         return True
 
-    def finish(self, state: PipelineState) -> None:
-        """Fill the result's hazard fields and emit ``hazard_stage``."""
-        state.hazard_mode = self.mode
+    def finish(self, metrics: dict[str, dict]) -> None:
+        """Sort the verdicts, record ``hazard_exact``, emit ``hazard_stage``."""
         if self.mode == "off":
             return
-        state.hazard_verdicts = sorted(
-            self.verdicts, key=lambda v: (v.pair.source, v.pair.sink)
-        )
+        self.verdicts.sort(key=lambda v: (v.pair.source, v.pair.sink))
         if self._checker is not None:
-            state.hazard_exact = self._checker.summary()
+            metrics["hazard_exact"] = self._checker.summary()
         else:
             # No multi-cycle pair to check: a trivially complete pass.
             from repro.analysis.hazard_exact import empty_exact_summary
 
-            state.hazard_exact = empty_exact_summary()
+            metrics["hazard_exact"] = empty_exact_summary()
         self.ctx.emit(
             "hazard_stage",
             mode=self.mode,
             checked=len(self.verdicts),
             flagged=sum(1 for v in self.verdicts if v.flagged),
             seconds=round(self.seconds, 6),
-            exact=state.hazard_exact,
         )
-
-
-class Pipeline:
-    """Runs its stages over one circuit, producing a :class:`DetectionResult`."""
-
-    def __init__(self, stages: Sequence[PipelineStage]) -> None:
-        self.stages = list(stages)
-
-    def run(self, ctx: AnalysisContext) -> DetectionResult:
-        from repro.store.runtime import active_store
-
-        started = ctx.clock()
-        state = PipelineState()
-        store = active_store()
-        store_before = store.stats() if store is not None else None
-        ctx.emit(
-            "run_start",
-            circuit=ctx.circuit.name,
-            engine=ctx.options.search_engine,
-            workers=ctx.options.workers,
-            stages=[stage.name for stage in self.stages],
-        )
-        try:
-            for stage in self.stages:
-                stage_started = ctx.clock()
-                pairs_in = len(state.pairs)
-                ctx.emit("stage_start", stage=stage.name, pairs_in=pairs_in)
-                stage.run(ctx, state)
-                ctx.emit(
-                    "stage_end",
-                    stage=stage.name,
-                    pairs_in=pairs_in,
-                    pairs_out=len(state.pairs),
-                    results=len(state.results),
-                    seconds=round(ctx.clock() - stage_started, 6),
-                )
-        finally:
-            # The persistent worker pool is scoped to one run.
-            ctx.close()
-        state.results.sort(key=lambda r: (r.pair.source, r.pair.sink))
-        cache_stats: dict[str, int] | None = None
-        if store is not None and store_before is not None:
-            cache_stats = {
-                key: value - store_before.get(key, 0)
-                for key, value in store.stats().items()
-            }
-            ctx.emit("cache", dir=str(store.root), **cache_stats)
-        result = DetectionResult(
-            circuit=ctx.circuit,
-            connected_pairs=state.connected_pairs,
-            pair_results=state.results,
-            stats=state.stats,
-            total_seconds=ctx.clock() - started,
-            learned_implications=state.learned_implications,
-            engine=state.engine,
-            disagreements=state.disagreements,
-            decision_session=state.session,
-            implication_db=state.implication_db,
-            packed_implication=state.packed_implication,
-            hazard_mode=state.hazard_mode,
-            hazard_verdicts=state.hazard_verdicts,
-            hazard_exact=state.hazard_exact,
-            cache=cache_stats,
-            incremental=state.incremental,
-            backplane=state.backplane,
-        )
-        ctx.emit(
-            "run_end",
-            circuit=ctx.circuit.name,
-            engine=state.engine,
-            connected_pairs=state.connected_pairs,
-            multi_cycle=len(result.multi_cycle_pairs),
-            single_cycle=len(result.single_cycle_pairs),
-            undecided=len(result.undecided_pairs),
-            disagreements=len(state.disagreements),
-            seconds=round(result.total_seconds, 6),
-        )
-        return result

@@ -170,6 +170,25 @@ class PairHazardVerdict:
         return "safe"
 
 
+def metric_items(block: dict) -> list[tuple[str, str]]:
+    """One ``metrics`` block as ``(key, value)`` text pairs, in order.
+
+    The rule the CLI summary and the markdown report share: ``_`` in a
+    key becomes ``-``; ints print as they are, floats to 2 decimals and
+    lists by their length.
+    """
+    items = []
+    for key, value in block.items():
+        if isinstance(value, float):
+            text = f"{value:.2f}"
+        elif isinstance(value, list):
+            text = str(len(value))
+        else:
+            text = str(value)
+        items.append((key.replace("_", "-"), text))
+    return items
+
+
 @dataclass
 class DetectionResult:
     """Everything the detector learned about one circuit."""
@@ -184,42 +203,58 @@ class DetectionResult:
     engine: str = "dalg"
     #: cross-check decider only: pairs where the two engines disagreed.
     disagreements: list[Disagreement] = field(default_factory=list)
-    #: decision-session counter totals (prefix cache hits/misses, trail
-    #: high-water mark, ...); ``None`` for non-session engines (sat/bdd).
-    decision_session: dict[str, int] | None = None
-    #: compiled implication-DB stats (nodes/keys/edges/impossible/build
-    #: seconds); ``None`` unless ``DetectorOptions.implication_db`` was
-    #: set.  Observability only — excluded from :meth:`pair_records`.
-    implication_db: dict[str, float | int] | None = None
-    #: packed-implication pre-pass totals (lanes packed, lanes resolved,
-    #: scalar fallbacks, closures/visits/microseconds); ``None`` for
-    #: non-session engines (sat/bdd).  Observability only — the packed
-    #: path never changes classifications or :meth:`pair_records`.
-    packed_implication: dict[str, int] | None = None
     #: hazard-validation mode the pipeline ran: "off" or "exact".
     hazard_mode: str = "off"
     #: one verdict per multi-cycle pair, sorted by pair; empty when the
     #: hazard stage was off.  Observability only — excluded from
     #: :meth:`pair_records`.
     hazard_verdicts: list[PairHazardVerdict] = field(default_factory=list)
-    #: counters of the exact pass (bounds disagreement, resolution
-    #: fraction, SAT solve outcomes, delay filtering); ``None`` when the
-    #: hazard stage was off.
-    hazard_exact: dict[str, float | int] | None = None
-    #: artifact-store counter deltas for this run (hits/misses/stores/
-    #: evictions/corrupt); ``None`` when no on-disk store was active.
-    #: Observability only — excluded from :meth:`pair_records`.
-    cache: dict[str, int] | None = None
-    #: incremental re-analysis stats (survivors/inherited/re-decided);
-    #: ``None`` for a full run.  The merged per-pair records are
-    #: byte-identical to a fresh full run — the invariant the hypothesis
-    #: differentials in ``tests/core/test_incremental.py`` enforce.
-    incremental: dict[str, int] | None = None
-    #: shared-memory backplane summary for parallel decide runs (kinds
-    #: published, bytes, workers attached, per-worker store misses and
-    #: peak RSS); ``None`` when no backplane was published.
-    #: Observability only — excluded from :meth:`pair_records`.
-    backplane: dict | None = None
+    #: the run's counter blocks by name.  A block is present only when
+    #: its producer ran:
+    #:
+    #: * ``decision_session`` — session counter totals (pairs, prefix
+    #:   hits/misses, launch conflicts, implications, trail high-water,
+    #:   ``packed_*``); session engines (dalg/podem/scoap) only;
+    #: * ``packed_implication`` — the packed pre-pass totals (lanes,
+    #:   resolved, fallbacks, closures, visits, ``us``); session engines;
+    #: * ``implication_db`` — the compiled implication DB's stats, with
+    #:   ``DetectorOptions.implication_db``;
+    #: * ``hazard_exact`` — the exact hazard pass's counters and
+    #:   resolution fraction, with ``hazard_check="exact"``;
+    #: * ``backplane`` — the shared-memory backplane summary of a pool
+    #:   run that published one;
+    #: * ``incremental`` — survivors, inherited and re-decided pairs of
+    #:   an incremental run;
+    #: * ``cache`` — the artifact store's counter deltas (hits, misses,
+    #:   stores, evictions, corrupt) when a store was active.
+    #:
+    #: The same map is the ``metrics`` field of the ``run_end`` trace
+    #: event.  Observability only — excluded from :meth:`pair_records`.
+    metrics: dict[str, dict] = field(default_factory=dict)
+
+    # Read-only views of four blocks of ``metrics`` (``None`` when
+    # absent).  They stay because existing callers still read them by
+    # these names (the end-to-end benchmark's span harness,
+    # ``benchmarks/e2e/spans.layer_metrics``).
+    @property
+    def packed_implication(self) -> dict | None:
+        """``metrics["packed_implication"]``, or ``None``."""
+        return self.metrics.get("packed_implication")
+
+    @property
+    def hazard_exact(self) -> dict | None:
+        """``metrics["hazard_exact"]``, or ``None``."""
+        return self.metrics.get("hazard_exact")
+
+    @property
+    def incremental(self) -> dict | None:
+        """``metrics["incremental"]``, or ``None``."""
+        return self.metrics.get("incremental")
+
+    @property
+    def backplane(self) -> dict | None:
+        """``metrics["backplane"]``, or ``None``."""
+        return self.metrics.get("backplane")
 
     @property
     def multi_cycle_pairs(self) -> list[PairResult]:

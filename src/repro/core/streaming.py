@@ -1,8 +1,10 @@
 """The launch-group fold: the one executor of the paper's flow.
 
 The paper's Section 4.1 flow — connected pairs → random simulation →
-implication/ATPG → hazard check — runs as a single pipeline stage,
-:class:`StreamingStage`, that never materializes the full pair list:
+implication/ATPG → hazard check — runs as one call,
+:meth:`StreamingStage.run`, that never materializes the full pair list
+and returns the :class:`~repro.core.result.DetectionResult` its
+:class:`Fold` builds:
 
 1. **Topology** lives in the packed sink-reach matrix
    (:func:`~repro.circuit.topology.sink_reach`, built in fixed-size
@@ -60,9 +62,7 @@ from repro.core.deciders import PairDecider, create_decider
 from repro.core.pipeline import (
     AnalysisContext,
     HazardPass,
-    PipelineState,
     _auto_chunk_size,
-    _emit_pair,
     backplane_summary,
     merge_session_stats,
     packed_summary,
@@ -71,9 +71,11 @@ from repro.core.pipeline import (
 from repro.core.random_filter import random_filter_packed
 from repro.core.result import (
     Classification,
+    DetectionResult,
     Disagreement,
     PairResult,
     Stage,
+    StageStats,
 )
 from repro.core.workqueue import (
     LocalQueue,
@@ -86,16 +88,13 @@ from repro.core.workqueue import (
 class StreamingStage:
     """Topology → random-sim → decide → hazard, one launch group at a time.
 
-    Fills the :class:`~repro.core.pipeline.PipelineState` that
-    :class:`~repro.core.pipeline.Pipeline` turns into the result
-    (sorting, ``DetectionResult`` construction, trace envelope).
-    ``decider`` is a registry name or an unprepared decider instance
-    (default: ``options.search_engine``).  ``frames=2`` is the MC
-    condition; larger values give the k-cycle variant (pass the matching
-    k-frame decider).
+    :meth:`run` drives one :class:`Fold` over the circuit and returns the
+    :class:`~repro.core.result.DetectionResult`.  ``decider`` is a
+    registry name or an unprepared decider instance (default:
+    ``options.search_engine``).  ``frames=2`` is the MC condition;
+    larger values give the k-cycle variant (pass the matching k-frame
+    decider).
     """
-
-    name = "stream"
 
     def __init__(
         self,
@@ -126,8 +125,40 @@ class StreamingStage:
     # ------------------------------------------------------------------
     # Main flow.
     # ------------------------------------------------------------------
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        hazard = HazardPass(ctx)
+    def run(self, ctx: AnalysisContext) -> DetectionResult:
+        """Classify every connected pair of ``ctx.circuit``."""
+        return self._drive(Fold(ctx))
+
+    def _drive(self, fold: "Fold") -> DetectionResult:
+        """Run the flow into ``fold`` inside the run's trace envelope.
+
+        Emits ``run_start``, records the active store's counter deltas
+        as the ``cache`` block, shuts the run's worker pool down (also
+        on failure) and lets the fold build the result and ``run_end``.
+        """
+        from repro.store.runtime import active_store
+
+        ctx = fold.ctx
+        store = active_store()
+        store_before = store.stats() if store is not None else {}
+        ctx.emit(
+            "run_start",
+            circuit=ctx.circuit.name,
+            engine=ctx.options.search_engine,
+            workers=ctx.options.workers,
+        )
+        try:
+            self._flow(ctx, fold)
+        finally:
+            ctx.close()
+        if store is not None:
+            fold.metrics["cache"] = {
+                key: value - store_before.get(key, 0)
+                for key, value in store.stats().items()
+            }
+        return fold.finish()
+
+    def _flow(self, ctx: AnalysisContext, fold: "Fold") -> None:
         options = ctx.options
         circuit = ctx.circuit
         include_self = options.include_self_loops
@@ -143,7 +174,8 @@ class StreamingStage:
                 np.uint64(1) << (diag % 64).astype(np.uint64)
             )
         groups_total, connected = launch_group_stats(circuit, include_self)
-        state.connected_pairs = connected
+        fold.connected_pairs = connected
+        fold.groups_total = groups_total
         ctx.emit(
             "stream_topology",
             groups=groups_total,
@@ -178,14 +210,13 @@ class StreamingStage:
                     round(report.patterns / seconds) if seconds else 0
                 ),
             )
-            state.stats[Stage.SIMULATION].cpu_seconds += seconds
+            fold.stats[Stage.SIMULATION].cpu_seconds += seconds
             survivors = report.alive
             survivor_count = report.survivors
 
         # -- Decide + hazard, folded per work unit. --------------------
         decider = self._resolve(ctx)
-        state.engine = decider.name
-        fold = Fold(ctx, state, hazard, decider.name, groups_total)
+        fold.engine = decider.name
         dff_index = dff_rows(circuit)
 
         def fresh_groups() -> Iterator[list[FFPair]]:
@@ -204,29 +235,19 @@ class StreamingStage:
         size = options.chunk_pairs or _auto_chunk_size(
             survivor_count, max(1, options.workers)
         )
-        self._decide(ctx, state, decider, fold, fresh_groups(), size)
+        self._decide(ctx, decider, fold, fresh_groups(), size)
 
         # -- Run summary: session counters, DB stats, disagreements. ---
-        state.learned_implications = fold.learned
-        state.session = fold.session
-        state.implication_db = getattr(decider, "db_info", None)
-        if state.implication_db is not None:
-            ctx.emit(
-                "implication_db", engine=decider.name, **state.implication_db
-            )
+        metrics = fold.metrics
         if fold.session is not None:
-            ctx.emit(
-                "decision_session", engine=decider.name, **fold.session
-            )
-        state.packed_implication = packed_summary(fold.session)
-        if state.packed_implication is not None:
-            ctx.emit(
-                "packed_implication",
-                engine=decider.name,
-                **state.packed_implication,
-            )
+            metrics["decision_session"] = fold.session
+        packed = packed_summary(fold.session)
+        if packed is not None:
+            metrics["packed_implication"] = packed
+        db_info = getattr(decider, "db_info", None)
+        if db_info is not None:
+            metrics["implication_db"] = db_info
         fold.disagreements.sort(key=lambda d: (d.pair.source, d.pair.sink))
-        state.disagreements.extend(fold.disagreements)
         names = circuit.names
         for disagreement in fold.disagreements:
             ctx.emit(
@@ -238,13 +259,11 @@ class StreamingStage:
                     disagreement.secondary_engine: disagreement.secondary.value,
                 },
             )
-        hazard.finish(state)
-        state.pairs = []
+        fold.hazard.finish(metrics)
 
     def _decide(
         self,
         ctx: AnalysisContext,
-        state: PipelineState,
         decider: PairDecider,
         fold: "Fold",
         groups: Iterator[list[FFPair]],
@@ -314,9 +333,9 @@ class StreamingStage:
             max_pairs_in_flight=max_in_flight,
             per_worker=queue.worker_summary(),
         )
-        state.backplane = backplane_summary(queue)
-        if state.backplane is not None:
-            ctx.emit("backplane", **state.backplane)
+        backplane = backplane_summary(queue)
+        if backplane is not None:
+            fold.metrics["backplane"] = backplane
 
 
 def _partition_group(
@@ -340,40 +359,41 @@ def _partition_group(
 
 
 class Fold:
-    """One run's result fold: settled pairs, counters and group progress.
+    """One run's accumulator, and the builder of its result.
 
-    Shared by both executors and by the incremental filter, which folds
-    inherited records through :meth:`result` like decided ones.
+    Holds the settled pairs, per-stage counters, session totals,
+    disagreements, the ``metrics`` blocks and the launch-group progress;
+    the incremental filter folds inherited records through
+    :meth:`result` like decided ones.  Built before any decide work:
+    its :class:`~repro.core.pipeline.HazardPass` rejects a bad hazard
+    mode or delay sidecar at once.
     """
 
-    def __init__(
-        self,
-        ctx: AnalysisContext,
-        state: PipelineState,
-        hazard: HazardPass,
-        engine: str,
-        groups_total: int,
-    ) -> None:
+    def __init__(self, ctx: AnalysisContext) -> None:
         self.ctx = ctx
-        self.state = state
-        self.hazard = hazard
-        self.engine = engine
-        self.groups_total = groups_total
+        self.started = ctx.clock()
+        self.hazard = HazardPass(ctx)
+        self.results: list[PairResult] = []
+        self.stats = {stage: StageStats() for stage in Stage}
+        self.connected_pairs = 0
+        self.engine = ctx.options.search_engine
+        self.groups_total = 0
         self.groups_folded = 0
         self.decided_pairs = 0
         self.learned = 0
         self.session: dict[str, int] | None = None
         self.disagreements: list[Disagreement] = []
+        #: the result's counter blocks by name (see ``DetectionResult``).
+        self.metrics: dict[str, dict] = {}
         #: launch source -> [fresh pairs not yet folded, pairs, dropped]
         self._open: dict[int, list[int]] = {}
 
     def result(
         self, result: PairResult, seconds: float, engine: str | None
     ) -> None:
-        """Fold one settled pair into the result and its stage counters."""
-        state = self.state
-        state.results.append(result)
-        stats = state.stats[result.stage]
+        """Fold one settled pair; emit its trace event and progress."""
+        self.results.append(result)
+        stats = self.stats[result.stage]
         if result.classification is Classification.MULTI_CYCLE:
             stats.multi_cycle += 1
         elif result.classification is Classification.SINGLE_CYCLE:
@@ -381,7 +401,26 @@ class Fold:
         else:
             stats.undecided += 1
         stats.cpu_seconds += seconds
-        _emit_pair(self.ctx, state, result, seconds, engine=engine)
+        ctx = self.ctx
+        names = ctx.circuit.names
+        record = {
+            "stage": result.stage.value,
+            "source": names[result.pair.source],
+            "sink": names[result.pair.sink],
+            "classification": result.classification.value,
+            "seconds": round(seconds, 6),
+        }
+        if engine is not None:
+            record["engine"] = engine
+        if result.cases:
+            record["cases"] = len(result.cases)
+            record["decisions"] = sum(c.decisions for c in result.cases)
+            record["backtracks"] = sum(c.backtracks for c in result.cases)
+        if result.metrics:
+            record.update(result.metrics)
+        ctx.emit("pair", **record)
+        if ctx.progress is not None:
+            ctx.progress(len(self.results), self.connected_pairs, record)
 
     def drop(self, pairs: list[FFPair]) -> None:
         """Fold one group's simulation-refuted pairs."""
@@ -430,5 +469,36 @@ class Fold:
             source=self.ctx.circuit.names[source],
             pairs=pairs,
             dropped=dropped,
-            folded=len(self.state.results),
+            folded=len(self.results),
         )
+
+    def finish(self) -> DetectionResult:
+        """Sort the results, build the result and emit ``run_end``."""
+        ctx = self.ctx
+        self.results.sort(key=lambda r: (r.pair.source, r.pair.sink))
+        result = DetectionResult(
+            circuit=ctx.circuit,
+            connected_pairs=self.connected_pairs,
+            pair_results=self.results,
+            stats=self.stats,
+            total_seconds=ctx.clock() - self.started,
+            learned_implications=self.learned,
+            engine=self.engine,
+            disagreements=self.disagreements,
+            hazard_mode=self.hazard.mode,
+            hazard_verdicts=self.hazard.verdicts,
+            metrics=self.metrics,
+        )
+        ctx.emit(
+            "run_end",
+            circuit=ctx.circuit.name,
+            engine=self.engine,
+            connected_pairs=self.connected_pairs,
+            multi_cycle=len(result.multi_cycle_pairs),
+            single_cycle=len(result.single_cycle_pairs),
+            undecided=len(result.undecided_pairs),
+            disagreements=len(self.disagreements),
+            seconds=round(result.total_seconds, 6),
+            metrics=self.metrics,
+        )
+        return result

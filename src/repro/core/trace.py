@@ -1,34 +1,39 @@
 """Structured trace layer for the pair-analysis pipeline.
 
 Every pipeline run can emit a stream of :class:`TraceEvent` records — one
-per stage boundary and one per analyzed FF pair — replacing the ad-hoc
+per run phase and one per analyzed FF pair — replacing the ad-hoc
 ``time.perf_counter()`` bookkeeping the detector used to carry inline.
 Events are plain dictionaries with a fixed envelope::
 
-    {"v": 1, "event": "stage_end", "t": 0.0123, "stage": "stream",
-     "pairs_in": 0, "pairs_out": 0, "results": 9, "seconds": 0.0119}
+    {"v": 1, "event": "random_sim", "t": 0.0123, "frames": 2,
+     "rounds": 2, "patterns": 512, "dropped": 4, "seconds": 0.0119, ...}
 
 ``v`` is the schema version, ``event`` the record type and ``t`` the time
 offset (in seconds, by the tracer's clock) since the tracer was created.
 Event types emitted by the pipeline:
 
 ``run_start`` / ``run_end``
-    One pair per pipeline run; ``run_end`` carries the summary counts.
-``stage_start`` / ``stage_end``
-    One pair per pipeline stage, with pair counts in/out and seconds.
-    A detection run has one stage, the launch-group fold (``stream``,
-    or ``incremental`` for an ECO re-analysis); its phases report their
-    own seconds in ``stream_topology``, ``random_sim`` and
-    ``hazard_stage``.
+    One pair per detection run.  ``run_end`` carries the summary counts,
+    the run's seconds and ``metrics``: the result's counter blocks by
+    name (``decision_session``, ``packed_implication``,
+    ``implication_db``, ``hazard_exact``, ``backplane``,
+    ``incremental``, ``cache``; see
+    :attr:`~repro.core.result.DetectionResult.metrics`), each present
+    only when its producer ran.
+``stream_topology``
+    One per run: launch-group and connected-pair totals, whether the
+    packed reachability matrix was built in row blocks, and seconds.
+``random_sim``
+    One per run with random simulation: frames, rounds, patterns,
+    dropped pairs, seconds and patterns per second.
 ``pair``
     One per analyzed FF pair: source/sink names, classification, the
     stage that settled it and the decision-search effort.
-``disagreement``
-    Emitted by the cross-check decider when two engines disagree.
-``hazard_stage``
-    One per run with ``--hazard-check exact``: the mode, how many
-    multi-cycle pairs were checked/flagged, the pass's seconds and its
-    ``exact`` counters.
+``launch_group``
+    One per launch group once all its pairs are folded into the result:
+    ``group_index``/``groups_total``, the launching FF, the group's
+    pair count, how many the random filter dropped, and ``folded`` —
+    the number of pair results settled so far (progress).
 ``decision_exec``
     One per run with ``workers > 1`` that decided any pair: whether the
     pool ran (``parallel``) or the pairs stayed below
@@ -37,22 +42,15 @@ Event types emitted by the pipeline:
     One per parallel decision run: worker count, work-unit count and
     sizing (``unit_pairs``/``split``/``max_pairs_in_flight``) plus
     per-worker unit/pair/second totals from the work-stealing queue.
-``packed_implication``
-    One per run of a session engine (``dalg``/``podem``/``scoap``): the
-    packed pre-pass totals — lanes packed, lanes resolved without the
-    scalar engine, scalar fallbacks, and the closure/visit/microsecond
-    counters of the packed engine.
-``stream_topology``
-    One per run: launch-group and connected-pair totals, whether the
-    packed reachability matrix was built in row blocks, and seconds.
-``random_sim``
-    One per run with random simulation: frames, rounds, patterns,
-    dropped pairs, seconds and patterns per second.
-``launch_group``
-    One per launch group once all its pairs are folded into the result:
-    ``group_index``/``groups_total``, the launching FF, the group's
-    pair count, how many the random filter dropped, and ``folded`` —
-    the number of pair results settled so far (progress).
+``disagreement``
+    Emitted by the cross-check decider when two engines disagree.
+``hazard_stage``
+    One per run with ``--hazard-check exact``: the mode, how many
+    multi-cycle pairs were checked/flagged and the pass's seconds.
+``stage_start`` / ``stage_end``
+    Only the Condition-2 extension pass (:mod:`repro.core.extended`)
+    brackets its ``pair`` events with these, under
+    ``"stage": "condition2"``.
 
 A tracer writes each record to an optional JSON-lines sink as soon as it
 is emitted (crash-safe for long runs) and keeps the records in memory

@@ -18,6 +18,7 @@ from repro.circuit.topology import connected_ff_pairs
 from repro.core.detector import DetectorOptions
 from repro.core.extended import condition2_extension
 from repro.core.kcycle import max_cycles
+from repro.core.result import DetectionResult, metric_items
 from repro.reporting.tables import Table, run_table1, run_table2, run_table3
 from repro.sta.constraints import relaxation_report
 
@@ -37,6 +38,25 @@ def _markdown_table(table: Table) -> str:
     for note in table.notes:
         out.write(f"\n*{note}*\n")
     return out.getvalue()
+
+
+def _metrics_table(
+    name: str,
+    circuits: Sequence[Circuit],
+    detections: Sequence[DetectionResult],
+) -> Table:
+    """Block ``name`` of the detections' ``metrics``: a row per circuit
+    that carries it, a column per key (:func:`metric_items`)."""
+    headers: list[str] = []
+    rows: list[list[object]] = []
+    for circuit, detection in zip(circuits, detections):
+        block = detection.metrics.get(name)
+        if block is None:
+            continue
+        items = metric_items(block)
+        headers = ["circuit", *(key for key, _ in items)]
+        rows.append([circuit.name, *(value for _, value in items)])
+    return Table(f"{name.replace('_', ' ')} counters", headers, rows)
 
 
 def generate_report(
@@ -102,53 +122,12 @@ def generate_report(
         f"## {exact_table.title}\n\n{_markdown_table(exact_table)}"
     )
 
-    # Decision-session counters (implication-engine detections only).
-    rows = []
-    for circuit, detection in zip(circuits, detections):
-        session = detection.decision_session
-        if not session:
-            continue
-        rows.append([
-            circuit.name, session["pairs"], session["implications"],
-            session["prefix_hits"], session["prefix_misses"],
-            session["launch_conflicts"], session["trail_high_water"],
-        ])
-    if rows:
-        session_table = Table(
-            "Decision-session counters",
-            ["circuit", "pairs", "implications", "prefix hits",
-             "prefix misses", "launch conflicts", "trail high-water"],
-            rows,
-            ["launch prefixes shared across same-source pairs; hits are "
-             "capture cases that reused an already-propagated launch"],
-        )
-        sections.append(
-            f"## {session_table.title}\n\n{_markdown_table(session_table)}"
-        )
-
-    # Packed-implication pre-pass totals (session engines only).
-    rows = []
-    for circuit, detection in zip(circuits, detections):
-        packed = detection.packed_implication
-        if not packed:
-            continue
-        rows.append([
-            circuit.name, packed["lanes"], packed["resolved"],
-            packed["fallbacks"], packed["closures"], packed["visits"],
-        ])
-    if rows:
-        packed_table = Table(
-            "Packed implication (64 cases per word)",
-            ["circuit", "lanes", "resolved", "scalar fallbacks",
-             "closures", "gate visits"],
-            rows,
-            ["every (pair, a, b) decision case is one lane of a shared "
-             "bit-parallel closure; resolved lanes never touch the "
-             "scalar engine, fallback lanes needed a backtrack search"],
-        )
-        sections.append(
-            f"## {packed_table.title}\n\n{_markdown_table(packed_table)}"
-        )
+    # One table per counter block the detections carry.
+    for name in dict.fromkeys(
+        block for detection in detections for block in detection.metrics
+    ):
+        table = _metrics_table(name, circuits, detections)
+        sections.append(f"## {table.title}\n\n{_markdown_table(table)}")
 
     # k-cycle budgets over the smallest circuits.
     histogram: dict[int, int] = {}

@@ -3,7 +3,7 @@
 The caching seam behind :meth:`Circuit.derived
 <repro.circuit.netlist.Circuit.derived>`: expensive derived artifacts
 (compiled simulation plans, packed reach matrices, the implication DB,
-lint/sweep reports, detection pair records) are addressed by the
+detection pair records) are addressed by the
 circuit's content digest and shared across processes through an
 atomically-written, LRU-bounded, self-healing store directory.  See
 :mod:`repro.store.artifact_store` for the on-disk format and

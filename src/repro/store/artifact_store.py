@@ -1,9 +1,9 @@
 """Content-addressed, process-shared on-disk artifact store.
 
 Derived analysis structures — compiled simulation plans, packed reach
-matrices, the global implication DB, lint/sweep reports, detection pair
-records — are expensive to build and pure functions of the netlist
-content.  :class:`ArtifactStore` keeps them on disk, addressed by a
+matrices, the global implication DB, detection pair records — are
+expensive to build and pure functions of the netlist content.
+:class:`ArtifactStore` keeps them on disk, addressed by a
 content digest (see :meth:`~repro.circuit.netlist.Circuit.content_key`),
 so repeated runs of the same netlist — in the same process, a later
 process, or a concurrent one — load instead of rebuild.
@@ -25,7 +25,7 @@ Design rules:
 * **Size-bounded LRU eviction.**  ``max_bytes`` caps the store; when a
   write pushes the total over it, the least-recently-*used* entries go
   first (loads touch the file mtime).
-* **Two layouts.**  Small report-like kinds are pickled envelopes
+* **Two layouts.**  The ``pair-records`` bundles are pickled envelopes
   (``.pkl``); the numpy-heavy kinds in
   :data:`repro.store.codecs.FLAT_KINDS` use the flat-buffer layout
   (``.rfb``, :mod:`repro.store.flatbuf`) so a warm load memory-maps the
@@ -62,8 +62,6 @@ SCHEMA_VERSIONS: dict[str, int] = {
     "implication-db": 2,
     "packed-implication": 1,
     "expansion": 1,
-    "lint-report": 1,
-    "sweep-report": 1,
     # 2: decide records of the backjumping ATPG search, whose
     # decisions/backtracks counts are smaller than the chronological
     # search's; inheriting a v1 record would differ from a full run.

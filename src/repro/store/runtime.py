@@ -13,6 +13,7 @@ exactly as before the store existed).
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -67,13 +68,22 @@ def store_enabled(
     """Scope an active store to a ``with`` block (``None`` dir = no-op).
 
     Restores the previously active store (or none) on exit, so nested
-    runs with different cache directories compose.
+    runs with different cache directories compose.  A directory that
+    cannot be created (say, a path under a regular file) prints one
+    ``warning:`` line on stderr and runs the block without a store.
     """
     if cache_dir is None:
         yield _ACTIVE
         return
     previous = _ACTIVE
-    store = activate_store(cache_dir, max_bytes=max_bytes)
+    store: ArtifactStore | None
+    try:
+        store = activate_store(cache_dir, max_bytes=max_bytes)
+    except OSError as exc:
+        print(f"warning: cache directory {cache_dir} is unusable ({exc}); "
+              f"running without a store", file=sys.stderr)
+        deactivate_store()
+        store = None
     try:
         yield store
     finally:

@@ -83,9 +83,7 @@ def _assert_matches_oracle(circuit):
     mismatches = oracle_mismatches(circuit, detection)
     assume(mismatches is not None)
     assert mismatches == []
-    summary = detection.hazard_exact
-    assert summary is not None
-    assert summary["resolution_fraction"] == 1.0
+    assert detection.metrics["hazard_exact"]["resolution_fraction"] == 1.0
 
 
 @given(seeds)
@@ -407,7 +405,7 @@ def test_streaming_exact_matches_staged(seed):
     staged = staged_detect(circuit, DetectorOptions(hazard_check="exact"))
     streamed = _detect(circuit, hazard_check="exact")
     assert _verdict_fingerprint(staged) == _verdict_fingerprint(streamed)
-    assert staged.hazard_exact == streamed.hazard_exact
+    assert staged.metrics["hazard_exact"] == streamed.metrics["hazard_exact"]
     assert staged.hazard_flagged_pairs == streamed.hazard_flagged_pairs
     assert json.dumps(staged.pair_records(), sort_keys=True) == json.dumps(
         streamed.pair_records(), sort_keys=True
@@ -456,8 +454,7 @@ def test_empty_exact_summary_shape():
     assert summary["checked"] == 0
     # Zero multi-cycle survivors still report a complete exact pass.
     detection = _detect(_single_ff_circuit(), hazard_check="exact")
-    assert detection.hazard_exact is not None
-    assert detection.hazard_exact["resolution_fraction"] == 1.0
+    assert detection.metrics["hazard_exact"]["resolution_fraction"] == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -74,11 +74,11 @@ def test_db_stats_surface_on_result(fig1):
     result = detect_multi_cycle_pairs(
         fig1, DetectorOptions(implication_db=True, use_random_sim=False)
     )
-    assert result.implication_db is not None
-    assert result.implication_db["nodes"] > 0
-    assert result.implication_db["edges"] >= result.implication_db["keys"]
+    db = result.metrics["implication_db"]
+    assert db["nodes"] > 0
+    assert db["edges"] >= db["keys"]
     off = detect_multi_cycle_pairs(fig1, DetectorOptions())
-    assert off.implication_db is None
+    assert "implication_db" not in off.metrics
 
 
 def test_lint_strict_rejects_circuit_with_warnings():

@@ -135,6 +135,14 @@ def staged_detect(
         raise ValueError(f"unknown hazard_check mode {mode!r}")
 
     results.sort(key=lambda r: (r.pair.source, r.pair.sink))
+    metrics = {}
+    if session is not None:
+        metrics["decision_session"] = session
+        metrics["packed_implication"] = packed_summary(session)
+    if db_info is not None:
+        metrics["implication_db"] = db_info
+    if exact_summary is not None:
+        metrics["hazard_exact"] = exact_summary
     return DetectionResult(
         circuit=circuit,
         connected_pairs=connected,
@@ -144,10 +152,7 @@ def staged_detect(
         learned_implications=learned,
         engine=decider.name,
         disagreements=disagreements,
-        decision_session=session,
-        implication_db=db_info,
-        packed_implication=packed_summary(session),
         hazard_mode=mode,
         hazard_verdicts=verdicts,
-        hazard_exact=exact_summary,
+        metrics=metrics,
     )

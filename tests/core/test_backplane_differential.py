@@ -36,8 +36,8 @@ def _assert_identical(circuit, **kw):
     off = _run(circuit, backplane="off", **kw)
     staged = staged_detect(circuit, DetectorOptions(**kw))
     assert _records(on) == _records(off) == _records(staged)
-    assert off.backplane is None
-    summary = on.backplane
+    assert "backplane" not in off.metrics
+    summary = on.metrics.get("backplane")
     if summary is not None:  # None when the pool auto-fell back to serial
         assert summary["attached"] == summary["workers"]
         assert summary["worker_store_misses"] == 0
@@ -76,8 +76,7 @@ def test_backplane_matches_on_paper_circuits():
 def test_backplane_publishes_on_paper_circuit():
     """fig1 with a forced pool: the summary proves attach replaced rebuild."""
     result = _run(fig1_circuit(), backplane="on")
-    summary = result.backplane
-    assert summary is not None
+    summary = result.metrics["backplane"]
     assert summary["workers"] == 2
     assert summary["attached"] == 2
     assert summary["worker_store_misses"] == 0
@@ -89,4 +88,4 @@ def test_backplane_publishes_on_paper_circuit():
 
 def test_backplane_off_never_publishes():
     result = _run(fig1_circuit(), backplane="off")
-    assert result.backplane is None
+    assert "backplane" not in result.metrics

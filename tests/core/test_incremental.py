@@ -23,7 +23,6 @@ from repro.circuit.structhash import (
 )
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.incremental import (
-    IncrementalStage,
     hazard_fingerprint,
     incremental_detect,
     load_result_bundle,
@@ -144,7 +143,7 @@ def test_incremental_matches_full_run_after_eco(engine, seed, kind):
     incremental = incremental_detect(edited, options, bundle)
     full = MultiCycleDetector(_clone(edited), options).run()
     assert _records(incremental) == _records(full)
-    assert incremental.incremental is not None
+    assert "incremental" in incremental.metrics
 
 
 @given(seeds, st.integers(0, 2))
@@ -167,11 +166,11 @@ def test_unchanged_circuit_inherits_every_decide_verdict(seed):
     bundle = result_bundle(full, options)
     rerun = incremental_detect(_clone(base), options, bundle)
     assert _records(rerun) == _records(full)
-    assert rerun.incremental["re_decided"] == 0
+    assert rerun.metrics["incremental"]["re_decided"] == 0
     decide_settled = sum(
         1 for r in full.pair_results if r.stage is not Stage.SIMULATION
     )
-    assert rerun.incremental["inherited"] == decide_settled
+    assert rerun.metrics["incremental"]["inherited"] == decide_settled
 
 
 @given(seeds, st.integers(0, 2))
@@ -225,7 +224,7 @@ def test_globally_sensitive_options_re_decide_everything():
     )
     bundle = result_bundle(MultiCycleDetector(base, options).run(), options)
     incremental = incremental_detect(edited, options, bundle)
-    assert incremental.incremental["inherited"] == 0
+    assert incremental.metrics["incremental"]["inherited"] == 0
     full = MultiCycleDetector(_clone(edited), options).run()
     assert _records(incremental) == _records(full)
 
@@ -262,7 +261,7 @@ def test_hazard_mode_mismatch_rechecks(fig1):
     # MC pair is re-checked.
     rerun = incremental_detect(_clone(fig1), checked, bundle)
     full = MultiCycleDetector(_clone(fig1), checked).run()
-    assert rerun.incremental["re_decided"] == 0
+    assert rerun.metrics["incremental"]["re_decided"] == 0
     assert rerun.hazard_checked == full.hazard_checked
     assert [
         (p.source, p.sink) for p in rerun.hazard_flagged_pairs
@@ -301,7 +300,7 @@ def test_verdicts_of_older_hazard_rules_are_rechecked():
             rewritten += 1
     assert rewritten == 2
     rerun = incremental_detect(_clone(circuit), options, stale)
-    assert rerun.incremental["re_decided"] == 0
+    assert rerun.metrics["incremental"]["re_decided"] == 0
     assert not any(v.decided_by == "inherited" for v in rerun.hazard_verdicts)
     assert _bound_fields(rerun) == _bound_fields(full)
     assert all(
@@ -328,8 +327,4 @@ def test_missing_bundle_degrades_to_full_run(fig1):
     incremental = incremental_detect(_clone(fig1), options, None)
     full = MultiCycleDetector(_clone(fig1), options).run()
     assert _records(incremental) == _records(full)
-    assert incremental.incremental["inherited"] == 0
-
-
-def test_incremental_stage_name():
-    assert IncrementalStage({}).name == "incremental"
+    assert incremental.metrics["incremental"]["inherited"] == 0

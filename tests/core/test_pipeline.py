@@ -1,9 +1,9 @@
 """Tests for the pipeline core: stages, trace layer, parallel executor.
 
 `MultiCycleDetector` is a thin shell over
-``Pipeline([StreamingStage()]).run(AnalysisContext(...))``, so these
-tests exercise the machinery every detector rides on — the stage
-protocol, the decider registry, the JSONL trace schema, the hazard
+``StreamingStage().run(AnalysisContext(...))``, so these tests exercise
+the machinery every detector rides on — the run envelope, the decider
+registry, the JSONL trace schema, the hazard
 pass, and the worker pool whose results must be byte-identical to a
 serial run.
 """
@@ -22,7 +22,7 @@ from repro.core.deciders import (
     create_decider,
 )
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.pipeline import AnalysisContext, Pipeline, _auto_chunk_size
+from repro.core.pipeline import AnalysisContext, _auto_chunk_size
 from repro.core.result import Classification, Stage
 from repro.core.streaming import StreamingStage
 from repro.core.trace import TRACE_SCHEMA_VERSION, Tracer, open_trace, read_trace
@@ -97,19 +97,22 @@ class TestPipelineStages:
         events = [r["event"] for r in tracer.events]
         assert events[0] == "run_start"
         assert events[-1] == "run_end"
-        starts = [r["stage"] for r in tracer.select("stage_start")]
-        ends = [r["stage"] for r in tracer.select("stage_end")]
-        assert starts == ["stream"]
-        assert ends == starts
+        # The run is one fold: no stage brackets, no stage list.
+        assert "stages" not in tracer.events[0]
+        assert "stage_start" not in events and "stage_end" not in events
         # One pair event per connected pair, across all stages.
         assert len(tracer.select("pair")) == result.connected_pairs
 
-    def test_run_end_summary_matches_result(self, fig1):
-        tracer = Tracer()
-        result = MultiCycleDetector(fig1, tracer=tracer).run()
-        (end,) = tracer.select("run_end")
+    def test_run_end_summary_matches_result(self, fig1, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with open_trace(path) as tracer:
+            result = MultiCycleDetector(fig1, tracer=tracer).run()
+        (end,) = [r for r in read_trace(path) if r["event"] == "run_end"]
         assert end["multi_cycle"] == len(result.multi_cycle_pairs)
         assert end["connected_pairs"] == result.connected_pairs
+        # The counter blocks travel once, on run_end, as written.
+        assert end["metrics"] == result.metrics
+        assert set(result.metrics) == {"decision_session", "packed_implication"}
 
     def test_injected_clock_makes_times_deterministic(self, fig1):
         def run_with_fake_clock():
@@ -121,7 +124,7 @@ class TestPipelineStages:
                 clock=lambda: 0.0,
                 tracer=tracer,
             )
-            Pipeline([StreamingStage()]).run(ctx)
+            StreamingStage().run(ctx)
             return [(r["event"], r["t"]) for r in tracer.events]
 
         assert run_with_fake_clock() == run_with_fake_clock()
@@ -144,16 +147,15 @@ class TestPipelineStages:
         assert result.multi_cycle_pair_names() == baseline.multi_cycle_pair_names()
 
     def test_custom_stage_composition(self, fig1):
-        # A pipeline without the random filter still classifies correctly.
-        pipeline = Pipeline([StreamingStage()])
+        # A fold without the random filter still classifies correctly.
         ctx = AnalysisContext(fig1, DetectorOptions(use_random_sim=False))
-        result = pipeline.run(ctx)
+        result = StreamingStage().run(ctx)
         baseline = MultiCycleDetector(fig1).run()
         assert result.multi_cycle_pair_names() == baseline.multi_cycle_pair_names()
 
     def test_decision_stage_engine_override(self, fig1):
-        pipeline = Pipeline([StreamingStage("sat")])
-        result = pipeline.run(AnalysisContext(fig1, DetectorOptions()))
+        stage = StreamingStage("sat")
+        result = stage.run(AnalysisContext(fig1, DetectorOptions()))
         assert result.engine == "sat"
         baseline = MultiCycleDetector(fig1).run()
         assert result.multi_cycle_pair_names() == baseline.multi_cycle_pair_names()
@@ -269,7 +271,7 @@ class TestParallelExecutor:
         ctx = AnalysisContext(
             fig1, DetectorOptions(workers=2, parallel_threshold=2)
         )
-        Pipeline([StreamingStage()]).run(ctx)
+        StreamingStage().run(ctx)
         assert ctx._pool is None
 
 
@@ -318,11 +320,13 @@ class TestHazardStage:
         assert record["mode"] == "exact"
         assert record["checked"] == result.hazard_checked
         assert record["flagged"] == result.hazard_flagged
-        assert record["exact"] == result.hazard_exact
         assert record["seconds"] >= 0
-        assert [r["stage"] for r in tracer.select("stage_start")] == [
-            "stream"
-        ]
+        assert "exact" not in record
+        # The exact pass's counters travel in run_end's metrics.
+        (end,) = tracer.select("run_end")
+        assert end["metrics"]["hazard_exact"] == (
+            result.metrics["hazard_exact"]
+        )
 
     @pytest.mark.parametrize("mode", ["sensitize", "cosensitize"])
     def test_sensitization_modes(self, fig3, mode):

@@ -185,10 +185,10 @@ def test_launch_runs_handles_scattered_sources():
 def test_decision_session_event_and_pair_metrics(fig1):
     tracer = Tracer()
     result = MultiCycleDetector(fig1, DetectorOptions(), tracer=tracer).run()
-    events = tracer.select("decision_session")
-    assert len(events) == 1
-    assert events[0]["engine"] == "dalg"
-    assert events[0]["pairs"] == result.decision_session["pairs"]
+    (end,) = tracer.select("run_end")
+    assert end["engine"] == "dalg"
+    session = end["metrics"]["decision_session"]
+    assert session["pairs"] == result.metrics["decision_session"]["pairs"]
     decided = [
         e for e in tracer.select("pair") if e["stage"] != "sim"
     ]
@@ -198,20 +198,21 @@ def test_decision_session_event_and_pair_metrics(fig1):
 
 def test_detection_result_carries_session_counters(fig1):
     result = MultiCycleDetector(fig1, DetectorOptions()).run()
-    session = result.decision_session
-    assert session is not None
+    session = result.metrics["decision_session"]
     # fig1's packed closure settles every case: the scalar walk never runs.
     assert session["packed_lanes"] == 4 * session["pairs"] > 0
     assert session["packed_resolved"] == session["packed_lanes"]
     assert session["packed_fallbacks"] == 0
     assert session["implications"] == 0
-    assert result.packed_implication["lanes"] == session["packed_lanes"]
+    assert result.metrics["packed_implication"]["lanes"] == (
+        session["packed_lanes"]
+    )
     # sat decider has no session.
     sat = MultiCycleDetector(
         fig1, DetectorOptions(search_engine="sat")
     ).run()
-    assert sat.decision_session is None
-    assert sat.packed_implication is None
+    assert "decision_session" not in sat.metrics
+    assert "packed_implication" not in sat.metrics
 
 
 def test_parallel_session_records_match_serial():
@@ -222,4 +223,7 @@ def test_parallel_session_records_match_serial():
     ).run()
     as_json = lambda r: json.dumps(r.pair_records(), sort_keys=True)  # noqa: E731
     assert as_json(parallel) == as_json(serial)
-    assert parallel.decision_session == serial.decision_session
+    assert (
+        parallel.metrics.get("decision_session")
+        == serial.metrics.get("decision_session")
+    )

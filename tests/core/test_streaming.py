@@ -26,7 +26,7 @@ from repro.circuit.gates import GateType
 from repro.circuit.library import fig1_circuit, s27
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.kcycle import KCycleDecider, KCycleDetector
-from repro.core.pipeline import AnalysisContext, Pipeline
+from repro.core.pipeline import AnalysisContext
 from repro.core.result import Stage
 from repro.core.streaming import StreamingStage
 from repro.core.trace import Tracer
@@ -48,7 +48,7 @@ _UNIT_SHAPED = ("packed_closures", "packed_visits", "packed_us")
 
 def _fingerprint(result):
     """Everything the differential must hold equal (no wall-clock floats)."""
-    session = result.decision_session
+    session = result.metrics.get("decision_session")
     if session is not None:
         session = {
             key: value for key, value in session.items()
@@ -256,9 +256,8 @@ def test_streaming_trace_events(fig1):
     # The last fold has seen every settled pair.
     assert groups[-1]["folded"] == result.connected_pairs
     assert sum(g["dropped"] for g in groups) == 4  # fig1's sim-dropped pairs
-    # The fold is the run's single stage.
-    stages = [e["stage"] for e in tracer.select("stage_start")]
-    assert stages == ["stream"]
+    # The fold is the whole run: no stage brackets.
+    assert tracer.select("stage_start") == tracer.select("stage_end") == []
 
 
 def test_streaming_stage_rejects_single_frame():
@@ -267,8 +266,8 @@ def test_streaming_stage_rejects_single_frame():
 
 
 def test_streaming_pipeline_runs_standalone(fig1):
-    """The fold is a complete Pipeline on its own, not just a stage."""
-    result = Pipeline([StreamingStage()]).run(AnalysisContext(fig1))
+    """The stage runs the whole flow and returns the result itself."""
+    result = StreamingStage().run(AnalysisContext(fig1))
     staged = staged_detect(fig1)
     assert result.pair_records() == staged.pair_records()
 

@@ -31,19 +31,19 @@ def _entry_paths(store):
 
 class TestRoundtrip:
     def test_save_load(self, store):
-        store.save("sweep-report", "a" * 64, {"x": [1, 2, 3]})
-        assert store.load("sweep-report", "a" * 64) == {"x": [1, 2, 3]}
+        store.save("pair-records", "a" * 64, {"x": [1, 2, 3]})
+        assert store.load("pair-records", "a" * 64) == {"x": [1, 2, 3]}
         assert store.stats() == {
             "hits": 1, "misses": 0, "stores": 1, "evictions": 0, "corrupt": 0,
         }
 
     def test_missing_is_miss(self, store):
-        assert store.load("sweep-report", "b" * 64) is None
+        assert store.load("pair-records", "b" * 64) is None
         assert store.misses == 1
 
     def test_kinds_are_disjoint(self, store):
-        store.save("sweep-report", "c" * 64, 1)
-        assert store.load("lint-report", "c" * 64) is None
+        store.save("pair-records", "c" * 64, 1)
+        assert store.load("simplan", "c" * 64) is None
 
     def test_address_salts(self, store):
         plain = store.address("pair-records", "k" * 64)
@@ -55,35 +55,35 @@ class TestRoundtrip:
 
 class TestSelfHeal:
     def test_truncated_entry_heals(self, store):
-        store.save("sweep-report", "d" * 64, [1, 2, 3])
+        store.save("pair-records", "d" * 64, [1, 2, 3])
         (path,) = _entry_paths(store)
         path.write_bytes(path.read_bytes()[:10])
-        assert store.load("sweep-report", "d" * 64) is None
+        assert store.load("pair-records", "d" * 64) is None
         assert store.corrupt == 1
         assert not path.exists()
         # The caller rebuilds and republishes; the store recovers.
-        store.save("sweep-report", "d" * 64, [1, 2, 3])
-        assert store.load("sweep-report", "d" * 64) == [1, 2, 3]
+        store.save("pair-records", "d" * 64, [1, 2, 3])
+        assert store.load("pair-records", "d" * 64) == [1, 2, 3]
 
     def test_wrong_envelope_heals(self, store):
-        store.save("sweep-report", "e" * 64, 42)
+        store.save("pair-records", "e" * 64, 42)
         (path,) = _entry_paths(store)
-        path.write_bytes(pickle.dumps({"kind": "sweep-report", "schema": 999,
+        path.write_bytes(pickle.dumps({"kind": "pair-records", "schema": 999,
                                        "payload": 42}))
-        assert store.load("sweep-report", "e" * 64) is None
+        assert store.load("pair-records", "e" * 64) is None
         assert store.corrupt == 1
 
     def test_schema_bump_invalidates(self, store, monkeypatch):
-        store.save("sweep-report", "f" * 64, 42)
+        store.save("pair-records", "f" * 64, 42)
         from repro.store import artifact_store
 
         monkeypatch.setitem(
-            artifact_store.SCHEMA_VERSIONS, "sweep-report",
-            schema_version("sweep-report") + 1,
+            artifact_store.SCHEMA_VERSIONS, "pair-records",
+            schema_version("pair-records") + 1,
         )
         # The new schema looks for a different file name: clean miss, no
         # corruption — old entries are simply invisible.
-        assert store.load("sweep-report", "f" * 64) is None
+        assert store.load("pair-records", "f" * 64) is None
         assert store.corrupt == 0
 
 
@@ -92,19 +92,19 @@ class TestEviction:
         payload = b"x" * 4096
         store = ArtifactStore(tmp_path / "s", max_bytes=3 * 5000)
         for index in range(3):
-            store.save("sweep-report", f"{index:064d}", payload)
+            store.save("pair-records", f"{index:064d}", payload)
             os.utime(
                 _entry_paths(store)[-1],
                 (time.time() + index, time.time() + index),
             )
-        store.save("sweep-report", "9" * 64, payload)  # pushes over the bound
+        store.save("pair-records", "9" * 64, payload)  # pushes over the bound
         survivors = {p.name for p in _entry_paths(store)}
         assert store.evictions >= 1
-        assert f"{0:064d}-v{schema_version('sweep-report')}.pkl" not in survivors
+        assert f"{0:064d}-v{schema_version('pair-records')}.pkl" not in survivors
 
     def test_total_bytes(self, store):
         assert store.total_bytes() == 0
-        store.save("sweep-report", "a" * 64, list(range(100)))
+        store.save("pair-records", "a" * 64, list(range(100)))
         assert store.total_bytes() > 0
 
 
@@ -131,7 +131,7 @@ class TestPinning:
         # Evict everything: the mapped entry must be skipped, even
         # though it is the only candidate over the (zero) bound.
         store.max_bytes = 0
-        store.save("sweep-report", "b" * 64, [1, 2, 3])
+        store.save("pair-records", "b" * 64, [1, 2, 3])
         assert flat_path.exists(), "evicted a file a live run has mapped"
 
         # Once the last decoded view dies, the pin is released and the
@@ -139,7 +139,7 @@ class TestPinning:
         del loaded
         gc.collect()
         assert not store._pinned
-        store.save("sweep-report", "c" * 64, [4, 5, 6])
+        store.save("pair-records", "c" * 64, [4, 5, 6])
         assert not flat_path.exists()
 
     def test_clear_ignores_pins(self, tmp_path):
@@ -158,18 +158,22 @@ class TestPinning:
 
 class TestUsageAndClear:
     def test_usage_groups_by_kind(self, store):
+        from repro.circuit.library import fig1_circuit
+
         assert store.usage() == {}
-        store.save("sweep-report", "a" * 64, [1])
-        store.save("sweep-report", "b" * 64, [2])
-        store.save("lint-report", "c" * 64, [3])
+        store.save("pair-records", "a" * 64, [1])
+        store.save("pair-records", "b" * 64, [2])
+        store.save("simplan", "c" * 64, compiled_plan(fig1_circuit()))
         usage = store.usage()
-        assert usage["sweep-report"]["entries"] == 2
-        assert usage["lint-report"]["entries"] == 1
+        assert usage["pair-records"]["entries"] == 2
+        assert usage["simplan"]["entries"] == 1
         assert all(row["bytes"] > 0 for row in usage.values())
 
     def test_clear_removes_everything(self, store):
-        store.save("sweep-report", "a" * 64, [1])
-        store.save("lint-report", "b" * 64, [2])
+        from repro.circuit.library import fig1_circuit
+
+        store.save("pair-records", "a" * 64, [1])
+        store.save("simplan", "b" * 64, compiled_plan(fig1_circuit()))
         # A kind no codec reads any more is still scanned, so it ages out.
         retired = store.root / "ff-reach" / f"{'d' * 64}-v2.rfb"
         retired.parent.mkdir()
@@ -244,14 +248,14 @@ class TestDerivedIntegration:
 def _writer(root, address, value, rounds):
     store = ArtifactStore(root)
     for _ in range(rounds):
-        store.save("sweep-report", address, value)
+        store.save("pair-records", address, value)
 
 
 def _reader(root, address, rounds, failures):
     store = ArtifactStore(root)
     seen = 0
     for _ in range(rounds):
-        payload = store.load("sweep-report", address)
+        payload = store.load("pair-records", address)
         if payload is not None:
             seen += 1
             if payload != list(range(200)):

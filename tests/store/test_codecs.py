@@ -43,7 +43,7 @@ def test_kind_registry():
         "packed-implication", "implication-db", "expansion",
     })
     assert is_flat_kind("simplan")
-    assert not is_flat_kind("sweep-report")
+    assert not is_flat_kind("pair-records")
 
 
 def test_envelope_rejects_wrong_kind(fig1):

@@ -7,6 +7,7 @@ import pytest
 from repro.circuit.bench import dump
 from repro.circuit.library import fig1_circuit
 from repro.cli import main
+from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "circuits"
@@ -88,8 +89,8 @@ def test_analyze_hazard_check_exact_lines(capsys):
     ]
     exact = [line for line in lines if line.startswith("hazard exact:")]
     assert len(exact) == 1
-    assert "1 bound disagreements (1 settled by X-reach)" in exact[0]
-    assert "resolution fraction 1.00" in exact[0]
+    assert "1 disagreement, 1 resolved, 1 xreach," in exact[0]
+    assert "1.00 resolution-fraction" in exact[0]
 
 
 @pytest.mark.parametrize(
@@ -268,7 +269,7 @@ def test_sweep_writes_simplified(tmp_path, capsys):
 def test_analyze_with_implication_db(fig1_file, capsys):
     assert main(["analyze", fig1_file, "--implication-db"]) == 0
     out = capsys.readouterr().out
-    assert "implication DB" in out
+    assert "implication db:" in out
     assert "multi-cycle pairs:  5" in out
 
 
@@ -455,8 +456,8 @@ def test_analyze_backplane_summary_line(fig1_file, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "backplane:" in out
-    assert "2/2 workers attached" in out
-    assert "0 worker store misses" in out
+    assert "2 workers, 2 ready, 2 attached" in out
+    assert ", 0 worker-store-misses" in out
 
 
 def test_analyze_backplane_off_no_line(fig1_file, capsys):
@@ -465,3 +466,68 @@ def test_analyze_backplane_off_no_line(fig1_file, capsys):
         "--backplane", "off",
     ]) == 0
     assert "backplane:" not in capsys.readouterr().out
+
+
+def test_analyze_prints_every_metrics_key(fig1_file, tmp_path, capsys):
+    """One line per metrics block, naming every key of the block."""
+    from repro.circuit.bench import load
+    from repro.cli import _detector_options, build_parser
+    from repro.store import deactivate_store
+
+    argv = [
+        "analyze", fig1_file, "--cache-dir", str(tmp_path / "cache"),
+        "--hazard-check", "exact", "--implication-db",
+        "--workers", "2", "--parallel-threshold", "2",
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    deactivate_store()
+    options = _detector_options(build_parser().parse_args(argv))
+    result = detect_multi_cycle_pairs(load(fig1_file), options)
+    deactivate_store()
+    assert set(result.metrics) == {
+        "decision_session", "packed_implication", "implication_db",
+        "hazard_exact", "backplane", "cache",
+    }
+    for name, block in result.metrics.items():
+        label = name.replace("_", " ") + ":"
+        (line,) = [line for line in lines if line.startswith(label)]
+        for key in block:
+            assert f" {key.replace('_', '-')}" in line, (name, key)
+
+
+def test_analyze_unusable_cache_dir_warns_once(fig1_file, tmp_path, capsys):
+    """A cache directory that cannot be created is one warning line; the
+    run goes on without a store and classifies as a store-less run."""
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    store_dir = str(blocker / "store")
+    assert main(["analyze", fig1_file, "--cache-dir", store_dir]) == 0
+    captured = capsys.readouterr()
+    (warning,) = captured.err.splitlines()
+    assert warning.startswith("warning:") and store_dir in warning
+    assert "cache:" not in captured.out
+    assert "multi-cycle pairs:  5" in captured.out
+
+    from repro.circuit.bench import load
+
+    circuit = load(fig1_file)
+    storeless = detect_multi_cycle_pairs(circuit, DetectorOptions())
+    degraded = detect_multi_cycle_pairs(
+        load(fig1_file), DetectorOptions(cache_dir=store_dir)
+    )
+    capsys.readouterr()
+    assert "cache" not in degraded.metrics
+    assert degraded.pair_records() == storeless.pair_records()
+
+
+@pytest.mark.parametrize("action", ["stats", "clear"])
+def test_cache_unusable_dir_is_one_error_line(tmp_path, capsys, action):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    store_dir = str(blocker / "store")
+    assert main(["cache", action, "--cache-dir", store_dir]) == 2
+    captured = capsys.readouterr()
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error:") and store_dir in error
+    assert captured.out == ""

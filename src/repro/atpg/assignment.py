@@ -2,7 +2,7 @@
 
 The implication engine and the backtrack search share this store: every
 assignment is pushed onto a trail, a *checkpoint* is just the trail length,
-and backtracking pops assignments back to a checkpoint.  This is the same
+and backtracking truncates the trail back to a checkpoint.  This is the same
 mechanism SAT solvers use and is what makes the per-pair, per-case analysis
 of Section 4 cheap — state is never copied.
 
@@ -31,8 +31,9 @@ class Assignment:
         """Undo every assignment made after ``mark``."""
         values = self.values
         trail = self.trail
-        while len(trail) > mark:
-            values[trail.pop()] = X
+        for node in trail[mark:]:
+            values[node] = X
+        del trail[mark:]
 
     def set(self, node: int, value: int) -> None:
         """Record ``node := value``; caller must ensure the node was X."""

@@ -29,10 +29,21 @@ constructing an engine after the first over the same netlist is O(1).
 Values live in a flat ``bytearray`` behind :class:`Assignment`'s undo
 trail; unjustified-set changes are recorded on a second trail of signed
 ops (``gate`` = added, ``~gate`` = removed).  A :meth:`checkpoint` is
-therefore two integers and :meth:`backtrack` is O(changes undone) — the
-property the shared-launch decision sessions
+therefore two integers and :meth:`backtrack` is O(changes undone): it
+truncates both trails by slice, undoing the frontier ops newest first —
+the property the shared-launch decision sessions
 (:mod:`repro.core.session`) lean on when thousands of case analyses share
 one engine.
+
+Propagation
+-----------
+One loop runs every gate-local rule inline (AND/NAND/OR/NOR, XOR/XNOR,
+MUX, BUF/NOT/OUTPUT), with the engine's arrays bound to locals: a gate
+visit makes no method call.  The queue pops LIFO and every post appends
+the node, then its fanouts, duplicates included, so the visit order —
+and with it every reason, conflict and search count downstream — is
+fixed by the assumptions alone.  ``tests/atpg/rule_oracle.py`` keeps the
+per-rule dispatch this loop replaced as its step-for-step oracle.
 
 Reasons
 -------
@@ -145,16 +156,20 @@ class ImplicationEngine:
         return (len(self.assignment.trail), len(self._jtrail))
 
     def backtrack(self, mark: Mark) -> None:
+        """Undo every assignment and frontier change made after ``mark``."""
         trail_mark, jtrail_mark = mark
         self.assignment.backtrack(trail_mark)
         jtrail = self._jtrail
-        unjustified = self.unjustified
-        while len(jtrail) > jtrail_mark:
-            op = jtrail.pop()
-            if op >= 0:
-                unjustified.discard(op)
-            else:
-                unjustified.add(~op)
+        if len(jtrail) > jtrail_mark:
+            unjustified = self.unjustified
+            # Newest first: a gate added then removed in the window ends
+            # as it was at the mark.
+            for op in reversed(jtrail[jtrail_mark:]):
+                if op >= 0:
+                    unjustified.discard(op)
+                else:
+                    unjustified.add(~op)
+            del jtrail[jtrail_mark:]
         self._queue.clear()
 
     def assume(self, node: int, value: int) -> bool:
@@ -222,190 +237,235 @@ class ImplicationEngine:
         queue.append(node)
         queue.extend(self.fanouts[node])
         if self.learned:
-            consequents = self.learned.get((node, value), ())
-            if consequents:
-                why = self._why
-                self._why = -2 - node
-                for other, other_value in consequents:
-                    if not self._post(other, other_value):
-                        return False
-                self._why = why
+            return self._post_learned(node, value)
+        return True
+
+    def _post_learned(self, node: int, value: int) -> bool:
+        """Post the learned consequents of ``node := value``.
+
+        Their reason is the source literal (``-2 - node``); on a clash
+        ``_why`` keeps it.
+        """
+        consequents = self.learned.get((node, value), ())
+        if consequents:
+            why = self._why
+            self._why = -2 - node
+            for other, other_value in consequents:
+                if not self._post(other, other_value):
+                    return False
+            self._why = why
         return True
 
     def _propagate(self) -> bool:
-        """Run gate-local implications until fixpoint or contradiction."""
+        """Run the gate-local rules until fixpoint or contradiction.
+
+        One loop, every rule inline.  It pops the queue LIFO; each post
+        sets the value, ``position`` and ``reason`` (the gate), appends
+        the node to the trail and to the queue, then its fanouts, and
+        (with a learned table) posts the node's consequents before the
+        rule goes on.  A gate whose assigned output its inputs do not
+        yet justify joins :attr:`unjustified`; a ``_jtrail`` op records
+        each change.  Most rules end in one post, at the bottom of the
+        loop; the MUX select and the all-pins rule of a non-controlled
+        output post into pins just read as X, so they skip its clash
+        check.
+        """
         queue = self._queue
-        while queue:
-            gate = queue.pop()
-            self._why = gate
-            if not self._imply_gate(gate):
-                queue.clear()
-                return False
-        return True
-
-    def _imply_gate(self, gate: int) -> bool:
-        """(Re-)derive mandatory values around ``gate``; update J-status."""
-        gate_type = self.types[gate]
-
-        controlling = _CTRL_VAL[gate_type]
-        if controlling != 255:
-            return self._imply_cgate(
-                gate, controlling, _CTRL_INV[gate_type], self.fanins[gate]
-            )
-
-        if gate_type == _BUF or gate_type == _OUTPUT or gate_type == _NOT:
-            values = self.assignment.values
-            invert = 1 if gate_type == _NOT else 0
-            source = self.fanins[gate][0]
-            in_value = values[source]
-            out_value = values[gate]
-            ok = True
-            if in_value != X:
-                ok = self._post(gate, in_value ^ invert)
-            elif out_value != X:
-                ok = self._post(source, out_value ^ invert)
-            self._update_justified(gate, justified=values[source] != X or values[gate] == X)
-            return ok
-
-        if gate_type == _XOR or gate_type == _XNOR:
-            return self._imply_parity(gate, gate_type == _XNOR, self.fanins[gate])
-
-        if gate_type == _MUX:
-            return self._imply_mux(gate, self.fanins[gate])
-
-        # INPUT / DFF / CONST nodes carry no gate-local rule.
-        return True
-
-    def _imply_cgate(
-        self, gate: int, controlling: int, inverted: int, fanins: tuple[int, ...]
-    ) -> bool:
-        """AND/NAND/OR/NOR implications via controlling-value reasoning."""
-        controlled_out = controlling ^ inverted
-        noncontrolled_out = (1 - controlling) ^ inverted
-        values = self.assignment.values
-
-        num_x = 0
-        has_controlling = False
-        unknown = -1
-        for fanin in fanins:
-            value = values[fanin]
-            if value == X:
-                num_x += 1
-                unknown = fanin
-            elif value == controlling:
-                has_controlling = True
-
-        # Forward.
-        if has_controlling:
-            if not self._post(gate, controlled_out):
-                return False
-        elif num_x == 0:
-            if not self._post(gate, noncontrolled_out):
-                return False
-
-        # Backward.
-        out_value = values[gate]
-        if out_value == noncontrolled_out:
-            if has_controlling:
-                return False
-            for fanin in fanins:
-                if values[fanin] == X and not self._post(fanin, 1 - controlling):
-                    return False
-            self._update_justified(gate, justified=True)
-        elif out_value == controlled_out:
-            if has_controlling:
-                self._update_justified(gate, justified=True)
-            elif num_x == 0:
-                return False
-            elif num_x == 1:
-                if not self._post(unknown, controlling):
-                    return False
-                self._update_justified(gate, justified=True)
-            else:
-                self._update_justified(gate, justified=False)
-        else:  # output still X
-            self._update_justified(gate, justified=True)
-        return True
-
-    def _imply_parity(self, gate: int, inverted: bool, fanins: tuple[int, ...]) -> bool:
-        """XOR/XNOR implications: solvable whenever at most one pin is X."""
-        values = self.assignment.values
-        parity = 1 if inverted else 0
-        num_x = 0
-        unknown = -1
-        for fanin in fanins:
-            value = values[fanin]
-            if value == X:
-                num_x += 1
-                unknown = fanin
-            else:
-                parity ^= value
-
-        if num_x == 0:
-            self._update_justified(gate, justified=True)
-            return self._post(gate, parity)
-
-        out_value = values[gate]
-        if out_value != X and num_x == 1:
-            if not self._post(unknown, parity ^ out_value):
-                return False
-            self._update_justified(gate, justified=True)
-        else:
-            self._update_justified(gate, justified=out_value == X)
-        return True
-
-    def _imply_mux(self, gate: int, fanins: tuple[int, ...]) -> bool:
-        """2:1 multiplexer implications (select, d0, d1)."""
-        values = self.assignment.values
-        select, d0, d1 = fanins
-
-        sel_value = values[select]
-        if sel_value != X:
-            chosen = d1 if sel_value == ONE else d0
-            chosen_value = values[chosen]
-            out_value = values[gate]
-            ok = True
-            if chosen_value != X:
-                ok = self._post(gate, chosen_value)
-            elif out_value != X:
-                ok = self._post(chosen, out_value)
-            self._update_justified(
-                gate, justified=values[chosen] != X or values[gate] == X
-            )
-            return ok
-
-        d0_value = values[d0]
-        d1_value = values[d1]
-        if d0_value != X and d0_value == d1_value:
-            if not self._post(gate, d0_value):
-                return False
-            self._update_justified(gate, justified=True)
+        if not queue:
             return True
-
-        out_value = values[gate]
-        if out_value != X:
-            if d0_value != X and d0_value != out_value:
-                if not self._post(select, ONE):
-                    return False
-                return self._imply_mux(gate, fanins)
-            if d1_value != X and d1_value != out_value:
-                if not self._post(select, ZERO):
-                    return False
-                return self._imply_mux(gate, fanins)
-            self._update_justified(gate, justified=False)
-        else:
-            self._update_justified(gate, justified=True)
-        return True
-
-    def _update_justified(self, gate: int, justified: bool) -> None:
+        values = self.assignment.values
+        trail = self.assignment.trail
+        position = self.position
+        reason = self.reason
+        types = self.types
+        fanins = self.fanins
+        fanouts = self.fanouts
         unjustified = self.unjustified
-        if justified:
+        jtrail = self._jtrail
+        learned = bool(self.learned)
+        pop = queue.pop
+        push = queue.append
+        extend = queue.extend
+        posted = 0
+        ctrl_val = _CTRL_VAL
+        ctrl_inv = _CTRL_INV
+        while queue:
+            gate = pop()
+            gate_type = types[gate]
+            pins = fanins[gate]
+            if gate_type == _MUX:
+                select, d0, d1 = pins
+                sel_value = values[select]
+                if sel_value == X:
+                    value = values[d0]
+                    d1_value = values[d1]
+                    if value != X and value == d1_value:
+                        node = gate
+                    else:
+                        out_value = values[gate]
+                        if out_value == X:
+                            if gate in unjustified:
+                                unjustified.remove(gate)
+                                jtrail.append(~gate)
+                            continue
+                        if value != X and value != out_value:
+                            sel_value = ONE
+                        elif d1_value != X and d1_value != out_value:
+                            sel_value = ZERO
+                        else:
+                            if gate not in unjustified:
+                                unjustified.add(gate)
+                                jtrail.append(gate)
+                            continue
+                        values[select] = sel_value
+                        position[select] = len(trail)
+                        reason[select] = gate
+                        trail.append(select)
+                        posted += 1
+                        push(select)
+                        extend(fanouts[select])
+                        if learned and not self._post_learned(select, sel_value):
+                            break
+                if sel_value != X:
+                    # Known select: the chosen data pin and the output
+                    # follow each other; the gate ends justified.
+                    if gate in unjustified:
+                        unjustified.remove(gate)
+                        jtrail.append(~gate)
+                    node = d1 if sel_value == ONE else d0
+                    value = values[node]
+                    if value != X:
+                        node = gate
+                    else:
+                        value = values[gate]
+                        if value == X:
+                            continue
+            elif (controlling := ctrl_val[gate_type]) != 255:  # AND/NAND/OR/NOR
+                num_x = 0
+                has_controlling = False
+                unknown = -1
+                for pin in pins:
+                    value = values[pin]
+                    if value == X:
+                        num_x += 1
+                        unknown = pin
+                    elif value == controlling:
+                        has_controlling = True
+                if has_controlling:
+                    node = gate
+                    value = controlling ^ ctrl_inv[gate_type]
+                elif num_x == 0:
+                    node = gate
+                    value = 1 - controlling ^ ctrl_inv[gate_type]
+                else:
+                    value = values[gate]
+                    if value == X:
+                        if gate in unjustified:
+                            unjustified.remove(gate)
+                            jtrail.append(~gate)
+                        continue
+                    if value == controlling ^ ctrl_inv[gate_type]:
+                        if num_x > 1:
+                            if gate not in unjustified:
+                                unjustified.add(gate)
+                                jtrail.append(gate)
+                            continue
+                        node = unknown
+                        value = controlling
+                    else:
+                        # Non-controlled output: every X pin goes
+                        # non-controlling (read live: a learned
+                        # consequent may assign a later pin).
+                        value = 1 - controlling
+                        for pin in pins:
+                            if values[pin] == X:
+                                values[pin] = value
+                                position[pin] = len(trail)
+                                reason[pin] = gate
+                                trail.append(pin)
+                                posted += 1
+                                push(pin)
+                                extend(fanouts[pin])
+                                if learned and not self._post_learned(pin, value):
+                                    break
+                        else:
+                            if gate in unjustified:
+                                unjustified.remove(gate)
+                                jtrail.append(~gate)
+                            continue
+                        break
+            elif gate_type == _NOT or gate_type == _BUF or gate_type == _OUTPUT:
+                # Never unjustified: one known side fixes the other.
+                node = pins[0]
+                value = values[node]
+                if value != X:
+                    node = gate
+                else:
+                    value = values[gate]
+                    if value == X:
+                        continue
+                if gate_type == _NOT:
+                    value ^= 1
+            elif gate_type == _XOR or gate_type == _XNOR:
+                value = 1 if gate_type == _XNOR else 0
+                num_x = 0
+                unknown = -1
+                for pin in pins:
+                    pin_value = values[pin]
+                    if pin_value == X:
+                        num_x += 1
+                        unknown = pin
+                    else:
+                        value ^= pin_value
+                if num_x == 0:
+                    # Justified whether or not the forward post clashes.
+                    if gate in unjustified:
+                        unjustified.remove(gate)
+                        jtrail.append(~gate)
+                    node = gate
+                else:
+                    out_value = values[gate]
+                    if out_value == X:
+                        if gate in unjustified:
+                            unjustified.remove(gate)
+                            jtrail.append(~gate)
+                        continue
+                    if num_x > 1:
+                        if gate not in unjustified:
+                            unjustified.add(gate)
+                            jtrail.append(gate)
+                        continue
+                    node = unknown
+                    value ^= out_value
+            else:  # INPUT / DFF / CONST nodes carry no gate-local rule.
+                continue
+
+            # The rule's one post, ``node := value``.
+            current = values[node]
+            if current == X:
+                values[node] = value
+                position[node] = len(trail)
+                reason[node] = gate
+                trail.append(node)
+                posted += 1
+                push(node)
+                extend(fanouts[node])
+                if learned and not self._post_learned(node, value):
+                    break
+            elif current != value:
+                self._why = gate
+                self._clash = node
+                break
             if gate in unjustified:
-                unjustified.discard(gate)
-                self._jtrail.append(~gate)
-        elif gate not in unjustified:
-            unjustified.add(gate)
-            self._jtrail.append(gate)
+                unjustified.remove(gate)
+                jtrail.append(~gate)
+        else:
+            self._why = gate
+            self.implications += posted
+            return True
+        self.implications += posted
+        queue.clear()
+        return False
 
     # ------------------------------------------------------------------
     # Introspection helpers (tests, examples, the Fig. 2 walkthrough).

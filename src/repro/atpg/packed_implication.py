@@ -51,7 +51,8 @@ reaches, including its deliberate quirks:
   too when the post came from a backward rule, a seed, or a learned
   consequence.  A gate's own *forward* post never re-marks it (its
   backward rules run against the post-forward output state in the same
-  visit, mirroring the scalar engine's single ``_imply_gate`` visit);
+  visit, mirroring the scalar engine, whose one visit of a gate runs its
+  forward and then its backward rule);
   its *backward* posts do, because forcing one gate's fanin can unlock
   a derivation on a sibling gate reading the same node.
 * Learned implications (launch-prefix static learning, the global

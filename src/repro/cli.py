@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from repro.circuit.bench import dump, load as load_bench
@@ -73,14 +73,29 @@ def _detector_options(args: argparse.Namespace) -> DetectorOptions:
     )
 
 
+class TraceFileError(Exception):
+    """The ``--trace`` file cannot be opened for writing."""
+
+
 @contextmanager
 def _tracer_for(args: argparse.Namespace):
-    """Yield a JSONL tracer when ``--trace FILE`` was given, else None."""
-    if args.trace:
-        with open_trace(args.trace) as tracer:
-            yield tracer
-    else:
+    """Yield a JSONL tracer when ``--trace FILE`` was given, else None.
+
+    A file that cannot be opened raises :class:`TraceFileError` before
+    the caller's analysis starts.
+    """
+    if not args.trace:
         yield None
+        return
+    with ExitStack() as stack:
+        try:
+            tracer = stack.enter_context(open_trace(args.trace))
+        except OSError as exc:
+            raise TraceFileError(
+                f"cannot write trace file {args.trace} "
+                f"({exc.strerror or exc})"
+            ) from None
+        yield tracer
 
 
 def _add_detector_args(parser: argparse.ArgumentParser) -> None:
@@ -189,7 +204,8 @@ def _run_incremental(circuit, options, prior_path, tracer):
         with store_enabled(cache_dir, options.cache_max_bytes) as store:
             if store is not None:
                 bundle = load_result_bundle(store, prior_circuit, options)
-        if bundle is None:
+        # An unusable store has already said so in its own warning.
+        if bundle is None and store is not None:
             print(f"warning: no cached pair records for {prior_path} under "
                   f"these options; re-deciding every pair", file=sys.stderr)
     return incremental_detect(circuit, options, bundle, tracer=tracer)
@@ -704,10 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Netlist problems (malformed files, lint rejections) and bad
-    ``--hazard-delays`` sidecars exit with code 2 and a one-line
-    ``error:`` message carrying the file (and, for netlists, line)
-    context — they are user errors, not crashes.
+    Netlist problems (malformed files, lint rejections), bad
+    ``--hazard-delays`` sidecars and ``--trace`` files that cannot be
+    written exit with code 2 and a one-line ``error:`` message carrying
+    the file (and, for netlists, line) context — they are user errors,
+    not crashes.
     """
     from repro.circuit.netlist import CircuitError
     from repro.sta.delays import DelaySidecarError
@@ -715,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CircuitError, DelaySidecarError) as exc:
+    except (CircuitError, DelaySidecarError, TraceFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,8 @@ from typing import Iterator
 from repro.store.artifact_store import DEFAULT_MAX_BYTES, ArtifactStore
 
 _ACTIVE: ArtifactStore | None = None
+#: ``(directory, error)`` pairs :func:`store_enabled` has warned about.
+_WARNED: set[tuple[str, str]] = set()
 
 
 def active_store() -> ArtifactStore | None:
@@ -69,8 +71,10 @@ def store_enabled(
 
     Restores the previously active store (or none) on exit, so nested
     runs with different cache directories compose.  A directory that
-    cannot be created (say, a path under a regular file) prints one
-    ``warning:`` line on stderr and runs the block without a store.
+    cannot be created (say, a path under a regular file) runs the block
+    without a store and prints one ``warning:`` line on stderr, once per
+    directory and error in a process: ``analyze --incremental-from``
+    scopes the same directory twice (bundle lookup, then the run).
     """
     if cache_dir is None:
         yield _ACTIVE
@@ -80,8 +84,10 @@ def store_enabled(
     try:
         store = activate_store(cache_dir, max_bytes=max_bytes)
     except OSError as exc:
-        print(f"warning: cache directory {cache_dir} is unusable ({exc}); "
-              f"running without a store", file=sys.stderr)
+        if (str(cache_dir), str(exc)) not in _WARNED:
+            _WARNED.add((str(cache_dir), str(exc)))
+            print(f"warning: cache directory {cache_dir} is unusable "
+                  f"({exc}); running without a store", file=sys.stderr)
         deactivate_store()
         store = None
     try:

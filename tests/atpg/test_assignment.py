@@ -55,3 +55,17 @@ def test_backtrack_to_current_is_noop():
     mark = assignment.checkpoint()
     assignment.backtrack(mark)
     assert assignment.get(0) == ONE
+
+
+def test_backtrack_at_trail_end_and_to_zero():
+    assignment = Assignment(4)
+    for node, value in ((2, ONE), (0, ZERO), (3, ONE)):
+        assignment.set(node, value)
+    assignment.backtrack(len(assignment.trail))
+    assert assignment.trail == [2, 0, 3]
+    assert [assignment.get(n) for n in range(4)] == [ZERO, X, ONE, ONE]
+    assignment.backtrack(0)
+    assert assignment.trail == []
+    assert all(assignment.get(n) == X for n in range(4))
+    assignment.set(1, ZERO)
+    assert assignment.assigned_since(0) == [(1, ZERO)]

@@ -241,6 +241,49 @@ def test_backtrack_restores_unjustified_set():
     assert engine.value(g) == X
 
 
+def test_backtrack_undoes_frontier_ops_newest_first():
+    """A gate added then removed inside one mark window leaves the
+    frontier as it was at the mark."""
+    builder = CircuitBuilder("t")
+    a, b, c = builder.input("a"), builder.input("b"), builder.input("c")
+    g = builder.and_(a, b, c, name="g")
+    builder.output("o", g)
+    circuit, engine = _engine_for(builder)
+    mark = engine.checkpoint()
+    assert engine.assume(g, ZERO)
+    assert engine.unjustified == {g}
+    assert engine.assume(a, ZERO)  # a controlling input justifies g
+    assert engine.unjustified == set()
+    assert engine._jtrail[mark[1]:] == [g, ~g]
+    engine.backtrack(mark)
+    assert engine.unjustified == set()
+    assert engine._jtrail == []
+    assert engine.value(g) == X and engine.value(a) == X
+
+
+def test_backtrack_restores_gate_removed_then_readded():
+    """The rules only ever add a gate, then remove it, within one window
+    (values only grow), so the opposite order is written by hand: the
+    undo is positional and must still run newest first."""
+    builder = CircuitBuilder("t")
+    a, b, c = builder.input("a"), builder.input("b"), builder.input("c")
+    g = builder.and_(a, b, c, name="g")
+    h = builder.or_(a, b, name="h")
+    builder.output("o", builder.and_(g, h, name="k"))
+    circuit, engine = _engine_for(builder)
+    assert engine.assume(g, ZERO)
+    assert engine.unjustified == {g}
+    mark = engine.checkpoint()
+    engine.unjustified.discard(g)
+    engine.unjustified.add(h)
+    engine.unjustified.add(g)
+    engine.unjustified.discard(h)
+    engine._jtrail.extend([~g, h, g, ~h])
+    engine.backtrack(mark)
+    assert engine.unjustified == {g}
+    assert len(engine._jtrail) == mark[1]
+
+
 def test_learned_implications_applied():
     builder = CircuitBuilder("t")
     a = builder.input("a")

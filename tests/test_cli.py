@@ -531,3 +531,43 @@ def test_cache_unusable_dir_is_one_error_line(tmp_path, capsys, action):
     (error,) = captured.err.splitlines()
     assert error.startswith("error:") and store_dir in error
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "hazard", "kcycle", "extended", "sta", "sdc"]
+)
+def test_trace_into_missing_directory_is_one_error_line(
+    fig1_file, tmp_path, capsys, monkeypatch, command
+):
+    """Every ``--trace`` subcommand exits 2 with one ``error:`` line
+    naming the file, before any detection starts."""
+    import repro.cli
+    import repro.core.kcycle
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis started before the trace opened")
+
+    monkeypatch.setattr(repro.cli, "detect_multi_cycle_pairs", no_analysis)
+    monkeypatch.setattr(repro.core.kcycle, "KCycleDetector", no_analysis)
+    trace = str(tmp_path / "missing" / "t.jsonl")
+    assert main([command, fig1_file, "--trace", trace]) == 2
+    captured = capsys.readouterr()
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error:") and trace in error
+    assert captured.out == ""
+
+
+def test_incremental_unusable_cache_dir_warns_once(fig1_file, tmp_path, capsys):
+    """``--incremental-from`` scopes the store twice (bundle lookup, then
+    the run); an unusable directory still prints one warning line."""
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    store_dir = str(blocker / "store")
+    argv = ["analyze", fig1_file, "--incremental-from", fig1_file,
+            "--cache-dir", store_dir]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    (warning,) = captured.err.splitlines()
+    assert warning.startswith("warning:") and "unusable" in warning
+    assert store_dir in warning
+    assert "multi-cycle pairs:  5" in captured.out

@@ -6,10 +6,10 @@ Two measurements per circuit of the selected suite profile, recorded to
 * **Executor**: the full detection pipeline at ``workers=1`` against
   ``workers=N`` (N = CPU count, capped at 4), with the classifications
   asserted byte-identical (``pair_records``).  Below
-  ``parallel_threshold`` surviving pairs the decision stage falls back
-  to in-process serial automatically; the ``auto_serial`` flag records
-  whether that happened, since a fallback run measures dispatch
-  avoidance rather than concurrency.
+  ``PARALLEL_THRESHOLD`` (128, ``repro.core.streaming``) pairs to
+  decide the fold falls back to in-process serial automatically; the
+  ``auto_serial`` flag records whether that happened, since a fallback
+  run measures dispatch avoidance rather than concurrency.
 * **Stage-1 engine**: sustained random-simulation throughput
   (``patterns_per_sec``) over a fixed round budget using the shipping
   engine — compiled plan, reused simulators, round batching — against

@@ -68,7 +68,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("auto", "on", "off"),
                         help="shared-memory artifact backplane for the "
                              "worker pool (workers > 1 only)")
-    parser.add_argument("--max-pairs-in-flight", type=int, default=8192)
     parser.add_argument("--hazard-check", default="off",
                         choices=("off", "exact"),
                         help="static-hazard pass over the multi-cycle pairs")
@@ -97,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     options = DetectorOptions(
         workers=args.workers,
         backplane=args.backplane,
-        max_pairs_in_flight=args.max_pairs_in_flight,
         cache_dir=args.cache_dir,
         hazard_check=args.hazard_check,
     )

@@ -29,9 +29,11 @@ import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
+from repro.analysis.lint import LINT_MODES
 from repro.circuit.bench import dump, load as load_bench
 from repro.core.deciders import available_engines
 from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
+from repro.core.pipeline import BACKPLANE_MODES, HAZARD_MODES
 from repro.core.result import (
     DetectionResult,
     HazardVerdictKind,
@@ -50,24 +52,28 @@ def load(path: str):
     return load_bench(path)
 
 
-def _detector_options(args: argparse.Namespace) -> DetectorOptions:
-    return DetectorOptions(
+def _run_options(args: argparse.Namespace) -> dict:
+    """The options of :func:`_add_run_args`, by ``DetectorOptions`` field."""
+    return dict(
         backtrack_limit=args.backtrack_limit,
-        static_learning=args.static_learning,
-        implication_db=args.implication_db,
         lint=args.lint,
         include_self_loops=not args.no_self_loops,
-        search_engine=args.engine,
         sim_seed=args.seed,
         sim_words=args.sim_words,
         workers=args.workers,
-        parallel_threshold=args.parallel_threshold,
-        chunk_pairs=args.chunk_pairs,
         backplane=args.backplane,
+    )
+
+
+def _detector_options(args: argparse.Namespace) -> DetectorOptions:
+    return DetectorOptions(
+        **_run_options(args),
+        static_learning=args.static_learning,
+        implication_db=args.implication_db,
+        search_engine=args.engine,
         hazard_check=args.hazard_check,
         hazard_delays=args.hazard_delays,
         hazard_conflict_limit=args.hazard_conflict_limit,
-        max_pairs_in_flight=args.max_pairs_in_flight,
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
     )
@@ -98,18 +104,11 @@ def _tracer_for(args: argparse.Namespace):
         yield tracer
 
 
-def _add_detector_args(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """The flags of every detecting subcommand; kcycle takes only these."""
     parser.add_argument("--backtrack-limit", type=int, default=50,
                         help="ATPG backtrack limit (paper default: 50)")
-    parser.add_argument("--static-learning", action="store_true",
-                        help="pre-compute SOCRATES-style global implications")
-    parser.add_argument("--implication-db", action="store_true",
-                        help="use the compiled global implication database "
-                             "(transitively closed, built once per netlist) "
-                             "as the deciders' learned table; takes "
-                             "precedence over --static-learning")
-    parser.add_argument("--lint", default="off",
-                        choices=("off", "warn", "strict"),
+    parser.add_argument("--lint", default="off", choices=LINT_MODES,
                         help="structural lint gate before the run: off = "
                              "classic first-error validation, warn = full "
                              "lint rejecting errors, strict = rejecting "
@@ -117,11 +116,6 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                              "are identical; default: off)")
     parser.add_argument("--no-self-loops", action="store_true",
                         help="skip (FF, FF) self pairs, as [9] did")
-    parser.add_argument("--engine", default="dalg",
-                        choices=available_engines(),
-                        help="pair-decision engine (default: dalg, the "
-                             "paper's implication+ATPG flow; the kcycle "
-                             "command always uses the implication engine)")
     parser.add_argument("--seed", type=int, default=2002,
                         help="random-simulation seed (default: 2002)")
     parser.add_argument("--sim-words", type=int, default=4,
@@ -129,29 +123,36 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the decision stage "
                              "(default: 1 = serial)")
-    parser.add_argument("--parallel-threshold", type=int, default=128,
-                        help="fall back to serial when fewer surviving "
-                             "pairs than this reach the decision stage "
-                             "(default: 128)")
-    parser.add_argument("--chunk-pairs", type=int, default=0,
-                        help="pairs per decision work unit, in-process "
-                             "or on the worker pool (default: 0 = "
-                             "automatic)")
     parser.add_argument("--backplane", default="auto",
-                        choices=("auto", "on", "off"),
+                        choices=BACKPLANE_MODES,
                         help="zero-copy shared-memory backplane for the "
                              "worker pool: the parent publishes the "
-                             "2-frame expansion and derived numpy "
-                             "artifacts once and workers attach instead "
-                             "of rebuilding; verdicts and pair records "
-                             "are identical in every mode (default: "
-                             "auto = publish whenever workers spawn)")
-    parser.add_argument("--max-pairs-in-flight", type=int, default=8192,
-                        help="cap on pairs submitted to the decision "
-                             "worker pool but not yet folded "
-                             "(default: 8192)")
+                             "expansion and derived numpy artifacts once "
+                             "and workers attach instead of rebuilding; "
+                             "verdicts and pair records are identical in "
+                             "every mode (default: auto = publish "
+                             "whenever workers spawn)")
+    parser.add_argument("--trace", metavar="FILE", default=None,
+                        help="write per-stage/per-pair JSONL trace events "
+                             "to FILE")
+
+
+def _add_detector_args(parser: argparse.ArgumentParser) -> None:
+    """The run flags plus the engine, learning, hazard and store flags."""
+    _add_run_args(parser)
+    parser.add_argument("--engine", default="dalg",
+                        choices=available_engines(),
+                        help="pair-decision engine (default: dalg, the "
+                             "paper's implication+ATPG flow)")
+    parser.add_argument("--static-learning", action="store_true",
+                        help="pre-compute SOCRATES-style global implications")
+    parser.add_argument("--implication-db", action="store_true",
+                        help="use the compiled global implication database "
+                             "(transitively closed, built once per netlist) "
+                             "as the deciders' learned table; takes "
+                             "precedence over --static-learning")
     parser.add_argument("--hazard-check", default="off",
-                        choices=("off", "exact"),
+                        choices=HAZARD_MODES,
                         help="validate detected multi-cycle pairs against "
                              "static hazards (Section 5): exact = both "
                              "static bounds plus the SAT-backed three-way "
@@ -179,9 +180,6 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                         help="artifact-store size bound; least-recently-"
                              "used entries are evicted beyond it "
                              "(default: 1 GiB)")
-    parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="write per-stage/per-pair JSONL trace events "
-                             "to FILE")
 
 
 def _run_incremental(circuit, options, prior_path, tracer):
@@ -377,9 +375,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
     circuits = suite(args.profile)
     if args.table == "table1":
-        table, _ = run_table1(circuits, sat_mode=args.sat_mode,
-                              run_sat=not args.no_sat,
-                              engine=args.engine, workers=args.workers)
+        options = DetectorOptions(search_engine=args.engine,
+                                  workers=args.workers)
+        table, _ = run_table1(circuits, options, sat_mode=args.sat_mode,
+                              run_sat=not args.no_sat)
     elif args.table == "table2":
         table = run_table2(circuits)
     else:
@@ -406,18 +405,10 @@ def cmd_kcycle(args: argparse.Namespace) -> int:
     from repro.core.kcycle import KCycleDetector
 
     circuit = load(args.file)
+    options = DetectorOptions(**_run_options(args))
     with _tracer_for(args) as tracer:
         for k in range(2, args.max_k + 1):
-            result = KCycleDetector(
-                circuit, k, backtrack_limit=args.backtrack_limit,
-                sim_words=args.sim_words, sim_seed=args.seed,
-                include_self_loops=not args.no_self_loops,
-                workers=args.workers,
-                parallel_threshold=args.parallel_threshold,
-                chunk_pairs=args.chunk_pairs,
-                max_pairs_in_flight=args.max_pairs_in_flight,
-                tracer=tracer,
-            ).run()
+            result = KCycleDetector(circuit, k, options, tracer=tracer).run()
             print(f"k={k}: {len(result.k_cycle_pairs)} of "
                   f"{result.connected_pairs} pairs are {k}-cycle "
                   f"({result.total_seconds:.2f}s)")
@@ -674,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help=".bench netlist")
     p.add_argument("--max-k", type=int, default=4)
     p.add_argument("--list-pairs", action="store_true")
-    _add_detector_args(p)
+    _add_run_args(p)
     p.set_defaults(func=cmd_kcycle)
 
     p = sub.add_parser("extended",

@@ -97,8 +97,8 @@ def options_fingerprint(
 ) -> str:
     """Digest of every option that can influence a pair's decide record.
 
-    Execution-shape options (workers, unit sizing, the backplane) are
-    excluded — the differentials pin their record byte-identity.
+    Execution-shape options (workers, the backplane) are excluded — the
+    differentials pin their record byte-identity.
     Simulation options are excluded too: the random
     filter reruns fresh on every incremental pass.  When a
     globally-sensitive feature is on (learned tables, the SAT/BDD
@@ -161,47 +161,29 @@ def result_bundle(
 ) -> dict[str, object]:
     """The persistable prior-state bundle of one detection run.
 
-    Per pair: names, the launch/capture cone hashes, and the full
-    decide record (classification, stage, cases) in exactly the shape
-    :meth:`DetectionResult.pair_records` exposes — plus the hazard
-    verdict and its two static bounds when the hazard stage ran.
+    Per pair: the record :meth:`DetectionResult.pair_records` writes
+    (names, classification, stage, cases), plus the launch/capture cone
+    hashes and, when the hazard stage ran, the hazard verdict and its
+    two static bounds.
     """
     circuit = result.circuit
-    names = circuit.names
     launch = launch_cone_hashes(circuit, frames)
     capture = capture_cone_hashes(circuit, frames)
     verdicts = {
         (v.pair.source, v.pair.sink): v for v in result.hazard_verdicts
     }
-    records: list[dict[str, object]] = []
-    for pair_result in result.pair_results:
+    records = result.pair_records()
+    for record, pair_result in zip(records, result.pair_results):
         pair = pair_result.pair
         verdict = verdicts.get((pair.source, pair.sink))
-        records.append({
-            "source": names[pair.source],
-            "sink": names[pair.sink],
-            "launch": launch[pair.source],
-            "capture": capture[pair.sink],
-            "classification": pair_result.classification.value,
-            "stage": pair_result.stage.value,
-            "cases": [
-                {
-                    "a": case.a,
-                    "b": case.b,
-                    "outcome": case.outcome.value,
-                    "decisions": case.decisions,
-                    "backtracks": case.backtracks,
-                    "witness": case.witness,
-                }
-                for case in pair_result.cases
-            ],
-            "hazard": None if verdict is None else {
-                "verdict": verdict.verdict.value,
-                "delay_safe": verdict.delay_safe,
-                "sensitize_flagged": verdict.sensitize_flagged,
-                "cosensitize_flagged": verdict.cosensitize_flagged,
-            },
-        })
+        record["launch"] = launch[pair.source]
+        record["capture"] = capture[pair.sink]
+        record["hazard"] = None if verdict is None else {
+            "verdict": verdict.verdict.value,
+            "delay_safe": verdict.delay_safe,
+            "sensitize_flagged": verdict.sensitize_flagged,
+            "cosensitize_flagged": verdict.cosensitize_flagged,
+        }
     return {
         "circuit": circuit.name,
         "engine": result.engine,

@@ -29,6 +29,7 @@ from repro.circuit.topology import FFPair
 from repro.logic.values import BINARY
 from repro.atpg.implication import ImplicationEngine
 from repro.atpg.justify import SearchStatus, justify
+from repro.core.pipeline import AnalysisContext, DetectorOptions
 from repro.core.result import Classification, PairResult, Stage
 from repro.core.session import launch_runs
 from repro.core.trace import ProgressFn, Tracer
@@ -229,18 +230,18 @@ class KCycleDecider:
 
     Not in the global registry (it is parameterised by ``k``); the
     k-cycle detector passes an instance straight to its decision stage,
-    which also makes it shardable across worker processes.
+    which also makes it shardable across worker processes.  The search
+    takes the run's ``options.backtrack_limit``.
     """
 
-    def __init__(self, k: int, backtrack_limit: int = 50) -> None:
+    def __init__(self, k: int) -> None:
         self.name = f"kcycle-{k}"
         self.k = k
         self.frames = k
-        self.backtrack_limit = backtrack_limit
 
     def prepare(self, ctx) -> None:
         self._analyzer = KCycleAnalyzer(
-            ctx.circuit, self.k, self.backtrack_limit,
+            ctx.circuit, self.k, ctx.options.backtrack_limit,
             expansion=ctx.expansion(self.frames),
         )
         self._clock = ctx.clock
@@ -271,63 +272,49 @@ class KCycleDetector:
     simulation, then implication/ATPG on a shared k-frame expansion —
     the paper's Step-3 extension applied to the whole flow.
 
-    Runs on the launch-group fold of :mod:`repro.core.streaming`, so it
-    inherits the parallel executor (``workers``) and the structured
-    trace layer for free."""
+    Runs on the launch-group fold of :mod:`repro.core.streaming` with
+    the caller's :class:`~repro.core.pipeline.DetectorOptions`, so it
+    inherits the parallel executor (``workers``, ``backplane``), the
+    lint gate (``lint``) and the structured trace layer.  Its decider is
+    always :class:`KCycleDecider`: the engine, learning and store
+    options do not apply, and it runs no hazard pass, so any
+    ``hazard_check`` other than ``"off"`` raises :class:`ValueError`."""
 
     def __init__(
         self,
         circuit: Circuit,
         k: int,
-        backtrack_limit: int = 50,
-        sim_words: int = 4,
-        sim_max_rounds: int = 256,
-        sim_seed: int = 2002,
-        include_self_loops: bool = True,
-        workers: int = 1,
-        parallel_threshold: int = 128,
-        chunk_pairs: int = 0,
-        max_pairs_in_flight: int = 8192,
+        options: DetectorOptions | None = None,
         tracer: Tracer | None = None,
         progress: ProgressFn | None = None,
     ) -> None:
+        from repro.analysis.lint import enforce
+
         if k < 2:
             raise ValueError("k must be >= 2")
-        validate(circuit)
+        options = options or DetectorOptions()
+        if options.hazard_check != "off":
+            raise ValueError(
+                "k-cycle detection runs no hazard pass; "
+                f"hazard_check must be 'off', not {options.hazard_check!r}"
+            )
+        #: full lint report when ``options.lint`` is "warn"/"strict",
+        #: ``None`` in "off" mode, as on ``MultiCycleDetector``.
+        self.lint_report = enforce(circuit, options.lint)
         self.circuit = circuit
         self.k = k
-        self.backtrack_limit = backtrack_limit
-        self.sim_words = sim_words
-        self.sim_max_rounds = sim_max_rounds
-        self.sim_seed = sim_seed
-        self.include_self_loops = include_self_loops
-        self.workers = workers
-        self.parallel_threshold = parallel_threshold
-        self.chunk_pairs = chunk_pairs
-        self.max_pairs_in_flight = max_pairs_in_flight
+        self.options = options
         self.tracer = tracer
         self.progress = progress
 
     def run(self) -> KCycleDetectionResult:
-        from repro.core.pipeline import AnalysisContext, DetectorOptions
         from repro.core.streaming import StreamingStage
 
-        options = DetectorOptions(
-            sim_words=self.sim_words,
-            sim_max_rounds=self.sim_max_rounds,
-            sim_seed=self.sim_seed,
-            backtrack_limit=self.backtrack_limit,
-            include_self_loops=self.include_self_loops,
-            workers=self.workers,
-            parallel_threshold=self.parallel_threshold,
-            chunk_pairs=self.chunk_pairs,
-            max_pairs_in_flight=self.max_pairs_in_flight,
-        )
         ctx = AnalysisContext(
-            self.circuit, options, tracer=self.tracer, progress=self.progress
+            self.circuit, self.options, tracer=self.tracer,
+            progress=self.progress,
         )
-        decider = KCycleDecider(self.k, self.backtrack_limit)
-        detection = StreamingStage(decider, frames=self.k).run(ctx)
+        detection = StreamingStage(KCycleDecider(self.k), frames=self.k).run(ctx)
         results = [
             KCycleResult(r.pair, self.k, r.classification)
             for r in detection.pair_results

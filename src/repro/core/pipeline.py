@@ -28,7 +28,7 @@ from typing import Any, Callable, Sequence
 from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
 from repro.circuit.topology import FFPair
-from repro.core.deciders import PairDecider
+from repro.core.deciders import PairDecider, available_engines
 from repro.core.workqueue import WorkStealingPool
 from repro.logic.bitsim import BitSimulator
 from repro.core.result import (
@@ -39,15 +39,25 @@ from repro.core.result import (
 )
 from repro.core.trace import ProgressFn, Tracer
 
+#: the ``DetectorOptions.hazard_check`` modes.
+HAZARD_MODES = ("off", "exact")
 
-@dataclass
+#: the ``DetectorOptions.backplane`` modes.
+BACKPLANE_MODES = ("auto", "on", "off")
+
+
+@dataclass(frozen=True)
 class DetectorOptions:
-    """Tuning knobs for the pipeline (paper defaults)."""
+    """Tuning knobs for the pipeline (paper defaults).
+
+    Frozen: derive a variant with :func:`dataclasses.replace`.  The
+    enumerated fields (``search_engine``, ``hazard_check``, ``lint``,
+    ``backplane``) are checked at construction, so a bad value raises
+    :class:`ValueError` before any run starts.
+    """
 
     #: 64-bit words per random-simulation round (64*words patterns).
     sim_words: int = 4
-    #: hard cap on simulation rounds.
-    sim_max_rounds: int = 256
     #: random seed for the simulation stage (results are deterministic).
     sim_seed: int = 2002
     #: skip the random-simulation stage entirely (ablation).
@@ -74,7 +84,9 @@ class DetectorOptions:
     #: "dalg" (paper's choice), "podem", "scoap", "sat", "bdd",
     #: "cross-check".
     search_engine: str = "dalg"
-    #: worker processes for the decision stage (1 = in-process serial).
+    #: worker processes for the decision stage (1 = in-process serial;
+    #: a run with fewer than 128 pairs to decide also stays in-process,
+    #: see ``PARALLEL_THRESHOLD`` in :mod:`repro.core.streaming`).
     workers: int = 1
     #: zero-copy shared-memory backplane for parallel decision workers:
     #: "auto"/"on" publish the expansion, CSR views, SimPlan, packed plan
@@ -84,13 +96,6 @@ class DetectorOptions:
     #: in every mode; publishing is best-effort (a failure falls back to
     #: the pickled path).
     backplane: str = "auto"
-    #: minimum surviving pairs before the decision stage actually shards;
-    #: below it a ``workers > 1`` run falls back to in-process serial,
-    #: because pool/dispatch overhead would dominate.
-    parallel_threshold: int = 128
-    #: pairs per decision work unit, in-process or on the worker pool
-    #: (0 = automatic, see :func:`_auto_chunk_size`).
-    chunk_pairs: int = 0
     #: hazard validation of detected multi-cycle pairs (Section 5):
     #: "off" (default) or "exact" (both static bounds plus a SAT
     #: decision of every pair they disagree on — see
@@ -111,9 +116,6 @@ class DetectorOptions:
     #: because existing callers still pass it (the end-to-end benchmark
     #: workloads construct ``DetectorOptions(streaming="on")``).
     streaming: str = "auto"
-    #: cap on pairs submitted to the decision worker pool but not yet
-    #: folded (bounds parent-side memory on huge circuits).
-    max_pairs_in_flight: int = 8192
     #: directory of the content-addressed on-disk artifact store
     #: (:mod:`repro.store`); ``None`` falls back to the
     #: ``REPRO_CACHE_DIR`` environment variable, and an empty result
@@ -124,6 +126,22 @@ class DetectorOptions:
     cache_dir: str | None = None
     #: size bound of the artifact store in bytes (LRU eviction beyond it).
     cache_max_bytes: int = 1 << 30
+
+    def __post_init__(self) -> None:
+        from repro.analysis.lint import LINT_MODES
+
+        for name, allowed in (
+            ("search_engine", available_engines()),
+            ("hazard_check", HAZARD_MODES),
+            ("lint", LINT_MODES),
+            ("backplane", BACKPLANE_MODES),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {name} {value!r}; expected one of "
+                    + ", ".join(allowed)
+                )
 
 
 @dataclass
@@ -187,32 +205,20 @@ class AnalysisContext:
         shared=None,
         publish=None,
     ) -> WorkStealingPool:
-        """The run's persistent worker pool, created on first use.
+        """The run's worker pool, spawned on first use.
 
         Workers build their :class:`AnalysisContext` and prepare the
         decider once, from the spawn arguments; ``shared`` (e.g. the
         parent-computed static-learning table) ships with them.
-        Subsequent work units only carry pair lists.  Asking for a
-        different decider/expansion/worker count replaces the pool.
+        Subsequent work units only carry pair lists.  A fold asks for
+        one pool, and :meth:`close` ends it.
 
         ``publish`` is the backplane hook: a zero-arg callable returning
         ``(backplane, worker_expansion, worker_shared)``, invoked only
-        when a new pool is actually spawned (reusing a pool must not
-        publish — and leak — another shared-memory block).  When it
-        returns a backplane, workers receive its handle and attach
-        instead of deserializing the pickled expansion/shared payloads.
+        when the pool is spawned.  When it returns a backplane, workers
+        receive its handle and attach instead of deserializing the
+        pickled expansion/shared payloads.
         """
-        workers = max(1, self.options.workers)
-        key = (
-            id(self.circuit),
-            self.circuit.version,
-            decider.name,
-            expansion.frames,
-            workers,
-        )
-        if self._pool is not None and self._pool.key != key:
-            self._pool.shutdown()
-            self._pool = None
         if self._pool is None:
             backplane = None
             worker_expansion, worker_shared = expansion, shared
@@ -220,7 +226,8 @@ class AnalysisContext:
                 backplane, worker_expansion, worker_shared = publish()
             self._pool = WorkStealingPool(
                 self.circuit, self.options, decider, worker_expansion,
-                workers, key, shared=worker_shared, backplane=backplane,
+                max(1, self.options.workers), shared=worker_shared,
+                backplane=backplane,
             )
         return self._pool
 
@@ -234,22 +241,6 @@ class AnalysisContext:
         """Forward one trace event to the tracer, if any."""
         if self.tracer is not None:
             self.tracer.emit(event, **fields)
-
-
-def _auto_chunk_size(num_pairs: int, workers: int) -> int:
-    """Default work-unit size.
-
-    A unit fills at most one packed implication closure (``MAX_LANES //
-    4`` = 512 pairs of four cases each), and a serial run uses exactly
-    that.  A pool run aims for ~8 units per worker, so a slow unit cannot
-    idle the other workers for long.
-    """
-    from repro.atpg.packed_implication import MAX_LANES
-
-    cap = MAX_LANES // 4
-    if workers <= 1:
-        return cap
-    return max(1, min(cap, -(-num_pairs // (workers * 8))))
 
 
 def packed_summary(session: dict[str, int] | None) -> dict[str, int] | None:
@@ -304,10 +295,7 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
     rides along the same way; anything else — mode "off", a non-DB
     shared payload, or a publish failure — keeps the pickled path.
     """
-    mode = getattr(ctx.options, "backplane", "auto")
-    if mode not in ("auto", "on", "off"):
-        raise ValueError(f"unknown backplane mode {mode!r}")
-    if mode == "off":
+    if ctx.options.backplane == "off":
         return None, expansion, shared
     try:
         from repro.analysis.implication_db import ImplicationDB
@@ -371,20 +359,15 @@ def load_gate_delays(options: DetectorOptions, circuit: Circuit):
     return GateDelays.load(Path(options.hazard_delays), circuit)
 
 
-#: the ``DetectorOptions.hazard_check`` modes.
-HAZARD_MODES = ("off", "exact")
-
-
 class HazardPass:
     """Hazard validation of a run's multi-cycle pairs (Section 5).
 
-    Built once per run, before any decide work, so an unknown
-    ``options.hazard_check`` mode or a bad delay sidecar fails fast.
-    The fold hands it each unit's fresh results (:meth:`check`), an
-    incremental run the verdicts its prior bundle records
-    (:meth:`adopt`), and :meth:`finish` records the ``hazard_exact``
-    block and emits the ``hazard_stage`` trace event.  In mode
-    ``"off"`` every call is a no-op.
+    Built once per run, before any decide work, so a bad delay sidecar
+    fails fast.  The fold hands it each unit's fresh results
+    (:meth:`check`), an incremental run the verdicts its prior bundle
+    records (:meth:`adopt`), and :meth:`finish` records the
+    ``hazard_exact`` block and emits the ``hazard_stage`` trace event.
+    In mode ``"off"`` every call is a no-op.
 
     Mode ``"exact"`` classifies every multi-cycle pair as safe /
     glitch-possible / glitch-proven, with both static bounds recorded
@@ -397,15 +380,14 @@ class HazardPass:
     """
 
     def __init__(self, ctx: AnalysisContext) -> None:
-        mode = ctx.options.hazard_check
-        if mode not in HAZARD_MODES:
-            raise ValueError(f"unknown hazard_check mode {mode!r}")
         self.ctx = ctx
-        self.mode = mode
+        self.mode = ctx.options.hazard_check
         # Read now, not at the first multi-cycle pair: a bad sidecar
         # must fail before any decide work, and on circuits without one.
         self.delays = (
-            load_gate_delays(ctx.options, ctx.circuit) if mode == "exact" else None
+            load_gate_delays(ctx.options, ctx.circuit)
+            if self.mode == "exact"
+            else None
         )
         self.seconds = 0.0
         self.verdicts: list[PairHazardVerdict] = []

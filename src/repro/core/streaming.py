@@ -22,14 +22,13 @@ and returns the :class:`~repro.core.result.DetectionResult` its
    :func:`~repro.core.workqueue.unit_stream` cuts them into work units
    of ~``size`` pairs *across* launch-group boundaries, so one packed
    implication closure fills its lanes instead of running once per
-   small group.  ``size`` is ``options.chunk_pairs`` or
-   :func:`~repro.core.pipeline._auto_chunk_size`, at most the packed
-   engine's per-closure capacity.  Every unit goes through
+   small group.  :func:`_auto_chunk_size` sets ``size``, at most the
+   packed engine's per-closure capacity.  Every unit goes through
    :func:`~repro.core.workqueue._decide_unit`, in-process
    (:class:`~repro.core.workqueue.LocalQueue`) or on the work-stealing
-   pool when ``workers > 1`` and at least ``parallel_threshold`` pairs
-   need deciding; at most ``max_pairs_in_flight`` pairs are submitted
-   but not yet folded.
+   pool when ``workers > 1`` and at least :data:`PARALLEL_THRESHOLD`
+   pairs need deciding; at most :data:`MAX_PAIRS_IN_FLIGHT` pairs are
+   submitted but not yet folded.
 4. **Hazard** validation (:class:`~repro.core.pipeline.HazardPass`)
    checks each folded unit's fresh multi-cycle results.
 
@@ -62,7 +61,6 @@ from repro.core.deciders import PairDecider, create_decider
 from repro.core.pipeline import (
     AnalysisContext,
     HazardPass,
-    _auto_chunk_size,
     backplane_summary,
     merge_session_stats,
     packed_summary,
@@ -83,6 +81,31 @@ from repro.core.workqueue import (
     split_threshold,
     unit_stream,
 )
+
+#: fewest pairs to decide for which a ``workers > 1`` run spawns the
+#: pool; below it the fold decides in-process, because spawning and
+#: dispatch would cost more than the decisions.
+PARALLEL_THRESHOLD = 128
+
+#: cap on pairs submitted to the worker pool but not yet folded; it
+#: bounds the parent's memory on huge circuits.
+MAX_PAIRS_IN_FLIGHT = 8192
+
+
+def _auto_chunk_size(num_pairs: int, workers: int) -> int:
+    """The work-unit size of a run deciding ``num_pairs`` pairs.
+
+    A unit fills at most one packed implication closure (``MAX_LANES //
+    4`` = 512 pairs of four cases each), and a serial run uses exactly
+    that.  A pool run aims for ~8 units per worker, so a slow unit cannot
+    idle the other workers for long.
+    """
+    from repro.atpg.packed_implication import MAX_LANES
+
+    cap = MAX_LANES // 4
+    if workers <= 1:
+        return cap
+    return max(1, min(cap, -(-num_pairs // (workers * 8))))
 
 
 class StreamingStage:
@@ -194,7 +217,6 @@ class StreamingStage:
                 alive,
                 frames=self.frames,
                 words=options.sim_words,
-                max_rounds=options.sim_max_rounds,
                 seed=options.sim_seed,
                 sim=ctx.bit_simulator(options.sim_words),
             )
@@ -232,9 +254,7 @@ class StreamingStage:
                 if fresh:
                     yield fresh
 
-        size = options.chunk_pairs or _auto_chunk_size(
-            survivor_count, max(1, options.workers)
-        )
+        size = _auto_chunk_size(survivor_count, max(1, options.workers))
         self._decide(ctx, decider, fold, fresh_groups(), size)
 
         # -- Run summary: session counters, DB stats, disagreements. ---
@@ -270,9 +290,7 @@ class StreamingStage:
         size: int,
     ) -> None:
         """Cut the fresh pairs into units, settle them and fold them."""
-        options = ctx.options
-        workers = max(1, options.workers)
-        threshold = max(2, options.parallel_threshold)
+        workers = max(1, ctx.options.workers)
         split = split_threshold(size)
         units = unit_stream(groups, size, split)
         # Look ahead until a pool would pay off, or the stream ends.
@@ -281,11 +299,11 @@ class StreamingStage:
         for unit in units:
             head.append(unit)
             held += len(unit)
-            if workers == 1 or held >= threshold:
+            if workers == 1 or held >= PARALLEL_THRESHOLD:
                 break
         if not head:
             return
-        parallel = workers > 1 and held >= threshold
+        parallel = workers > 1 and held >= PARALLEL_THRESHOLD
 
         shared_fn = getattr(decider, "prepare_shared", None)
         shared = shared_fn(ctx) if shared_fn is not None else None
@@ -299,7 +317,7 @@ class StreamingStage:
                 decider, expansion, shared=shared,
                 publish=lambda: publish_backplane(ctx, expansion, shared),
             )
-            max_in_flight = max(size, options.max_pairs_in_flight)
+            max_in_flight = max(size, MAX_PAIRS_IN_FLIGHT)
         else:
             queue = LocalQueue(ctx, decider, shared)
             max_in_flight = 0
@@ -320,7 +338,7 @@ class StreamingStage:
                 mode="parallel" if parallel else "serial-fallback",
                 workers=workers,
                 pairs=fold.decided_pairs,
-                threshold=threshold,
+                threshold=PARALLEL_THRESHOLD,
             )
         if not parallel:
             return

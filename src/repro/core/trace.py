@@ -36,12 +36,14 @@ Event types emitted by the pipeline:
     the number of pair results settled so far (progress).
 ``decision_exec``
     One per run with ``workers > 1`` that decided any pair: whether the
-    pool ran (``parallel``) or the pairs stayed below
-    ``parallel_threshold`` (``serial-fallback``), and the pair count.
+    pool ran (``parallel``) or the pairs stayed below ``threshold``
+    (``serial-fallback``; the fold's ``PARALLEL_THRESHOLD``), and the
+    pair count.
 ``decision_queue``
-    One per parallel decision run: worker count, work-unit count and
-    sizing (``unit_pairs``/``split``/``max_pairs_in_flight``) plus
-    per-worker unit/pair/second totals from the work-stealing queue.
+    One per parallel decision run: worker count, work-unit count, the
+    unit size (``unit_pairs``), the split threshold (``split``), the
+    in-flight cap (``max_pairs_in_flight``), plus per-worker
+    unit/pair/second totals from the work-stealing queue.
 ``disagreement``
     Emitted by the cross-check decider when two engines disagree.
 ``hazard_stage``

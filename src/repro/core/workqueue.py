@@ -138,17 +138,6 @@ def unit_stream(
         yield current
 
 
-def launch_units(
-    pairs: Sequence[FFPair], size: int, split: int | None = None
-) -> list[list[FFPair]]:
-    """:func:`unit_stream` over the launch groups of a pair list."""
-    from repro.core.session import launch_runs
-
-    return list(unit_stream(
-        (pairs[start:end] for start, end in launch_runs(pairs)), size, split
-    ))
-
-
 def _decide_unit(decider: Any, pairs: Sequence[FFPair]) -> tuple:
     """Settle one unit on a prepared decider, reporting counter deltas.
 
@@ -273,10 +262,9 @@ class WorkStealingPool:
     Created once per pipeline run (lazily, by
     :meth:`~repro.core.pipeline.AnalysisContext.decision_pool`).  Units
     are submitted with :meth:`submit` and collected — in completion
-    order — with :meth:`next_result`; :meth:`map_units` wraps the two
-    for callers that want the whole batch back in unit order.  The pool
-    records per-unit ``(worker, seconds)`` telemetry for the
-    ``decision_queue`` trace event.
+    order — with :meth:`next_result`.  The pool records per-unit
+    ``(worker, seconds)`` telemetry for the ``decision_queue`` trace
+    event.
     """
 
     def __init__(
@@ -286,11 +274,9 @@ class WorkStealingPool:
         decider: Any,
         expansion: Any,
         workers: int,
-        key: tuple,
         shared: Any = None,
         backplane: Any = None,
     ) -> None:
-        self.key = key
         self.workers = workers
         #: parent-owned shared-memory backplane (unlinked at shutdown).
         self.backplane = backplane
@@ -308,7 +294,6 @@ class WorkStealingPool:
         # buffered queues both put() ends never block.
         self._tasks = ctx.Queue()
         self._results = ctx.Queue()
-        self._pending = 0
         self.unit_log: list[dict[str, int | float]] = []
         self._procs = [
             ctx.Process(
@@ -325,15 +310,9 @@ class WorkStealingPool:
         for proc in self._procs:
             proc.start()
 
-    @property
-    def pending(self) -> int:
-        """Units submitted but not yet collected."""
-        return self._pending
-
     def submit(self, index: int, pairs: Sequence[FFPair]) -> None:
         """Enqueue one work unit; any idle worker may take it."""
         self._tasks.put(WorkUnit(index, list(pairs)))
-        self._pending += 1
 
     def _record_ready(self, ready: _WorkerReady) -> None:
         self._ready_seen += 1
@@ -389,7 +368,6 @@ class WorkStealingPool:
             raise RuntimeError(
                 f"decision worker {outcome.worker} failed:\n{outcome.error}"
             )
-        self._pending -= 1
         self.unit_log.append({
             "unit": outcome.index,
             "pairs": len(outcome.decided),
@@ -397,16 +375,6 @@ class WorkStealingPool:
             "seconds": round(outcome.seconds, 6),
         })
         return outcome
-
-    def map_units(self, units: Sequence[Sequence[FFPair]]) -> list[UnitResult]:
-        """Run every unit; results returned in unit (submission) order."""
-        for index, unit in enumerate(units):
-            self.submit(index, unit)
-        collected: dict[int, UnitResult] = {}
-        while len(collected) < len(units):
-            result = self.next_result()
-            collected[result.index] = result
-        return [collected[index] for index in range(len(units))]
 
     def wait_ready(self, timeout: float = 30.0) -> list[dict[str, Any]]:
         """Collect every worker's prepare report (best-effort, bounded).

@@ -8,7 +8,6 @@ them as aligned text.  The benchmark harness (``benchmarks/``), the CLI
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,25 +58,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def _apply_pipeline_options(
-    options: DetectorOptions | None,
-    engine: str | None,
-    workers: int | None,
-) -> DetectorOptions | None:
-    """Fold ``engine``/``workers`` overrides into the detector options."""
-    if engine is None and workers is None:
-        return options
-    from dataclasses import replace
-
-    base = options or DetectorOptions()
-    updates: dict[str, object] = {}
-    if engine is not None:
-        updates["search_engine"] = engine
-    if workers is not None:
-        updates["workers"] = workers
-    return replace(base, **updates)
-
-
 # ----------------------------------------------------------------------
 # Table 1: MC pairs + CPU, implication-based vs SAT-based.
 # ----------------------------------------------------------------------
@@ -86,17 +66,13 @@ def run_table1(
     options: DetectorOptions | None = None,
     sat_mode: str = "per-pair",
     run_sat: bool = True,
-    engine: str | None = None,
-    workers: int | None = None,
 ) -> tuple[Table, list[DetectionResult]]:
     """Per-circuit MC-pair counts and CPU seconds, ours vs SAT baseline.
 
     Mirrors the paper's Table 1 (their SAT column is ref. [9]; ours is the
-    from-scratch CDCL baseline in the requested ``sat_mode``).  ``engine``
-    and ``workers`` select the pipeline's decision engine and worker count
-    for the "ours" column without the caller building options by hand.
+    from-scratch CDCL baseline in the requested ``sat_mode``).  ``options``
+    configure the "ours" column's runs (engine, workers, ...).
     """
-    options = _apply_pipeline_options(options, engine, workers)
     headers = ["circuit", "In", "FF", "FF-pair", "MC-pair", "CPU(s)",
                "SAT MC-pair", "SAT CPU(s)"]
     rows: list[list[object]] = []

@@ -1,0 +1,45 @@
+"""Test helpers for the fold's work units and its worker pool.
+
+The launch-group fold spawns its pool only when at least
+``repro.core.streaming.PARALLEL_THRESHOLD`` (128) pairs need deciding,
+and sizes its units with ``_auto_chunk_size``.  :func:`forced_pool`
+patches both, so ``workers > 1`` runs of a few pairs still go through
+the pool, in units of a chosen size.  :func:`launch_units` cuts a pair
+list the way the fold cuts its stream of launch groups.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, Sequence
+from unittest import mock
+
+from repro.circuit.topology import FFPair
+from repro.core.session import launch_runs
+from repro.core.workqueue import unit_stream
+
+
+@contextmanager
+def forced_pool(unit_pairs: int | None = None) -> Iterator[None]:
+    """Send any ``workers > 1`` run to the pool; with ``unit_pairs``,
+    cut every run (serial ones too) into units of that many pairs."""
+    with ExitStack() as stack:
+        stack.enter_context(
+            mock.patch("repro.core.streaming.PARALLEL_THRESHOLD", 2)
+        )
+        if unit_pairs is not None:
+            stack.enter_context(mock.patch(
+                "repro.core.streaming._auto_chunk_size",
+                lambda num_pairs, workers: unit_pairs,
+            ))
+        yield
+
+
+def launch_units(
+    pairs: Sequence[FFPair], size: int, split: int | None = None
+) -> list[list[FFPair]]:
+    """:func:`~repro.core.workqueue.unit_stream` over the launch groups
+    (same-source runs) of a pair list."""
+    return list(unit_stream(
+        (pairs[start:end] for start, end in launch_runs(pairs)), size, split
+    ))

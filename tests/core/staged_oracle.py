@@ -78,7 +78,6 @@ def staged_detect(
             pairs,
             frames,
             words=options.sim_words,
-            max_rounds=options.sim_max_rounds,
             seed=options.sim_seed,
             sim=ctx.bit_simulator(options.sim_words),
         )

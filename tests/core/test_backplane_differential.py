@@ -18,22 +18,24 @@ from hypothesis import given, settings
 from repro.circuit.library import fig1_circuit, s27
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 
+from tests.core.pool_helpers import forced_pool
 from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
 
-def _run(circuit, **kw):
-    options = DetectorOptions(workers=2, parallel_threshold=2, **kw)
-    return MultiCycleDetector(circuit, options).run()
+def _run(circuit, unit_pairs=None, **kw):
+    options = DetectorOptions(workers=2, **kw)
+    with forced_pool(unit_pairs):
+        return MultiCycleDetector(circuit, options).run()
 
 
 def _records(result):
     return json.dumps(result.pair_records(), sort_keys=True)
 
 
-def _assert_identical(circuit, **kw):
-    on = _run(circuit, backplane="on", **kw)
-    off = _run(circuit, backplane="off", **kw)
+def _assert_identical(circuit, unit_pairs=None, **kw):
+    on = _run(circuit, unit_pairs, backplane="on", **kw)
+    off = _run(circuit, unit_pairs, backplane="off", **kw)
     staged = staged_detect(circuit, DetectorOptions(**kw))
     assert _records(on) == _records(off) == _records(staged)
     assert "backplane" not in off.metrics
@@ -55,7 +57,7 @@ def test_backplane_matches_staged(seed):
 def test_backplane_matches_streaming(seed):
     """Two-pair units: many queue round trips per run."""
     circuit = random_sequential_circuit(seed, max_dffs=6, max_gates=20)
-    _assert_identical(circuit, chunk_pairs=2)
+    _assert_identical(circuit, unit_pairs=2)
 
 
 @given(seeds)
@@ -69,7 +71,7 @@ def test_backplane_matches_with_implication_db(seed):
 def test_backplane_matches_on_paper_circuits():
     for circuit in (fig1_circuit(), s27()):
         _assert_identical(circuit)
-        _assert_identical(circuit, chunk_pairs=2)
+        _assert_identical(circuit, unit_pairs=2)
         _assert_identical(circuit, implication_db=True)
 
 

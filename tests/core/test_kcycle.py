@@ -122,3 +122,44 @@ def test_kcycle_detector_rejects_small_k(fig1):
 
     with pytest.raises(ValueError):
         KCycleDetector(fig1, 1)
+
+
+def test_kcycle_detector_takes_detector_options(fig1):
+    """One options object: the pool, self-loop and lint fields apply."""
+    from repro.core.detector import DetectorOptions
+    from repro.core.kcycle import KCycleDetector
+
+    from tests.core.pool_helpers import forced_pool
+
+    serial = KCycleDetector(fig1, 3).run()
+    with forced_pool(unit_pairs=2):
+        pooled = KCycleDetector(fig1, 3, DetectorOptions(workers=2)).run()
+    assert [(r.pair, r.classification) for r in pooled.pair_results] == [
+        (r.pair, r.classification) for r in serial.pair_results
+    ]
+    no_self = KCycleDetector(
+        fig1, 3, DetectorOptions(include_self_loops=False)
+    ).run()
+    assert no_self.connected_pairs == 7
+    assert KCycleDetector(fig1, 3).lint_report is None
+    assert KCycleDetector(
+        fig1, 3, DetectorOptions(lint="strict")
+    ).lint_report.ok(strict=True)
+
+
+def test_kcycle_detector_rejects_a_hazard_pass(fig1):
+    from repro.core.detector import DetectorOptions
+    from repro.core.kcycle import KCycleDetector
+
+    with pytest.raises(ValueError, match="hazard_check"):
+        KCycleDetector(fig1, 3, DetectorOptions(hazard_check="exact"))
+
+
+def test_kcycle_decider_takes_the_run_backtrack_limit(fig1):
+    from repro.core.detector import DetectorOptions
+    from repro.core.kcycle import KCycleDecider
+    from repro.core.pipeline import AnalysisContext
+
+    decider = KCycleDecider(3)
+    decider.prepare(AnalysisContext(fig1, DetectorOptions(backtrack_limit=7)))
+    assert decider._analyzer.backtrack_limit == 7

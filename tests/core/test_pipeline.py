@@ -22,10 +22,11 @@ from repro.core.deciders import (
     create_decider,
 )
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.pipeline import AnalysisContext, _auto_chunk_size
+from repro.core.pipeline import AnalysisContext
 from repro.core.result import Classification, Stage
-from repro.core.streaming import StreamingStage
+from repro.core.streaming import StreamingStage, _auto_chunk_size
 from repro.core.trace import TRACE_SCHEMA_VERSION, Tracer, open_trace, read_trace
+from tests.core.pool_helpers import forced_pool
 from tests.strategies import random_sequential_circuit
 
 
@@ -200,16 +201,13 @@ class TestParallelExecutor:
 
     @pytest.mark.parametrize("engine", ["dalg", "sat"])
     def test_workers_match_serial_byte_for_byte(self, fig1, engine):
-        # parallel_threshold=2 forces the persistent pool path even on
-        # fig1's small pair list.
+        # forced_pool() sends even fig1's small pair list to the pool.
         options = DetectorOptions(search_engine=engine)
         serial = MultiCycleDetector(fig1, options).run()
-        parallel = MultiCycleDetector(
-            fig1,
-            DetectorOptions(
-                search_engine=engine, workers=4, parallel_threshold=2
-            ),
-        ).run()
+        with forced_pool():
+            parallel = MultiCycleDetector(
+                fig1, DetectorOptions(search_engine=engine, workers=4)
+            ).run()
         assert json.dumps(serial.pair_records(), sort_keys=True) == json.dumps(
             parallel.pair_records(), sort_keys=True
         )
@@ -218,16 +216,18 @@ class TestParallelExecutor:
         for seed in (3, 17, 91):
             circuit = random_sequential_circuit(seed, max_dffs=5, max_gates=14)
             serial = MultiCycleDetector(circuit).run()
-            parallel = MultiCycleDetector(
-                circuit, DetectorOptions(workers=3, parallel_threshold=2)
-            ).run()
+            with forced_pool():
+                parallel = MultiCycleDetector(
+                    circuit, DetectorOptions(workers=3)
+                ).run()
             assert serial.pair_records() == parallel.pair_records()
 
     def test_parallel_stats_match_serial_counts(self, fig1):
         serial = MultiCycleDetector(fig1).run()
-        parallel = MultiCycleDetector(
-            fig1, DetectorOptions(workers=2, parallel_threshold=2)
-        ).run()
+        with forced_pool():
+            parallel = MultiCycleDetector(
+                fig1, DetectorOptions(workers=2)
+            ).run()
         for stage in Stage:
             assert (
                 serial.stats[stage].single_cycle
@@ -240,11 +240,10 @@ class TestParallelExecutor:
 
     def test_pool_mode_traced_when_above_threshold(self, fig1):
         tracer = Tracer()
-        MultiCycleDetector(
-            fig1,
-            DetectorOptions(workers=2, parallel_threshold=2),
-            tracer=tracer,
-        ).run()
+        with forced_pool():
+            MultiCycleDetector(
+                fig1, DetectorOptions(workers=2), tracer=tracer
+            ).run()
         (record,) = tracer.select("decision_exec")
         assert record["mode"] == "parallel"
         assert record["workers"] == 2
@@ -268,10 +267,9 @@ class TestParallelExecutor:
         assert tracer.select("decision_exec") == []
 
     def test_pool_is_closed_after_run(self, fig1):
-        ctx = AnalysisContext(
-            fig1, DetectorOptions(workers=2, parallel_threshold=2)
-        )
-        StreamingStage().run(ctx)
+        ctx = AnalysisContext(fig1, DetectorOptions(workers=2))
+        with forced_pool():
+            StreamingStage().run(ctx)
         assert ctx._pool is None
 
 
@@ -362,6 +360,34 @@ class TestHazardStage:
                 MultiCycleDetector(
                     fig1, DetectorOptions(hazard_check=mode)
                 ).run()
+
+
+# ----------------------------------------------------------------------
+# DetectorOptions
+# ----------------------------------------------------------------------
+class TestDetectorOptions:
+    @pytest.mark.parametrize(
+        "name", ["search_engine", "hazard_check", "lint", "backplane"]
+    )
+    def test_bad_enumerated_value_fails_at_construction(self, fig1, name):
+        """A bad value raises before the run emits anything, also where
+        the run would never read the field (``backplane`` on one
+        worker)."""
+        tracer = Tracer()
+        with pytest.raises(ValueError, match=f"unknown {name} 'bogus'"):
+            MultiCycleDetector(
+                fig1, DetectorOptions(**{name: "bogus"}), tracer=tracer
+            ).run()
+        assert tracer.events == []
+
+    def test_options_are_frozen(self):
+        import dataclasses
+
+        options = DetectorOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.workers = 2  # type: ignore[misc]
+        assert dataclasses.replace(options, workers=2).workers == 2
+        assert options.workers == 1
 
 
 # ----------------------------------------------------------------------

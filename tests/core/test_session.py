@@ -29,8 +29,8 @@ from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.result import Classification
 from repro.core.session import DecisionSession, launch_runs
 from repro.core.trace import Tracer
-from repro.core.workqueue import launch_units
 from tests.core.pair_analysis import PairAnalyzer, ScalarSession
+from tests.core.pool_helpers import forced_pool, launch_units
 from tests.strategies import random_sequential_circuit, seeds, shuffled
 
 
@@ -218,9 +218,10 @@ def test_detection_result_carries_session_counters(fig1):
 def test_parallel_session_records_match_serial():
     circuit = random_sequential_circuit(2002, max_dffs=6, max_gates=20)
     serial = MultiCycleDetector(circuit, DetectorOptions()).run()
-    parallel = MultiCycleDetector(
-        circuit, DetectorOptions(workers=2, parallel_threshold=2)
-    ).run()
+    with forced_pool():
+        parallel = MultiCycleDetector(
+            circuit, DetectorOptions(workers=2)
+        ).run()
     as_json = lambda r: json.dumps(r.pair_records(), sort_keys=True)  # noqa: E731
     assert as_json(parallel) == as_json(serial)
     assert (

@@ -20,6 +20,8 @@ from repro.circuit.library import fig1_circuit
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.incremental import incremental_detect
 
+from tests.core.pool_helpers import forced_pool
+
 SPANS = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "spans.py"
 
 
@@ -71,9 +73,10 @@ def _incremental_run():
 
 
 def _parallel_run():
-    return MultiCycleDetector(
-        fig1_circuit(), DetectorOptions(workers=2, parallel_threshold=2)
-    ).run()
+    with forced_pool():
+        return MultiCycleDetector(
+            fig1_circuit(), DetectorOptions(workers=2)
+        ).run()
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from repro.core.result import Stage
 from repro.core.streaming import StreamingStage
 from repro.core.trace import Tracer
 
+from tests.core.pool_helpers import forced_pool
 from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
@@ -99,7 +100,8 @@ def test_streaming_matches_staged_without_self_loops(seed):
 @settings(max_examples=8)
 def test_streaming_matches_staged_with_workers(seed):
     circuit = random_sequential_circuit(seed, max_dffs=6, max_gates=20)
-    _assert_identical(circuit, workers=2, parallel_threshold=2)
+    with forced_pool():
+        _assert_identical(circuit, workers=2)
 
 
 @given(seeds)
@@ -151,12 +153,11 @@ def test_units_across_and_within_launch_groups_match_staged(
     circuit = _with_hub(
         random_sequential_circuit(seed, max_dffs=6, max_gates=20), seed
     )
-    options = dict(
-        workers=workers, parallel_threshold=2, chunk_pairs=2,
-        use_random_sim=use_random_sim,
-    )
+    options = dict(workers=workers, use_random_sim=use_random_sim)
     staged = staged_detect(circuit, DetectorOptions(**options))
-    with mock.patch("repro.core.workqueue.MIN_SPLIT_PAIRS", 1):
+    with forced_pool(unit_pairs=2), mock.patch(
+        "repro.core.workqueue.MIN_SPLIT_PAIRS", 1
+    ):
         folded = _run(circuit, **options)
     assert json.dumps(folded.pair_records(), sort_keys=True) == json.dumps(
         staged.pair_records(), sort_keys=True
@@ -172,13 +173,12 @@ def test_units_across_and_within_launch_groups_match_staged(
 def test_split_launch_group_matches_staged(workers):
     """The hub's group is cut across units and still matches the oracle."""
     circuit = _with_hub(fig1_circuit(), 0)
-    options = dict(
-        workers=workers, parallel_threshold=2, chunk_pairs=2,
-        use_random_sim=False,
-    )
+    options = dict(workers=workers, use_random_sim=False)
     staged = staged_detect(circuit, DetectorOptions(**options))
     tracer = Tracer()
-    with mock.patch("repro.core.workqueue.MIN_SPLIT_PAIRS", 1):
+    with forced_pool(unit_pairs=2), mock.patch(
+        "repro.core.workqueue.MIN_SPLIT_PAIRS", 1
+    ):
         folded = _run(circuit, tracer=tracer, **options)
     assert folded.pair_records() == staged.pair_records()
     hub = [g for g in tracer.select("launch_group") if g["source"] == "hub"]
@@ -192,8 +192,8 @@ def test_split_launch_group_matches_staged(workers):
 def test_streaming_matches_on_paper_circuits(fig1):
     for circuit in (fig1, s27()):
         _assert_identical(circuit)
-        _assert_identical(circuit, hazard_check="exact", workers=2,
-                          parallel_threshold=2)
+        with forced_pool():
+            _assert_identical(circuit, hazard_check="exact", workers=2)
 
 
 def test_single_ff_self_loop_circuit():
@@ -230,7 +230,7 @@ def test_kcycle_streaming_matches_staged():
     circuit = random_sequential_circuit(7, max_dffs=6, max_gates=24)
     for k in (2, 3, 4):
         staged = staged_detect(
-            circuit, decider=KCycleDecider(k, 50), frames=k
+            circuit, decider=KCycleDecider(k), frames=k
         )
         folded = KCycleDetector(circuit, k).run()
         assert [

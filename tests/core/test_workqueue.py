@@ -9,12 +9,9 @@ from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.pipeline import merge_session_stats
 from repro.core.result import Stage
 from repro.core.trace import Tracer
-from repro.core.workqueue import (
-    MIN_SPLIT_PAIRS,
-    launch_units,
-    split_threshold,
-)
+from repro.core.workqueue import MIN_SPLIT_PAIRS, split_threshold
 
+from tests.core.pool_helpers import forced_pool, launch_units
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -109,18 +106,21 @@ def test_pool_survives_queue_capacity_pressure(fig1):
 
     options = DetectorOptions(workers=2)
     expansion = AnalysisContext(fig1, options).expansion(2)
-    pool = WorkStealingPool(
-        fig1, options, _EchoDecider(), expansion, workers=2, key=("echo",)
-    )
+    pool = WorkStealingPool(fig1, options, _EchoDecider(), expansion, workers=2)
     units = [[FFPair(0, 0)] * 8 for _ in range(300)]
     out: list = []
-    runner = threading.Thread(
-        target=lambda: out.extend(pool.map_units(units)), daemon=True
-    )
+
+    def submit_all_then_drain():
+        for index, unit in enumerate(units):
+            pool.submit(index, unit)
+        for _ in units:
+            out.append(pool.next_result())
+
+    runner = threading.Thread(target=submit_all_then_drain, daemon=True)
     runner.start()
     runner.join(timeout=120)
     assert not runner.is_alive(), "pool deadlocked on queue capacity"
-    assert len(out) == len(units)
+    assert sorted(r.index for r in out) == list(range(len(units)))
     assert sum(len(r.decided) for r in out) == 8 * 300
     pool.shutdown()
 
@@ -129,8 +129,10 @@ def test_pool_worker_summary_covers_all_units():
     """Every dispatched unit lands in exactly one worker's summary row."""
     circuit = random_sequential_circuit(11, max_dffs=8, max_gates=30)
     tracer = Tracer()
-    options = DetectorOptions(workers=2, parallel_threshold=2, chunk_pairs=2)
-    result = MultiCycleDetector(circuit, options, tracer=tracer).run()
+    with forced_pool(unit_pairs=2):
+        result = MultiCycleDetector(
+            circuit, DetectorOptions(workers=2), tracer=tracer
+        ).run()
     queues = tracer.select("decision_queue")
     if not queues:  # no survivors reached the decision stage
         return
@@ -173,9 +175,7 @@ def test_killed_workers_raise_instead_of_hanging(fig1):
 
     options = DetectorOptions(workers=2)
     expansion = AnalysisContext(fig1, options).expansion(2)
-    pool = WorkStealingPool(
-        fig1, options, _StallDecider(), expansion, workers=2, key=("stall",)
-    )
+    pool = WorkStealingPool(fig1, options, _StallDecider(), expansion, workers=2)
     for index in range(4):
         pool.submit(index, [FFPair(0, 0)])
     for proc in pool._procs:

@@ -9,6 +9,8 @@ from repro.circuit.library import fig1_circuit
 from repro.cli import main
 from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 
+from tests.core.pool_helpers import forced_pool
+
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "circuits"
 
@@ -166,6 +168,54 @@ def test_kcycle_command(fig1_file, capsys):
     out = capsys.readouterr().out
     assert "k=2: 5 of 9" in out
     assert "k=3: 3 of 9" in out
+
+
+@pytest.mark.parametrize("flag", [
+    ["--engine", "sat"],
+    ["--static-learning"],
+    ["--implication-db"],
+    ["--hazard-check", "exact"],
+    ["--hazard-delays", "delays.json"],
+    ["--hazard-conflict-limit", "10"],
+    ["--cache-dir", "store"],
+    ["--cache-max-bytes", "1024"],
+])
+def test_kcycle_rejects_flags_it_cannot_honour(fig1_file, capsys, flag):
+    """kcycle always runs its own k-frame decider, with no hazard pass
+    and no store: those flags are usage errors, not silent no-ops."""
+    with pytest.raises(SystemExit) as info:
+        main(["kcycle", fig1_file, "--max-k", "3", *flag])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag[0]}" in captured.err
+    assert captured.out == ""
+
+
+def test_kcycle_honours_lint_and_run_flags(fig1_file, tmp_path, capsys):
+    """--lint gates the run as on analyze; the run flags all apply."""
+    from repro.analysis import LintWarning
+
+    warny = tmp_path / "warny.bench"
+    warny.write_text(
+        Path(fig1_file).read_text() + "dead = AND(FF1, FF2)\n"
+    )
+    assert main(["kcycle", str(warny), "--max-k", "3", "--lint", "strict"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "drives nothing" in captured.err
+    assert captured.out == ""
+    with pytest.warns(LintWarning, match="drives nothing"):
+        assert main(["kcycle", str(warny), "--max-k", "3", "--lint", "warn"]) == 0
+    assert "k=3: 3 of 9" in capsys.readouterr().out
+    assert main([
+        "kcycle", fig1_file, "--max-k", "4", "--backtrack-limit", "100",
+        "--seed", "7", "--sim-words", "2", "--workers", "2",
+        "--backplane", "off",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "k=2: 5 of 9" in out and "k=3: 3 of 9" in out
+    assert "k=4: 2 of 9" in out
+    assert main(["kcycle", fig1_file, "--max-k", "2", "--no-self-loops"]) == 0
+    assert "k=2: 3 of 7" in capsys.readouterr().out
 
 
 def test_extended_command(fig1_file, capsys):
@@ -450,10 +500,10 @@ def test_cache_without_dir_errors(capsys, monkeypatch):
 
 
 def test_analyze_backplane_summary_line(fig1_file, capsys):
-    assert main([
-        "analyze", fig1_file, "--workers", "2", "--parallel-threshold", "2",
-        "--backplane", "on",
-    ]) == 0
+    with forced_pool():
+        assert main([
+            "analyze", fig1_file, "--workers", "2", "--backplane", "on",
+        ]) == 0
     out = capsys.readouterr().out
     assert "backplane:" in out
     assert "2 workers, 2 ready, 2 attached" in out
@@ -461,10 +511,10 @@ def test_analyze_backplane_summary_line(fig1_file, capsys):
 
 
 def test_analyze_backplane_off_no_line(fig1_file, capsys):
-    assert main([
-        "analyze", fig1_file, "--workers", "2", "--parallel-threshold", "2",
-        "--backplane", "off",
-    ]) == 0
+    with forced_pool():
+        assert main([
+            "analyze", fig1_file, "--workers", "2", "--backplane", "off",
+        ]) == 0
     assert "backplane:" not in capsys.readouterr().out
 
 
@@ -476,15 +526,15 @@ def test_analyze_prints_every_metrics_key(fig1_file, tmp_path, capsys):
 
     argv = [
         "analyze", fig1_file, "--cache-dir", str(tmp_path / "cache"),
-        "--hazard-check", "exact", "--implication-db",
-        "--workers", "2", "--parallel-threshold", "2",
+        "--hazard-check", "exact", "--implication-db", "--workers", "2",
     ]
-    assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    deactivate_store()
-    options = _detector_options(build_parser().parse_args(argv))
-    result = detect_multi_cycle_pairs(load(fig1_file), options)
-    deactivate_store()
+    with forced_pool():
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        deactivate_store()
+        options = _detector_options(build_parser().parse_args(argv))
+        result = detect_multi_cycle_pairs(load(fig1_file), options)
+        deactivate_store()
     assert set(result.metrics) == {
         "decision_session", "packed_implication", "implication_db",
         "hazard_exact", "backplane", "cache",

@@ -87,10 +87,6 @@ class LintReport:
     def infos(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.INFO]
 
-    def by_code(self, code: str) -> list[Diagnostic]:
-        """All diagnostics carrying ``code``."""
-        return [d for d in self.diagnostics if d.code == code]
-
     def codes(self) -> set[str]:
         return {d.code for d in self.diagnostics}
 

@@ -61,9 +61,6 @@ class BddManager:
             self._unique[key] = node
         return node
 
-    def top_var(self, node: int) -> int:
-        return self._var[node]
-
     @property
     def num_nodes(self) -> int:
         return len(self._var)

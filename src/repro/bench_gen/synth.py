@@ -15,7 +15,7 @@ itself and adjacent-state banks.  Generation is deterministic per
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Circuit
@@ -127,14 +127,3 @@ def generate(spec: CircuitSpec) -> Circuit:
     for index, signal in enumerate(observers[: max(1, len(observers) // 2)]):
         builder.output(f"po{index}", signal)
     return builder.build()
-
-
-@dataclass
-class GeneratedCircuit:
-    """A spec together with its realised circuit (for suite reports)."""
-
-    spec: CircuitSpec
-    circuit: Circuit = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.circuit = generate(self.spec)

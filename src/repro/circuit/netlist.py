@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.circuit.gates import (
     COMBINATIONAL_TYPES,
-    SOURCE_TYPES,
     GateType,
     fanin_arity_ok,
 )
@@ -219,10 +218,6 @@ class Circuit:
             self._fanouts = fanouts
         return self._fanouts[node_id]
 
-    def is_source(self, node_id: int) -> bool:
-        """True for PI / DFF output / constant nodes."""
-        return self.types[node_id] in SOURCE_TYPES
-
     def derived(
         self,
         key: str,
@@ -246,8 +241,8 @@ class Circuit:
         :class:`~repro.store.ArtifactStore`: when a store is active
         (see :mod:`repro.store.runtime`), an in-memory miss first tries
         the store — addressed by the circuit's :meth:`content_key` — and
-        a fresh build is written back.  The object must be pickleable
-        and must not reference the circuit.
+        a fresh build is written back.  The object must have a codec in
+        :mod:`repro.store.codecs` and must not reference the circuit.
         """
         if scope not in ("structure", "names"):
             raise ValueError(f"unknown derived scope {scope!r}")

@@ -31,12 +31,13 @@ records:
    run used the same hazard options and hazard rules; otherwise
    inherited multi-cycle pairs are re-checked alongside the fresh ones.
 
-The prior state travels as a *pair-record bundle* — a pickleable dict
-the detector publishes to the artifact store after every run (kind
-``"pair-records"``, addressed by the circuit's name-inclusive content
-key plus the options fingerprint).  ``repro analyze --incremental-from
-OLD.bench`` loads the bundle of the old netlist from the active store
-and merges; the hypothesis differentials in
+The prior state travels as a *pair-record bundle* — a plain dict the
+detector publishes to the artifact store after every run (kind
+``"pair-records"``, stored by its flat-buffer codec and addressed by
+the circuit's name-inclusive content key plus the options
+fingerprint).  ``repro analyze --incremental-from OLD.bench`` loads
+the bundle of the old netlist from the active store and merges; the
+hypothesis differentials in
 ``tests/core/test_incremental.py`` pin the merged ``pair_records`` byte
 for byte against full fresh runs and the staged reference flow.
 

@@ -267,6 +267,14 @@ class KCycleDecider:
         return decided
 
 
+#: ``DetectorOptions`` fields a k-cycle run never reads.
+_IGNORED_OPTIONS = (
+    "search_engine", "static_learning", "implication_db", "hazard_check",
+    "hazard_backtrack_limit", "hazard_conflict_limit", "hazard_delays",
+    "cache_dir", "cache_max_bytes",
+)
+
+
 class KCycleDetector:
     """Full pipeline for k-cycle pairs: structural filter, k-frame random
     simulation, then implication/ATPG on a shared k-frame expansion —
@@ -276,9 +284,9 @@ class KCycleDetector:
     the caller's :class:`~repro.core.pipeline.DetectorOptions`, so it
     inherits the parallel executor (``workers``, ``backplane``), the
     lint gate (``lint``) and the structured trace layer.  Its decider is
-    always :class:`KCycleDecider`: the engine, learning and store
-    options do not apply, and it runs no hazard pass, so any
-    ``hazard_check`` other than ``"off"`` raises :class:`ValueError`."""
+    always :class:`KCycleDecider` and it runs no hazard pass, so an
+    option it never reads (the engine, learning, hazard and store
+    fields) set away from its default raises :class:`ValueError`."""
 
     def __init__(
         self,
@@ -293,11 +301,10 @@ class KCycleDetector:
         if k < 2:
             raise ValueError("k must be >= 2")
         options = options or DetectorOptions()
-        if options.hazard_check != "off":
-            raise ValueError(
-                "k-cycle detection runs no hazard pass; "
-                f"hazard_check must be 'off', not {options.hazard_check!r}"
-            )
+        defaults = DetectorOptions()
+        for name in _IGNORED_OPTIONS:
+            if getattr(options, name) != getattr(defaults, name):
+                raise ValueError(f"k-cycle detection does not read {name}")
         #: full lint report when ``options.lint`` is "warn"/"strict",
         #: ``None`` in "off" mode, as on ``MultiCycleDetector``.
         self.lint_report = enforce(circuit, options.lint)

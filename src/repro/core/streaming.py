@@ -155,23 +155,25 @@ class StreamingStage:
     def _drive(self, fold: "Fold") -> DetectionResult:
         """Run the flow into ``fold`` inside the run's trace envelope.
 
-        Emits ``run_start``, records the active store's counter deltas
-        as the ``cache`` block, shuts the run's worker pool down (also
-        on failure) and lets the fold build the result and ``run_end``.
+        Emits ``run_start`` naming the decider, records the store's
+        counter deltas as the ``cache`` block, shuts the worker pool down
+        (also on failure) and lets the fold build the result and ``run_end``.
         """
         from repro.store.runtime import active_store
 
         ctx = fold.ctx
+        decider = self._resolve(ctx)
+        fold.engine = decider.name
         store = active_store()
         store_before = store.stats() if store is not None else {}
         ctx.emit(
             "run_start",
             circuit=ctx.circuit.name,
-            engine=ctx.options.search_engine,
+            engine=decider.name,
             workers=ctx.options.workers,
         )
         try:
-            self._flow(ctx, fold)
+            self._flow(ctx, fold, decider)
         finally:
             ctx.close()
         if store is not None:
@@ -181,7 +183,9 @@ class StreamingStage:
             }
         return fold.finish()
 
-    def _flow(self, ctx: AnalysisContext, fold: "Fold") -> None:
+    def _flow(
+        self, ctx: AnalysisContext, fold: "Fold", decider: PairDecider
+    ) -> None:
         options = ctx.options
         circuit = ctx.circuit
         include_self = options.include_self_loops
@@ -237,8 +241,6 @@ class StreamingStage:
             survivor_count = report.survivors
 
         # -- Decide + hazard, folded per work unit. --------------------
-        decider = self._resolve(ctx)
-        fold.engine = decider.name
         dff_index = dff_rows(circuit)
 
         def fresh_groups() -> Iterator[list[FFPair]]:

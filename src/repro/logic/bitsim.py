@@ -104,11 +104,6 @@ class BitSimulator:
         """Current DFF pattern words, shape ``(num_dffs, words)``."""
         return self.values[self.circuit.dffs].copy()
 
-    def next_state_matrix(self) -> np.ndarray:
-        """Pattern words at each DFF's D input, shape ``(num_dffs, words)``."""
-        next_nodes = [self.circuit.next_state_node(d) for d in self.circuit.dffs]
-        return self.values[next_nodes].copy()
-
 
 class TernarySimulator:
     """Two-plane {0, 1, X} bit-parallel evaluation on the compiled plan.

@@ -226,11 +226,6 @@ class SimPlan:
                         select & buf[batch.d1]
                     )
 
-    def install_identity_rows(self, buf: np.ndarray) -> None:
-        """Write the two padding rows of ``buf`` (zeros, then all ones)."""
-        buf[self.pad_zeros] = 0
-        buf[self.pad_ones] = _ALL_ONES
-
     # ------------------------------------------------------------------
     # Ternary (two-plane) evaluation.
     # ------------------------------------------------------------------

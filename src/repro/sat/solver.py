@@ -95,11 +95,6 @@ class CdclSolver:
         var = abs(ext) - 1
         return 2 * var + (1 if ext < 0 else 0)
 
-    @staticmethod
-    def _ext(lit: int) -> int:
-        var = lit // 2 + 1
-        return -var if lit & 1 else var
-
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its (positive) DIMACS index."""
         self.num_vars += 1

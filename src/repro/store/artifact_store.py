@@ -25,13 +25,13 @@ Design rules:
 * **Size-bounded LRU eviction.**  ``max_bytes`` caps the store; when a
   write pushes the total over it, the least-recently-*used* entries go
   first (loads touch the file mtime).
-* **Two layouts.**  The ``pair-records`` bundles are pickled envelopes
-  (``.pkl``); the numpy-heavy kinds in
-  :data:`repro.store.codecs.FLAT_KINDS` use the flat-buffer layout
-  (``.rfb``, :mod:`repro.store.flatbuf`) so a warm load memory-maps the
-  file and hands out zero-copy array views instead of ``pickle.load``
-  copies.
-* **Pin-while-mapped eviction safety.**  A flat entry whose mmap is
+* **One layout.**  Every entry is a flat buffer (``.rfb``,
+  :mod:`repro.store.flatbuf`) written by its kind's codec in
+  :mod:`repro.store.codecs`, so a warm load memory-maps the file and
+  hands out zero-copy array views.  Files of kinds or layouts no codec
+  reads any more (``.pkl`` bundles of older releases) are listed,
+  evicted and cleared, but never opened: no current address names them.
+* **Pin-while-mapped eviction safety.**  An entry whose mmap is
   still referenced by live array views is *pinned*: the LRU sweep skips
   it rather than unlinking a file a run is actively reading.  The pin is
   dropped automatically (``weakref.finalize`` on the mmap) when the last
@@ -47,11 +47,9 @@ the pipeline's cache trace event and the CLI summary line.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import weakref
 from pathlib import Path
-from typing import Any
 
 #: Schema version per artifact kind.  Bump a kind's version whenever its
 #: serialized layout changes; unknown kinds default to version 1.
@@ -67,26 +65,19 @@ SCHEMA_VERSIONS: dict[str, int] = {
     # search's; inheriting a v1 record would differ from a full run.
     # 3: a record's hazard fields are one ``hazard`` entry, the verdict
     # with its two static bounds, in place of the per-mode hazard flag.
-    "pair-records": 3,
+    # 4: the bundle is a flat buffer (``.rfb``) in place of a pickle.
+    "pair-records": 4,
 }
 
 #: default store size bound: 1 GiB.
 DEFAULT_MAX_BYTES = 1 << 30
 
-_SUFFIX_PICKLE = ".pkl"
-_SUFFIX_FLAT = ".rfb"
+_SUFFIX = ".rfb"
 
 
 def schema_version(kind: str) -> int:
     """The current schema tag of one artifact kind."""
     return SCHEMA_VERSIONS.get(kind, 1)
-
-
-def _is_flat(kind: str) -> bool:
-    # Lazy: the codec registry pulls numpy; report-only callers skip it.
-    from repro.store.codecs import is_flat_kind
-
-    return is_flat_kind(kind)
 
 
 def _unpin(pinned: dict[str, int], key: str) -> None:
@@ -133,9 +124,8 @@ class ArtifactStore:
         return content_key
 
     def _path(self, kind: str, address: str) -> Path:
-        suffix = _SUFFIX_FLAT if _is_flat(kind) else _SUFFIX_PICKLE
         return (
-            self.root / kind / f"{address}-v{schema_version(kind)}{suffix}"
+            self.root / kind / f"{address}-v{schema_version(kind)}{_SUFFIX}"
         )
 
     # ------------------------------------------------------------------
@@ -145,16 +135,17 @@ class ArtifactStore:
         """The stored artifact, or ``None`` on miss/corruption.
 
         A successful load touches the entry's mtime (the LRU clock); a
-        corrupt entry is deleted (self-heal) and counted.  Flat kinds
-        decode zero-copy from an mmap of the entry, which stays pinned
+        corrupt entry is deleted (self-heal) and counted.  The artifact
+        decodes zero-copy from an mmap of the entry, which stays pinned
         against LRU eviction while any decoded view is alive.
         """
+        # Lazy: the codecs pull numpy; report-only callers skip it.
+        from repro.store import codecs, flatbuf
+
         path = self._path(kind, address)
         try:
-            if _is_flat(kind):
-                payload = self._load_flat(kind, path)
-            else:
-                payload = self._load_pickle(kind, path)
+            view = flatbuf.read_file(path)
+            payload = codecs.decode_view(kind, view)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -167,6 +158,12 @@ class ArtifactStore:
             except OSError:
                 pass
             return None
+        # Pin the entry for the mapping's lifetime.  The finalizer
+        # closes over the pin dict, not the store, so an abandoned store
+        # does not linger until its last view dies.
+        key = str(path)
+        self._pinned[key] = self._pinned.get(key, 0) + 1
+        weakref.finalize(view.buffer, _unpin, self._pinned, key)
         try:
             now = time.time()
             os.utime(path, (now, now))
@@ -175,62 +172,13 @@ class ArtifactStore:
         self.hits += 1
         return payload
 
-    def _load_pickle(self, kind: str, path: Path) -> object:
-        with open(path, "rb") as fh:
-            envelope = pickle.load(fh)
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("kind") != kind
-            or envelope.get("schema") != schema_version(kind)
-        ):
-            raise ValueError("schema mismatch")
-        return envelope["payload"]
-
-    def _load_flat(self, kind: str, path: Path) -> object:
-        from repro.store import codecs, flatbuf
-
-        view = flatbuf.read_file(path)
-        try:
-            payload = codecs.decode_view(kind, view)
-        except Exception:
-            # A decode failure's traceback may still reference array
-            # views over the mapping; GC unmaps once it is handled.
-            try:
-                view.buffer.close()
-            except BufferError:
-                pass
-            raise
-        self._pin(path, view.buffer)
-        return payload
-
-    def _pin(self, path: Path, mapped: Any) -> None:
-        """Pin ``path`` against eviction for the lifetime of ``mapped``.
-
-        The unpin finalizer closes over the pin dict, not the store, so
-        an abandoned store instance does not linger until its last view
-        dies.
-        """
-        key = str(path)
-        self._pinned[key] = self._pinned.get(key, 0) + 1
-        weakref.finalize(mapped, _unpin, self._pinned, key)
-
     def save(self, kind: str, address: str, payload: object) -> None:
         """Publish one artifact atomically, then enforce the size bound."""
+        from repro.store.codecs import encode_payload
+
         path = self._path(kind, address)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if _is_flat(kind):
-            from repro.store.codecs import encode_payload
-
-            data = encode_payload(kind, payload)
-        else:
-            data = pickle.dumps(
-                {
-                    "kind": kind,
-                    "schema": schema_version(kind),
-                    "payload": payload,
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+        data = encode_payload(kind, payload)
         tmp = path.parent / (
             f".{path.name}.{os.getpid()}.{time.monotonic_ns()}.tmp"
         )
@@ -251,20 +199,22 @@ class ArtifactStore:
     # Eviction and introspection.
     # ------------------------------------------------------------------
     def _entries(self) -> list[tuple[float, int, Path]]:
-        """Every published entry as ``(mtime, size, path)``."""
+        """Every published entry as ``(mtime, size, path)``: each file of
+        a kind directory but the in-flight temporaries (dot names)."""
         entries: list[tuple[float, int, Path]] = []
         if not self.root.is_dir():
             return entries
         for kind_dir in self.root.iterdir():
             if not kind_dir.is_dir():
                 continue
-            for pattern in (f"*{_SUFFIX_PICKLE}", f"*{_SUFFIX_FLAT}"):
-                for path in kind_dir.glob(pattern):
-                    try:
-                        stat = path.stat()
-                    except OSError:
-                        continue  # evicted by a peer mid-scan
-                    entries.append((stat.st_mtime, stat.st_size, path))
+            for path in kind_dir.iterdir():
+                if path.name.startswith("."):
+                    continue
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue  # evicted by a peer mid-scan
+                entries.append((stat.st_mtime, stat.st_size, path))
         return entries
 
     def total_bytes(self) -> int:

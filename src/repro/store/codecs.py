@@ -1,15 +1,14 @@
-"""Flat-buffer codecs for the numpy-heavy derived artifact kinds.
+"""Flat-buffer codecs, one per artifact kind of the store.
 
-Each codec lowers one derived structure into ``(meta, arrays)`` for
+Each codec lowers one artifact into ``(meta, arrays)`` for
 :mod:`repro.store.flatbuf` and rebuilds it from the decoded views.  The
 design rule is *zero-copy where it matters*: big payloads (bitmap rows,
 gather matrices, CSR flats) stay views into the source buffer — a store
 mmap or a shared-memory block — while the small Python-object shells
 around them (frozen batch dataclasses, per-node tuples, name tables) are
-rebuilt, since those are cheap relative to what used to be a full
-``pickle.load`` copy or an O(nodes + edges) rebuild.
+rebuilt, since those are cheap relative to an O(nodes + edges) rebuild.
 
-Registered kinds (:data:`FLAT_KINDS`):
+Registered kinds:
 
 ``simplan``
     :class:`~repro.logic.simplan.SimPlan` — level/batch descriptors in
@@ -33,6 +32,10 @@ Registered kinds (:data:`FLAT_KINDS`):
     ``ff_at``/``pi_at``/``po_at``/``node_at`` maps.  Decoding yields a
     :class:`DetachedExpansion`; callers re-attach the sequential circuit
     with :meth:`DetachedExpansion.attach`.
+``pair-records``
+    The bundle of :func:`repro.core.incremental.result_bundle` — its
+    scalar fields in the meta, its records as columns: value tables plus
+    int32 codes, int32 case fields, CSR case and witness lists.
 
 The envelope helpers (:func:`encode_payload` / :func:`decode_payload`)
 wrap a codec in the kind + schema-version header shared by the on-disk
@@ -43,11 +46,12 @@ decode identically.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.store.flatbuf import FlatBufferError, pack, unpack
+from repro.store.flatbuf import FlatBufferError, FlatView, pack, unpack
 
 _Encoded = tuple[dict[str, Any], dict[str, Any]]
 _Encoder = Callable[[Any], _Encoded]
@@ -447,6 +451,99 @@ def _decode_expansion(meta: dict[str, Any], arrays: dict[str, Any]) -> object:
 
 
 # ----------------------------------------------------------------------
+# pair-records
+# ----------------------------------------------------------------------
+#: fields of a record's ``hazard`` entry; a record without one stores
+#: ``None`` in each (a stored verdict is never ``None``).
+_HAZARD_FIELDS = (
+    "verdict", "delay_safe", "sensitize_flagged", "cosensitize_flagged",
+)
+
+#: int fields of a case, one int32 array each.
+_CASE_INTS = ("a", "b", "decisions", "backtracks")
+
+
+def _column(values: list[Any]) -> tuple[list[Any], Any]:
+    """A column of JSON values as (table of distinct values, int32 codes);
+    decoding hands out one object per table entry, however often used."""
+    table = list(dict.fromkeys(values))
+    index = {value: code for code, value in enumerate(table)}
+    return table, _int_array(list(map(index.__getitem__, values)), "<i4")
+
+
+def _encode_pair_records(bundle: dict[str, Any]) -> _Encoded:
+    records = bundle["records"]
+    cases = [case for record in records for case in record["cases"]]
+    hazards = [record["hazard"] or {} for record in records]
+    columns = {
+        # Sources and sinks share one table, launch and capture hashes
+        # another.
+        "names": [r[f] for f in ("source", "sink") for r in records],
+        "hashes": [r[f] for f in ("launch", "capture") for r in records],
+        "classification": [r["classification"] for r in records],
+        "stage": [r["stage"] for r in records],
+        "outcome": [case["outcome"] for case in cases],
+        **{f: [hazard.get(f) for hazard in hazards] for f in _HAZARD_FIELDS},
+    }
+    tables: dict[str, list[Any]] = {}
+    arrays: dict[str, Any] = {}
+    for name, values in columns.items():
+        tables[name], arrays[name] = _column(values)
+    for field in _CASE_INTS:
+        arrays[field] = _int_array([case[field] for case in cases], "<i4")
+    arrays["case_offsets"] = _int_array(
+        [0, *accumulate(len(record["cases"]) for record in records)]
+    )
+    witnessed = [i for i, c in enumerate(cases) if c["witness"] is not None]
+    arrays["witnessed"] = _int_array(witnessed)
+    arrays["witness_offsets"], arrays["witness_flat"] = _csr_rows(
+        chain.from_iterable(cases[i]["witness"].items()) for i in witnessed
+    )
+    fields = {key: value for key, value in bundle.items() if key != "records"}
+    return {"fields": fields, "tables": tables}, arrays
+
+
+def _decode_pair_records(
+    meta: dict[str, Any], arrays: dict[str, Any]
+) -> object:
+    columns = {
+        name: list(map(table.__getitem__, arrays[name].tolist()))
+        for name, table in meta["tables"].items()
+    }
+    witnesses: list[dict[int, int] | None] = [None] * len(columns["outcome"])
+    for i, row in zip(
+        arrays["witnessed"].tolist(),
+        _rows_back(arrays["witness_offsets"], arrays["witness_flat"]),
+    ):
+        witnesses[i] = dict(zip(row[::2], row[1::2]))
+    cases = [
+        {"a": a, "b": b, "outcome": outcome, "decisions": decisions,
+         "backtracks": backtracks, "witness": witness}
+        for a, b, decisions, backtracks, outcome, witness in zip(
+            *(arrays[field].tolist() for field in _CASE_INTS),
+            columns["outcome"], witnesses,
+        )
+    ]
+    hazards = [
+        None if values[0] is None else dict(zip(_HAZARD_FIELDS, values))
+        for values in zip(*(columns[f] for f in _HAZARD_FIELDS))
+    ]
+    names, hashes = columns["names"], columns["hashes"]
+    count = len(hazards)
+    offsets = arrays["case_offsets"].tolist()
+    records = [
+        {"source": names[i], "sink": names[count + i],
+         "classification": columns["classification"][i],
+         "stage": columns["stage"][i],
+         "cases": cases[offsets[i]: offsets[i + 1]],
+         "launch": hashes[i], "capture": hashes[count + i],
+         "hazard": hazards[i]}
+        for i in range(count)
+    ]
+    return {**meta["fields"], "records": records}
+
+
+# ----------------------------------------------------------------------
 # Registry and envelope.
 # ----------------------------------------------------------------------
 _CODECS: dict[str, tuple[_Encoder, _Decoder]] = {
@@ -456,15 +553,8 @@ _CODECS: dict[str, tuple[_Encoder, _Decoder]] = {
     "packed-implication": (_encode_packed, _decode_packed),
     "implication-db": (_encode_implication_db, _decode_implication_db),
     "expansion": (_encode_expansion, _decode_expansion),
+    "pair-records": (_encode_pair_records, _decode_pair_records),
 }
-
-#: artifact kinds stored and shared in the flat-buffer layout.
-FLAT_KINDS = frozenset(_CODECS)
-
-
-def is_flat_kind(kind: str) -> bool:
-    """Whether ``kind`` round-trips through the flat-buffer layout."""
-    return kind in _CODECS
 
 
 def encode_payload(kind: str, payload: Any) -> bytes:
@@ -486,20 +576,11 @@ def decode_payload(kind: str, buffer: Any) -> object:
     (wrong kind, schema skew, truncation) — the store maps that to its
     corrupt-entry self-heal, the backplane to a rebuild fallback.
     """
-    from repro.store.artifact_store import schema_version
-
     meta, arrays = unpack(buffer)
-    if (
-        not isinstance(meta, dict)
-        or meta.get("kind") != kind
-        or meta.get("schema") != schema_version(kind)
-    ):
-        raise FlatBufferError(f"flat envelope mismatch for kind {kind!r}")
-    _, decoder = _CODECS[kind]
-    return decoder(meta["artifact"], arrays)
+    return decode_view(kind, FlatView(meta, arrays, buffer))
 
 
-def decode_view(kind: str, view: Any) -> object:
+def decode_view(kind: str, view: FlatView) -> object:
     """Decode a pre-parsed :class:`~repro.store.flatbuf.FlatView`."""
     from repro.store.artifact_store import schema_version
 

@@ -1,11 +1,10 @@
 """Flat-buffer serialization: one JSON header + contiguous array segments.
 
-The artifact store (PR 8) pickled every derived structure.  Pickle is
-fine for small reports, but the numpy-heavy artifacts — compiled
-simulation plans, CSR adjacency, packed reach bitmaps, the implication
-DB — are dominated by large contiguous arrays, and ``pickle.load``
-*copies* every one of them into fresh heap memory per process.  This
-module defines a trivially mmap-able layout instead::
+Every artifact of the store and of the worker backplane travels in this
+layout.  Most artifacts — compiled simulation plans, CSR adjacency,
+packed reach bitmaps, the implication DB — are dominated by large
+contiguous arrays, which a reader should map rather than copy into
+fresh heap memory per process.  The layout is trivially mmap-able::
 
     offset 0   magic ``b"RFB1"``
     offset 4   uint32 little-endian header length ``H``
@@ -147,11 +146,6 @@ class FlatView:
         self.meta = meta
         self.arrays = arrays
         self.buffer = buffer
-
-
-def write_file(path: str | Path, meta: Any, arrays: dict[str, Any]) -> None:
-    """Write one flat-buffer file (not atomic — callers rename into place)."""
-    Path(path).write_bytes(pack(meta, arrays))
 
 
 def read_file(path: str | Path) -> FlatView:

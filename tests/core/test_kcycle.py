@@ -155,6 +155,49 @@ def test_kcycle_detector_rejects_a_hazard_pass(fig1):
         KCycleDetector(fig1, 3, DetectorOptions(hazard_check="exact"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("search_engine", "sat"),
+    ("static_learning", True),
+    ("implication_db", True),
+    ("hazard_check", "exact"),
+    ("hazard_backtrack_limit", 7),
+    ("hazard_conflict_limit", 7),
+    ("hazard_delays", "delays.json"),
+    ("cache_dir", "/nonexistent/x"),
+    ("cache_max_bytes", 1),
+])
+def test_kcycle_detector_rejects_options_it_never_reads(fig1, field, value):
+    from repro.core.detector import DetectorOptions
+    from repro.core.kcycle import KCycleDetector
+    from repro.core.trace import Tracer
+
+    tracer = Tracer()
+    with pytest.raises(ValueError, match=field):
+        KCycleDetector(
+            fig1, 3, DetectorOptions(**{field: value}), tracer=tracer
+        ).run()
+    assert tracer.events == []
+
+
+def test_run_start_names_the_engine_that_runs(fig1):
+    """``run_start`` and ``run_end`` agree on the engine of a k-cycle run
+    (its decider, not ``options.search_engine``) and of a podem run."""
+    from repro.core.detector import DetectorOptions, MultiCycleDetector
+    from repro.core.kcycle import KCycleDetector
+    from repro.core.trace import Tracer
+
+    kcycle = Tracer()
+    KCycleDetector(fig1, 3, tracer=kcycle).run()
+    podem = Tracer()
+    MultiCycleDetector(
+        fig1, DetectorOptions(search_engine="podem"), tracer=podem
+    ).run()
+    for tracer, engine in ((kcycle, "kcycle-3"), (podem, "podem")):
+        (start,) = tracer.select("run_start")
+        (end,) = tracer.select("run_end")
+        assert start["engine"] == end["engine"] == engine
+
+
 def test_kcycle_decider_takes_the_run_backtrack_limit(fig1):
     from repro.core.detector import DetectorOptions
     from repro.core.kcycle import KCycleDecider

@@ -2,13 +2,15 @@
 
 import multiprocessing
 import os
-import pickle
 import time
 
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
+from repro.circuit.library import fig1_circuit
 from repro.circuit.netlist import clear_derived_caches
+from repro.core.detector import DetectorOptions, MultiCycleDetector
+from repro.core.incremental import result_bundle
 from repro.logic.simplan import compiled_plan
 from repro.store import (
     ArtifactStore,
@@ -25,24 +27,38 @@ def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
 
 
+def _fig1_bundle():
+    options = DetectorOptions()
+    return result_bundle(MultiCycleDetector(fig1_circuit(), options).run(),
+                         options)
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    """A real pair-record bundle: fig1's under the default options."""
+    return _fig1_bundle()
+
+
 def _entry_paths(store):
-    return sorted(store.root.rglob("*.pkl"))
+    return sorted(store.root.rglob("*.rfb"))
 
 
 class TestRoundtrip:
-    def test_save_load(self, store):
-        store.save("pair-records", "a" * 64, {"x": [1, 2, 3]})
-        assert store.load("pair-records", "a" * 64) == {"x": [1, 2, 3]}
+    def test_save_load(self, store, bundle):
+        store.save("pair-records", "a" * 64, bundle)
+        assert store.load("pair-records", "a" * 64) == bundle
         assert store.stats() == {
             "hits": 1, "misses": 0, "stores": 1, "evictions": 0, "corrupt": 0,
         }
+        (path,) = _entry_paths(store)
+        assert path.name == f"{'a' * 64}-v{schema_version('pair-records')}.rfb"
 
     def test_missing_is_miss(self, store):
         assert store.load("pair-records", "b" * 64) is None
         assert store.misses == 1
 
-    def test_kinds_are_disjoint(self, store):
-        store.save("pair-records", "c" * 64, 1)
+    def test_kinds_are_disjoint(self, store, bundle):
+        store.save("pair-records", "c" * 64, bundle)
         assert store.load("simplan", "c" * 64) is None
 
     def test_address_salts(self, store):
@@ -54,27 +70,30 @@ class TestRoundtrip:
 
 
 class TestSelfHeal:
-    def test_truncated_entry_heals(self, store):
-        store.save("pair-records", "d" * 64, [1, 2, 3])
+    def test_truncated_entry_heals(self, store, bundle):
+        store.save("pair-records", "d" * 64, bundle)
         (path,) = _entry_paths(store)
         path.write_bytes(path.read_bytes()[:10])
         assert store.load("pair-records", "d" * 64) is None
         assert store.corrupt == 1
         assert not path.exists()
         # The caller rebuilds and republishes; the store recovers.
-        store.save("pair-records", "d" * 64, [1, 2, 3])
-        assert store.load("pair-records", "d" * 64) == [1, 2, 3]
+        store.save("pair-records", "d" * 64, bundle)
+        assert store.load("pair-records", "d" * 64) == bundle
 
-    def test_wrong_envelope_heals(self, store):
-        store.save("pair-records", "e" * 64, 42)
+    def test_wrong_envelope_heals(self, store, bundle):
+        from repro.store.flatbuf import pack
+
+        store.save("pair-records", "e" * 64, bundle)
         (path,) = _entry_paths(store)
-        path.write_bytes(pickle.dumps({"kind": "pair-records", "schema": 999,
-                                       "payload": 42}))
+        path.write_bytes(pack({"kind": "pair-records", "schema": 999,
+                               "artifact": {}}, {}))
         assert store.load("pair-records", "e" * 64) is None
         assert store.corrupt == 1
+        assert not path.exists()
 
-    def test_schema_bump_invalidates(self, store, monkeypatch):
-        store.save("pair-records", "f" * 64, 42)
+    def test_schema_bump_invalidates(self, store, bundle, monkeypatch):
+        store.save("pair-records", "f" * 64, bundle)
         from repro.store import artifact_store
 
         monkeypatch.setitem(
@@ -88,23 +107,25 @@ class TestSelfHeal:
 
 
 class TestEviction:
-    def test_lru_evicts_oldest_first(self, tmp_path):
-        payload = b"x" * 4096
-        store = ArtifactStore(tmp_path / "s", max_bytes=3 * 5000)
+    def test_lru_evicts_oldest_first(self, tmp_path, bundle):
+        store = ArtifactStore(tmp_path / "s")
         for index in range(3):
-            store.save("pair-records", f"{index:064d}", payload)
+            store.save("pair-records", f"{index:064d}", bundle)
             os.utime(
                 _entry_paths(store)[-1],
                 (time.time() + index, time.time() + index),
             )
-        store.save("pair-records", "9" * 64, payload)  # pushes over the bound
+        # Room for three and a half entries: the fourth evicts one.
+        store.max_bytes = store.total_bytes() * 7 // 6
+        store.save("pair-records", "9" * 64, bundle)
         survivors = {p.name for p in _entry_paths(store)}
-        assert store.evictions >= 1
-        assert f"{0:064d}-v{schema_version('pair-records')}.pkl" not in survivors
+        assert store.evictions == 1
+        assert f"{0:064d}-v{schema_version('pair-records')}.rfb" not in survivors
+        assert len(survivors) == 3
 
-    def test_total_bytes(self, store):
+    def test_total_bytes(self, store, bundle):
         assert store.total_bytes() == 0
-        store.save("pair-records", "a" * 64, list(range(100)))
+        store.save("pair-records", "a" * 64, bundle)
         assert store.total_bytes() > 0
 
 
@@ -114,10 +135,8 @@ class TestPinning:
     def _flat_paths(self, store):
         return sorted(store.root.rglob("*.rfb"))
 
-    def test_mapped_entry_survives_eviction(self, tmp_path):
+    def test_mapped_entry_survives_eviction(self, tmp_path, bundle):
         import gc
-
-        from repro.circuit.library import fig1_circuit
 
         store = ArtifactStore(tmp_path / "s")
         plan = compiled_plan(fig1_circuit())
@@ -131,7 +150,7 @@ class TestPinning:
         # Evict everything: the mapped entry must be skipped, even
         # though it is the only candidate over the (zero) bound.
         store.max_bytes = 0
-        store.save("pair-records", "b" * 64, [1, 2, 3])
+        store.save("pair-records", "b" * 64, bundle)
         assert flat_path.exists(), "evicted a file a live run has mapped"
 
         # Once the last decoded view dies, the pin is released and the
@@ -139,14 +158,12 @@ class TestPinning:
         del loaded
         gc.collect()
         assert not store._pinned
-        store.save("pair-records", "c" * 64, [4, 5, 6])
+        store.save("pair-records", "c" * 64, bundle)
         assert not flat_path.exists()
 
     def test_clear_ignores_pins(self, tmp_path):
         """clear() is an explicit action: mapped readers keep their views
         (the mapping survives the unlink), the directory empties."""
-        from repro.circuit.library import fig1_circuit
-
         store = ArtifactStore(tmp_path / "s")
         store.save("simplan", "a" * 64, compiled_plan(fig1_circuit()))
         loaded = store.load("simplan", "a" * 64)
@@ -157,22 +174,18 @@ class TestPinning:
 
 
 class TestUsageAndClear:
-    def test_usage_groups_by_kind(self, store):
-        from repro.circuit.library import fig1_circuit
-
+    def test_usage_groups_by_kind(self, store, bundle):
         assert store.usage() == {}
-        store.save("pair-records", "a" * 64, [1])
-        store.save("pair-records", "b" * 64, [2])
+        store.save("pair-records", "a" * 64, bundle)
+        store.save("pair-records", "b" * 64, bundle)
         store.save("simplan", "c" * 64, compiled_plan(fig1_circuit()))
         usage = store.usage()
         assert usage["pair-records"]["entries"] == 2
         assert usage["simplan"]["entries"] == 1
         assert all(row["bytes"] > 0 for row in usage.values())
 
-    def test_clear_removes_everything(self, store):
-        from repro.circuit.library import fig1_circuit
-
-        store.save("pair-records", "a" * 64, [1])
+    def test_clear_removes_everything(self, store, bundle):
+        store.save("pair-records", "a" * 64, bundle)
         store.save("simplan", "b" * 64, compiled_plan(fig1_circuit()))
         # A kind no codec reads any more is still scanned, so it ages out.
         retired = store.root / "ff-reach" / f"{'d' * 64}-v2.rfb"
@@ -184,6 +197,31 @@ class TestUsageAndClear:
         assert store.total_bytes() == 0
         assert store.usage() == {}
         assert store.clear() == (0, 0)
+
+    def test_legacy_pickled_bundles_age_out_unread(self, store, bundle):
+        """A ``.pkl`` bundle of an older release is listed, evicted and
+        cleared, but no load opens it; in-flight temporaries are not
+        entries."""
+        legacy = store.root / "pair-records" / f"{'a' * 64}-v3.pkl"
+        legacy.parent.mkdir()
+        legacy.write_bytes(b"\x80\x05" + b"x" * 100)
+        (legacy.parent / f".{'b' * 64}-v4.rfb.1.2.tmp").write_bytes(b"y")
+        assert store.usage() == {"pair-records": {"entries": 1, "bytes": 102}}
+        assert store.load("pair-records", "a" * 64) is None
+        assert (store.misses, store.corrupt) == (1, 0)
+        assert legacy.exists()
+        assert store.clear() == (1, 102)
+        assert not legacy.exists()
+
+        # The oldest entry goes first under the size bound, legacy or not.
+        legacy.write_bytes(b"x" * 100)
+        os.utime(legacy, (time.time() - 60, time.time() - 60))
+        store.save("pair-records", "c" * 64, bundle)
+        store.max_bytes = store.total_bytes() - 1
+        store.save("pair-records", "c" * 64, bundle)
+        assert not legacy.exists()
+        assert store.evictions == 1
+        assert store.load("pair-records", "c" * 64) == bundle
 
 
 class TestRuntime:
@@ -245,20 +283,22 @@ class TestDerivedIntegration:
         assert not (tmp_path / "s").exists()
 
 
-def _writer(root, address, value, rounds):
+def _writer(root, address, rounds):
     store = ArtifactStore(root)
+    value = _fig1_bundle()
     for _ in range(rounds):
         store.save("pair-records", address, value)
 
 
 def _reader(root, address, rounds, failures):
     store = ArtifactStore(root)
+    expected = _fig1_bundle()
     seen = 0
     for _ in range(rounds):
         payload = store.load("pair-records", address)
         if payload is not None:
             seen += 1
-            if payload != list(range(200)):
+            if payload != expected:
                 failures.put(("bad payload", payload))
     if store.corrupt:
         failures.put(("corrupt entries observed", store.corrupt))
@@ -271,15 +311,14 @@ class TestConcurrency:
 
         Exercises the atomic-rename publish path under real process
         concurrency — a reader must only ever see a complete entry (or a
-        clean miss), never a partial pickle counted as corruption.
+        clean miss), never a partial file counted as corruption.
         """
         root = str(tmp_path / "shared")
         address = "a" * 64
-        value = list(range(200))
         ctx = multiprocessing.get_context("spawn")
         failures = ctx.Queue()
         writers = [
-            ctx.Process(target=_writer, args=(root, address, value, 50))
+            ctx.Process(target=_writer, args=(root, address, 50))
             for _ in range(2)
         ]
         readers = [

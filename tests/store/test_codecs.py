@@ -9,6 +9,8 @@ artifact.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,8 @@ from repro.circuit.library import s27
 from repro.circuit.timeframe import expand_cached
 from repro.circuit.topology import build_sink_reach
 from repro.logic.simplan import compiled_plan
-from repro.store.codecs import (
-    FLAT_KINDS,
-    decode_payload,
-    encode_payload,
-    is_flat_kind,
-)
+from repro.store import SCHEMA_VERSIONS
+from repro.store.codecs import _CODECS, decode_payload, encode_payload
 from repro.store.flatbuf import FlatBufferError
 
 
@@ -38,12 +36,11 @@ def _roundtrip(kind, artifact):
 
 
 def test_kind_registry():
-    assert FLAT_KINDS == frozenset({
-        "simplan", "csr-arrays", "sink-reach",
-        "packed-implication", "implication-db", "expansion",
-    })
-    assert is_flat_kind("simplan")
-    assert not is_flat_kind("pair-records")
+    """Every kind the store versions has a codec: one layout for all."""
+    assert set(_CODECS) == set(SCHEMA_VERSIONS) == {
+        "simplan", "csr-arrays", "sink-reach", "packed-implication",
+        "implication-db", "expansion", "pair-records",
+    }
 
 
 def test_envelope_rejects_wrong_kind(fig1):
@@ -131,3 +128,67 @@ def test_expansion_attach_rejects_wrong_circuit(fig1):
     )
     with pytest.raises(FlatBufferError):
         detached.attach(s27())
+
+
+def _bundle(circuit, **options):
+    from repro.core.detector import DetectorOptions, MultiCycleDetector
+    from repro.core.incremental import result_bundle
+
+    detector_options = DetectorOptions(**options)
+    result = MultiCycleDetector(circuit, detector_options).run()
+    return result_bundle(result, detector_options)
+
+
+def _hand_built_bundle():
+    """Fields no generated bundle of the suite carries: a witness whose
+    keys are ints, and both delay-filter outcomes."""
+    def record(source, delay_safe, witness):
+        return {
+            "source": source, "sink": "FF2",
+            "classification": "multi-cycle", "stage": "atpg",
+            "cases": [
+                {"a": 0, "b": 1, "outcome": "violated", "decisions": 3,
+                 "backtracks": 1, "witness": witness},
+                {"a": 1, "b": 0, "outcome": "contradiction", "decisions": 0,
+                 "backtracks": 0, "witness": None},
+            ],
+            "launch": "l" * 64, "capture": "c" * 64,
+            "hazard": {"verdict": "glitch-proven", "delay_safe": delay_safe,
+                       "sensitize_flagged": True, "cosensitize_flagged": True},
+        }
+
+    return {
+        "circuit": "hand", "engine": "dalg", "frames": 2,
+        "fingerprint": "f" * 64, "hazard_mode": "exact",
+        "hazard_fingerprint": "h" * 64,
+        "records": [
+            record("FF1", True, {7: 1, 3: 0, 12: 1}),
+            record("FF3", False, {}),
+        ],
+    }
+
+
+def test_pair_records_roundtrip(fig1):
+    from repro.bench_gen.suite import spec_by_name
+    from repro.bench_gen.synth import generate
+
+    exact = _bundle(generate(spec_by_name("syn330")), hazard_check="exact")
+    assert {r["hazard"] is None for r in exact["records"]} == {True, False}
+    empty = {**_bundle(fig1), "records": []}
+    for bundle in (_bundle(fig1), exact, _hand_built_bundle(), empty):
+        decoded = _roundtrip("pair-records", bundle)
+        assert decoded == bundle
+        assert json.dumps(decoded) == json.dumps(bundle)  # key order too
+    records = _roundtrip("pair-records", _hand_built_bundle())["records"]
+    witness = records[0]["cases"][0]["witness"]
+    assert witness == {7: 1, 3: 0, 12: 1}
+    assert all(type(node) is int for node in witness)
+    assert records[1]["cases"][0]["witness"] == {}
+    assert records[0]["cases"][1]["witness"] is None
+    assert [r["hazard"]["delay_safe"] for r in records] == [True, False]
+
+    # One object per distinct name and cone hash.
+    records = _roundtrip("pair-records", exact)["records"]
+    for fields in (("source", "sink"), ("launch", "capture")):
+        values = [r[field] for r in records for field in fields]
+        assert len({id(value) for value in values}) == len(set(values))

@@ -13,7 +13,6 @@ from repro.store.flatbuf import (
     pack,
     read_file,
     unpack,
-    write_file,
 )
 
 
@@ -99,7 +98,7 @@ class TestFiles:
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "artifact.rfb"
         arrays = _sample_arrays()
-        write_file(path, {"v": 1}, arrays)
+        path.write_bytes(pack({"v": 1}, arrays))
         view = read_file(path)
         assert isinstance(view, FlatView)
         assert view.meta == {"v": 1}
@@ -126,7 +125,7 @@ class TestFiles:
         """Linux semantics: views stay readable after the file is removed."""
         path = tmp_path / "gone.rfb"
         original = np.arange(1024, dtype=np.uint64)
-        write_file(path, None, {"a": original})
+        path.write_bytes(pack(None, {"a": original}))
         view = read_file(path)
         path.unlink()
         np.testing.assert_array_equal(view.arrays["a"], original)

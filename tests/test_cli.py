@@ -404,7 +404,7 @@ def test_incremental_from_ignores_schema1_bundle(fig1_file, tmp_path, capsys,
     capsys.readouterr()
     clear_derived_caches()
     deactivate_store()
-    assert list((tmp_path / "cache" / "pair-records").glob("*-v1.pkl"))
+    assert list((tmp_path / "cache" / "pair-records").glob("*-v1.rfb"))
 
     store = ArtifactStore(cache)
     assert load_result_bundle(store, load(fig1_file), DetectorOptions()) is None

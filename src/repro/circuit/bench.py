@@ -163,11 +163,18 @@ def load(path: str | Path, check: bool = True) -> Circuit:
     """Read a ``.bench`` file from disk.
 
     Parse and validation errors are re-raised with the file name
-    prefixed, so ``file: line N: ...`` locates the defect exactly.
+    prefixed, so ``file: line N: ...`` locates the defect exactly; a file
+    that cannot be read raises ``file: cannot read (reason)``.
     """
     path = Path(path)
     try:
-        return loads(path.read_text(), name=path.stem, check=check)
+        text = path.read_text()
+    except OSError as exc:
+        raise BenchFormatError(
+            f"{path.name}: cannot read ({exc.strerror or exc})"
+        ) from None
+    try:
+        return loads(text, name=path.stem, check=check)
     except CircuitError as exc:
         raise BenchFormatError(f"{path.name}: {exc}") from None
 

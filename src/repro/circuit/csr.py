@@ -100,7 +100,7 @@ def _build(circuit: Circuit) -> CsrArrays:
     fanin_offsets, fanin_flat = _csr(circuit.fanins)
     fanout_offsets, fanout_flat = _csr(list(fanouts))
     types = bytes(int(t) for t in circuit.types)
-    levels = tuple(circuit.levels())
+    levels = circuit.levels()
     types_np = np.frombuffer(types, dtype=np.uint8) if types else np.empty(
         0, dtype=np.uint8
     )
@@ -127,6 +127,19 @@ def _build(circuit: Circuit) -> CsrArrays:
         fanout_offsets_np=_np_view(fanout_offsets),
         fanout_flat_np=_np_view(fanout_flat),
     )
+
+
+def gather_rows(
+    offsets: np.ndarray, flat: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, entries)``: the CSR rows of ``ids``, concatenated in
+    order, in one gather."""
+    starts = offsets[ids]
+    counts = offsets[ids + 1] - starts
+    excl = np.cumsum(counts) - counts
+    return counts, flat[
+        np.repeat(starts - excl, counts) + np.arange(int(counts.sum()))
+    ]
 
 
 def csr_arrays(circuit: Circuit) -> CsrArrays:

@@ -45,6 +45,11 @@ _T = TypeVar("_T")
 # ----------------------------------------------------------------------
 _DERIVED_CACHE: dict[int, tuple[int, dict[str, object]]] = {}
 
+#: :meth:`Circuit.derived` cache keys of the levelization and of
+#: :func:`check`'s violation list.
+_LEVELS_KEY = "levels"
+_CHECK_KEY = "check"
+
 
 def clear_derived_caches() -> None:
     """Drop every cached derived structure (mainly for tests)."""
@@ -373,13 +378,9 @@ class Circuit:
                     stack.pop()
         return order
 
-    def levels(self) -> list[int]:
-        """Combinational level per node (sources at level 0)."""
-        level = [0] * self.num_nodes
-        for node_id in self.topo_order():
-            if self.types[node_id] in COMBINATIONAL_TYPES and self.fanins[node_id]:
-                level[node_id] = 1 + max(level[f] for f in self.fanins[node_id])
-        return level
+    def levels(self) -> tuple[int, ...]:
+        """Combinational level per node (sources at level 0; cached)."""
+        return self.derived(_LEVELS_KEY, _levelize)
 
     def transitive_fanin(self, roots: Iterable[int]) -> set[int]:
         """All nodes reaching ``roots`` through combinational edges.
@@ -439,6 +440,14 @@ class Circuit:
             f"Circuit({self.name!r}, in={s['inputs']}, out={s['outputs']}, "
             f"ff={s['dffs']}, gates={s['gates']})"
         )
+
+
+def _levelize(circuit: Circuit) -> tuple[int, ...]:
+    level = [0] * circuit.num_nodes
+    for node_id in circuit.topo_order():
+        if circuit.types[node_id] in COMBINATIONAL_TYPES and circuit.fanins[node_id]:
+            level[node_id] = 1 + max(level[f] for f in circuit.fanins[node_id])
+    return tuple(level)
 
 
 @dataclass(frozen=True)
@@ -553,8 +562,14 @@ def check(circuit: Circuit) -> list[Violation]:
     :class:`Violation` per problem — fanin-arity errors (multi-driven
     OUTPUT/DFF nodes reported under their own code), dangling fanin ids,
     OUTPUT nodes used as fanins, and every combinational cycle with its
-    full path.  An empty list means the netlist is well formed.
+    full path.  An empty list means the netlist is well formed.  The
+    list is cached per netlist version (name-scoped: messages carry
+    names), so validating a netlist a reader has validated is free.
     """
+    return list(circuit.derived(_CHECK_KEY, _violations, scope="names"))
+
+
+def _violations(circuit: Circuit) -> tuple[Violation, ...]:
     violations: list[Violation] = []
     for node_id in range(circuit.num_nodes):
         gate_type = circuit.types[node_id]
@@ -594,7 +609,7 @@ def check(circuit: Circuit) -> list[Violation]:
             f"combinational cycle through {path}",
             cycle,
         ))
-    return violations
+    return tuple(violations)
 
 
 def validate(circuit: Circuit) -> None:

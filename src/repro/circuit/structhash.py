@@ -26,14 +26,23 @@ internal gate names:
   layout* (relative id order) included, so a pair's decide record is a
   pure function of its ``(launch, capture)`` hash pair — the invariant
   the incremental ECO re-analysis (:mod:`repro.core.incremental`) relies
-  on and the hypothesis differentials enforce.
+  on and the hypothesis differentials enforce.  Every cone of a netlist
+  comes from one bit-parallel pass over the expansion
+  (:func:`cone_digests`); the per-FF ``transitive_fanin`` walk it
+  replaced is the test oracle ``tests/circuit/cone_oracle.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
+from itertools import chain
 from typing import Iterable
 
+import numpy as np
+
+from repro.circuit import topology
+from repro.circuit.csr import CsrArrays, csr_arrays, gather_rows
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 
@@ -159,33 +168,123 @@ def content_key(circuit: Circuit, include_names: bool = False) -> str:
 # ----------------------------------------------------------------------
 # Per-FF launch/capture cone hashes over the time-frame expansion.
 # ----------------------------------------------------------------------
-def _cone_hash(comb: Circuit, roots: list[int]) -> str:
-    """Digest of the expanded cone feeding ``roots``, layout included.
+def _input_anchors(comb: Circuit, csr: CsrArrays) -> tuple[np.ndarray, np.ndarray]:
+    """``(rank, anchors)``: ``anchors[rank[v]]`` is INPUT node ``v``'s
+    fixed-width name anchor, a 16-byte digest of its name."""
+    rank = np.zeros(csr.num_nodes, dtype=np.intp)
+    rank[list(csr.inputs)] = np.arange(len(csr.inputs))
+    blob = b"".join(
+        hashlib.blake2b(comb.names[v].encode(), digest_size=16).digest()
+        for v in csr.inputs
+    )
+    return rank, np.frombuffer(blob, dtype=np.uint8).reshape(-1, 16)
 
-    The cone's nodes are renumbered by ascending expanded id, so the
-    digest covers the gate structure, the name-anchored free leaves
-    *and* the relative node order the decision engines traverse —
-    everything that can influence a pair's decide record.
+
+def _field_offsets(sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Offsets of each cone's span in a field of ``sizes[e]`` items per
+    entry ``e``, the cones' entries starting at ``starts``."""
+    return np.concatenate(([0], np.cumsum(sizes)))[starts]
+
+
+def _word_digests(
+    column: np.ndarray, csr: CsrArrays, anchors: tuple[np.ndarray, np.ndarray],
+    root_nodes: np.ndarray, root_offsets: np.ndarray,
+) -> list[str]:
+    """Digests of the up to 64 cones whose membership bits fill ``column``.
+
+    Cone ``c`` is the set of nodes with bit ``c`` set; its roots are
+    ``root_nodes[root_offsets[c]: root_offsets[c + 1]]``.  Each field
+    below is built for all cones of the word at once, cone after cone,
+    and each digest hashes its cone's slice of every field.
     """
-    cone = sorted(comb.transitive_fanin(roots))
-    local = {node_id: k for k, node_id in enumerate(cone)}
-    h = hashlib.sha256()
-    for node_id in cone:
-        gate_type = comb.types[node_id]
-        h.update(gate_type.name.encode())
-        h.update(_SEP)
-        if gate_type == GateType.INPUT:
-            h.update(comb.names[node_id].encode())
-        else:
-            h.update(
-                ",".join(str(local[f]) for f in comb.fanins[node_id]).encode()
-            )
-        h.update(_SEP)
-    h.update(b"roots")
-    for root in roots:
-        h.update(_SEP)
-        h.update(str(local[root]).encode())
-    return h.hexdigest()
+    members = np.flatnonzero(column)
+    bits = np.ascontiguousarray(np.unpackbits(
+        column[members].view(np.uint8).reshape(-1, 8), axis=1,
+        bitorder="little",
+    ).T)
+    # Entries by cone, then by ascending node id: the cone-local id of
+    # the m-th member in cone c is local_id[c, m].
+    cone, pos = np.nonzero(bits.view(bool))
+    span = len(root_offsets) - 1
+    starts = np.searchsorted(cone, np.arange(span + 1))
+    local_id = np.empty(bits.shape, dtype="<i4")
+    local_id[cone, pos] = np.arange(len(cone)) - starts[cone]
+    member = np.empty(csr.num_nodes, dtype=np.intp)
+    member[members] = np.arange(len(members))
+    nodes = members[pos]
+
+    counts, fanins = gather_rows(csr.fanin_offsets_np, csr.fanin_flat_np, nodes)
+    types = csr.types_np[nodes]
+    is_input = types == GateType.INPUT
+    rank, table = anchors
+    root_cones = np.repeat(np.arange(span), np.diff(root_offsets))
+    fields = [
+        (types.tobytes(), starts),
+        (counts.astype("<i4").tobytes(), 4 * starts),
+        (local_id[np.repeat(cone, counts), member[fanins]].tobytes(),
+         4 * _field_offsets(counts, starts)),
+        (table[rank[nodes[is_input]]].tobytes(), 16 * _field_offsets(is_input, starts)),
+        (local_id[root_cones, member[root_nodes]].tobytes(), 4 * root_offsets),
+    ]
+    cuts = [(blob, bounds.tolist()) for blob, bounds in fields]
+    sizes = np.diff(starts).tolist()
+    root_sizes = np.diff(root_offsets).tolist()
+    return [
+        hashlib.sha256(b"".join([
+            struct.pack("<qq", sizes[c], root_sizes[c]),
+            *(blob[bounds[c]: bounds[c + 1]] for blob, bounds in cuts),
+        ])).hexdigest()
+        for c in range(span)
+    ]
+
+
+def cone_digests(comb: Circuit, cone_roots: list[list[int]]) -> list[str]:
+    """Digest of the fanin cone of each root list, layout included.
+
+    One packed pass: cone ``c`` owns bit ``c`` of a ``uint64`` row per
+    node, its roots are seeded, and one top-down levelized OR sweep
+    (:func:`~repro.circuit.topology.fanout_sweep_plan`) marks every node
+    of every cone.  The ``nodes × words`` scratch is swept in root blocks
+    that fit :data:`~repro.circuit.topology.FULL_REACH_BUDGET_WORDS`.
+
+    A cone's digest covers, over its nodes renumbered by ascending id,
+    the gate type codes, the fanin counts, the cone-local fanin ids, the
+    name anchors of its INPUT nodes, and the local ids of its roots in
+    order — the gate structure, the name-anchored free leaves and the
+    relative node order the decision engines traverse.
+    """
+    csr = csr_arrays(comb)
+    words = -(-len(cone_roots) // 64)
+    step = max(1, min(
+        words, topology.FULL_REACH_BUDGET_WORDS // max(1, csr.num_nodes)
+    ))
+    plan = topology.fanout_sweep_plan(csr)
+    anchors = _input_anchors(comb, csr)
+    sizes = [len(roots) for roots in cone_roots]
+    root_nodes = np.fromiter(chain.from_iterable(cone_roots), np.intp, sum(sizes))
+    root_cones = np.repeat(np.arange(len(cone_roots)), sizes)
+    root_offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+    scratch = np.empty((csr.num_nodes, step), dtype=np.uint64)
+    digests: list[str] = []
+    for w0 in range(0, words, step):
+        w1 = min(w0 + step, words)
+        view = scratch[:, : w1 - w0]
+        view[:] = 0
+        lo, hi = root_offsets[w0 * 64], root_offsets[min(w1 * 64, len(cone_roots))]
+        bit = root_cones[lo:hi] - w0 * 64
+        # ``at``: one node may root several cones of one word.
+        np.bitwise_or.at(
+            view, (root_nodes[lo:hi], bit // 64),
+            np.uint64(1) << (bit % 64).astype(np.uint64),
+        )
+        topology.or_sweep(view, plan)
+        for w in range(w0, w1):
+            bounds = root_offsets[w * 64: min(w * 64 + 64, len(cone_roots)) + 1]
+            digests.extend(_word_digests(
+                np.ascontiguousarray(view[:, w - w0]), csr, anchors,
+                root_nodes[bounds[0]: bounds[-1]], bounds - bounds[0],
+            ))
+    return digests
 
 
 def _build_cone_hashes(
@@ -194,15 +293,15 @@ def _build_cone_hashes(
     from repro.circuit.timeframe import expand_cached
 
     expansion = expand_cached(circuit, frames)
-    comb = expansion.comb
-    launch: dict[int, str] = {}
-    capture: dict[int, str] = {}
-    for k, dff in enumerate(circuit.dffs):
-        launch[dff] = _cone_hash(comb, [expansion.ff_at[1][k]])
-        capture[dff] = _cone_hash(
-            comb, [expansion.ff_at[f][k] for f in range(1, frames + 1)]
-        )
-    return launch, capture
+    ff_at = expansion.ff_at
+    count = len(ff_at[0])
+    digests = cone_digests(
+        expansion.comb,
+        [[ff_at[1][k]] for k in range(count)]
+        + [[ff_at[f][k] for f in range(1, frames + 1)] for k in range(count)],
+    )
+    dffs = circuit.dffs
+    return dict(zip(dffs, digests[:count])), dict(zip(dffs, digests[count:]))
 
 
 def _cone_tables(

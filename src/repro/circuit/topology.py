@@ -16,7 +16,9 @@ and the D-driver rows are harvested at the end — in source blocks when
 the scratch would exceed :data:`FULL_REACH_BUDGET_WORDS` (see
 :func:`build_sink_reach`).  The matrix is cached per netlist version via
 :meth:`Circuit.derived` and persisted to the artifact store when one is
-active.
+active.  The same sweep runs top-down over the fanouts
+(:func:`fanout_sweep_plan`) for the cone hashes of
+:mod:`repro.circuit.structhash`.
 
 Every query reads it: :func:`iter_launch_groups` streams the relation
 one launching FF at a time (via a blocked bit-transpose, without ever
@@ -34,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.circuit.csr import csr_arrays
+from repro.circuit.csr import CsrArrays, csr_arrays, gather_rows
 from repro.circuit.gates import COMBINATIONAL_TYPES
 from repro.circuit.netlist import Circuit
 
@@ -91,70 +93,86 @@ class LaunchGroup(NamedTuple):
 # Levelized OR-sweep core.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _SweepPlan:
-    """Precomputed schedule for the levelized packed-row OR sweep.
+class SweepPlan:
+    """Precomputed schedule for a levelized packed-row OR sweep.
 
-    Combinational nodes sorted by level, their flat fanin gather index,
-    and the per-level bounds — everything the sweep needs that does not
-    depend on the row payload, cached once per netlist version so the
-    sweep re-runs per source block cheaply.
+    ``node_ids`` in sweep order: node ``node_ids[i]`` reads the rows of
+    its ``counts[i]`` neighbours ``flat[excl[i]: excl[i] + counts[i]]``,
+    and ``bounds`` cut the order into groups of one level each, whose
+    nodes never read each other.  Everything the sweep needs that does
+    not depend on the row payload, so the sweep re-runs per block
+    cheaply.
     """
 
     node_ids: np.ndarray
     counts: np.ndarray
     excl: np.ndarray
-    flat_fanins: np.ndarray
+    flat: np.ndarray
     bounds: np.ndarray
-    top: int
 
 
-def _build_sweep_plan(circuit: Circuit) -> _SweepPlan:
+def _schedule(
+    node_ids: np.ndarray, levels: np.ndarray, offsets: np.ndarray,
+    flat: np.ndarray,
+) -> SweepPlan:
+    """Schedule the ``node_ids`` whose CSR row is not empty by ascending
+    ``levels``; each reads the rows of its row's nodes."""
+    keep = offsets[node_ids + 1] > offsets[node_ids]
+    order = np.argsort(levels[keep], kind="stable")
+    node_ids, levels = node_ids[keep][order], levels[keep][order]
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.diff(levels)) + 1, [len(node_ids)])
+    )
+    # Flat neighbour ids of every scheduled node, gathered once; each
+    # group then slices its span out of them.
+    counts, neighbours = gather_rows(offsets, flat, node_ids)
+    return SweepPlan(node_ids, counts, np.cumsum(counts) - counts,
+                     neighbours, bounds)
+
+
+def _build_sweep_plan(circuit: Circuit) -> SweepPlan:
     csr = csr_arrays(circuit)
-    comb = np.isin(csr.types_np, _COMB_CODES)
-    node_ids = np.nonzero(comb)[0].astype(np.intp)
-    if not len(node_ids):
-        empty = np.empty(0, dtype=np.intp)
-        return _SweepPlan(empty, empty, empty, empty,
-                          np.zeros(2, dtype=np.intp), 0)
-    levels = csr.levels_np[node_ids]
-    order = np.argsort(levels, kind="stable")
-    node_ids = node_ids[order]
-    levels = levels[order]
-    offsets = csr.fanin_offsets_np
-    starts = offsets[node_ids]
-    counts = offsets[node_ids + 1] - starts
-    top = int(levels[-1])
-    bounds = np.searchsorted(levels, np.arange(top + 2))
-    # Flat fanin node ids of every sorted node, computed once; each
-    # level then slices its span out of it.
-    excl = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    total = int(excl[-1] + counts[-1])
-    flat_fanins = csr.fanin_flat_np[
-        np.repeat(starts - excl, counts) + np.arange(total)
-    ]
-    return _SweepPlan(node_ids, counts, excl, flat_fanins, bounds, top)
+    node_ids = np.flatnonzero(np.isin(csr.types_np, _COMB_CODES))
+    return _schedule(node_ids, csr.levels_np[node_ids],
+                     csr.fanin_offsets_np, csr.fanin_flat_np)
 
 
-def _sweep_plan(circuit: Circuit) -> _SweepPlan:
+def _sweep_plan(circuit: Circuit) -> SweepPlan:
+    """Bottom-up: combinational nodes by ascending level read their
+    fanins, so a row collects the sources that reach the node."""
     return circuit.derived(_SWEEP_KEY, _build_sweep_plan)
 
 
-def _or_sweep(rows: np.ndarray, plan: _SweepPlan) -> None:
-    """Propagate packed rows through the circuit, level by level, in place.
+def fanout_sweep_plan(csr: CsrArrays) -> SweepPlan:
+    """Top-down: every node with a consumer reads its consumers' rows,
+    by descending level, so a row collects the bits seeded on the nodes
+    it reaches.
 
-    Equal-level nodes never read each other, so each level is one flat
-    fanin gather plus a segmented OR (``reduceat`` handles the ragged
-    fanin counts without padding).
+    Every edge is followed, which matches
+    :meth:`Circuit.transitive_fanin` on a circuit without DFFs, such as
+    a time-frame expansion: a seeded root's bit ends up exactly on the
+    nodes of its fanin cone.
     """
-    for level in range(1, plan.top + 1):
-        lo, hi = int(plan.bounds[level]), int(plan.bounds[level + 1])
+    return _schedule(np.arange(csr.num_nodes, dtype=np.intp),
+                     -csr.levels_np, csr.fanout_offsets_np,
+                     csr.fanout_flat_np)
+
+
+def or_sweep(rows: np.ndarray, plan: SweepPlan) -> None:
+    """OR each scheduled node's neighbour rows into its row, in place.
+
+    Nodes of one group never read each other, so each group is one
+    flat neighbour gather plus a segmented OR (``reduceat`` handles the
+    ragged neighbour counts without padding).
+    """
+    bounds = plan.bounds.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
         if hi == lo:
             continue
         base = int(plan.excl[lo])
         stop = int(plan.excl[hi - 1] + plan.counts[hi - 1])
-        gathered = rows[plan.flat_fanins[base:stop]]
-        rows[plan.node_ids[lo:hi]] = np.bitwise_or.reduceat(
-            gathered, plan.excl[lo:hi] - base, axis=0
+        rows[plan.node_ids[lo:hi]] |= np.bitwise_or.reduceat(
+            rows[plan.flat[base:stop]], plan.excl[lo:hi] - base, axis=0
         )
 
 
@@ -217,7 +235,7 @@ def build_sink_reach(
             view[dff_ids[k0:k1], local // 64] |= (
                 np.uint64(1) << (local % 64).astype(np.uint64)
             )
-            _or_sweep(view, plan)
+            or_sweep(view, plan)
             rows[:, w0:w1] = view[drivers]
     rows.flags.writeable = False
     return SinkReach(dffs=dffs, words=words, rows=rows, blocked=blocked)

@@ -66,7 +66,9 @@ SCHEMA_VERSIONS: dict[str, int] = {
     # 3: a record's hazard fields are one ``hazard`` entry, the verdict
     # with its two static bounds, in place of the per-mode hazard flag.
     # 4: the bundle is a flat buffer (``.rfb``) in place of a pickle.
-    "pair-records": 4,
+    # 5: cone hashes digest array slices of the packed cone pass; a v4
+    # record's hashes would never match.
+    "pair-records": 5,
 }
 
 #: default store size bound: 1 GiB.

@@ -1,18 +1,24 @@
 """Structural/cone hashing and the structure-vs-metadata version split."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from repro.circuit import topology
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, CircuitError
 from repro.circuit.structhash import (
     capture_cone_hashes,
+    cone_digests,
     content_key,
     launch_cone_hashes,
     structural_hash,
 )
+from repro.circuit.timeframe import expand_cached
 from repro.logic.simplan import compiled_plan
+from tests.circuit.cone_oracle import oracle_cone_hashes
+from tests.core.test_incremental import eco_edit
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -221,3 +227,81 @@ class TestConeHashes:
         assert capture_cone_hashes(base)[ff1_id] != (
             capture_cone_hashes(edited)[ff1_id]
         )
+
+
+def _keyed(tag: str, circuit: Circuit, tables) -> dict:
+    """``(tag, FF name, launch|capture) -> digest``: FFs matched by name."""
+    launch, capture = tables
+    return {
+        (tag, circuit.names[dff], kind): table[dff]
+        for dff in circuit.dffs
+        for kind, table in (("launch", launch), ("capture", capture))
+    }
+
+
+def _same_relation(oracle: dict, packed: dict) -> bool:
+    """Two digest tables over the same keys split them the same way."""
+    assert oracle.keys() == packed.keys()
+    pairs = {(oracle[key], packed[key]) for key in oracle}
+    return len(pairs) == len(set(oracle.values())) == len(set(packed.values()))
+
+
+class TestPackedConePass:
+    """The packed cone pass against the scalar walk of ``cone_oracle``."""
+
+    @pytest.mark.parametrize("frames", [2, 3])
+    @given(seeds, st.integers(0, 2))
+    def test_same_equality_relation_as_oracle(self, frames, seed, kind):
+        """Within one circuit and across a base and its ECO edit (flip,
+        rewire, DFF insertion), both tables equate the same keys."""
+        base = random_sequential_circuit(seed)
+        edited = eco_edit(base, seed, kind)
+        assume(edited is not None)
+        oracle: dict = {}
+        packed: dict = {}
+        for tag, circuit in (("base", base), ("edited", edited)):
+            oracle |= _keyed(tag, circuit, oracle_cone_hashes(circuit, frames))
+            packed |= _keyed(tag, circuit, (
+                launch_cone_hashes(circuit, frames),
+                capture_cone_hashes(circuit, frames),
+            ))
+        assert _same_relation(oracle, packed)
+
+    @given(seeds, st.integers(0, 2))
+    def test_root_blocks_change_nothing(self, seed, kind):
+        """A one-word budget sweeps the cones in several root blocks of one
+        ``uint64`` word each (never a dense ``nodes × roots`` matrix), with
+        the digests of the one-block sweep and the oracle's relation."""
+        base = random_sequential_circuit(
+            seed, max_inputs=4, max_dffs=80, max_gates=40
+        )
+        assume(len(base.dffs) > 32)
+        edited = eco_edit(base, seed, kind)
+        assume(edited is not None)
+        oracle: dict = {}
+        packed: dict = {}
+        for tag, circuit in (("base", base), ("edited", edited)):
+            expansion = expand_cached(circuit, 2)
+            ff_at = expansion.ff_at
+            roots = [[node] for node in ff_at[1]] + [
+                list(nodes) for nodes in zip(ff_at[1], ff_at[2])
+            ]
+            whole = cone_digests(expansion.comb, roots)
+            shapes = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(topology, "FULL_REACH_BUDGET_WORDS", 1)
+                sweep = topology.or_sweep
+                patch.setattr(topology, "or_sweep", lambda rows, plan: (
+                    shapes.append(rows.shape), sweep(rows, plan)
+                ))
+                blocked = cone_digests(expansion.comb, roots)
+            assert len(shapes) == -(-len(roots) // 64) > 1
+            assert set(shapes) == {(expansion.comb.num_nodes, 1)}
+            assert blocked == whole
+            count = len(circuit.dffs)
+            packed |= _keyed(tag, circuit, (
+                dict(zip(circuit.dffs, blocked[:count])),
+                dict(zip(circuit.dffs, blocked[count:])),
+            ))
+            oracle |= _keyed(tag, circuit, oracle_cone_hashes(circuit))
+        assert _same_relation(oracle, packed)

@@ -351,6 +351,80 @@ def test_malformed_file_exits_cleanly(tmp_path, capsys):
     assert "bad.bench" in err and "line 2" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["analyze", "{missing}"], "No such file or directory"),
+    (["analyze", "{folder}"], "Is a directory"),
+    (["analyze", "{missing_v}"], "No such file or directory"),
+    (["hazard", "{missing}"], "No such file or directory"),
+    (["sdc", "{missing}"], "No such file or directory"),
+    (["kcycle", "{missing}"], "No such file or directory"),
+    (["extended", "{missing}"], "No such file or directory"),
+    (["analyze", "{fig1}", "--cache-dir", "{cache}",
+      "--incremental-from", "{missing}"], "No such file or directory"),
+])
+def test_unreadable_netlist_is_one_error_line(
+    fig1_file, tmp_path, capsys, argv, reason
+):
+    """A netlist path that cannot be read exits 2 with one ``error:``
+    line naming the file, not a traceback."""
+    paths = {
+        "missing": str(tmp_path / "nope.bench"),
+        "missing_v": str(tmp_path / "nope.v"),
+        "folder": str(tmp_path),
+        "fig1": fig1_file,
+        "cache": str(tmp_path / "cache"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and error.endswith(
+        f": cannot read ({reason})"
+    )
+    assert captured.out == ""
+
+
+def test_lint_reports_unreadable_file_as_parse_error(tmp_path, capsys):
+    missing = tmp_path / "nope.bench"
+    assert main(["lint", str(missing), str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("parse-error") == 2
+    assert "nope.bench: cannot read (No such file or directory)" in out
+    assert f"{tmp_path.name}: cannot read (Is a directory)" in out
+
+
+def test_analyze_checks_and_levelizes_each_netlist_once(
+    fig1_file, capsys, monkeypatch
+):
+    """The reader's structural check serves the run's validation, and the
+    CSR arrays and the simulation plan share one levelization, for the
+    netlist and for its expansion alike."""
+    from repro.circuit import netlist
+
+    calls = []
+
+    def counted(kind, build):
+        def wrapper(circuit):
+            # Holding the circuit keeps its id unique within the run.
+            calls.append((kind, circuit, circuit.version))
+            return build(circuit)
+        return wrapper
+
+    monkeypatch.setattr(
+        netlist, "_violations", counted("check", netlist._violations)
+    )
+    monkeypatch.setattr(
+        netlist, "_levelize", counted("levels", netlist._levelize)
+    )
+    assert main(["analyze", fig1_file]) == 0
+    capsys.readouterr()
+    keys = [(kind, id(circuit), version) for kind, circuit, version in calls]
+    assert len(keys) == len(set(keys))
+    checked = {circuit.name for kind, circuit, _ in calls if kind == "check"}
+    levelized = {circuit.name for kind, circuit, _ in calls if kind == "levels"}
+    assert checked == {"fig1"}
+    assert levelized == {"fig1", "fig1_x2"}
+
+
 def test_analyze_cache_dir_warm_hits(fig1_file, tmp_path, capsys):
     from repro.circuit.netlist import clear_derived_caches
     from repro.store import deactivate_store

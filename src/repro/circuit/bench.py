@@ -164,14 +164,20 @@ def load(path: str | Path, check: bool = True) -> Circuit:
 
     Parse and validation errors are re-raised with the file name
     prefixed, so ``file: line N: ...`` locates the defect exactly; a file
-    that cannot be read raises ``file: cannot read (reason)``.
+    that cannot be read, or is not UTF-8 text, raises ``file: cannot read
+    (reason)``.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise BenchFormatError(
             f"{path.name}: cannot read ({exc.strerror or exc})"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise BenchFormatError(
+            f"{path.name}: cannot read (not UTF-8 text: byte "
+            f"0x{exc.object[exc.start]:02x} at offset {exc.start})"
         ) from None
     try:
         return loads(text, name=path.stem, check=check)

@@ -201,11 +201,18 @@ def _run_incremental(circuit, options, prior_path, tracer):
         prior_circuit = load(prior_path)
         with store_enabled(cache_dir, options.cache_max_bytes) as store:
             if store is not None:
+                corrupt = store.corrupt
                 bundle = load_result_bundle(store, prior_circuit, options)
         # An unusable store has already said so in its own warning.
         if bundle is None and store is not None:
-            print(f"warning: no cached pair records for {prior_path} under "
-                  f"these options; re-deciding every pair", file=sys.stderr)
+            if store.corrupt > corrupt:
+                print(f"warning: the cached pair records for {prior_path} "
+                      f"were unreadable and were removed; re-deciding "
+                      f"every pair", file=sys.stderr)
+            else:
+                print(f"warning: no cached pair records for {prior_path} "
+                      f"under these options; re-deciding every pair",
+                      file=sys.stderr)
     return incremental_detect(circuit, options, bundle, tracer=tracer)
 
 

@@ -31,20 +31,23 @@ records:
    run used the same hazard options and hazard rules; otherwise
    inherited multi-cycle pairs are re-checked alongside the fresh ones.
 
-The prior state travels as a *pair-record bundle* — a plain dict the
-detector publishes to the artifact store after every run (kind
-``"pair-records"``, stored by its flat-buffer codec and addressed by
-the circuit's name-inclusive content key plus the options
+The prior state travels as a *pair-record bundle*, the columns of a
+:class:`~repro.store.codecs.PairRecordBundle` that the detector
+publishes to the artifact store after every run (kind
+``"pair-records"``, written as they are by its flat-buffer codec and
+addressed by the circuit's name-inclusive content key plus the options
 fingerprint).  ``repro analyze --incremental-from OLD.bench`` loads
 the bundle of the old netlist from the active store and merges; the
 hypothesis differentials in
 ``tests/core/test_incremental.py`` pin the merged ``pair_records`` byte
-for byte against full fresh runs and the staged reference flow.
+for byte against full fresh runs and the staged reference flow, and
+those of ``tests/core/test_bundle_oracle.py`` pin the columns against
+the record-dict bundle of earlier releases.
 
 :class:`IncrementalStage` is the fold of :mod:`repro.core.streaming`
 with an inherit-or-decide filter: every launch group's survivors are
-split into inherited records, folded at once, and fresh pairs, which
-go through the same work units and executors as a full run.
+split into pairs a prior row settles, folded at once, and fresh pairs,
+which go through the same work units and executors as a full run.
 """
 
 from __future__ import annotations
@@ -58,18 +61,24 @@ from repro.circuit.structhash import (
     launch_cone_hashes,
 )
 from repro.circuit.topology import FFPair
-from repro.core.pipeline import AnalysisContext, DetectorOptions
+from repro.core.pipeline import (
+    AnalysisContext,
+    DetectorOptions,
+    InheritedHazard,
+)
 from repro.core.result import (
     CaseOutcome,
     CaseResult,
     Classification,
     DetectionResult,
+    HazardVerdictKind,
     PairResult,
     Stage,
 )
 from repro.core.streaming import Fold, StreamingStage
 from repro.core.trace import ProgressFn, Tracer
 from repro.store.artifact_store import ArtifactStore
+from repro.store.codecs import HAZARD_FIELDS, PairRecordBundle
 
 #: prior records settled by these stages may be inherited; simulation
 #: verdicts are always re-derived fresh.
@@ -159,41 +168,59 @@ def result_bundle(
     result: DetectionResult,
     options: DetectorOptions,
     frames: int = 2,
-) -> dict[str, object]:
+) -> PairRecordBundle:
     """The persistable prior-state bundle of one detection run.
 
-    Per pair: the record :meth:`DetectionResult.pair_records` writes
+    Per pair: the fields :meth:`DetectionResult.pair_records` writes
     (names, classification, stage, cases), plus the launch/capture cone
     hashes and, when the hazard stage ran, the hazard verdict and its
-    two static bounds.
+    two static bounds, as the columns of a
+    :class:`~repro.store.codecs.PairRecordBundle`.
     """
     circuit = result.circuit
+    names = circuit.names
     launch = launch_cone_hashes(circuit, frames)
     capture = capture_cone_hashes(circuit, frames)
-    verdicts = {
-        (v.pair.source, v.pair.sink): v for v in result.hazard_verdicts
+    results = result.pair_results
+    pairs = [r.pair for r in results]
+    cases = [case for r in results for case in r.cases]
+    by_pair = {v.pair: v for v in result.hazard_verdicts}
+    hazards = [by_pair.get(pair) for pair in pairs]
+    # ``_value_`` is the member's value as a plain attribute; the
+    # ``value`` property costs a descriptor call per case.
+    columns = {
+        "names": [names[p.source] for p in pairs]
+        + [names[p.sink] for p in pairs],
+        "hashes": [launch[p.source] for p in pairs]
+        + [capture[p.sink] for p in pairs],
+        "classification": [r.classification._value_ for r in results],
+        "stage": [r.stage._value_ for r in results],
+        "outcome": [case.outcome._value_ for case in cases],
+        "verdict": [None if v is None else v.verdict.value for v in hazards],
+        **{
+            name: [None if v is None else getattr(v, name) for v in hazards]
+            for name in HAZARD_FIELDS[1:]
+        },
+        "a": [case.a for case in cases],
+        "b": [case.b for case in cases],
+        "decisions": [case.decisions for case in cases],
+        "backtracks": [case.backtracks for case in cases],
     }
-    records = result.pair_records()
-    for record, pair_result in zip(records, result.pair_results):
-        pair = pair_result.pair
-        verdict = verdicts.get((pair.source, pair.sink))
-        record["launch"] = launch[pair.source]
-        record["capture"] = capture[pair.sink]
-        record["hazard"] = None if verdict is None else {
-            "verdict": verdict.verdict.value,
-            "delay_safe": verdict.delay_safe,
-            "sensitize_flagged": verdict.sensitize_flagged,
-            "cosensitize_flagged": verdict.cosensitize_flagged,
-        }
-    return {
+    fields = {
         "circuit": circuit.name,
         "engine": result.engine,
         "frames": frames,
         "fingerprint": options_fingerprint(options, circuit, frames),
         "hazard_mode": result.hazard_mode,
         "hazard_fingerprint": hazard_fingerprint(options),
-        "records": records,
     }
+    return PairRecordBundle.from_columns(
+        fields,
+        columns,
+        [len(r.cases) for r in results],
+        {i: case.witness for i, case in enumerate(cases)
+         if case.witness is not None},
+    )
 
 
 def bundle_address(
@@ -227,12 +254,12 @@ def load_result_bundle(
     circuit: Circuit,
     options: DetectorOptions,
     frames: int = 2,
-) -> dict[str, object] | None:
+) -> PairRecordBundle | None:
     """The prior bundle of ``circuit`` under ``options``, if published."""
     bundle = store.load(
         BUNDLE_KIND, bundle_address(store, circuit, options, frames)
     )
-    if not isinstance(bundle, dict):
+    if not isinstance(bundle, PairRecordBundle):
         return None
     return bundle
 
@@ -240,6 +267,85 @@ def load_result_bundle(
 # ----------------------------------------------------------------------
 # The incremental stage.
 # ----------------------------------------------------------------------
+class _PriorRows:
+    """The rows of a prior bundle that this run's pairs inherit.
+
+    :attr:`rows` maps ``(source, sink)`` node ids to the bundle row of
+    every decide-stage record whose names and cone hashes match this
+    circuit.  Enum members are looked up once per table entry and the
+    columns read into lists once, so :meth:`result` and :meth:`hazard`
+    only index.
+    """
+
+    def __init__(
+        self, bundle: PairRecordBundle, circuit: Circuit, frames: int
+    ) -> None:
+        tables, arrays = bundle.tables, bundle.arrays
+        count = len(arrays["stage"])
+        # One node-id lookup per name-table entry, one hash-code lookup
+        # per FF digest.
+        node = [circuit.id_of(name) if name in circuit else None
+                for name in tables["names"]]
+        code = {digest: i for i, digest in enumerate(tables["hashes"])}
+        launch = {ff: code.get(digest) for ff, digest
+                  in launch_cone_hashes(circuit, frames).items()}
+        capture = {ff: code.get(digest) for ff, digest
+                   in capture_cone_hashes(circuit, frames).items()}
+        decide = [stage in _DECIDE_STAGES for stage in tables["stage"]]
+        names, hashes = arrays["names"].tolist(), arrays["hashes"].tolist()
+        self.rows = {}
+        for row, stage in enumerate(arrays["stage"].tolist()):
+            source, sink = node[names[row]], node[names[count + row]]
+            if decide[stage] and launch.get(source) == hashes[row] and (
+                capture.get(sink) == hashes[count + row]
+            ):
+                self.rows[(source, sink)] = row
+
+        def column(name: str, kind: type | None = None) -> list:
+            """A coded column's values, as ``kind`` members if given."""
+            table = [
+                value if kind is None or value is None else kind(value)
+                for value in tables[name]
+            ]
+            return [table[code] for code in arrays[name].tolist()]
+
+        self.classes = column("classification", Classification)
+        self.stages = column("stage", Stage)
+        #: per row, its hazard verdict and flags (a ``None`` verdict:
+        #: the row holds none).
+        self.hazards = list(zip(
+            column("verdict", HazardVerdictKind),
+            *map(column, HAZARD_FIELDS[1:]),
+        ))
+        witnesses: list[dict[int, int] | None] = [None] * len(arrays["outcome"])
+        offsets = arrays["witness_offsets"].tolist()
+        flat = arrays["witness_flat"].tolist()
+        for k, case in enumerate(arrays["witnessed"].tolist()):
+            row = flat[offsets[k]: offsets[k + 1]]
+            witnesses[case] = dict(zip(row[::2], row[1::2]))
+        #: per case, the :class:`CaseResult` arguments in field order.
+        self.cases = list(zip(
+            arrays["a"].tolist(), arrays["b"].tolist(),
+            column("outcome", CaseOutcome),
+            arrays["decisions"].tolist(), arrays["backtracks"].tolist(),
+            witnesses,
+        ))
+        self.offsets = arrays["case_offsets"].tolist()
+
+    def result(self, pair: FFPair, row: int) -> PairResult:
+        """Row ``row`` as this run's result for ``pair``."""
+        cases = self.cases[self.offsets[row]: self.offsets[row + 1]]
+        return PairResult(
+            pair, self.classes[row], self.stages[row],
+            cases=[CaseResult(*case) for case in cases],
+        )
+
+    def hazard(self, row: int) -> InheritedHazard | None:
+        """Row ``row``'s hazard verdict and its flags, if it has one."""
+        hazard = self.hazards[row]
+        return None if hazard[0] is None else hazard
+
+
 class IncrementalStage(StreamingStage):
     """The launch-group fold with an inherit-or-decide filter.
 
@@ -251,7 +357,9 @@ class IncrementalStage(StreamingStage):
     in the result's ``incremental`` metrics block.
     """
 
-    def __init__(self, bundle: dict[str, object], frames: int = 2) -> None:
+    def __init__(
+        self, bundle: PairRecordBundle | None, frames: int = 2
+    ) -> None:
         super().__init__(frames=frames)
         self.bundle = bundle
 
@@ -260,41 +368,34 @@ class IncrementalStage(StreamingStage):
         self._counts = fold.metrics["incremental"] = {
             "survivors": 0, "inherited": 0, "re_decided": 0,
         }
-        fingerprint = options_fingerprint(
-            ctx.options, ctx.circuit, self.frames
-        )
-        self._prior: dict[tuple[str, str], dict[str, object]] = {}
-        if self.bundle.get("fingerprint") == fingerprint and (
-            self.bundle.get("frames") == self.frames
-        ):
-            for record in self.bundle.get("records", []):  # type: ignore[union-attr]
-                self._prior[(record["source"], record["sink"])] = record
-        self._hazard_inherits = self.bundle.get(
+        bundle = self.bundle
+        fields = {} if bundle is None else bundle.fields
+        self._prior: _PriorRows | None = None
+        if bundle is not None and fields.get("fingerprint") == (
+            options_fingerprint(ctx.options, ctx.circuit, self.frames)
+        ) and fields.get("frames") == self.frames:
+            self._prior = _PriorRows(bundle, ctx.circuit, self.frames)
+        self._hazard_inherits = fields.get(
             "hazard_fingerprint"
         ) == hazard_fingerprint(ctx.options)
-        self._launch = launch_cone_hashes(ctx.circuit, self.frames)
-        self._capture = capture_cone_hashes(ctx.circuit, self.frames)
         return self._drive(fold)
 
     def select(self, fold: Fold, pairs: list[FFPair]) -> list[FFPair]:
         """Fold the pairs a prior record settles; return the rest."""
-        names = fold.ctx.circuit.names
+        prior = self._prior
+        rows = {} if prior is None else prior.rows
         fresh: list[FFPair] = []
         recheck: list[PairResult] = []
         for pair in pairs:
-            record = self._prior.get((names[pair.source], names[pair.sink]))
-            if (
-                record is None
-                or record["stage"] not in _DECIDE_STAGES
-                or record["launch"] != self._launch[pair.source]
-                or record["capture"] != self._capture[pair.sink]
-            ):
+            row = rows.get(pair)
+            if row is None:
                 fresh.append(pair)
                 continue
-            result = _inherited_result(pair, record)
+            result = prior.result(pair, row)
             fold.result(result, 0.0, fold.engine)
             if result.classification is Classification.MULTI_CYCLE and not (
-                self._hazard_inherits and fold.hazard.adopt(pair, record)
+                self._hazard_inherits
+                and fold.hazard.adopt(pair, prior.hazard(row))
             ):
                 recheck.append(result)
         fold.hazard.check(recheck)
@@ -304,30 +405,10 @@ class IncrementalStage(StreamingStage):
         return fresh
 
 
-def _inherited_result(pair: FFPair, record: dict[str, object]) -> PairResult:
-    """A prior bundle record as this run's result for ``pair``."""
-    return PairResult(
-        pair,
-        Classification(record["classification"]),
-        Stage(record["stage"]),
-        cases=[
-            CaseResult(
-                a=case["a"],
-                b=case["b"],
-                outcome=CaseOutcome(case["outcome"]),
-                decisions=case["decisions"],
-                backtracks=case["backtracks"],
-                witness=case["witness"],
-            )
-            for case in record["cases"]  # type: ignore[union-attr]
-        ],
-    )
-
-
 def incremental_detect(
     circuit: Circuit,
     options: DetectorOptions | None = None,
-    bundle: dict[str, object] | None = None,
+    bundle: PairRecordBundle | None = None,
     tracer: Tracer | None = None,
     progress: ProgressFn | None = None,
 ) -> DetectionResult:
@@ -348,7 +429,7 @@ def incremental_detect(
     ctx = AnalysisContext(circuit, options, tracer=tracer, progress=progress)
     cache_dir = resolve_cache_dir(options.cache_dir)
     with store_enabled(cache_dir, options.cache_max_bytes) as store:
-        result = IncrementalStage(bundle or {}).run(ctx)
+        result = IncrementalStage(bundle).run(ctx)
         if store is not None:
             save_result_bundle(store, result, options)
     return result

@@ -45,6 +45,10 @@ HAZARD_MODES = ("off", "exact")
 #: the ``DetectorOptions.backplane`` modes.
 BACKPLANE_MODES = ("auto", "on", "off")
 
+#: a hazard verdict a prior bundle row carries: the verdict, the delay
+#: filter's outcome and the two static bounds (sensitize, co-sensitize).
+InheritedHazard = tuple[HazardVerdictKind, bool | None, bool, bool]
+
 
 @dataclass(frozen=True)
 class DetectorOptions:
@@ -365,7 +369,7 @@ class HazardPass:
     Built once per run, before any decide work, so a bad delay sidecar
     fails fast.  The fold hands it each unit's fresh results
     (:meth:`check`), an incremental run the verdicts its prior bundle
-    records (:meth:`adopt`), and :meth:`finish` records the
+    rows hold (:meth:`adopt`), and :meth:`finish` records the
     ``hazard_exact`` block and emits the ``hazard_stage`` trace event.
     In mode ``"off"`` every call is a no-op.
 
@@ -416,25 +420,25 @@ class HazardPass:
         self.verdicts.extend(self._checker.check_pairs(pairs))
         self.seconds += self.ctx.clock() - started
 
-    def adopt(self, pair: FFPair, record: dict[str, Any]) -> bool:
-        """Take one multi-cycle pair's verdict from a prior bundle record.
+    def adopt(self, pair: FFPair, hazard: InheritedHazard | None) -> bool:
+        """Take one multi-cycle pair's verdict from a prior bundle row.
 
         Only valid when the prior run's hazard options match this run's.
-        Returns ``False`` when the record holds no verdict; the caller
-        then checks the pair instead.
+        Returns ``False`` when the row holds no verdict; the caller then
+        checks the pair instead.
         """
         if self.mode == "off":
             return True
-        hazard = record.get("hazard")
         if hazard is None:
             return False
+        verdict, delay_safe, sensitize, cosensitize = hazard
         self.verdicts.append(PairHazardVerdict(
             pair,
-            HazardVerdictKind(hazard["verdict"]),
+            verdict,
             "inherited",
-            delay_safe=hazard["delay_safe"],
-            sensitize_flagged=hazard["sensitize_flagged"],
-            cosensitize_flagged=hazard["cosensitize_flagged"],
+            delay_safe=delay_safe,
+            sensitize_flagged=sensitize,
+            cosensitize_flagged=cosensitize,
         ))
         return True
 

@@ -411,7 +411,11 @@ class Fold:
     def result(
         self, result: PairResult, seconds: float, engine: str | None
     ) -> None:
-        """Fold one settled pair; emit its trace event and progress."""
+        """Fold one settled pair; emit its trace event and progress.
+
+        The ``pair`` record is built only when a tracer or a progress
+        callback is attached to read it.
+        """
         self.results.append(result)
         stats = self.stats[result.stage]
         if result.classification is Classification.MULTI_CYCLE:
@@ -422,6 +426,8 @@ class Fold:
             stats.undecided += 1
         stats.cpu_seconds += seconds
         ctx = self.ctx
+        if ctx.tracer is None and ctx.progress is None:
+            return
         names = ctx.circuit.names
         record = {
             "stage": result.stage.value,

@@ -33,9 +33,11 @@ Registered kinds:
     :class:`DetachedExpansion`; callers re-attach the sequential circuit
     with :meth:`DetachedExpansion.attach`.
 ``pair-records``
-    The bundle of :func:`repro.core.incremental.result_bundle` — its
-    scalar fields in the meta, its records as columns: value tables plus
-    int32 codes, int32 case fields, CSR case and witness lists.
+    :class:`PairRecordBundle`, the columns
+    :func:`repro.core.incremental.result_bundle` builds, written as they
+    are: scalar fields and value tables in the meta, int32 codes, int32
+    case fields and CSR case and witness offsets as segments.  Decoding
+    checks every code and offset before it hands the columns back.
 
 The envelope helpers (:func:`encode_payload` / :func:`decode_payload`)
 wrap a codec in the kind + schema-version header shared by the on-disk
@@ -46,6 +48,7 @@ decode identically.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Any, Callable
 
@@ -453,14 +456,18 @@ def _decode_expansion(meta: dict[str, Any], arrays: dict[str, Any]) -> object:
 # ----------------------------------------------------------------------
 # pair-records
 # ----------------------------------------------------------------------
-#: fields of a record's ``hazard`` entry; a record without one stores
-#: ``None`` in each (a stored verdict is never ``None``).
-_HAZARD_FIELDS = (
+#: the four hazard columns; a row without a verdict holds ``None`` in
+#: each (a stored verdict is never ``None``).
+HAZARD_FIELDS = (
     "verdict", "delay_safe", "sensitize_flagged", "cosensitize_flagged",
 )
 
-#: int fields of a case, one int32 array each.
-_CASE_INTS = ("a", "b", "decisions", "backtracks")
+#: the coded columns, one value table each, in layout order.
+CODED = ("names", "hashes", "classification", "stage", "outcome",
+         *HAZARD_FIELDS)
+
+#: int32 case columns.
+CASE_INTS = ("a", "b", "decisions", "backtracks")
 
 
 def _column(values: list[Any]) -> tuple[list[Any], Any]:
@@ -471,76 +478,144 @@ def _column(values: list[Any]) -> tuple[list[Any], Any]:
     return table, _int_array(list(map(index.__getitem__, values)), "<i4")
 
 
-def _encode_pair_records(bundle: dict[str, Any]) -> _Encoded:
-    records = bundle["records"]
-    cases = [case for record in records for case in record["cases"]]
-    hazards = [record["hazard"] or {} for record in records]
-    columns = {
-        # Sources and sinks share one table, launch and capture hashes
-        # another.
-        "names": [r[f] for f in ("source", "sink") for r in records],
-        "hashes": [r[f] for f in ("launch", "capture") for r in records],
-        "classification": [r["classification"] for r in records],
-        "stage": [r["stage"] for r in records],
-        "outcome": [case["outcome"] for case in cases],
-        **{f: [hazard.get(f) for hazard in hazards] for f in _HAZARD_FIELDS},
-    }
-    tables: dict[str, list[Any]] = {}
-    arrays: dict[str, Any] = {}
-    for name, values in columns.items():
-        tables[name], arrays[name] = _column(values)
-    for field in _CASE_INTS:
-        arrays[field] = _int_array([case[field] for case in cases], "<i4")
-    arrays["case_offsets"] = _int_array(
-        [0, *accumulate(len(record["cases"]) for record in records)]
-    )
-    witnessed = [i for i, c in enumerate(cases) if c["witness"] is not None]
-    arrays["witnessed"] = _int_array(witnessed)
-    arrays["witness_offsets"], arrays["witness_flat"] = _csr_rows(
-        chain.from_iterable(cases[i]["witness"].items()) for i in witnessed
-    )
-    fields = {key: value for key, value in bundle.items() if key != "records"}
-    return {"fields": fields, "tables": tables}, arrays
+@dataclass(eq=False)
+class PairRecordBundle:
+    """One run's pair records as columns, in memory and on disk alike.
+
+    ``fields`` holds the run's scalar fields.  Each name of :data:`CODED`
+    is an int32 code column of ``arrays`` into the value table of the
+    same name in ``tables`` (distinct values in first-appearance
+    order): ``names`` (every row's source, then every row's sink),
+    ``hashes`` (launch cone hashes, then capture), ``classification``,
+    ``stage`` and the :data:`HAZARD_FIELDS` per row, ``outcome`` per
+    case.  The other arrays: the int32 case columns :data:`CASE_INTS`;
+    ``case_offsets``, row ``i``'s cases being ``case_offsets[i]`` up to
+    ``case_offsets[i + 1]``; ``witnessed``, the cases that carry a
+    witness, whose ``node, value`` pairs are the CSR rows
+    ``witness_offsets``/``witness_flat``.
+    """
+
+    fields: dict[str, Any]
+    tables: dict[str, list[Any]]
+    arrays: dict[str, Any]
+
+    @classmethod
+    def from_columns(
+        cls,
+        fields: dict[str, Any],
+        columns: dict[str, list[Any]],
+        case_counts: list[int],
+        witnesses: dict[int, dict[int, int]],
+    ) -> PairRecordBundle:
+        """Code ``columns`` (the values of every coded column, then of
+        every case int column) into a bundle; ``case_counts`` holds each
+        row's case count, ``witnesses`` each witnessed case's pattern by
+        case index, in case order."""
+        tables: dict[str, list[Any]] = {}
+        arrays: dict[str, Any] = {}
+        for name in CODED:
+            tables[name], arrays[name] = _column(columns[name])
+        for name in CASE_INTS:
+            arrays[name] = _int_array(columns[name], "<i4")
+        arrays["case_offsets"] = _int_array([0, *accumulate(case_counts)])
+        arrays["witnessed"] = _int_array(list(witnesses))
+        arrays["witness_offsets"], arrays["witness_flat"] = _csr_rows(
+            chain.from_iterable(pattern.items())
+            for pattern in witnesses.values()
+        )
+        return cls(fields, tables, arrays)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairRecordBundle):
+            return NotImplemented
+        return (
+            self.fields == other.fields
+            and self.tables == other.tables
+            and self.arrays.keys() == other.arrays.keys()
+            and all(
+                array.dtype == other.arrays[name].dtype
+                and np.array_equal(array, other.arrays[name])
+                for name, array in self.arrays.items()
+            )
+        )
+
+
+def _encode_pair_records(bundle: PairRecordBundle) -> _Encoded:
+    return {"fields": bundle.fields, "tables": bundle.tables}, bundle.arrays
 
 
 def _decode_pair_records(
     meta: dict[str, Any], arrays: dict[str, Any]
 ) -> object:
-    columns = {
-        name: list(map(table.__getitem__, arrays[name].tolist()))
-        for name, table in meta["tables"].items()
-    }
-    witnesses: list[dict[int, int] | None] = [None] * len(columns["outcome"])
-    for i, row in zip(
-        arrays["witnessed"].tolist(),
-        _rows_back(arrays["witness_offsets"], arrays["witness_flat"]),
+    bundle = PairRecordBundle(meta["fields"], meta["tables"], arrays)
+    _check_pair_records(bundle)
+    return bundle
+
+
+def _check_pair_records(bundle: PairRecordBundle) -> None:
+    """Raise :class:`FlatBufferError` unless the bundle has the layout's
+    columns and tables, every table holds values of its column's kind,
+    every code lies in its table and every offset array spans the column
+    it indexes: a damaged entry is a store miss, not a failure mid-run."""
+    from repro.core.result import (
+        CaseOutcome,
+        Classification,
+        HazardVerdictKind,
+        Stage,
+    )
+
+    arrays, tables = bundle.arrays, bundle.tables
+    if not (
+        isinstance(bundle.fields, dict)
+        and isinstance(tables, dict)
+        and list(tables) == list(CODED)
+        and list(arrays) == [*CODED, *CASE_INTS, "case_offsets",
+                             "witnessed", "witness_offsets", "witness_flat"]
+        and all(a.ndim == 1 and a.dtype.kind == "i" for a in arrays.values())
     ):
-        witnesses[i] = dict(zip(row[::2], row[1::2]))
-    cases = [
-        {"a": a, "b": b, "outcome": outcome, "decisions": decisions,
-         "backtracks": backtracks, "witness": witness}
-        for a, b, decisions, backtracks, outcome, witness in zip(
-            *(arrays[field].tolist() for field in _CASE_INTS),
-            columns["outcome"], witnesses,
+        raise FlatBufferError("pair-records bundle has a foreign layout")
+    rows, cases = len(arrays["classification"]), len(arrays["outcome"])
+    witnessed = arrays["witnessed"]
+    lengths = {
+        **dict.fromkeys(("names", "hashes"), 2 * rows),
+        **dict.fromkeys(("stage", *HAZARD_FIELDS), rows),
+        **dict.fromkeys(CASE_INTS, cases),
+        "case_offsets": rows + 1,
+        "witness_offsets": len(witnessed) + 1,
+    }
+    if any(len(arrays[name]) != length for name, length in lengths.items()):
+        raise FlatBufferError("pair-records columns differ in length")
+    known: dict[str, list[Any]] = {
+        "classification": [c.value for c in Classification],
+        "stage": [s.value for s in Stage],
+        "outcome": [o.value for o in CaseOutcome],
+        "verdict": [None, *(v.value for v in HazardVerdictKind)],
+        **dict.fromkeys(HAZARD_FIELDS[1:], [None, False, True]),
+    }
+    for name in CODED:
+        table, codes = tables[name], arrays[name]
+        if not isinstance(table, list) or not all(
+            type(value) is str if name in ("names", "hashes")
+            else (value is None or type(value) in (str, bool))
+            and value in known[name]
+            for value in table
+        ):
+            raise FlatBufferError(f"pair-records {name} table is corrupt")
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(table):
+            raise FlatBufferError(f"pair-records {name} code out of range")
+    offsets = arrays["witness_offsets"]
+    if (
+        np.any(np.diff(witnessed, prepend=-1, append=cases) <= 0)
+        or np.any(np.diff(offsets) % 2)
+        or any(
+            bounds[0] != 0 or bounds[-1] != total or np.any(np.diff(bounds) < 0)
+            for bounds, total in (
+                (arrays["case_offsets"], cases),
+                (offsets, len(arrays["witness_flat"])),
+            )
         )
-    ]
-    hazards = [
-        None if values[0] is None else dict(zip(_HAZARD_FIELDS, values))
-        for values in zip(*(columns[f] for f in _HAZARD_FIELDS))
-    ]
-    names, hashes = columns["names"], columns["hashes"]
-    count = len(hazards)
-    offsets = arrays["case_offsets"].tolist()
-    records = [
-        {"source": names[i], "sink": names[count + i],
-         "classification": columns["classification"][i],
-         "stage": columns["stage"][i],
-         "cases": cases[offsets[i]: offsets[i + 1]],
-         "launch": hashes[i], "capture": hashes[count + i],
-         "hazard": hazards[i]}
-        for i in range(count)
-    ]
-    return {**meta["fields"], "records": records}
+    ):
+        raise FlatBufferError("pair-records offsets out of range")
 
 
 # ----------------------------------------------------------------------

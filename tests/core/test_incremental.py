@@ -33,6 +33,7 @@ from repro.core.incremental import (
 from repro.core.result import HazardVerdictKind, Stage
 from repro.store import ArtifactStore
 from tests.analysis.oracle_sweep import parity_mux_circuit
+from tests.core.bundle_oracle import from_records, record_view
 from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
 
@@ -185,7 +186,7 @@ def test_re_decided_pairs_have_changed_cones(seed, kind):
     full_base = MultiCycleDetector(base, options).run()
     bundle = result_bundle(full_base, options)
     prior = {
-        (r["source"], r["sink"]): r for r in bundle["records"]
+        (r["source"], r["sink"]): r for r in record_view(bundle)["records"]
         if r["stage"] != Stage.SIMULATION.value
     }
     launch = launch_cone_hashes(edited)
@@ -287,7 +288,7 @@ def test_verdicts_of_older_hazard_rules_are_rechecked():
     circuit = parity_mux_circuit(273)
     options = DetectorOptions(hazard_check="exact")
     full = MultiCycleDetector(circuit, options).run()
-    stale = result_bundle(full, options)
+    stale = record_view(result_bundle(full, options))
     stale["hazard_fingerprint"] = _unversioned_hazard_fingerprint(options)
     assert stale["hazard_fingerprint"] != hazard_fingerprint(options)
     rewritten = 0
@@ -299,7 +300,7 @@ def test_verdicts_of_older_hazard_rules_are_rechecked():
             }
             rewritten += 1
     assert rewritten == 2
-    rerun = incremental_detect(_clone(circuit), options, stale)
+    rerun = incremental_detect(_clone(circuit), options, from_records(stale))
     assert rerun.metrics["incremental"]["re_decided"] == 0
     assert not any(v.decided_by == "inherited" for v in rerun.hazard_verdicts)
     assert _bound_fields(rerun) == _bound_fields(full)

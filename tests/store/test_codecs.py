@@ -142,6 +142,8 @@ def _bundle(circuit, **options):
 def _hand_built_bundle():
     """Fields no generated bundle of the suite carries: a witness whose
     keys are ints, and both delay-filter outcomes."""
+    from tests.core.bundle_oracle import from_records
+
     def record(source, delay_safe, witness):
         return {
             "source": source, "sink": "FF2",
@@ -157,7 +159,7 @@ def _hand_built_bundle():
                        "sensitize_flagged": True, "cosensitize_flagged": True},
         }
 
-    return {
+    return from_records({
         "circuit": "hand", "engine": "dalg", "frames": 2,
         "fingerprint": "f" * 64, "hazard_mode": "exact",
         "hazard_fingerprint": "h" * 64,
@@ -165,21 +167,29 @@ def _hand_built_bundle():
             record("FF1", True, {7: 1, 3: 0, 12: 1}),
             record("FF3", False, {}),
         ],
-    }
+    })
 
 
 def test_pair_records_roundtrip(fig1):
     from repro.bench_gen.suite import spec_by_name
     from repro.bench_gen.synth import generate
+    from tests.core.bundle_oracle import from_records, record_view
 
     exact = _bundle(generate(spec_by_name("syn330")), hazard_check="exact")
-    assert {r["hazard"] is None for r in exact["records"]} == {True, False}
-    empty = {**_bundle(fig1), "records": []}
+    assert {
+        r["hazard"] is None for r in record_view(exact)["records"]
+    } == {True, False}
+    empty = from_records({**record_view(_bundle(fig1)), "records": []})
     for bundle in (_bundle(fig1), exact, _hand_built_bundle(), empty):
         decoded = _roundtrip("pair-records", bundle)
         assert decoded == bundle
-        assert json.dumps(decoded) == json.dumps(bundle)  # key order too
-    records = _roundtrip("pair-records", _hand_built_bundle())["records"]
+        # key order too
+        assert json.dumps(record_view(decoded)) == json.dumps(
+            record_view(bundle)
+        )
+    records = record_view(
+        _roundtrip("pair-records", _hand_built_bundle())
+    )["records"]
     witness = records[0]["cases"][0]["witness"]
     assert witness == {7: 1, 3: 0, 12: 1}
     assert all(type(node) is int for node in witness)
@@ -188,7 +198,7 @@ def test_pair_records_roundtrip(fig1):
     assert [r["hazard"]["delay_safe"] for r in records] == [True, False]
 
     # One object per distinct name and cone hash.
-    records = _roundtrip("pair-records", exact)["records"]
+    records = record_view(_roundtrip("pair-records", exact))["records"]
     for fields in (("source", "sink"), ("launch", "capture")):
         values = [r[field] for r in records for field in fields]
         assert len({id(value) for value in values}) == len(set(values))

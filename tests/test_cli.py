@@ -383,6 +383,45 @@ def test_unreadable_netlist_is_one_error_line(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{binary}"],
+    ["analyze", "{binary_v}"],
+    ["hazard", "{binary}"],
+    ["sdc", "{binary}"],
+    ["kcycle", "{binary}"],
+    ["extended", "{binary}"],
+    ["analyze", "{fig1}", "--cache-dir", "{cache}",
+     "--incremental-from", "{binary}"],
+])
+def test_non_utf8_netlist_is_one_error_line(fig1_file, tmp_path, capsys, argv):
+    """A netlist that is not UTF-8 text exits 2 with one ``error:`` line
+    naming the file and the first bad byte, not a traceback."""
+    binary = tmp_path / "binary.bench"
+    binary.write_bytes(bytes(range(128, 256)) * 2)
+    binary_v = tmp_path / "binary.v"
+    binary_v.write_bytes(binary.read_bytes())
+    paths = {
+        "binary": str(binary), "binary_v": str(binary_v),
+        "fig1": fig1_file, "cache": str(tmp_path / "cache"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: binary.") and error.endswith(
+        ": cannot read (not UTF-8 text: byte 0x80 at offset 0)"
+    )
+    assert captured.out == ""
+
+
+def test_lint_reports_non_utf8_file_as_parse_error(tmp_path, capsys):
+    binary = tmp_path / "binary.bench"
+    binary.write_bytes(bytes(range(128, 256)) * 2)
+    assert main(["lint", str(binary)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("parse-error") == 1
+    assert "binary.bench: cannot read (not UTF-8 text" in out
+
+
 def test_lint_reports_unreadable_file_as_parse_error(tmp_path, capsys):
     missing = tmp_path / "nope.bench"
     assert main(["lint", str(missing), str(tmp_path)]) == 1

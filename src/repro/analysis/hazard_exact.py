@@ -147,9 +147,10 @@ class ExactHazardChecker:
 
     :meth:`check_pairs` first runs the X-reach pre-pass (module
     docstring) over every satisfiable case of its pairs.  Both
-    path-search bounds then come from one walk over each pair's cases on
-    one implication engine, each case premise closed at most once
-    (:meth:`~repro.core.hazard.HazardChecker.check_bounds`).  The safe
+    path-search bounds then come from one walk per launch run on one
+    implication engine: each source value's launch literals are closed
+    once per run and each case's capture literals at most once
+    (:meth:`~repro.core.hazard.HazardChecker.check_runs`).  The safe
     co-sensitization bound goes first: a pair it clears in every case is
     ``safe`` and runs no sensitization search.  From the first case it
     does not clear, the sensitization search looks for a proof in each
@@ -245,20 +246,24 @@ class ExactHazardChecker:
     def check_pairs(
         self, pair_results: Iterable[PairResult]
     ) -> list[PairHazardVerdict]:
-        """Classify pairs in order, after one X-reach pre-pass over all."""
+        """Classify pairs in order, after one X-reach pre-pass over all.
+
+        The bound walk runs per launch run; the pairs are then
+        classified in input order, so the solver sees them in that order.
+        """
         pair_results = list(pair_results)
         safe = self._xreach_safe(pair_results)
+        bounds = self._bounds.check_runs(pair_results, safe)
         return [
-            self._check(pair_result, xsafe)
-            for pair_result, xsafe in zip(pair_results, safe)
+            self._check(pair_result, pair_bounds)
+            for pair_result, pair_bounds in zip(pair_results, bounds)
         ]
 
     def _check(
-        self, pair_result: PairResult, xsafe: set[tuple[int, int]]
+        self, pair_result: PairResult, bounds: BoundsVerdict
     ) -> PairHazardVerdict:
         self.counters["checked"] += 1
         cases = HazardChecker._satisfiable_cases(pair_result)
-        bounds = self._bounds.check_bounds(pair_result, xsafe)
         verdict = self._classify(pair_result.pair, cases, bounds)
         verdict.sensitize_flagged = bounds.proven_case is not None
         verdict.cosensitize_flagged = not bounds.cleared

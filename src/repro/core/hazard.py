@@ -18,16 +18,16 @@ cannot glitch), which gives the paper's Table 3 ordering:
 
     pairs(before) >= pairs(after sensitize) >= pairs(after co-sensitize)
 
-:meth:`HazardChecker.check_bounds` gets both bounds in one walk that
-assumes each case premise once and runs co-sensitization first; the
-exact classification (:mod:`repro.analysis.hazard_exact`) records both
-on every verdict.
+:meth:`HazardChecker.check_runs` gets both bounds in one walk per
+launch run that closes each source value's launch literals once and
+runs co-sensitization first; the exact classification
+(:mod:`repro.analysis.hazard_exact`) records both on every verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Iterator, Sequence
 
 from repro.circuit.gates import COMBINATIONAL_TYPES
 from repro.circuit.netlist import Circuit
@@ -35,6 +35,7 @@ from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
 from repro.logic.values import BINARY
 from repro.atpg.implication import ImplicationEngine
 from repro.core.result import CaseOutcome, PairResult
+from repro.core.session import launch_runs
 from repro.core.sensitization import (
     PathSearchOutcome,
     PathSearchResult,
@@ -45,7 +46,7 @@ from repro.core.sensitization import (
 
 @dataclass(frozen=True)
 class BoundsVerdict:
-    """Both static bounds of one pair (:meth:`HazardChecker.check_bounds`)."""
+    """Both static bounds of one pair (:meth:`HazardChecker.check_runs`)."""
 
     #: the first case with a statically sensitizable path: a real glitch
     proven_case: tuple[int, int] | None
@@ -85,96 +86,104 @@ class HazardChecker:
             if circuit.types[n] in COMBINATIONAL_TYPES
         )
 
-    def check_bounds(
+    def check_runs(
         self,
-        pair_result: PairResult,
-        xsafe: Collection[tuple[int, int]],
-    ) -> BoundsVerdict:
-        """Both static bounds of one pair in one walk over its cases.
+        pair_results: Sequence[PairResult],
+        xsafe: Sequence[Collection[tuple[int, int]]],
+    ) -> list[BoundsVerdict]:
+        """Both static bounds of each pair, in input order.
 
-        Each satisfiable case's premise ``FF_i(t) = a``, ``FF_i(t+1) =
-        1-a``, ``FF_j(t+1) = FF_j(t+2) = b`` is assumed once; every path
-        search from the source's new value ``FF_i(t+1)`` to the sink's
-        data input ``FF_j(t+2)`` runs inside it.  Co-sensitization
-        searches run first, case by case, until one finds a path or hits
-        a budget; the pair is then not cleared, and from that case on
-        only sensitization searches run.  The walk stops at the first
-        case with a sensitizable path.  A pair cleared in every case runs
-        no sensitization search.
+        ``xsafe[k]`` holds pair ``k``'s X-reach safe cases, which cannot
+        glitch (:mod:`repro.analysis.hazard_exact`).  The pairs are
+        walked one launch run at a time (:func:`launch_runs`), and within
+        a run one round per source value ``a``, interleaved across the
+        run's pairs as in the decision session.  A round closes the
+        launch literals ``FF_i(t) = a``, ``FF_i(t+1) = 1-a`` once, at its
+        first case that needs a premise; each of its cases then closes
+        only its capture literals ``FF_j(t+1) = FF_j(t+2) = b`` and
+        backtracks to the launch state.  A contradicted launch leaves
+        the round's cases without a premise.
 
-        ``xsafe`` holds the pair's X-reach safe cases, which cannot
-        glitch (:mod:`repro.analysis.hazard_exact`).  Co-sensitization
-        still walks them, so ``cleared`` does not depend on them.  They
-        run no sensitization search, because a sensitizable path there
-        would be a real glitch, and past the first uncleared case they
-        are skipped whole, premise included.  The other cases from the
-        first uncleared one on are the verdict's ``open_cases``.
+        Per pair the walk is the one the paper's §5 check makes: every
+        path search from the source's new value ``FF_i(t+1)`` to the
+        sink's data input ``FF_j(t+2)`` runs inside its case premise.
+        Co-sensitization searches run first, case by case, until one
+        finds a path or hits a budget; the pair is then not cleared, and
+        from that case on only sensitization searches run.  The pair's
+        walk stops at its first case with a sensitizable path.  A pair
+        cleared in every case runs no sensitization search.
+        Co-sensitization still walks X-reach safe cases, so ``cleared``
+        does not depend on them.  They run no sensitization search,
+        because a sensitizable path there would be a real glitch, and
+        past the first uncleared case they are skipped whole, premise
+        included.  The other cases from the first uncleared one on are
+        the verdict's ``open_cases``.
+
+        Every pair's cases must be recorded ``a``-major, as every
+        decider records them, so that the rounds visit them in their
+        recorded order; a pair whose cases are not raises
+        ``ValueError``.
 
         Both verdicts equal those of two separate walks (sensitization
         over every case, then co-sensitization).  A sensitization witness
         vector meets one co-sensitization option at every gate of its
         path, so a case that co-sensitization clears within budget has no
         sensitizable path, and the first case with one is the same.  The
-        engine state after a premise does not depend on the searches run
-        before it, so each search returns what it would on an engine of
-        its own.  The engine is back at its entry state on return.
+        implication rules are monotone, so launch then capture closes to
+        the values and unjustified gates of the one-shot premise, and
+        contradicts exactly when it does; the engine state after a
+        premise does not depend on the searches run before it.  So each
+        search returns what it would on an engine of its own.  The
+        engine is back at its entry state on return.
         """
+        verdicts: list[BoundsVerdict] = []
+        for start, end in launch_runs([r.pair for r in pair_results]):
+            verdicts.extend(
+                self._walk_run(pair_results[start:end], xsafe[start:end])
+            )
+        return verdicts
+
+    def _walk_run(
+        self,
+        run: Sequence[PairResult],
+        xsafe: Sequence[Collection[tuple[int, int]]],
+    ) -> list[BoundsVerdict]:
+        """The bounds of one same-source run (:meth:`check_runs`)."""
         expansion = self.expansion
-        pair = pair_result.pair
-        source = expansion.ff_index(pair.source)
-        sink = expansion.ff_index(pair.sink)
+        engine = self.engine
+        source = expansion.ff_index(run[0].pair.source)
         ffi_t = expansion.ff_at[0][source]
         ffi_t1 = expansion.ff_at[1][source]
-        ffj_t1 = expansion.ff_at[1][sink]
-        ffj_t2 = expansion.ff_at[2][sink]
-        engine = self.engine
-        # The sink's cone is shared by every case's path search; it lives
-        # only for this call, so memory stays flat however many pairs run.
-        reach: set[int] | None = None
-        cases = self._satisfiable_cases(pair_result)
-        # Index of the first case co-sensitization does not clear.
-        first_open: int | None = None
-
-        def search(mode: SensitizationMode) -> PathSearchResult:
-            return find_sensitizable_path(
-                engine,
-                source=ffi_t1,
-                target=ffj_t2,
-                allowed=self._frame2_nodes,
-                mode=mode,
-                backtrack_limit=self.backtrack_limit,
-                max_attempts=self.max_attempts,
-                reach=reach,
-            )
-
-        proven_case: tuple[int, int] | None = None
-        path: list[int] | None = None
-        for index, case in enumerate(cases):
-            if first_open is not None and case in xsafe:
-                continue
-            a, b = case
+        walks = [_PairWalk(self, r, safe) for r, safe in zip(run, xsafe)]
+        for a in BINARY:
             mark = engine.checkpoint()
-            premise = [(ffi_t, a), (ffi_t1, 1 - a), (ffj_t1, b), (ffj_t2, b)]
-            path = None
-            if engine.assume_all(premise):
-                if reach is None:
-                    reach = expansion.comb.transitive_fanin([ffj_t2])
-                if first_open is None:
-                    cosens = search(SensitizationMode.STATIC_CO_SENSITIZATION)
-                    if cosens.outcome is not PathSearchOutcome.NONE:
-                        first_open = index
-                if first_open is not None and case not in xsafe:
-                    path = search(SensitizationMode.STATIC_SENSITIZATION).path
+            launched: bool | None = None
+            for walk in walks:
+                for index in walk.cases_of(a):
+                    if launched is None:
+                        launched = engine.assume_all([(ffi_t, a), (ffi_t1, 1 - a)])
+                    if launched:
+                        walk.capture(index, ffi_t1)
             engine.backtrack(mark)
-            if path is not None:
-                proven_case = case
-                break
-        if first_open is None:
-            return BoundsVerdict(None, cleared=True)
-        open_cases = tuple(
-            case for case in cases[first_open:] if case not in xsafe
+        return [walk.verdict() for walk in walks]
+
+    def _search(
+        self,
+        source: int,
+        target: int,
+        reach: set[int],
+        mode: SensitizationMode,
+    ) -> PathSearchResult:
+        return find_sensitizable_path(
+            self.engine,
+            source=source,
+            target=target,
+            allowed=self._frame2_nodes,
+            mode=mode,
+            backtrack_limit=self.backtrack_limit,
+            max_attempts=self.max_attempts,
+            reach=reach,
         )
-        return BoundsVerdict(proven_case, False, path, open_cases)
 
     @staticmethod
     def _satisfiable_cases(pair_result: PairResult) -> list[tuple[int, int]]:
@@ -192,3 +201,88 @@ class HazardChecker:
             if c.outcome in (CaseOutcome.IMPLIED_STABLE, CaseOutcome.PROVED_STABLE)
         ]
 
+
+class _PairWalk:
+    """One pair's place in a run walk (:meth:`HazardChecker.check_runs`)."""
+
+    def __init__(
+        self,
+        checker: HazardChecker,
+        pair_result: PairResult,
+        xsafe: Collection[tuple[int, int]],
+    ) -> None:
+        expansion = checker.expansion
+        sink = expansion.ff_index(pair_result.pair.sink)
+        self.checker = checker
+        self.cases = HazardChecker._satisfiable_cases(pair_result)
+        if any(
+            earlier[0] > later[0]
+            for earlier, later in zip(self.cases, self.cases[1:])
+        ):
+            raise ValueError(
+                f"the cases of {pair_result.pair} are not recorded a-major"
+            )
+        self.xsafe = xsafe
+        #: index of the next case to walk
+        self.next = 0
+        #: index of the first case co-sensitization does not clear
+        self.first_open: int | None = None
+        self.proven_case: tuple[int, int] | None = None
+        self.path: list[int] | None = None
+        self.ffj_t1 = expansion.ff_at[1][sink]
+        self.ffj_t2 = expansion.ff_at[2][sink]
+        #: the sink's cone, shared by every case's path search
+        self.reach: set[int] | None = None
+
+    def cases_of(self, a: int) -> Iterator[int]:
+        """Indices of the next cases with source value ``a`` to walk.
+
+        Past the first uncleared case, X-reach safe cases are skipped
+        whole; after a sensitizable path, nothing is left.
+        """
+        cases = self.cases
+        while self.next < len(cases) and cases[self.next][0] == a:
+            index = self.next
+            self.next += 1
+            if self.first_open is None or cases[index] not in self.xsafe:
+                yield index
+
+    def capture(self, index: int, source: int) -> None:
+        """Walk case ``index`` on top of its closed launch literals."""
+        checker = self.checker
+        engine = checker.engine
+        case = self.cases[index]
+        b = case[1]
+        target = self.ffj_t2
+        mark = engine.checkpoint()
+        path = None
+        if engine.assume_all([(self.ffj_t1, b), (target, b)]):
+            if self.reach is None:
+                self.reach = checker.expansion.comb.transitive_fanin([target])
+            if self.first_open is None:
+                cosens = checker._search(
+                    source, target, self.reach,
+                    SensitizationMode.STATIC_CO_SENSITIZATION,
+                )
+                if cosens.outcome is not PathSearchOutcome.NONE:
+                    self.first_open = index
+            if self.first_open is not None and case not in self.xsafe:
+                path = checker._search(
+                    source, target, self.reach,
+                    SensitizationMode.STATIC_SENSITIZATION,
+                ).path
+        engine.backtrack(mark)
+        if path is not None:
+            # A sensitizable path proves the glitch: the walk ends here.
+            self.proven_case = case
+            self.path = path
+            self.next = len(self.cases)
+
+    def verdict(self) -> BoundsVerdict:
+        if self.first_open is None:
+            return BoundsVerdict(None, cleared=True)
+        open_cases = tuple(
+            case for case in self.cases[self.first_open:]
+            if case not in self.xsafe
+        )
+        return BoundsVerdict(self.proven_case, False, self.path, open_cases)

@@ -30,6 +30,11 @@ records:
 4. **Hazard verdicts inherit with the decide records** when the prior
    run used the same hazard options and hazard rules; otherwise
    inherited multi-cycle pairs are re-checked alongside the fresh ones.
+5. **Witnesses inherit only under the same input layout.**  A violated
+   case's witness maps the expansion's input node ids to values.  An
+   edit that adds a node can shift those ids, so a row with a witness
+   is inherited only when the bundle's :func:`witness_layout` digest is
+   this run's; otherwise its pair is re-decided.
 
 The prior state travels as a *pair-record bundle*, the columns of a
 :class:`~repro.store.codecs.PairRecordBundle` that the detector
@@ -55,7 +60,11 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
+from repro.circuit.csr import csr_arrays
 from repro.circuit.netlist import Circuit
+from repro.circuit.timeframe import expand_cached
 from repro.circuit.structhash import (
     capture_cone_hashes,
     launch_cone_hashes,
@@ -161,6 +170,20 @@ def hazard_fingerprint(options: DetectorOptions) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
+def witness_layout(circuit: Circuit, frames: int = 2) -> str:
+    """Digest of the input ids that case witnesses are keyed by.
+
+    A witness maps the ``frames``-frame expansion's input node ids to
+    values; two runs' witnesses name the same inputs exactly when the
+    expansion's input names, in id order, are the same.
+    """
+    comb = expand_cached(circuit, frames).comb
+    names = comb.names
+    return hashlib.sha256(
+        "\x1f".join(names[node] for node in csr_arrays(comb).inputs).encode()
+    ).hexdigest()
+
+
 # ----------------------------------------------------------------------
 # Pair-record bundles.
 # ----------------------------------------------------------------------
@@ -213,6 +236,7 @@ def result_bundle(
         "fingerprint": options_fingerprint(options, circuit, frames),
         "hazard_mode": result.hazard_mode,
         "hazard_fingerprint": hazard_fingerprint(options),
+        "witness_layout": witness_layout(circuit, frames),
     }
     return PairRecordBundle.from_columns(
         fields,
@@ -272,9 +296,11 @@ class _PriorRows:
 
     :attr:`rows` maps ``(source, sink)`` node ids to the bundle row of
     every decide-stage record whose names and cone hashes match this
-    circuit.  Enum members are looked up once per table entry and the
-    columns read into lists once, so :meth:`result` and :meth:`hazard`
-    only index.
+    circuit, leaving out rows with a witness when the bundle's
+    :func:`witness_layout` is not this run's (a bundle without one
+    counts as another layout).  Enum members are looked up once per
+    table entry and the columns read into lists once, so :meth:`result`
+    and :meth:`hazard` only index.
     """
 
     def __init__(
@@ -292,13 +318,20 @@ class _PriorRows:
         capture = {ff: code.get(digest) for ff, digest
                    in capture_cone_hashes(circuit, frames).items()}
         decide = [stage in _DECIDE_STAGES for stage in tables["stage"]]
+        stale: set[int] = set()
+        if len(arrays["witnessed"]) and bundle.fields.get(
+            "witness_layout"
+        ) != witness_layout(circuit, frames):
+            stale = set((np.searchsorted(
+                arrays["case_offsets"], arrays["witnessed"], side="right"
+            ) - 1).tolist())
         names, hashes = arrays["names"].tolist(), arrays["hashes"].tolist()
         self.rows = {}
         for row, stage in enumerate(arrays["stage"].tolist()):
             source, sink = node[names[row]], node[names[count + row]]
             if decide[stage] and launch.get(source) == hashes[row] and (
                 capture.get(sink) == hashes[count + row]
-            ):
+            ) and row not in stale:
                 self.rows[(source, sink)] = row
 
         def column(name: str, kind: type | None = None) -> list:

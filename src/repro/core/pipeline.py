@@ -368,8 +368,9 @@ class HazardPass:
 
     Built once per run, before any decide work, so a bad delay sidecar
     fails fast.  The fold hands it each unit's fresh results
-    (:meth:`check`), an incremental run the verdicts its prior bundle
-    rows hold (:meth:`adopt`), and :meth:`finish` records the
+    (:meth:`check_unit`), an incremental run the verdicts its prior
+    bundle rows hold (:meth:`adopt`) and the inherited pairs it must
+    re-check (:meth:`check`), and :meth:`finish` records the
     ``hazard_exact`` block and emits the ``hazard_stage`` trace event.
     In mode ``"off"`` every call is a no-op.
 
@@ -396,6 +397,26 @@ class HazardPass:
         self.seconds = 0.0
         self.verdicts: list[PairHazardVerdict] = []
         self._checker: Any = None
+        #: units settled ahead of :attr:`_next_unit`, by unit index
+        self._held: dict[int, Sequence[PairResult]] = {}
+        self._next_unit = 0
+
+    def check_unit(self, index: int, results: Sequence[PairResult]) -> None:
+        """Check unit ``index``'s results once every earlier unit's are.
+
+        A pool settles units in completion order, but the solver is
+        incremental, so a SAT witness (and the ``delay_safe`` read off
+        it) depends on the pairs solved before it.  Units are checked in
+        submission order, which makes a pool run's verdicts the serial
+        run's.
+        """
+        if self.mode == "off":
+            return
+        held = self._held
+        held[index] = results
+        while self._next_unit in held:
+            self.check(held.pop(self._next_unit))
+            self._next_unit += 1
 
     def check(self, results: Sequence[PairResult]) -> None:
         """Check the multi-cycle pairs among ``results``."""

@@ -477,7 +477,9 @@ class Fold:
             entry[0] -= 1
             if not entry[0]:
                 closed.append(result.pair.source)
-        self.hazard.check([result for result, _ in unit.decided])
+        self.hazard.check_unit(
+            unit.index, [result for result, _ in unit.decided]
+        )
         for source in closed:
             _, pairs, dropped = self._open.pop(source)
             self._emit_group(source, pairs, dropped)

@@ -1,8 +1,8 @@
 """Sensitization-first exact hazard classifier: the bound-walk oracle.
 
 :class:`~repro.analysis.hazard_exact.ExactHazardChecker` gets both
-static bounds from one walk over each pair's cases on one implication
-engine, co-sensitization first.  This reference gets them from two
+static bounds from one walk over each launch run's cases on one
+implication engine, co-sensitization first.  This reference gets them from two
 per-mode walks (``tests/core/hazard_oracle.py``), each with its own
 engine: a full sensitization walk over every case, then a full
 co-sensitization walk.  The classification, the SAT stage and the
@@ -15,7 +15,7 @@ reports of every pair are kept in :attr:`SensitizeFirstChecker.reports`.
 
 from __future__ import annotations
 
-from typing import Any, Collection
+from typing import Any, Collection, Sequence
 
 from repro.analysis.hazard_exact import ExactHazardChecker
 from repro.circuit.netlist import Circuit
@@ -27,7 +27,7 @@ from tests.core.hazard_oracle import ModeWalk, PairHazardReport
 
 
 class _TwoWalkBounds:
-    """``check_bounds`` from a sensitization and a co-sensitization walk."""
+    """The bounds from a sensitization and a co-sensitization walk."""
 
     def __init__(self, checker: SensitizeFirstChecker, budgets: dict) -> None:
         self.checker = checker
@@ -43,6 +43,16 @@ class _TwoWalkBounds:
             expansion=checker.expansion,
             **budgets,
         )
+
+    def check_runs(
+        self,
+        pair_results: Sequence[PairResult],
+        xsafe: Sequence[Collection[tuple[int, int]]],
+    ) -> list[BoundsVerdict]:
+        return [
+            self.check_bounds(pair_result, safe)
+            for pair_result, safe in zip(pair_results, xsafe)
+        ]
 
     def check_bounds(
         self, pair_result: PairResult, xsafe: Collection[tuple[int, int]]

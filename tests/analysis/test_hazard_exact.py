@@ -34,6 +34,7 @@ reconvergence under unit delays can.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -51,6 +52,8 @@ from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.hazard import HazardChecker
 from repro.core.incremental import incremental_detect, result_bundle
 from repro.core.result import (
+    CaseOutcome,
+    CaseResult,
     Classification,
     HazardVerdictKind,
     PairResult,
@@ -66,6 +69,7 @@ from tests.analysis.oracle_sweep import (
     replays_to_x,
 )
 from tests.analysis.sensitize_first import SensitizeFirstChecker
+from tests.core.bounds_oracle import PairWalkChecker
 from tests.core.hazard_oracle import ModeWalk, check_hazards, flagged_names
 from tests.core.staged_oracle import staged_detect
 from tests.strategies import random_sequential_circuit, seeds
@@ -239,7 +243,9 @@ def test_bound_fields_equal_per_mode_flags_on_tiny_suite():
 def test_bound_walk_saves_searches_and_premises(monkeypatch):
     """Cleared pairs run no sensitization search; premises close once.
 
-    A pair X-reach settles closes no premise and runs no search past
+    Each case closes its capture literals at most once, on top of a
+    launch closed at most once per source value.  A pair X-reach
+    settles closes no premise and runs no search past
     co-sensitization's first uncleared case, and solves nothing."""
     import repro.core.hazard as hazard_module
     from repro.atpg.implication import ImplicationEngine
@@ -248,7 +254,7 @@ def test_bound_walk_saves_searches_and_premises(monkeypatch):
     circuit = fig1_circuit()
     pair_results = _detect(circuit).multi_cycle_pairs
     searches: dict[SensitizationMode, int] = {}
-    premises = 0
+    launches = captures = 0
     depth = 0
     search = hazard_module.find_sensitizable_path
     assume_all = ImplicationEngine.assume_all
@@ -264,9 +270,14 @@ def test_bound_walk_saves_searches_and_premises(monkeypatch):
             depth -= 1
 
     def counting_assume_all(engine, assignments):
-        nonlocal premises
+        nonlocal launches, captures
+        assignments = list(assignments)
         if depth == 0:
-            premises += 1
+            # Launch literals take a and 1-a, capture literals b and b.
+            if assignments[0][1] != assignments[1][1]:
+                launches += 1
+            else:
+                captures += 1
         return assume_all(engine, assignments)
 
     monkeypatch.setattr(hazard_module, "find_sensitizable_path", counting_search)
@@ -277,14 +288,15 @@ def test_bound_walk_saves_searches_and_premises(monkeypatch):
     settled = 0
     for pair_result in pair_results:
         searches.clear()
-        premises = 0
+        launches = captures = 0
         verdict = checker.check_pair(pair_result)
         cases = HazardChecker._satisfiable_cases(pair_result)
-        assert premises <= len(cases)
+        assert captures <= len(cases)
+        assert launches <= len({a for a, _ in cases})
         cosens = searches.get(SensitizationMode.STATIC_CO_SENSITIZATION, 0)
         if verdict.decided_by == "cosensitize":
             cleared += 1
-            assert premises == len(cases)
+            assert captures == len(cases)
             assert searches.get(SensitizationMode.STATIC_SENSITIZATION, 0) == 0
             assert cosens == len(cases)
         if verdict.decided_by == "xreach":
@@ -292,13 +304,113 @@ def test_bound_walk_saves_searches_and_premises(monkeypatch):
             # Every premise closed ran one co-sensitization search, up
             # to the first case it did not clear, and nothing after it.
             assert verdict.cosensitize_flagged
-            assert premises == cosens < len(cases)
+            assert captures == cosens < len(cases)
             assert searches.get(SensitizationMode.STATIC_SENSITIZATION, 0) == 0
     # FF3 -> FF2 glitches through no MUX2 select path co-sensitization
     # accepts, but X-reach settles every case it leaves open.
     assert (cleared, settled) == (1, 1)
     assert checker.counters["sat_solves"] == 0
     assert checker._solver is None
+
+
+# ----------------------------------------------------------------------
+# Run walk: one launch closure per source value and run == per pair.
+# ----------------------------------------------------------------------
+_RUN_BUILDS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: random_sequential_circuit(
+            seed, max_inputs=4, max_dffs=6, max_gates=24
+        ),
+        parity_mux_circuit,
+    ],
+    ids=["random", "parity-mux"],
+)
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@_BUDGETS
+@_RUN_BUILDS
+@given(seed=seeds)
+@settings(max_examples=10)
+def test_run_walk_matches_pair_walk(build, budgets, order, seed):
+    """The run walk gives every verdict field and counter of the
+    per-pair walk (``tests/core/bounds_oracle.py``).
+
+    Shuffled records split a source's pairs over several runs; the bare
+    records walk every premise, contradicted launches included; starved
+    budgets force UNKNOWN searches, and the delay sidecar sends proven
+    pairs to the solver, so SAT witnesses and ``delay_safe`` appear."""
+    circuit = build(seed)
+    records = _bound_inputs(circuit)
+    if order == "shuffled":
+        random.Random(seed).shuffle(records)
+    walk = ExactHazardChecker(circuit, **budgets)
+    reference = PairWalkChecker(circuit, **budgets)
+    got = [_verdict_fields(v) for v in walk.check_pairs(records)]
+    assert got == [_verdict_fields(v) for v in reference.check_pairs(records)]
+    assert walk.summary() == reference.summary()
+
+
+def _held_source_circuit() -> Circuit:
+    """HELD stays set once set, so its launch ``1 -> 0`` contradicts.
+
+    Co-sensitization clears HELD -> K0 and finds a sensitizable path of
+    HELD -> K1.
+    """
+    builder = CircuitBuilder("held")
+    held = builder.dff("HELD")
+    builder.drive(held, builder.or_(held, builder.input("set"), name="hold"))
+    enable = builder.input("en")
+    builder.dff("K0", d=builder.and_(held, enable, name="g0"))
+    builder.dff("K1", d=builder.xor(held, enable, name="g1"))
+    return builder.build()
+
+
+def test_run_walk_closes_a_contradicted_launch_once(monkeypatch):
+    from repro.atpg.implication import ImplicationEngine
+
+    circuit = _held_source_circuit()
+    held = circuit.id_of("HELD")
+    records = [_mc_pair_result(held, sink) for sink in circuit.dffs]
+    walk = ExactHazardChecker(circuit)
+    ffi_t = walk.expansion.ff_at[0][walk.expansion.ff_index(held)]
+    launches: list[tuple[int, bool]] = []
+    assume_all = ImplicationEngine.assume_all
+
+    def recording(engine, assignments):
+        assignments = list(assignments)
+        closed = assume_all(engine, assignments)
+        if len(assignments) == 2 and assignments[0][0] == ffi_t:
+            launches.append((assignments[0][1], closed))
+        return closed
+
+    monkeypatch.setattr(ImplicationEngine, "assume_all", recording)
+    verdicts = walk.check_pairs(records)
+    monkeypatch.undo()
+    # One run: each source value's launch closes once for every sink.
+    assert launches == [(0, True), (1, False)]
+    want = PairWalkChecker(circuit).check_pairs(records)
+    assert [_verdict_fields(v) for v in verdicts] == [
+        _verdict_fields(v) for v in want
+    ]
+    by_sink = {circuit.names[v.pair.sink]: v.decided_by for v in verdicts}
+    assert (by_sink["K0"], by_sink["K1"]) == ("cosensitize", "sensitize")
+
+
+def test_run_walk_rejects_cases_out_of_a_major_order():
+    circuit = _held_source_circuit()
+    record = PairResult(
+        FFPair(circuit.id_of("HELD"), circuit.id_of("K1")),
+        Classification.MULTI_CYCLE,
+        Stage.ATPG,
+        cases=[
+            CaseResult(1, 0, CaseOutcome.IMPLIED_STABLE),
+            CaseResult(0, 0, CaseOutcome.IMPLIED_STABLE),
+        ],
+    )
+    with pytest.raises(ValueError, match="a-major"):
+        ExactHazardChecker(circuit).check_pairs([record])
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +522,46 @@ def test_streaming_exact_matches_staged(seed):
     assert json.dumps(staged.pair_records(), sort_keys=True) == json.dumps(
         streamed.pair_records(), sort_keys=True
     )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # At seed 6 the newest-first order also flipped one delay_safe.
+        lambda: parity_mux_circuit(6),
+        lambda: parity_mux_circuit(18),
+        lambda: random_sequential_circuit(
+            72, max_inputs=4, max_dffs=6, max_gates=24
+        ),
+        lambda: random_sequential_circuit(
+            89, max_inputs=4, max_dffs=6, max_gates=24
+        ),
+    ],
+    ids=["parity6", "parity18", "random72", "random89"],
+)
+def test_pool_completion_order_keeps_verdicts(build, tmp_path):
+    """Units that settle out of order are hazard-checked in unit order.
+
+    The solver is incremental, so a SAT witness, and the ``delay_safe``
+    read off it, depends on the pairs solved before it.  With the units
+    folded newest first, these circuits gave other witnesses than a
+    serial run when each unit was checked as it arrived."""
+    from tests.core.pool_helpers import newest_first_pool
+
+    sidecar = tmp_path / "unit.json"
+    sidecar.write_text(json.dumps({"default": {"min": 1.0, "max": 1.0}}))
+    circuit = build()
+    options = {
+        "hazard_check": "exact",
+        "use_random_sim": False,
+        "hazard_delays": str(sidecar),
+    }
+    serial = _detect(circuit, **options)
+    with newest_first_pool(unit_pairs=1):
+        pooled = _detect(circuit, workers=2, **options)
+    assert any(v.witness is not None for v in serial.hazard_verdicts)
+    assert _verdict_fingerprint(pooled) == _verdict_fingerprint(serial)
+    assert pooled.metrics["hazard_exact"] == serial.metrics["hazard_exact"]
 
 
 @given(seeds)

@@ -31,6 +31,7 @@ from repro.core.incremental import (
     _DECIDE_STAGES,
     hazard_fingerprint,
     options_fingerprint,
+    witness_layout,
 )
 from repro.core.pipeline import AnalysisContext, DetectorOptions
 from repro.core.result import (
@@ -83,6 +84,7 @@ def record_bundle(
         "fingerprint": options_fingerprint(options, circuit, frames),
         "hazard_mode": result.hazard_mode,
         "hazard_fingerprint": hazard_fingerprint(options),
+        "witness_layout": witness_layout(circuit, frames),
         "records": records,
     }
 
@@ -213,6 +215,9 @@ class RecordIncrementalStage(IncrementalStage):
         self._hazard_inherits = bundle.get(
             "hazard_fingerprint"
         ) == hazard_fingerprint(ctx.options)
+        self._stale_witnesses = bundle.get("witness_layout") != (
+            witness_layout(ctx.circuit, self.frames)
+        )
         self._launch = launch_cone_hashes(ctx.circuit, self.frames)
         self._capture = capture_cone_hashes(ctx.circuit, self.frames)
         return self._drive(fold)
@@ -228,6 +233,9 @@ class RecordIncrementalStage(IncrementalStage):
                 or record["stage"] not in _DECIDE_STAGES
                 or record["launch"] != self._launch[pair.source]
                 or record["capture"] != self._capture[pair.sink]
+                or self._stale_witnesses and any(
+                    case["witness"] is not None for case in record["cases"]
+                )
             ):
                 fresh.append(pair)
                 continue

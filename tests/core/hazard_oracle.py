@@ -1,7 +1,7 @@
 """Per-mode hazard walk: the oracle for the two bounds of the exact pass.
 
-:meth:`repro.core.hazard.HazardChecker.check_bounds` gets both static
-bounds in one walk that runs co-sensitization first.  This reference
+:meth:`repro.core.hazard.HazardChecker.check_runs` gets both static
+bounds in one walk per launch run that runs co-sensitization first.  This reference
 runs one mode's path search over every satisfiable case of a pair, on
 an implication engine of its own and with its own case loop.  A
 search that hits its budget flags the pair conservatively

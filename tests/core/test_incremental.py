@@ -12,7 +12,7 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repro.circuit.gates import GateType
@@ -29,6 +29,7 @@ from repro.core.incremental import (
     options_fingerprint,
     result_bundle,
     save_result_bundle,
+    witness_layout,
 )
 from repro.core.result import HazardVerdictKind, Stage
 from repro.store import ArtifactStore
@@ -157,6 +158,61 @@ def test_incremental_matches_streaming_run_after_eco(seed, kind):
     incremental = incremental_detect(edited, options, bundle)
     staged = staged_detect(_clone(edited), options)
     assert _records(incremental) == _records(staged)
+
+
+@example(0, 2)
+@given(seeds, st.integers(0, 2))
+def test_incremental_matches_full_run_without_random_sim(seed, kind):
+    """Without the random filter most pairs reach the decide stage, and
+    single-cycle ones carry a witness keyed by expansion input ids.  A
+    DFF insertion shifts those ids (seed 0), so its witnessed rows must
+    be re-decided, not inherited with inputs of the old layout."""
+    base = random_sequential_circuit(seed)
+    edited = eco_edit(base, seed, kind)
+    assume(edited is not None)
+    options = DetectorOptions(use_random_sim=False)
+    bundle = result_bundle(MultiCycleDetector(base, options).run(), options)
+    incremental = incremental_detect(edited, options, bundle)
+    full = MultiCycleDetector(_clone(edited), options).run()
+    assert _records(incremental) == _records(full)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 16])
+def test_gate_flip_inherits_witnessed_rows(seed):
+    """A gate flip keeps every expansion id, so the witness layout
+    matches and rows with witnesses are inherited like any other."""
+    base = random_sequential_circuit(seed)
+    edited = eco_edit(base, seed, 0)
+    options = DetectorOptions(use_random_sim=False)
+    bundle = result_bundle(MultiCycleDetector(base, options).run(), options)
+    assert len(bundle.arrays["witnessed"])
+    assert bundle.fields["witness_layout"] == witness_layout(edited)
+    incremental = incremental_detect(edited, options, bundle)
+    assert incremental.metrics["incremental"]["re_decided"] == 0
+    assert any(
+        case.witness is not None
+        for result in incremental.pair_results for case in result.cases
+    )
+    full = MultiCycleDetector(_clone(edited), options).run()
+    assert _records(incremental) == _records(full)
+
+
+def test_bundle_without_witness_layout_re_decides_witnessed_rows():
+    """A bundle that records no layout cannot vouch for its witnesses."""
+    base = random_sequential_circuit(11)
+    options = DetectorOptions(use_random_sim=False)
+    prior = MultiCycleDetector(base, options).run()
+    bundle = result_bundle(prior, options)
+    witnessed = sum(
+        any(case.witness is not None for case in result.cases)
+        for result in prior.pair_results
+    )
+    assert witnessed
+    del bundle.fields["witness_layout"]
+    rerun = incremental_detect(_clone(base), options, bundle)
+    assert rerun.metrics["incremental"]["re_decided"] == witnessed
+    full = MultiCycleDetector(_clone(base), options).run()
+    assert _records(rerun) == _records(full)
 
 
 @given(seeds)

@@ -763,9 +763,9 @@ def test_backplane_report():
     """Shared-memory backplane probe: spawn cost, worker RSS, identity.
 
     Three detections of one generated circuit: serial reference, then
-    ``workers=N`` with the backplane published (``on``) and suppressed
+    ``workers=N`` with the backplane published (``auto``) and suppressed
     (``off``).  All three must produce byte-identical ``pair_records``.
-    The ``on`` run's summary must show every worker attached without a
+    The ``auto`` run's summary must show every worker attached without a
     single artifact-store miss — attach *replaces* rebuild — and its
     ``spawn_seconds_max`` / per-worker ``ru_maxrss`` land in the
     ``backplane`` section of ``BENCH_pipeline.json``, where the CI gate
@@ -775,7 +775,7 @@ def test_backplane_report():
     serial, _ = _run(circuit, workers=1)  # also warms the derived caches
     on_result, on_seconds = _run(
         circuit, workers=_WORKERS,
-        options=DetectorOptions(workers=_WORKERS, backplane="on"),
+        options=DetectorOptions(workers=_WORKERS, backplane="auto"),
     )
     off_result, off_seconds = _run(
         circuit, workers=_WORKERS,
@@ -783,13 +783,13 @@ def test_backplane_report():
     )
     records = serial.pair_records()
     assert records == on_result.pair_records(), (
-        "backplane=on changed a pair record"
+        "backplane=auto changed a pair record"
     )
     assert records == off_result.pair_records(), (
         "backplane=off changed a pair record"
     )
     summary = on_result.metrics.get("backplane")
-    assert summary is not None, "workers>1 backplane=on published nothing"
+    assert summary is not None, "workers>1 backplane=auto published nothing"
     assert "backplane" not in off_result.metrics, (
         "backplane=off still published"
     )

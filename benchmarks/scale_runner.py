@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("circuit", help="suite or scale-ladder spec name")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--backplane", default="auto",
-                        choices=("auto", "on", "off"),
+                        choices=("auto", "off"),
                         help="shared-memory artifact backplane for the "
                              "worker pool (workers > 1 only)")
     parser.add_argument("--hazard-check", default="off",

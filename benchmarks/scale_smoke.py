@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         # backplane buys.
         command = [
             sys.executable, str(_RUNNER), args.circuit,
-            "--workers", str(args.workers), "--backplane", "on",
+            "--workers", str(args.workers), "--backplane", "auto",
             "--rss-limit-mb", str(args.rss_limit_mb),
         ]
         print("running:", " ".join(command))

@@ -219,19 +219,20 @@ class ExactHazardChecker:
         """The checker a run under ``options`` uses.
 
         The one mapping from a run's hazard options to the path-search
-        budget, the SAT conflict limit and the delay sidecar, shared by
-        the pipeline's hazard pass and the report.  ``delays`` passes a
-        sidecar the caller already loaded; by default it is read from
+        budget (the constant ``HAZARD_BACKTRACK_LIMIT``), the SAT
+        conflict limit and the delay sidecar, shared by the pipeline's
+        hazard pass and the report.  ``delays`` passes a sidecar the
+        caller already loaded; by default it is read from
         ``options.hazard_delays``.
         """
-        if delays is None:
-            from repro.core.pipeline import load_gate_delays
+        from repro.core.pipeline import HAZARD_BACKTRACK_LIMIT, load_gate_delays
 
+        if delays is None:
             delays = load_gate_delays(options, circuit)
         return cls(
             circuit,
             expansion,
-            backtrack_limit=options.hazard_backtrack_limit,
+            backtrack_limit=HAZARD_BACKTRACK_LIMIT,
             conflict_limit=options.hazard_conflict_limit,
             delays=delays,
         )

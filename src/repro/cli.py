@@ -52,6 +52,19 @@ def load(path: str):
     return load_bench(path)
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type``: an int of at least ``minimum``, else exit 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's message: "invalid int value: 'x'"
+    return parse
+
+
 def _run_options(args: argparse.Namespace) -> dict:
     """The options of :func:`_add_run_args`, by ``DetectorOptions`` field."""
     return dict(
@@ -106,7 +119,8 @@ def _tracer_for(args: argparse.Namespace):
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     """The flags of every detecting subcommand; kcycle takes only these."""
-    parser.add_argument("--backtrack-limit", type=int, default=50,
+    parser.add_argument("--backtrack-limit", type=_int_at_least(0),
+                        default=50,
                         help="ATPG backtrack limit (paper default: 50)")
     parser.add_argument("--lint", default="off", choices=LINT_MODES,
                         help="structural lint gate before the run: off = "
@@ -118,20 +132,20 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         help="skip (FF, FF) self pairs, as [9] did")
     parser.add_argument("--seed", type=int, default=2002,
                         help="random-simulation seed (default: 2002)")
-    parser.add_argument("--sim-words", type=int, default=4,
+    parser.add_argument("--sim-words", type=_int_at_least(1), default=4,
                         help="64-bit words per simulation round (default: 4)")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_int_at_least(1), default=1,
                         help="worker processes for the decision stage "
                              "(default: 1 = serial)")
     parser.add_argument("--backplane", default="auto",
                         choices=BACKPLANE_MODES,
                         help="zero-copy shared-memory backplane for the "
-                             "worker pool: the parent publishes the "
+                             "worker pool: auto = the parent publishes the "
                              "expansion and derived numpy artifacts once "
-                             "and workers attach instead of rebuilding; "
-                             "verdicts and pair records are identical in "
-                             "every mode (default: auto = publish "
-                             "whenever workers spawn)")
+                             "whenever workers spawn, and workers attach "
+                             "instead of rebuilding; off = workers get "
+                             "pickled copies; verdicts and pair records "
+                             "are identical in both modes (default: auto)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write per-stage/per-pair JSONL trace events "
                              "to FILE")
@@ -636,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--engine", default="dalg",
                            choices=available_engines(),
                            help="decision engine for the 'ours' column")
-            p.add_argument("--workers", type=int, default=1,
+            p.add_argument("--workers", type=_int_at_least(1), default=1,
                            help="worker processes for the decision stage")
         p.set_defaults(func=cmd_table, table=name)
 
@@ -670,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kcycle", help="k-cycle pair detection (k = 2..max)")
     p.add_argument("file", help=".bench netlist")
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-k", type=_int_at_least(2), default=4,
+                   help="largest k to check (default: 4)")
     p.add_argument("--list-pairs", action="store_true")
     _add_run_args(p)
     p.set_defaults(func=cmd_kcycle)

@@ -112,12 +112,15 @@ class ImplicationAtpgDecider:
     backtrack search, ``scoap`` is ``dalg`` with SCOAP-guided ordering.
     The session shares one array-backed implication engine across every
     pair and caches launch prefixes within same-source groups.
+    ``frames`` is the session's ``k``: the sink must hold through
+    ``t+frames`` (2, the MC condition, for every registered name).
     """
 
-    frames = 2
-
-    def __init__(self, name: str = "dalg") -> None:
+    def __init__(self, name: str = "dalg", frames: int = 2) -> None:
+        #: the name trace events report; :attr:`search` picks the search.
         self.name = name
+        self.search = name
+        self.frames = frames
         self.learned_implications = 0
         self._shared_learned = None
         #: stats block of the compiled implication DB, when one is used.
@@ -168,9 +171,10 @@ class ImplicationAtpgDecider:
                 self.db_info = stats_fn()
         self._session = DecisionSession(
             expansion,
+            k=self.frames,
             backtrack_limit=options.backtrack_limit,
             learned=learned,
-            search_engine=self.name,
+            search_engine=self.search,
             clock=ctx.clock,
         )
 

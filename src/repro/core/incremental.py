@@ -71,6 +71,7 @@ from repro.circuit.structhash import (
 )
 from repro.circuit.topology import FFPair
 from repro.core.pipeline import (
+    HAZARD_BACKTRACK_LIMIT,
     AnalysisContext,
     DetectorOptions,
     InheritedHazard,
@@ -150,12 +151,14 @@ def hazard_fingerprint(options: DetectorOptions) -> str:
     per-pair hazard verdicts.  For ``exact`` mode the SAT conflict
     budget and the delay sidecar's *content* are mixed in; a missing
     sidecar file hashes as absent (the run's hazard pass rejects it
-    before any decide work).  :data:`HAZARD_RULES` is mixed in too.
+    before any decide work).  :data:`HAZARD_RULES` is mixed in too, and
+    so is the path-search budget, a constant now: bundles published
+    while it was an option keep matching.
     """
     parts = [
         f"rules={HAZARD_RULES}",
         f"mode={options.hazard_check}",
-        f"backtrack={options.hazard_backtrack_limit}",
+        f"backtrack={HAZARD_BACKTRACK_LIMIT}",
     ]
     if options.hazard_check == "exact":
         parts.append(f"conflict={options.hazard_conflict_limit}")

@@ -43,7 +43,10 @@ from repro.core.trace import ProgressFn, Tracer
 HAZARD_MODES = ("off", "exact")
 
 #: the ``DetectorOptions.backplane`` modes.
-BACKPLANE_MODES = ("auto", "on", "off")
+BACKPLANE_MODES = ("auto", "off")
+
+#: backtrack limit of the hazard stage's witness/path searches.
+HAZARD_BACKTRACK_LIMIT = 200
 
 #: a hazard verdict a prior bundle row carries: the verdict, the delay
 #: filter's outcome and the two static bounds (sensitize, co-sensitize).
@@ -56,8 +59,9 @@ class DetectorOptions:
 
     Frozen: derive a variant with :func:`dataclasses.replace`.  The
     enumerated fields (``search_engine``, ``hazard_check``, ``lint``,
-    ``backplane``) are checked at construction, so a bad value raises
-    :class:`ValueError` before any run starts.
+    ``backplane``) and the counts (``sim_words``, ``workers``,
+    ``backtrack_limit``) are checked at construction, so a bad value
+    raises :class:`ValueError` before any run starts.
     """
 
     #: 64-bit words per random-simulation round (64*words patterns).
@@ -93,11 +97,11 @@ class DetectorOptions:
     #: see ``PARALLEL_THRESHOLD`` in :mod:`repro.core.streaming`).
     workers: int = 1
     #: zero-copy shared-memory backplane for parallel decision workers:
-    #: "auto"/"on" publish the expansion, CSR views, SimPlan, packed plan
+    #: "auto" publishes the expansion, CSR views, SimPlan, packed plan
     #: and implication DB once into ``multiprocessing.shared_memory`` so
     #: workers attach instead of rebuilding; "off" ships pickled
     #: arguments as before.  Verdicts and pair records are byte-identical
-    #: in every mode; publishing is best-effort (a failure falls back to
+    #: in both modes; publishing is best-effort (a failure falls back to
     #: the pickled path).
     backplane: str = "auto"
     #: hazard validation of detected multi-cycle pairs (Section 5):
@@ -107,8 +111,6 @@ class DetectorOptions:
     #: identical either way — the stage only annotates the result with
     #: one verdict per multi-cycle pair.
     hazard_check: str = "off"
-    #: backtrack limit for the hazard stage's witness/path searches.
-    hazard_backtrack_limit: int = 200
     #: conflict limit per SAT solve of the exact hazard decision; hitting
     #: it demotes the pair to the conservative "glitch-possible".
     hazard_conflict_limit: int = 100_000
@@ -146,6 +148,12 @@ class DetectorOptions:
                     f"unknown {name} {value!r}; expected one of "
                     + ", ".join(allowed)
                 )
+        for name, minimum in (
+            ("sim_words", 1), ("workers", 1), ("backtrack_limit", 0)
+        ):
+            value = getattr(self, name)
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass
@@ -230,7 +238,7 @@ class AnalysisContext:
                 backplane, worker_expansion, worker_shared = publish()
             self._pool = WorkStealingPool(
                 self.circuit, self.options, decider, worker_expansion,
-                max(1, self.options.workers), shared=worker_shared,
+                self.options.workers, shared=worker_shared,
                 backplane=backplane,
             )
         return self._pool

@@ -32,6 +32,13 @@ contradicted or implied-stable skips the scalar engine entirely.  Cases
 needing a backtrack search fall back to the scalar walk, so the records
 are the ones the scalar walk alone would produce.
 
+The k-cycle condition of the paper's §4.1 extension ("increasing the
+number of time frames in Step 3") is the same walk over more frames: a
+session built with ``k`` checks that the sink holds ``b`` through
+``FF_j(t+k)``, one target frame at a time, and ``k = 2`` is the MC
+condition.  Every k-cycle entry point (:mod:`repro.core.kcycle`)
+decides through a session.
+
 The session runs on the O(1)-checkpoint array engine of
 :mod:`repro.atpg.implication` and is what the ``dalg``/``podem``/
 ``scoap`` deciders build in ``prepare()``; the parallel decision stage
@@ -97,28 +104,36 @@ class DecisionSession:
     pair in input order.  Each group first runs through the packed
     pre-pass (:meth:`_packed_resolve`: 64 cases per uint64 word share
     one implication fixpoint), then the scalar launch-run walk settles
-    the cases the pre-pass left open.
+    the cases the pre-pass left open.  A pair is multi-cycle when the
+    sink stays stable through ``t+k``; ``k = 2`` (the default) is the
+    MC condition, and the expansion needs at least ``k`` frames.
     """
 
     def __init__(
         self,
         expansion: TimeFrameExpansion,
         *,
+        k: int = 2,
         backtrack_limit: int = 50,
         learned: LearnedTable | None = None,
         search_engine: str = "dalg",
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if expansion.frames < 2:
-            raise ValueError("pair decisions need at least a 2-frame expansion")
+        if k < 2:
+            raise ValueError("k must be >= 2")
+        if expansion.frames < k:
+            raise ValueError(
+                f"deciding through t+{k} needs at least a {k}-frame expansion"
+            )
         if search_engine not in SEARCH_ENGINES:
             raise ValueError(f"unknown search engine {search_engine!r}")
         self.expansion = expansion
+        self.k = k
         self.backtrack_limit = backtrack_limit
         self._learned = learned
         self._packed_engine = None
-        # ff_at rows t, t+1, t+2 as one (3, FFs) gather table
-        self._ff_rows = np.asarray(expansion.ff_at[:3], dtype=np.intp)
+        # ff_at rows t .. t+k as one (k+1, FFs) gather table
+        self._ff_rows = np.asarray(expansion.ff_at[:k + 1], dtype=np.intp)
         self.clock = clock
         if search_engine == "podem":
             from repro.atpg.podem import podem_justify
@@ -204,13 +219,14 @@ class DecisionSession:
         Every pair contributes its four ``(a, b)`` cases as lanes of a
         :class:`~repro.atpg.packed_implication.PackedImplicationEngine`
         closure (chunked at the engine's lane capacity).  A lane whose
-        premise conflicts is a ``CONTRADICTION``; a lane whose closure
-        forces the target ``FF_j(t+2)`` to ``b`` — or leaves it X but
-        contradicts on the stability probe ``FF_j(t+2) = 1-b`` — is
-        ``IMPLIED_STABLE``.  Exactly those outcomes carry no search
-        effort in the scalar path, so the returned records are
-        byte-identical to what the fallback would have produced; every
-        other lane (a search is required) is left to the scalar engine.
+        premise conflicts is a ``CONTRADICTION``.  A lane whose closure
+        forces every target before the last, ``FF_j(t+2) .. FF_j(t+k-1)``,
+        to ``b`` and forces the last, ``FF_j(t+k)``, to ``b`` too — or
+        leaves it X but contradicts on the stability probe
+        ``FF_j(t+k) = 1-b`` — is ``IMPLIED_STABLE``.  Those outcomes
+        carry no search effort in the scalar path, so the returned
+        records are byte-identical to what the fallback would have
+        produced; every other lane is left to the scalar engine.
         """
         from repro.atpg.packed_implication import (
             MAX_LANES,
@@ -246,24 +262,32 @@ class DecisionSession:
                 axis=1,
             )
             values = np.stack((a, 1 - a, b), axis=1)
-            targets = ff_rows[2, sink]
+            # One row per target frame FF_j(t+2) .. FF_j(t+k).
+            targets = ff_rows[2:, sink]
             engine.close_matrix(nodes, values)
             conflicted = engine.conflict_lanes(lane_ids)
-            known, value = engine.read_nodes(targets, lane_ids)
-            open_lanes = np.flatnonzero(~conflicted & (known == 0))
+            known, value = engine.read_nodes(
+                targets.ravel(), np.tile(lane_ids, len(targets))
+            )
+            known = known.reshape(targets.shape)
+            held = (known == 1) & (value.reshape(targets.shape) == b)
+            # Lanes whose every target before the last is forced to b.
+            earlier = ~conflicted & held[:-1].all(axis=0)
+            open_lanes = np.flatnonzero(earlier & (known[-1] == 0))
             probe_stable = np.zeros(lanes, dtype=bool)
             if len(open_lanes):
                 engine.extend(
                     zip(
                         open_lanes.tolist(),
-                        targets[open_lanes].tolist(),
+                        targets[-1, open_lanes].tolist(),
                         (1 - b[open_lanes]).tolist(),
                     )
                 )
                 probe_stable[open_lanes] = engine.conflict_lanes(open_lanes)
-            # Settled: a contradicted premise, a target forced to b, or a
-            # contradicted probe FF_j(t+2) = 1-b.  The rest need a search.
-            settled = conflicted | ((known == 1) & (value == b)) | probe_stable
+            # Settled: a contradicted premise, or earlier targets forced
+            # to b and the last forced to b or its probe FF_j(t+k) = 1-b
+            # contradicted.  The rest need the scalar walk.
+            settled = conflicted | (earlier & (held[-1] | probe_stable))
             contradicted = conflicted.tolist()
             for lane in np.flatnonzero(settled).tolist():
                 a_lane, b_lane = (lane >> 1) & 1, lane & 1
@@ -307,6 +331,8 @@ class DecisionSession:
         source_index = expansion.ff_index(pairs[start].source)
         ffi_t = expansion.ff_at[0][source_index]
         ffi_t1 = expansion.ff_at[1][source_index]
+        capture_row = expansion.ff_at[1]
+        target_rows = expansion.ff_at[2:self.k + 1]
 
         count = end - start
         cases: list[list[CaseResult]] = [[] for _ in range(count)]
@@ -326,7 +352,8 @@ class DecisionSession:
                 started = clock()
                 posted_before = engine.implications
                 prefix_counted = False
-                ffj_t1 = ffj_t2 = -1
+                capture = -1
+                targets: list[int] = []
                 for b in BINARY:
                     case = resolved.get((start + i, a, b))
                     if case is None:
@@ -350,12 +377,14 @@ class DecisionSession:
                             # the capture case is contradicted outright.
                             case = CaseResult(a, b, CaseOutcome.CONTRADICTION)
                         else:
-                            if ffj_t1 < 0:
+                            if capture < 0:
                                 pair = pairs[start + i]
                                 sink_index = expansion.ff_index(pair.sink)
-                                ffj_t1 = expansion.ff_at[1][sink_index]
-                                ffj_t2 = expansion.ff_at[2][sink_index]
-                            case = self._capture_case(ffj_t1, ffj_t2, a, b)
+                                capture = capture_row[sink_index]
+                                targets = [
+                                    row[sink_index] for row in target_rows
+                                ]
+                            case = self._capture_case(capture, targets, a, b)
                     cases[i].append(case)
                     if case.decisions:
                         used_search[i] = True
@@ -396,30 +425,36 @@ class DecisionSession:
     # Case analysis.
     # ------------------------------------------------------------------
     def _capture_case(
-        self, ffj_t1: int, ffj_t2: int, a: int, b: int
+        self, capture: int, targets: list[int], a: int, b: int
     ) -> CaseResult:
         """One case on top of an already-propagated launch prefix."""
         engine = self.engine
         mark = engine.checkpoint()
         try:
-            if not engine.assume(ffj_t1, b):
+            if not engine.assume(capture, b):
                 return CaseResult(a, b, CaseOutcome.CONTRADICTION)
             self._note_high_water()
-            return self._case_tail(ffj_t2, a, b)
+            return self._case_tail(targets, a, b)
         finally:
             engine.backtrack(mark)
 
-    def _case_tail(self, ffj_t2: int, a: int, b: int) -> CaseResult:
+    def _case_tail(self, targets: list[int], a: int, b: int) -> CaseResult:
         """Post-premise logic: implied value checks + searches.
 
         With the premise ``FF_i(t)=a, FF_i(t+1)=¬a, FF_j(t+1)=b``
-        propagated, the case closes when ``FF_j(t+2)=b`` is implied (the
-        MC condition holds); otherwise a search for an input pattern
-        with ``FF_j(t+2)=¬b`` either finds one (the pair is
-        single-cycle) or proves none exists.
+        propagated, the case walks the targets ``FF_j(t+m)``, ``m =
+        2..k``.  A target implied to ``b`` holds.  Otherwise a search for
+        an input pattern with ``FF_j(t+m)=¬b`` either finds one (the
+        sink can change: VIOLATED) or proves none exists, and the walk
+        goes on with ``FF_j(t+m)=b`` assumed in place of the refuted
+        probe.  The last target takes no sub-checkpoint, since nothing
+        is assumed after it, so at ``k = 2`` this is the MC condition's
+        single check.  Decisions and backtracks add up across frames;
+        the case is PROVED_STABLE when a search ran, IMPLIED_STABLE
+        when none did.
 
         One refinement over the paper's Step 4.1.3: when implication
-        derives ``FF_j(t+2)=¬b`` the paper immediately declares the
+        derives ``FF_j(t+m)=¬b`` the paper immediately declares the
         pair single-cycle.  That conclusion needs the assumed values to
         be justifiable, so the justification search confirms it (it
         starts from the implied state and is near-instant); an
@@ -427,41 +462,45 @@ class DecisionSession:
         See DESIGN.md "Algorithmic notes".
         """
         engine = self.engine
-        implied = engine.value(ffj_t2)
-        if implied == b:
-            return CaseResult(a, b, CaseOutcome.IMPLIED_STABLE)
-
-        if implied == 1 - b:
-            result = self._search(engine, self.backtrack_limit)
-            if result.status is SearchStatus.SAT:
+        decisions = backtracks = 0
+        searched = False
+        last = len(targets) - 1
+        for index, target in enumerate(targets):
+            implied = engine.value(target)
+            if implied == b:
+                continue
+            flipped = implied == 1 - b
+            # A refuted probe is undone only where a later target follows.
+            mark = engine.checkpoint() if not flipped and index < last else None
+            if flipped or engine.assume(target, 1 - b):
+                result = self._search(engine, self.backtrack_limit)
+                searched = True
+                decisions += result.decisions
+                backtracks += result.backtracks
+                if result.status is SearchStatus.SAT:
+                    return CaseResult(
+                        a, b, CaseOutcome.VIOLATED,
+                        decisions, backtracks, result.witness,
+                    )
+                if result.status is SearchStatus.ABORTED:
+                    return CaseResult(
+                        a, b, CaseOutcome.ABORTED, decisions, backtracks
+                    )
+                if flipped:
+                    return CaseResult(
+                        a, b, CaseOutcome.CONTRADICTION, decisions, backtracks
+                    )
+            if mark is None:
+                break
+            engine.backtrack(mark)
+            if not engine.assume(target, b):
                 return CaseResult(
-                    a, b, CaseOutcome.VIOLATED,
-                    result.decisions, result.backtracks, result.witness,
+                    a, b, CaseOutcome.CONTRADICTION, decisions, backtracks
                 )
-            if result.status is SearchStatus.ABORTED:
-                return CaseResult(
-                    a, b, CaseOutcome.ABORTED, result.decisions, result.backtracks
-                )
-            return CaseResult(
-                a, b, CaseOutcome.CONTRADICTION,
-                result.decisions, result.backtracks,
-            )
-
-        if not engine.assume(ffj_t2, 1 - b):
-            return CaseResult(a, b, CaseOutcome.IMPLIED_STABLE)
-        result = self._search(engine, self.backtrack_limit)
-        if result.status is SearchStatus.SAT:
-            return CaseResult(
-                a, b, CaseOutcome.VIOLATED,
-                result.decisions, result.backtracks, result.witness,
-            )
-        if result.status is SearchStatus.ABORTED:
-            return CaseResult(
-                a, b, CaseOutcome.ABORTED, result.decisions, result.backtracks
-            )
-        return CaseResult(
-            a, b, CaseOutcome.PROVED_STABLE, result.decisions, result.backtracks
+        outcome = (
+            CaseOutcome.PROVED_STABLE if searched else CaseOutcome.IMPLIED_STABLE
         )
+        return CaseResult(a, b, outcome, decisions, backtracks)
 
     def _note_high_water(self) -> None:
         depth = self.engine.assignment.num_assigned()

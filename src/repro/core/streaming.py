@@ -256,7 +256,7 @@ class StreamingStage:
                 if fresh:
                     yield fresh
 
-        size = _auto_chunk_size(survivor_count, max(1, options.workers))
+        size = _auto_chunk_size(survivor_count, options.workers)
         self._decide(ctx, decider, fold, fresh_groups(), size)
 
         # -- Run summary: session counters, DB stats, disagreements. ---
@@ -292,7 +292,7 @@ class StreamingStage:
         size: int,
     ) -> None:
         """Cut the fresh pairs into units, settle them and fold them."""
-        workers = max(1, ctx.options.workers)
+        workers = ctx.options.workers
         split = split_threshold(size)
         units = unit_stream(groups, size, split)
         # Look ahead until a pool would pay off, or the stream ends.

@@ -23,6 +23,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.topology import connected_ff_pairs
 from repro.core.deciders import PairDecider, create_decider
 from repro.core.pipeline import (
+    HAZARD_BACKTRACK_LIMIT,
     AnalysisContext,
     DetectorOptions,
     load_gate_delays,
@@ -118,7 +119,7 @@ def staged_detect(
     if mode == "exact":
         checker = SensitizeFirstChecker(
             circuit, ctx.expansion(2),
-            backtrack_limit=options.hazard_backtrack_limit,
+            backtrack_limit=HAZARD_BACKTRACK_LIMIT,
             conflict_limit=options.hazard_conflict_limit,
             delays=load_gate_delays(options, circuit),
         )

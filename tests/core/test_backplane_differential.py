@@ -1,9 +1,9 @@
-"""Backplane differential: pair records byte-identical, on vs off.
+"""Backplane differential: pair records byte-identical, auto vs off.
 
 The shared-memory backplane is pure transport — workers that attach
 decode the *same* expansion/CSR/SimPlan/PackedPlan the parent built, so
 for any circuit and any option mix ``pair_records()`` must be
-byte-identical between ``backplane="on"``, ``backplane="off"``
+byte-identical between ``backplane="auto"``, ``backplane="off"``
 (private per-worker rebuilds) and the serial staged reference flow of
 ``tests/core/staged_oracle.py``.  When a pool did publish, every worker
 must have attached without touching the artifact store.
@@ -34,12 +34,12 @@ def _records(result):
 
 
 def _assert_identical(circuit, unit_pairs=None, **kw):
-    on = _run(circuit, unit_pairs, backplane="on", **kw)
+    auto = _run(circuit, unit_pairs, backplane="auto", **kw)
     off = _run(circuit, unit_pairs, backplane="off", **kw)
     staged = staged_detect(circuit, DetectorOptions(**kw))
-    assert _records(on) == _records(off) == _records(staged)
+    assert _records(auto) == _records(off) == _records(staged)
     assert "backplane" not in off.metrics
-    summary = on.metrics.get("backplane")
+    summary = auto.metrics.get("backplane")
     if summary is not None:  # None when the pool auto-fell back to serial
         assert summary["attached"] == summary["workers"]
         assert summary["worker_store_misses"] == 0
@@ -77,7 +77,7 @@ def test_backplane_matches_on_paper_circuits():
 
 def test_backplane_publishes_on_paper_circuit():
     """fig1 with a forced pool: the summary proves attach replaced rebuild."""
-    result = _run(fig1_circuit(), backplane="on")
+    result = _run(fig1_circuit(), backplane="auto")
     summary = result.metrics["backplane"]
     assert summary["workers"] == 2
     assert summary["attached"] == 2

@@ -31,6 +31,7 @@ from repro.core.incremental import (
     save_result_bundle,
     witness_layout,
 )
+from repro.core.pipeline import HAZARD_BACKTRACK_LIMIT
 from repro.core.result import HazardVerdictKind, Stage
 from repro.store import ArtifactStore
 from tests.analysis.oracle_sweep import parity_mux_circuit
@@ -331,7 +332,7 @@ def _unversioned_hazard_fingerprint(options):
     """The hazard fingerprint of bundles written before the rules tag."""
     parts = [
         f"mode={options.hazard_check}",
-        f"backtrack={options.hazard_backtrack_limit}",
+        f"backtrack={HAZARD_BACKTRACK_LIMIT}",
         f"conflict={options.hazard_conflict_limit}",
     ]
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()

@@ -1,15 +1,30 @@
-"""k-cycle detection: the Fig. 1 story plus differential validation."""
+"""k-cycle detection: the Fig. 1 story plus differential validation.
+
+Every k-cycle entry point decides on a :class:`DecisionSession` built
+with ``k``.  The differentials below pin its k-frame case tail against
+the old per-run walk (``tests/core/kcycle_oracle.py``), its packed
+settle rule against a session whose pre-pass settles nothing, and its
+``k = 2`` records against the multi-cycle run's.
+"""
+
+import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench_gen.suite import suite
 from repro.circuit.library import enabled_pipeline
+from repro.circuit.timeframe import expand_cached
 from repro.circuit.topology import FFPair, connected_ff_pairs
 from repro.core.brute import brute_force_k_cycle_pairs
 from repro.core.kcycle import KCycleAnalyzer, is_k_cycle_pair, max_cycles
-from repro.core.result import Classification
+from repro.core.result import Classification, Stage
+from repro.core.session import DecisionSession
 
-from tests.strategies import random_sequential_circuit, seeds
+from tests.core.kcycle_oracle import KCycleWalk
+from tests.core.pair_analysis import ScalarSession
+from tests.strategies import random_sequential_circuit, seeds, shuffled
 
 
 def test_fig1_ff1_ff2_is_exactly_three_cycle(fig1):
@@ -160,7 +175,6 @@ def test_kcycle_detector_rejects_a_hazard_pass(fig1):
     ("static_learning", True),
     ("implication_db", True),
     ("hazard_check", "exact"),
-    ("hazard_backtrack_limit", 7),
     ("hazard_conflict_limit", 7),
     ("hazard_delays", "delays.json"),
     ("cache_dir", "/nonexistent/x"),
@@ -205,4 +219,118 @@ def test_kcycle_decider_takes_the_run_backtrack_limit(fig1):
 
     decider = KCycleDecider(3)
     decider.prepare(AnalysisContext(fig1, DetectorOptions(backtrack_limit=7)))
-    assert decider._analyzer.backtrack_limit == 7
+    assert decider._session.backtrack_limit == 7
+    assert decider._session.k == 3
+
+
+# ----------------------------------------------------------------------
+# The k-frame session walk against its oracles.
+# ----------------------------------------------------------------------
+def _kframe_pairs(seed, order_seed, k):
+    circuit = random_sequential_circuit(seed, max_inputs=4, max_dffs=6,
+                                        max_gates=24)
+    pairs = shuffled(connected_ff_pairs(circuit), order_seed)
+    return expand_cached(circuit, frames=k), pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    order_seed=st.integers(min_value=0, max_value=1000),
+    k=st.sampled_from((2, 3, 4)),
+    limit=st.sampled_from((0, 1, 50)),
+)
+def test_session_matches_the_kcycle_walk(seed, order_seed, k, limit):
+    """Per pair, in any order, the session's k-cycle classification is
+    the old per-run walk's."""
+    expansion, pairs = _kframe_pairs(seed, order_seed, k)
+    if not pairs:
+        return
+    session = DecisionSession(expansion, k=k, backtrack_limit=limit)
+    got = [result.classification for result, _ in session.decide_group(pairs)]
+    assert got == KCycleWalk(expansion, k, limit).classify(pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    order_seed=st.integers(min_value=0, max_value=1000),
+    k=st.sampled_from((3, 4)),
+    limit=st.sampled_from((0, 1, 50)),
+)
+def test_packed_settle_rule_keeps_kframe_records(seed, order_seed, k, limit):
+    """The packed pre-pass settles only cases the scalar k-frame tail
+    closes without a search, with the record that tail writes."""
+    expansion, pairs = _kframe_pairs(seed, order_seed, k)
+    if not pairs:
+        return
+    packed = DecisionSession(expansion, k=k, backtrack_limit=limit)
+    scalar = ScalarSession(expansion, k=k, backtrack_limit=limit)
+    assert [r for r, _ in packed.decide_group(pairs)] == [
+        r for r, _ in scalar.decide_group(pairs)
+    ]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_packed_prepass_settles_kframe_cases(k):
+    """The k-frame settle rule is not vacuous on the tiny profile."""
+    resolved = 0
+    for circuit in suite("tiny"):
+        pairs = connected_ff_pairs(circuit)
+        expansion = expand_cached(circuit, frames=k)
+        packed = DecisionSession(expansion, k=k)
+        scalar = ScalarSession(expansion, k=k)
+        assert [r for r, _ in packed.decide_group(pairs)] == [
+            r for r, _ in scalar.decide_group(pairs)
+        ]
+        resolved += packed.packed_resolved
+    assert resolved > 0
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_k2_kcycle_run_equals_the_mc_run(index):
+    """At k = 2 a k-cycle fold is the multi-cycle run: byte-identical
+    pair records and equal session counters (timings aside)."""
+    from repro.core.detector import DetectorOptions, MultiCycleDetector
+    from repro.core.kcycle import KCycleDecider
+    from repro.core.pipeline import AnalysisContext
+    from repro.core.streaming import StreamingStage
+
+    circuit = suite("tiny")[index]
+    kcycle = StreamingStage(KCycleDecider(2), frames=2).run(
+        AnalysisContext(circuit, DetectorOptions())
+    )
+    mc = MultiCycleDetector(circuit).run()
+    assert json.dumps(kcycle.pair_records()) == json.dumps(mc.pair_records())
+
+    def counters(result, block):
+        return {
+            key: value for key, value in result.metrics.get(block, {}).items()
+            if key not in ("packed_us", "us")
+        }
+
+    for block in ("decision_session", "packed_implication"):
+        assert counters(kcycle, block) == counters(mc, block)
+
+
+def test_kcycle_trace_carries_the_session_record(fig1):
+    """A k-cycle run traces like a multi-cycle one: pair events name the
+    implication/ATPG stage and carry case counts, and run_end carries
+    the decision_session and packed_implication blocks."""
+    from repro.core.kcycle import KCycleDetector
+    from repro.core.trace import Tracer
+
+    tracer = Tracer()
+    KCycleDetector(fig1, 3, tracer=tracer).run()
+    decided = [
+        event for event in tracer.select("pair")
+        if event["stage"] != Stage.SIMULATION.value
+    ]
+    assert decided
+    assert {event["stage"] for event in decided} <= {
+        Stage.IMPLICATION.value, Stage.ATPG.value
+    }
+    assert all(event["cases"] >= 1 for event in decided)
+    (end,) = tracer.select("run_end")
+    assert end["metrics"]["decision_session"]["pairs"] == len(decided)
+    assert "packed_implication" in end["metrics"]

@@ -380,6 +380,28 @@ class TestDetectorOptions:
             ).run()
         assert tracer.events == []
 
+    @pytest.mark.parametrize("name, value", [
+        ("sim_words", 0),
+        ("workers", 0),
+        ("workers", -3),
+        ("backtrack_limit", -1),
+    ])
+    def test_out_of_range_count_fails_at_construction(self, fig1, name, value):
+        """A count below its minimum raises naming the field, before the
+        run emits anything (``workers`` used to be clamped to 1 and
+        ``sim_words`` to fail inside the simulator after topology)."""
+        tracer = Tracer()
+        with pytest.raises(ValueError, match=f"{name} must be >= "):
+            MultiCycleDetector(
+                fig1, DetectorOptions(**{name: value}), tracer=tracer
+            ).run()
+        assert tracer.events == []
+
+    def test_smallest_counts_are_accepted(self, fig1):
+        options = DetectorOptions(sim_words=1, workers=1, backtrack_limit=0)
+        result = MultiCycleDetector(fig1, options).run()
+        assert result.connected_pairs == 9
+
     def test_options_are_frozen(self):
         import dataclasses
 

@@ -32,23 +32,35 @@ def test_generate_report_without_sat():
     assert "| - | - |" in report
 
 
-def test_report_exact_table_takes_the_run_hazard_options(monkeypatch):
+def test_report_exact_table_takes_the_run_hazard_options(monkeypatch, tmp_path):
+    """The exact table runs at the run's conflict limit and delay
+    sidecar; the path-search budget is the pipeline's constant."""
     from repro.analysis import hazard_exact
+    from repro.core.pipeline import HAZARD_BACKTRACK_LIMIT
+    from repro.sta.delays import DelayInterval
 
     limits = []
     init = hazard_exact.ExactHazardChecker.__init__
 
     def recording(self, circuit, expansion=None, **kwargs):
-        limits.append(
-            (kwargs.get("backtrack_limit"), kwargs.get("conflict_limit"))
-        )
+        delays = kwargs.get("delays")
+        limits.append((
+            kwargs.get("backtrack_limit"),
+            kwargs.get("conflict_limit"),
+            delays.default if delays is not None else None,
+        ))
         init(self, circuit, expansion, **kwargs)
 
     monkeypatch.setattr(hazard_exact.ExactHazardChecker, "__init__", recording)
-    options = DetectorOptions(hazard_backtrack_limit=7, hazard_conflict_limit=11)
+    sidecar = tmp_path / "delays.json"
+    sidecar.write_text('{"default": {"min": 2.0, "max": 3.0}}')
+    options = DetectorOptions(hazard_conflict_limit=11,
+                              hazard_delays=str(sidecar))
     report = generate_report([fig1_circuit()], options, run_sat=False,
                              kcycle_circuits=1, k_max=2)
-    assert limits and set(limits) == {(7, 11)}
+    assert limits and set(limits) == {
+        (HAZARD_BACKTRACK_LIMIT, 11, DelayInterval(2.0, 3.0))
+    }
     assert "| disagreements | X-reach | resolution |" in report
 
 

@@ -615,7 +615,7 @@ def test_cache_without_dir_errors(capsys, monkeypatch):
 def test_analyze_backplane_summary_line(fig1_file, capsys):
     with forced_pool():
         assert main([
-            "analyze", fig1_file, "--workers", "2", "--backplane", "on",
+            "analyze", fig1_file, "--workers", "2", "--backplane", "auto",
         ]) == 0
     out = capsys.readouterr().out
     assert "backplane:" in out
@@ -717,6 +717,38 @@ def test_trace_into_missing_directory_is_one_error_line(
     captured = capsys.readouterr()
     (error,) = captured.err.splitlines()
     assert error.startswith("error:") and trace in error
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "{f}", "--sim-words", "0"], "--sim-words"),
+    (["analyze", "{f}", "--workers", "0"], "--workers"),
+    (["analyze", "{f}", "--workers", "-3"], "--workers"),
+    (["analyze", "{f}", "--backtrack-limit", "-1"], "--backtrack-limit"),
+    (["kcycle", "{f}", "--sim-words", "0"], "--sim-words"),
+    (["kcycle", "{f}", "--workers", "0"], "--workers"),
+    (["kcycle", "{f}", "--max-k", "1"], "--max-k"),
+    (["table1", "--profile", "tiny", "--workers", "0"], "--workers"),
+])
+def test_out_of_range_numbers_are_usage_errors(
+    fig1_file, capsys, monkeypatch, argv, flag
+):
+    """A count below its minimum exits 2 naming the flag, before any
+    analysis: no traceback, no silent clamp, no empty k range."""
+    import repro.cli
+    import repro.core.kcycle
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis started on an out-of-range value")
+
+    monkeypatch.setattr(repro.cli, "detect_multi_cycle_pairs", no_analysis)
+    monkeypatch.setattr(repro.core.kcycle, "KCycleDetector", no_analysis)
+    with pytest.raises(SystemExit) as info:
+        main([arg.replace("{f}", fig1_file) for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be >= " in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -16,22 +16,29 @@ plane (bit set ⇔ lane holds a known binary value) and a ``value`` plane
 
 Lowering and kernel
 -------------------
-:class:`PackedPlan` lowers the circuit through the compiled SimPlan:
-its levelized, identity-padded gate batches become per-gate records
-(kind, controlling value, inversion, real fanin rows), a node → consumer
-map, and the preset rows (identity pads and constants) extracted from
-``install_ternary_identity_rows``.  The closure kernel is a dirty-gate
-worklist over those records.  Per-node lane words are held as Python
-integers — at decide-stage lane counts (up to 32 uint64 limbs) CPython
-bigint bitwise ops cost tens of nanoseconds, far below numpy's per-call
-dispatch on the same data, and the cost of a closure scales with the
-*activity cone* of the seeds rather than with circuit size (the same
-property that lets the scalar engine stream 100k-gate circuits).  The
-lanes of one closure share its gate visits, so the more cases one
-closure holds, the fewer visits each case costs.  Array-shaped seed
-matrices are staged in a ``(seed nodes, words)`` array sized by the
-distinct seed nodes, never by the circuit, before they become per-node
-lane words.
+:class:`PackedPlan` lowers the circuit straight from its CSR arrays
+(:func:`~repro.circuit.csr.csr_arrays`): every combinational gate, in
+(level, gate type, node id) order, becomes a record (kind, controlling
+value, inversion, constant taint, CSR fanin row, output), next to a
+node → consumer map and the preset rows — the zeros and ones pad rows
+of the SimPlan buffer layout, and the constants.  The closure kernel
+(:meth:`PackedImplicationEngine._propagate`) is one flat loop over
+those records: a dirty-gate worklist whose gate rules and posts run
+inline, with every table bound to a local and no call per visit or per
+post.  A gate's forward force is posted where its rule ends; every
+other post (seeds, backward forces, learned consequents) goes through
+one last-in first-out queue, so a post's learned consequents run
+depth-first before the posts queued behind it.  Per-node lane words are
+held as Python integers — at decide-stage lane counts (up to 32 uint64
+limbs) CPython bigint bitwise ops cost tens of nanoseconds, far below
+numpy's per-call dispatch on the same data, and the cost of a closure
+scales with the *activity cone* of the seeds rather than with circuit
+size (the same property that lets the scalar engine stream 100k-gate
+circuits).  The lanes of one closure share its gate visits, so the more
+cases one closure holds, the fewer visits each case costs.  Array-shaped
+seed matrices are staged in a ``(seed nodes, words)`` array sized by
+the distinct seed nodes, never by the circuit, before they become
+per-node lane words.
 
 Exactness contract
 ------------------
@@ -69,7 +76,10 @@ leaves open (target still X after the stability probe, or known with
 the non-implied polarity so a search is required) falls back to the
 per-case :class:`~repro.core.session.DecisionSession` walk, and the
 differential tests assert byte-identical case records against a
-session that packs nothing (``tests/core/pair_analysis.py``).
+session that packs nothing (``tests/core/pair_analysis.py``).  The
+method-per-visit kernel and the SimPlan-based lowering this module
+replaced are kept as test oracles (``tests/atpg/packed_oracle.py``):
+the flat loop matches them visit for visit.
 """
 
 from __future__ import annotations
@@ -82,13 +92,6 @@ import numpy as np
 from repro.circuit.csr import csr_arrays
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
-from repro.logic.simplan import (
-    SimPlan,
-    _MuxBatch,
-    _ReduceBatch,
-    _UnaryBatch,
-    compiled_plan,
-)
 
 #: lane capacity of one closure: 32 uint64 words of 64 cases.
 MAX_LANE_WORDS = 32
@@ -99,17 +102,25 @@ _KIND_PARITY = 1  # XOR / XNOR
 _KIND_UNARY = 2  # BUF / OUTPUT / NOT
 _KIND_MUX = 3
 
-#: controlling input value / output inversion per controlled gate type.
-_CGATE_SHAPE = {
-    GateType.AND: (0, 0),
-    GateType.NAND: (0, 1),
-    GateType.OR: (1, 0),
-    GateType.NOR: (1, 1),
+#: ``(kind, controlling input value, output inversion)`` per gate type
+#: the closure evaluates; sources (inputs, flip-flops, constants) have
+#: no record.
+_GATE_SHAPE = {
+    GateType.AND: (_KIND_CGATE, 0, 0),
+    GateType.NAND: (_KIND_CGATE, 0, 1),
+    GateType.OR: (_KIND_CGATE, 1, 0),
+    GateType.NOR: (_KIND_CGATE, 1, 1),
+    GateType.XOR: (_KIND_PARITY, 0, 0),
+    GateType.XNOR: (_KIND_PARITY, 0, 1),
+    GateType.BUF: (_KIND_UNARY, 0, 0),
+    GateType.OUTPUT: (_KIND_UNARY, 0, 0),
+    GateType.NOT: (_KIND_UNARY, 0, 1),
+    GateType.MUX: (_KIND_MUX, 0, 0),
 }
 
 
 class PackedPlan:
-    """Per-gate lowering of the compiled SimPlan for packed implication.
+    """Per-gate lowering of a circuit's CSR arrays for packed implication.
 
     Pure function of the netlist — cached via :func:`packed_plan` /
     :meth:`Circuit.derived` so sessions, workers and benches sharing a
@@ -117,82 +128,55 @@ class PackedPlan:
 
     Attributes:
         gates: per-gate ``(kind, ctrl, out_inv, tainted, fanins, out)``
-            records in level order; ``fanins`` holds only real node
-            rows (identity pads are dropped — they are preset known).
-        consumers: per-node tuple of gate indices reading that node.
-        driver: per-node index of the gate driving it (-1 for none).
-        preset1: rows preset to known-1 (CONST1 and value-1 pad rows).
-        preset0: rows preset to known-0 (CONST0 and value-0 pad rows).
+            records sorted by (level, gate type code, node id), the
+            order of the SimPlan's level/type batches; ``fanins`` is the
+            gate's CSR fanin row (MUX: positional select, d0, d1).
+        consumers: per-row tuple of gate indices reading that node
+            (constants have none: they are preset, never posted).
+        driver: per-row index of the gate driving it (-1 for none).
+        preset1: rows preset to known-1 (the ones pad row and CONST1).
+        preset0: rows preset to known-0 (the zeros pad row and CONST0).
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        sim = compiled_plan(circuit)
         csr = csr_arrays(circuit)
+        num_nodes = csr.num_nodes
         self.circuit_version = circuit.version
-        self.num_nodes = sim.num_nodes
-        self.buffer_rows = sim.buffer_rows
-        # Only read during lowering; absent (None) on plans decoded from
-        # the flat-buffer layout, which carry the lowered records only.
-        self.sim: SimPlan | None = sim
-        num_nodes = sim.num_nodes
-        is_const = bytearray(sim.buffer_rows)
-        for row in csr.const0 + csr.const1:
-            is_const[row] = 1
+        self.num_nodes = num_nodes
+        # The SimPlan buffer layout: the zeros pad row and the ones pad
+        # row follow the nodes, both preset known.
+        self.buffer_rows = num_nodes + 2
+        shapes = [_GATE_SHAPE.get(GateType(code)) for code in range(len(GateType))]
+        evaluated = np.array([shape is not None for shape in shapes])
+        types = csr.types_np
+        ids = np.flatnonzero(evaluated[types])
+        # lexsort: last key first, ties keep ascending node ids.
+        order = ids[np.lexsort((types[ids], csr.levels_np[ids]))].tolist()
 
+        consts = set(csr.const0 + csr.const1)
+        type_codes = csr.types
+        fanin_rows = csr.fanins
         gates: list[tuple[int, int, int, int, tuple[int, ...], int]] = []
-        for level in sim.levels:
-            for batch in level:
-                if isinstance(batch, _ReduceBatch):
-                    shape = _CGATE_SHAPE.get(batch.gate_type)
-                    if shape:
-                        kind, (ctrl, inv) = _KIND_CGATE, shape
-                    else:
-                        kind, ctrl = _KIND_PARITY, 0
-                        inv = int(batch.gate_type == GateType.XNOR)
-                    rows = batch.fanins.tolist()
-                elif isinstance(batch, _UnaryBatch):
-                    kind, ctrl, inv = _KIND_UNARY, 0, int(batch.invert)
-                    rows = [[src] for src in batch.sources.tolist()]
-                else:  # _MuxBatch
-                    kind, ctrl, inv = _KIND_MUX, 0, 0
-                    rows = [
-                        list(fi)
-                        for fi in zip(
-                            batch.selects.tolist(),
-                            batch.d0.tolist(),
-                            batch.d1.tolist(),
-                        )
-                    ]
-                for out, fanin_row in zip(batch.outputs.tolist(), rows):
-                    if kind == _KIND_MUX:
-                        fanins = tuple(fanin_row)  # positional: sel, d0, d1
-                    else:
-                        fanins = tuple(
-                            fi for fi in fanin_row if fi < num_nodes
-                        )
-                    tainted = int(any(is_const[fi] for fi in fanins))
-                    gates.append((kind, ctrl, inv, tainted, fanins, out))
-        self.gates = tuple(gates)
-
-        consumer_lists: list[list[int]] = [[] for _ in range(sim.buffer_rows)]
-        driver = [-1] * sim.buffer_rows
-        for gi, (_, _, _, _, fanins, out) in enumerate(gates):
+        consumer_lists: list[list[int]] = [[] for _ in range(self.buffer_rows)]
+        driver = [-1] * self.buffer_rows
+        for gi, out in enumerate(order):
+            kind, ctrl, inv = shapes[type_codes[out]]
+            fanins = fanin_rows[out]
+            if kind == _KIND_UNARY:
+                fanins = fanins[:1]
+            elif kind == _KIND_MUX:
+                fanins = fanins[:3]
+            tainted = int(bool(consts) and not consts.isdisjoint(fanins))
+            gates.append((kind, ctrl, inv, tainted, fanins, out))
             driver[out] = gi
             for fi in set(fanins):
-                if fi < num_nodes and not is_const[fi]:
+                if fi not in consts:
                     consumer_lists[fi].append(gi)
+        self.gates = tuple(gates)
         self.consumers = tuple(tuple(lst) for lst in consumer_lists)
         self.driver = tuple(driver)
-
-        # Identity pad rows and their values, via the SimPlan installer.
-        probe = np.zeros((2, sim.buffer_rows, 1), dtype=np.uint64)
-        sim.install_ternary_identity_rows(probe[0], probe[1])
-        pad_rows = np.flatnonzero(probe[1][:, 0]).tolist()
-        pad1 = {row for row in pad_rows if probe[0][row, 0]}
-        self.preset1 = tuple(sorted(pad1) + sorted(csr.const1))
-        self.preset0 = tuple(
-            sorted(set(pad_rows) - pad1) + sorted(csr.const0)
-        )
+        self.preset1 = (num_nodes + 1, *sorted(csr.const1))
+        self.preset0 = (num_nodes, *sorted(csr.const0))
 
 
 def packed_plan(circuit: Circuit) -> PackedPlan:
@@ -226,10 +210,8 @@ class PackedImplicationEngine:
         self._care = [0] * rows
         self._posted = [0] * rows
         self._dirty = bytearray(len(self.plan.gates))
-        self._pending: list[int] = []
-        self._wave: list[int] = []
-        self._sign = 0  # +1 ascending wave, -1 descending, 0 idle
-        self._cursor = 0
+        #: rows posted since the last reset, each once (a row's care
+        #: plane is empty until its first post).
         self._touched: list[int] = []
         self._conflict = 0
         self._full = 0
@@ -254,14 +236,12 @@ class PackedImplicationEngine:
         exactly like the scalar engine's failing ``assume_all``.
         """
         self._reset(len(cases))
+        seeds = []
         for lane, literals in enumerate(cases):
             bit = 1 << lane
             for node, value in literals:
-                if value:
-                    self._post(node, bit, 0)
-                else:
-                    self._post(node, 0, bit)
-        self._propagate()
+                seeds.append((node, bit, 0) if value else (node, 0, bit))
+        self._propagate(seeds)
 
     def close_matrix(self, nodes: np.ndarray, values: np.ndarray) -> None:
         """:meth:`close` fast path: ``(lanes, k)`` seed node/value arrays.
@@ -291,14 +271,14 @@ class PackedImplicationEngine:
         stride = 8 * words
         zeros = staged[0].tobytes()
         ones = staged[1].tobytes()
-        for index, node in enumerate(seeds.tolist()):
-            span = slice(index * stride, (index + 1) * stride)
-            self._post(
+        self._propagate([
+            (
                 node,
-                int.from_bytes(ones[span], "little"),
-                int.from_bytes(zeros[span], "little"),
+                int.from_bytes(ones[index * stride:(index + 1) * stride], "little"),
+                int.from_bytes(zeros[index * stride:(index + 1) * stride], "little"),
             )
-        self._propagate()
+            for index, node in enumerate(seeds.tolist())
+        ])
 
     def extend(self, literals: Iterable[tuple[int, int, int]]) -> None:
         """Continue the converged closure with ``(lane, node, value)`` posts.
@@ -309,13 +289,10 @@ class PackedImplicationEngine:
         :meth:`conflict_lanes` around the call to see which lanes the
         extension newly contradicted.
         """
-        for lane, node, value in literals:
-            bit = 1 << lane
-            if value:
-                self._post(node, bit, 0)
-            else:
-                self._post(node, 0, bit)
-        self._propagate()
+        self._propagate([
+            (node, 1 << lane, 0) if value else (node, 0, 1 << lane)
+            for lane, node, value in literals
+        ])
 
     def conflict_lanes(self, lanes: np.ndarray | Sequence[int]) -> np.ndarray:
         """Boolean conflict flag per requested lane."""
@@ -379,269 +356,275 @@ class PackedImplicationEngine:
         self.closures += 1
 
     # ------------------------------------------------------------------
-    # Posting and propagation.
+    # The closure kernel.
     # ------------------------------------------------------------------
-    def _post(self, node: int, m1: int, m0: int, from_gate: int = -1) -> None:
-        """Join force masks into a node's planes; flag conflicts.
+    def _propagate(self, seeds: Sequence[tuple[int, int, int]]) -> None:
+        """Post ``(node, m1, m0)`` seed forces, then run to the fixpoint.
 
-        ``from_gate`` suppresses re-marking the forcing gate itself —
-        a forward post already ran its backward rules against the
-        post-forward state in the same visit.
+        A post joins force masks (``m1`` lanes to 1, ``m0`` lanes to 0)
+        into a node's planes, flags the lanes it contradicts, and marks
+        the gates that must look again.  Dirty gates drain in
+        alternating directional waves: a wave visits its gates in level
+        order (ascending, then the next wave descending, like the
+        scalar-validated forward/reverse sweeps).  Marks landing ahead
+        of the wave cursor fold into the running wave — later gates see
+        earlier derivations in the same pass — while marks at or behind
+        it wait for the next wave, so a gate collects all its pending
+        fanin changes into one visit instead of re-running per change
+        event.  One visit runs the gate's forward rule, posts the force,
+        then runs its backward rule against the post-forward state.
         """
-        value, care = self._value, self._care
-        v = value[node]
-        c = care[node]
-        conf = (m1 & (c ^ v)) | (m0 & v) | (m1 & m0)
-        if conf:
-            self._conflict |= conf
-            # conflicted lanes derive nothing further — their state is
-            # never read back, and freezing them stops garbage churn
-        new = (m1 | m0) & ~c & ~self._conflict & self._full
-        if not new:
-            return
-        value[node] = v | (m1 & new)
-        care[node] = c | new
-        self._posted[node] |= new
-        self._touched.append(node)
+        plan = self.plan
+        gates = plan.gates
+        consumers = plan.consumers
+        driver = plan.driver
+        value = self._value
+        care = self._care
+        posted = self._posted
+        touched = self._touched
         dirty = self._dirty
-        sign = self._sign
-        cursor = self._cursor
-        wave = self._wave
-        pending = self._pending
-        for gi in self.plan.consumers[node]:
-            if not dirty[gi]:
-                dirty[gi] = 1
-                if (gi - cursor) * sign > 0:
-                    heappush(wave, sign * gi)
-                else:
-                    pending.append(gi)
-        gi = self.plan.driver[node]
-        if gi >= 0 and gi != from_gate and not dirty[gi]:
-            dirty[gi] = 1
-            if (gi - cursor) * sign > 0:
-                heappush(wave, sign * gi)
-            else:
-                pending.append(gi)
         learned = self.learned
-        if learned is not None:
-            mask1 = m1 & new
-            mask0 = new ^ mask1
-            if mask1:
-                for cnode, cval in learned.get((node, 1), ()):
-                    if cval:
-                        self._post(cnode, mask1, 0)
-                    else:
-                        self._post(cnode, 0, mask1)
-            if mask0:
-                for cnode, cval in learned.get((node, 0), ()):
-                    if cval:
-                        self._post(cnode, mask0, 0)
-                    else:
-                        self._post(cnode, 0, mask0)
-
-    def _propagate(self) -> None:
-        """Drain dirty gates in alternating directional waves.
-
-        A wave visits its gates in level order (ascending, then the
-        next wave descending, like the scalar-validated forward/reverse
-        sweeps).  Marks landing ahead of the wave cursor fold into the
-        running wave — later gates see earlier derivations in the same
-        pass — while marks at or behind it wait for the next wave, so a
-        gate collects all its pending fanin changes into one visit
-        instead of re-running per change event.
-        """
-        dirty = self._dirty
-        gates = self.plan.gates
+        full = self._full
+        conflict = self._conflict
+        live = full & ~conflict
+        # Posts still to run, last in first out: (node, m1, m0, masked).
+        # A masked (backward) post forces only the lanes where its node
+        # is still X when it runs.
+        todo = [(node, m1, m0, 0) for node, m1, m0 in reversed(seeds)]
+        pending: list[int] = []
+        wave: list[int] = []
+        sign = 0  # +1 ascending wave, -1 descending, 0 while seeding
+        gi = -1  # the gate being visited: the wave cursor
+        backward = False  # the visited gate's backward rule is due
         visits = 0
-        sign = 1
-        while self._pending:
-            wave = [sign * gi for gi in self._pending]
-            heapify(wave)
-            self._wave = wave
-            self._pending = []
-            self._sign = sign
-            while wave:
+        while True:
+            if todo:
+                node, m1, m0, masked = todo.pop()
+                c = care[node]
+                if masked:
+                    m1 &= ~c
+                    m0 &= ~c
+                v = value[node]
+                conf = (m1 & (c ^ v)) | (m0 & v) | (m1 & m0)
+                if conf:
+                    # conflicted lanes derive nothing further — their
+                    # state is never read back, and freezing them stops
+                    # garbage churn
+                    conflict |= conf
+                    live = full & ~conflict
+                new = (m1 | m0) & ~c & live
+                if not new:
+                    continue
+                value[node] = v | (m1 & new)
+                care[node] = c | new
+                posted[node] |= new
+                if not c:  # the row's first post of this closure
+                    touched.append(node)
+                for g in consumers[node]:
+                    if not dirty[g]:
+                        dirty[g] = 1
+                        if (g - gi) * sign > 0:
+                            heappush(wave, sign * g)
+                        else:
+                            pending.append(g)
+                # Only the visited gate's own forward post gets here with
+                # its output: any later post to that output during the
+                # visit forces lanes the output already holds.  So
+                # sparing the visited gate spares exactly that post.
+                g = driver[node]
+                if g >= 0 and g != gi and not dirty[g]:
+                    dirty[g] = 1
+                    if (g - gi) * sign > 0:
+                        heappush(wave, sign * g)
+                    else:
+                        pending.append(g)
+                if learned is not None:
+                    follow = []
+                    mask1 = m1 & new
+                    for mask, literal in ((mask1, 1), (new ^ mask1, 0)):
+                        if mask:
+                            for cnode, cval in learned.get((node, literal), ()):
+                                follow.append(
+                                    (cnode, mask, 0, 0) if cval else (cnode, 0, mask, 0)
+                                )
+                    todo.extend(reversed(follow))
+                continue
+
+            if not backward:
+                if not wave:
+                    if not pending:
+                        break
+                    sign = -1 if sign > 0 else 1
+                    wave = [sign * g for g in pending]
+                    heapify(wave)
+                    pending = []
                 gi = sign * heappop(wave)
-                self._cursor = gi
                 dirty[gi] = 0
                 visits += 1
-                self._visit(gi, gates[gi])
-            sign = -sign
-        self._sign = 0
-        self.visits += visits
+                kind, ctrl, inv, tainted, fanins, out = gates[gi]
+                # Forward rule: the output force (f1, f0) from the fanins.
+                if kind == _KIND_CGATE:
+                    has_ctrl = 0
+                    all_nc = full
+                    if ctrl:
+                        for fi in fanins:
+                            v = value[fi]
+                            has_ctrl |= v
+                            all_nc &= care[fi] ^ v
+                    else:
+                        for fi in fanins:
+                            v = value[fi]
+                            has_ctrl |= care[fi] ^ v
+                            all_nc &= v
+                    if ctrl ^ inv:
+                        f1, f0 = has_ctrl, all_nc
+                    else:
+                        f1, f0 = all_nc, has_ctrl
+                elif kind == _KIND_UNARY:
+                    sv = value[fanins[0]]
+                    sc = care[fanins[0]]
+                    f1 = sc ^ sv if inv else sv
+                    f0 = sc ^ f1
+                elif kind == _KIND_PARITY:
+                    known = full
+                    par = 0
+                    for fi in fanins:
+                        known &= care[fi]
+                        par ^= value[fi]
+                    if inv:
+                        par = ~par & full
+                    f1 = known & par
+                    f0 = known ^ f1
+                else:  # MUX: fanins are positional (select, d0, d1).
+                    sel, da, db = fanins
+                    vs = value[sel]
+                    cs = care[sel]
+                    v0 = value[da]
+                    c0 = care[da]
+                    v1 = value[db]
+                    c1 = care[db]
+                    sel1 = vs
+                    sel0 = cs ^ vs
+                    sel_x = ~cs & full
+                    agree1 = v0 & v1
+                    agree0 = (c0 ^ v0) & (c1 ^ v1)
+                    f1 = (sel0 & v0) | (sel1 & v1) | (sel_x & agree1)
+                    f0 = f1 ^ (
+                        (sel0 & c0) | (sel1 & c1) | (sel_x & (agree0 | agree1))
+                    )
+                if tainted:
+                    act = posted[out]
+                    for fi in fanins:
+                        act |= posted[fi]
+                    f1 &= act
+                    f0 &= act
+                if learned is not None:
+                    # Post through the queue: the consequents must run
+                    # before the backward rule reads the output.
+                    todo.append((out, f1, f0, 0))
+                    backward = True
+                    continue
+                # A forward force never holds both values on a lane, so
+                # f1 & f0 adds nothing to the conflict; no force, no post.
+                force = f1 | f0
+                if force:
+                    v = value[out]
+                    c = care[out]
+                    conf = (f1 & (c ^ v)) | (f0 & v)
+                    if conf:
+                        conflict |= conf
+                        live = full & ~conflict
+                    new = force & ~c & live
+                    if new:
+                        value[out] = v | (f1 & new)
+                        care[out] = c | new
+                        posted[out] |= new
+                        if not c:
+                            touched.append(out)
+                        for g in consumers[out]:
+                            if not dirty[g]:
+                                dirty[g] = 1
+                                if (g - gi) * sign > 0:
+                                    heappush(wave, sign * g)
+                                else:
+                                    pending.append(g)
 
-    # ------------------------------------------------------------------
-    # Gate rules: forward + backward in one visit.
-    # ------------------------------------------------------------------
-    def _visit(
-        self,
-        gi: int,
-        gate: tuple[int, int, int, int, tuple[int, ...], int],
-    ) -> None:
-        kind, ctrl, inv, tainted, fanins, out = gate
-        value, care = self._value, self._care
-        full = self._full
-        if kind == _KIND_CGATE:
-            if ctrl:
-                has_ctrl = 0
-                all_nc = full
-                for fi in fanins:
-                    v = value[fi]
-                    has_ctrl |= v
-                    all_nc &= care[fi] ^ v
-            else:
-                has_ctrl = 0
-                all_nc = full
-                for fi in fanins:
-                    v = value[fi]
-                    has_ctrl |= care[fi] ^ v
-                    all_nc &= v
-            if ctrl ^ inv:
-                f1, f0 = has_ctrl, all_nc
-            else:
-                f1, f0 = all_nc, has_ctrl
-            if tainted:
-                act = self._posted[out]
-                for fi in fanins:
-                    act |= self._posted[fi]
-                f1 &= act
-                f0 &= act
-            self._post(out, f1, f0, from_gate=gi)
+            # Backward rule: forces on the fanins from the known output,
+            # queued to run in fanin order.  A fanin with no X lane under
+            # the force is left out: lanes only ever become known.
+            backward = False
             vo = value[out]
             co = care[out]
             if not co:
-                return
-            # Backward: output noncontrolled → every X input forced
-            # noncontrolling; output controlled with no known
-            # controlling input and exactly one X input → that input
-            # forced controlling.
-            if ctrl ^ inv:
-                out_nc, out_ctl = co ^ vo, vo
-            else:
-                out_nc, out_ctl = vo, co ^ vo
-            mask_b = out_ctl & ~has_ctrl
-            if mask_b:
+                continue
+            if kind == _KIND_CGATE:
+                # Output noncontrolled → every X input forced
+                # noncontrolling; output controlled with no known
+                # controlling input and exactly one X input → that input
+                # forced controlling.
+                if ctrl ^ inv:
+                    out_nc, out_ctl = co ^ vo, vo
+                else:
+                    out_nc, out_ctl = vo, co ^ vo
+                mask_b = out_ctl & ~has_ctrl
+                if mask_b:
+                    seen = 0
+                    multi = 0
+                    for fi in fanins:
+                        x = ~care[fi] & full
+                        multi |= seen & x
+                        seen |= x
+                    mask_b &= seen & ~multi
+                if not (out_nc | mask_b):
+                    continue
+                b1, b0 = (mask_b, out_nc) if ctrl else (out_nc, mask_b)
+                mask = out_nc | mask_b
+                for fi in reversed(fanins):
+                    if mask & ~care[fi]:
+                        todo.append((fi, b1, b0, 1))
+            elif kind == _KIND_UNARY:
+                # Known output, X source: copy through the inversion.
+                if co & ~care[fanins[0]]:
+                    b1 = (co ^ vo) if inv else vo
+                    todo.append((fanins[0], b1, co ^ b1, 1))
+            elif kind == _KIND_PARITY:
+                # Known output with exactly one X input → that input is
+                # the parity of the output and the known inputs (X
+                # fanins contribute 0 to ``par``, so ``par ^ vo`` is
+                # exact).
                 seen = 0
                 multi = 0
                 for fi in fanins:
                     x = ~care[fi] & full
                     multi |= seen & x
                     seen |= x
-                mask_b &= seen & ~multi
-            if not (out_nc | mask_b):
-                return
-            if ctrl:
-                b1, b0 = mask_b, out_nc
+                mask = co & seen & ~multi
+                if not mask:
+                    continue
+                b1 = mask & (par ^ vo)
+                for fi in reversed(fanins):
+                    if mask & ~care[fi]:
+                        todo.append((fi, b1, mask ^ b1, 1))
             else:
-                b1, b0 = out_nc, mask_b
-            for fi in fanins:
-                x = ~care[fi] & full
-                if x:
-                    self._post(fi, b1 & x, b0 & x)
-            return
-        if kind == _KIND_UNARY:
-            src = fanins[0]
-            sv = value[src]
-            sc = care[src]
-            f1 = sc ^ sv if inv else sv
-            f0 = sc ^ f1
-            if tainted:
-                act = self._posted[out] | self._posted[src]
-                f1 &= act
-                f0 &= act
-            self._post(out, f1, f0, from_gate=gi)
-            vo = value[out]
-            co = care[out]
-            mask = co & ~sc
-            if mask:  # known output, X source: copy through the inversion
-                m1 = mask & ((co ^ vo) if inv else vo)
-                self._post(src, m1, mask ^ m1)
-            return
-        if kind == _KIND_PARITY:
-            known = full
-            par = 0
-            for fi in fanins:
-                known &= care[fi]
-                par ^= value[fi]
-            if inv:
-                par = ~par & full
-            f1 = known & par
-            f0 = known ^ f1
-            if tainted:
-                act = self._posted[out]
-                for fi in fanins:
-                    act |= self._posted[fi]
-                f1 &= act
-                f0 &= act
-            self._post(out, f1, f0, from_gate=gi)
-            vo = value[out]
-            co = care[out]
-            if not co:
-                return
-            # Backward: known output with exactly one X input → that
-            # input is the parity of the output and the known inputs (X
-            # fanins contribute 0 to ``par``, so ``par ^ vo`` is exact).
-            seen = 0
-            multi = 0
-            for fi in fanins:
-                x = ~care[fi] & full
-                multi |= seen & x
-                seen |= x
-            mask = co & seen & ~multi
-            if not mask:
-                return
-            forced = par ^ vo
-            for fi in fanins:
-                m = mask & ~care[fi]
-                if m:
-                    self._post(fi, m & forced, m & ~forced & full)
-            return
-        # MUX: fanins are positional (select, d0, d1).
-        sel, da, db = fanins
-        vs = value[sel]
-        cs = care[sel]
-        v0 = value[da]
-        c0 = care[da]
-        v1 = value[db]
-        c1 = care[db]
-        sel1 = vs
-        sel0 = cs ^ vs
-        sel_x = ~cs & full
-        agree1 = v0 & v1
-        agree0 = (c0 ^ v0) & (c1 ^ v1)
-        f1 = (sel0 & v0) | (sel1 & v1) | (sel_x & agree1)
-        dcare = (sel0 & c0) | (sel1 & c1) | (sel_x & (agree0 | agree1))
-        f0 = dcare ^ f1
-        if tainted:
-            act = (
-                self._posted[out]
-                | self._posted[sel]
-                | self._posted[da]
-                | self._posted[db]
-            )
-            f1 &= act
-            f0 &= act
-        self._post(out, f1, f0, from_gate=gi)
-        vo = value[out]
-        co = care[out]
-        if not co:
-            return
-        # Backward: known select copies the output onto the chosen data
-        # leg (a disagreeing known leg conflicts, as the scalar forward
-        # post would); X select with a known data leg disagreeing with
-        # the known output forces the select to the other leg.
-        kn0 = co ^ vo
-        m1 = sel1 & co
-        if m1:
-            self._post(db, m1 & vo, m1 & kn0)
-        m0 = sel0 & co
-        if m0:
-            self._post(da, m0 & vo, m0 & kn0)
-        sel_pick = sel_x & co
-        if sel_pick:
-            m_sel1 = sel_pick & c0 & (v0 ^ vo)
-            if m_sel1:
-                self._post(sel, m_sel1, 0)
-            m_sel0 = sel_pick & c1 & (v1 ^ vo)
-            if m_sel0:
-                self._post(sel, 0, m_sel0)
+                # Known select copies the output onto the chosen data
+                # leg (a disagreeing known leg conflicts, as the scalar
+                # forward post would); X select with a known data leg
+                # disagreeing with the known output forces the select
+                # to the other leg.  Queued in reverse of the order they
+                # run: d1, d0, then the select.
+                kn0 = co ^ vo
+                pick = sel_x & co
+                to_d0 = pick & c1 & (v1 ^ vo)
+                if to_d0:
+                    todo.append((sel, 0, to_d0, 0))
+                to_d1 = pick & c0 & (v0 ^ vo)
+                if to_d1:
+                    todo.append((sel, to_d1, 0, 0))
+                leg = sel0 & co
+                if leg:
+                    todo.append((da, leg & vo, leg & kn0, 0))
+                leg = sel1 & co
+                if leg:
+                    todo.append((db, leg & vo, leg & kn0, 0))
+        self._conflict = conflict
+        self.visits += visits

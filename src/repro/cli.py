@@ -190,7 +190,8 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                              "persist here across runs and processes "
                              "(default: $REPRO_CACHE_DIR, else disabled; "
                              "verdicts are identical either way)")
-    parser.add_argument("--cache-max-bytes", type=int, default=1 << 30,
+    parser.add_argument("--cache-max-bytes", type=_int_at_least(1),
+                        default=1 << 30,
                         help="artifact-store size bound; least-recently-"
                              "used entries are evicted beyond it "
                              "(default: 1 GiB)")
@@ -676,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the SDC text here instead of stdout")
     p.add_argument("--json", metavar="FILE", default=None,
                    help="also write the JSON interchange form")
-    p.add_argument("--multi-cycle-budget", type=int, default=2,
+    p.add_argument("--multi-cycle-budget", type=_int_at_least(2), default=2,
                    help="setup multiplier for relaxed pairs (default: 2, "
                         "what the MC condition guarantees)")
     _add_detector_args(p)
@@ -708,7 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "remove every entry")
     p.add_argument("--cache-dir", metavar="DIR", default=None,
                    help="store directory (default: $REPRO_CACHE_DIR)")
-    p.add_argument("--cache-max-bytes", type=int, default=1 << 30,
+    p.add_argument("--cache-max-bytes", type=_int_at_least(1),
+                   default=1 << 30,
                    help="size bound used when touching the store "
                         "(default: 1 GiB)")
     p.set_defaults(func=cmd_cache)

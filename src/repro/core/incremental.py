@@ -359,21 +359,30 @@ class _PriorRows:
         for k, case in enumerate(arrays["witnessed"].tolist()):
             row = flat[offsets[k]: offsets[k + 1]]
             witnesses[case] = dict(zip(row[::2], row[1::2]))
-        #: per case, the :class:`CaseResult` arguments in field order.
-        self.cases = list(zip(
+        #: per case, its :class:`CaseResult`; equal witness-less cases
+        #: share one frozen record.
+        self.cases: list[CaseResult] = []
+        shared: dict[tuple, CaseResult] = {}
+        for args in zip(
             arrays["a"].tolist(), arrays["b"].tolist(),
             column("outcome", CaseOutcome),
             arrays["decisions"].tolist(), arrays["backtracks"].tolist(),
             witnesses,
-        ))
+        ):
+            if args[5] is None:
+                case = shared.get(args)
+                if case is None:
+                    case = shared[args] = CaseResult(*args)
+            else:
+                case = CaseResult(*args)
+            self.cases.append(case)
         self.offsets = arrays["case_offsets"].tolist()
 
     def result(self, pair: FFPair, row: int) -> PairResult:
         """Row ``row`` as this run's result for ``pair``."""
-        cases = self.cases[self.offsets[row]: self.offsets[row + 1]]
         return PairResult(
             pair, self.classes[row], self.stages[row],
-            cases=[CaseResult(*case) for case in cases],
+            cases=self.cases[self.offsets[row]: self.offsets[row + 1]],
         )
 
     def hazard(self, row: int) -> InheritedHazard | None:

@@ -22,6 +22,7 @@ states) but not a 4-cycle pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.circuit.netlist import Circuit, validate
 from repro.circuit.timeframe import expand_cached
@@ -82,6 +83,35 @@ def is_k_cycle_pair(
     return result.classification is Classification.MULTI_CYCLE
 
 
+def cycle_budgets(
+    circuit: Circuit,
+    pairs: Sequence[FFPair],
+    k_max: int = 8,
+    backtrack_limit: int = 50,
+) -> list[int]:
+    """:func:`max_cycles` of every pair in ``pairs``, in order.
+
+    One analyzer per k decides, as one session group, the pairs that
+    are still (k-1)-cycle pairs; the k-cycle property is monotone
+    (stability through t+k implies stability through t+k-1), so a pair
+    leaves the scan at its first failing k.
+    """
+    budgets = [1] * len(pairs)
+    still = list(range(len(pairs)))
+    for k in range(2, k_max + 1):
+        if not still:
+            break
+        session = KCycleAnalyzer(circuit, k, backtrack_limit).session
+        decided = session.decide_group([pairs[index] for index in still])
+        still = [
+            index for index, (result, _) in zip(still, decided)
+            if result.is_multi_cycle
+        ]
+        for index in still:
+            budgets[index] = k
+    return budgets
+
+
 def max_cycles(
     circuit: Circuit,
     pair: FFPair,
@@ -94,12 +124,7 @@ def max_cycles(
     k-cycle property is monotone (stability through t+k implies stability
     through t+k-1), so a linear scan upward is exact.
     """
-    best = 1
-    for k in range(2, k_max + 1):
-        if not is_k_cycle_pair(circuit, pair, k, backtrack_limit):
-            break
-        best = k
-    return best
+    return cycle_budgets(circuit, [pair], k_max, backtrack_limit)[0]
 
 
 @dataclass

@@ -60,8 +60,9 @@ class DetectorOptions:
     Frozen: derive a variant with :func:`dataclasses.replace`.  The
     enumerated fields (``search_engine``, ``hazard_check``, ``lint``,
     ``backplane``) and the counts (``sim_words``, ``workers``,
-    ``backtrack_limit``) are checked at construction, so a bad value
-    raises :class:`ValueError` before any run starts.
+    ``backtrack_limit``, ``cache_max_bytes``) are checked at
+    construction, so a bad value raises :class:`ValueError` before any
+    run starts.
     """
 
     #: 64-bit words per random-simulation round (64*words patterns).
@@ -97,8 +98,8 @@ class DetectorOptions:
     #: see ``PARALLEL_THRESHOLD`` in :mod:`repro.core.streaming`).
     workers: int = 1
     #: zero-copy shared-memory backplane for parallel decision workers:
-    #: "auto" publishes the expansion, CSR views, SimPlan, packed plan
-    #: and implication DB once into ``multiprocessing.shared_memory`` so
+    #: "auto" publishes the expansion, CSR views, packed plan and
+    #: implication DB once into ``multiprocessing.shared_memory`` so
     #: workers attach instead of rebuilding; "off" ships pickled
     #: arguments as before.  Verdicts and pair records are byte-identical
     #: in both modes; publishing is best-effort (a failure falls back to
@@ -149,7 +150,8 @@ class DetectorOptions:
                     + ", ".join(allowed)
                 )
         for name, minimum in (
-            ("sim_words", 1), ("workers", 1), ("backtrack_limit", 0)
+            ("sim_words", 1), ("workers", 1), ("backtrack_limit", 0),
+            ("cache_max_bytes", 1),
         ):
             value = getattr(self, name)
             if value < minimum:
@@ -300,9 +302,9 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
     """Publish the decide-stage artifacts into shared memory (best-effort).
 
     Returns ``(backplane, worker_expansion, worker_shared)`` for the
-    pool spawn: with a successful publish the expansion, its CSR views,
-    SimPlan and packed plan travel in the block (workers get ``None``
-    and attach), and an
+    pool spawn: with a successful publish the expansion, its CSR views
+    and its packed plan (lowered from those views) travel in the block
+    (workers get ``None`` and attach), and an
     :class:`~repro.analysis.implication_db.ImplicationDB` shared table
     rides along the same way; anything else — mode "off", a non-DB
     shared payload, or a publish failure — keeps the pickled path.
@@ -313,14 +315,12 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
         from repro.analysis.implication_db import ImplicationDB
         from repro.atpg.packed_implication import packed_plan
         from repro.circuit.csr import csr_arrays
-        from repro.logic.simplan import compiled_plan
         from repro.store.backplane import publish
 
         comb = expansion.comb
         artifacts = [
             ("expansion", expansion),
             ("csr-arrays", csr_arrays(comb)),
-            ("simplan", compiled_plan(comb)),
             ("packed-implication", packed_plan(comb)),
         ]
         worker_shared = shared

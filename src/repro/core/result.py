@@ -49,9 +49,13 @@ class CaseOutcome(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseResult:
-    """Per-case record; ``a``/``b`` are the assumed FF values."""
+    """Per-case record; ``a``/``b`` are the assumed FF values.
+
+    Frozen, so equal records may be one shared instance (the decision
+    session hands every pair the same eight search-free records).
+    """
 
     a: int
     b: int

@@ -28,9 +28,11 @@ the full-premise-per-case oracle (``tests/core/pair_analysis.py``).
 Before the scalar walk, every group's cases run through the
 bit-parallel closure of :mod:`repro.atpg.packed_implication`: each
 ``(pair, a, b)`` case is one lane, and every lane the closure proves
-contradicted or implied-stable skips the scalar engine entirely.  Cases
-needing a backtrack search fall back to the scalar walk, so the records
-are the ones the scalar walk alone would produce.
+contradicted or implied-stable skips the scalar engine entirely.  A pair
+whose four cases all settle that way gets its record straight from the
+pre-pass; only pairs with an open case walk the launch runs, and their
+open cases fall back to the scalar walk, so the records are the ones
+the scalar walk alone would produce.
 
 The k-cycle condition of the paper's §4.1 extension ("increasing the
 number of time frames in Step 3") is the same walk over more frames: a
@@ -73,6 +75,13 @@ SEARCH_ENGINES = ("dalg", "podem", "scoap")
 #: ``(pair index in the group, a, b)``.
 PackedResolved = dict[tuple[int, int, int], CaseResult]
 
+#: the search-free case records the packed closure settles, shared by
+#: every pair: ``_SETTLED[contradicted][2 * a + b]``.
+_SETTLED = tuple(
+    tuple(CaseResult(a, b, outcome) for a in BINARY for b in BINARY)
+    for outcome in (CaseOutcome.IMPLIED_STABLE, CaseOutcome.CONTRADICTION)
+)
+
 
 def launch_runs(pairs: Sequence[FFPair]) -> list[tuple[int, int]]:
     """Half-open ``[start, end)`` runs of consecutive same-source pairs.
@@ -104,7 +113,9 @@ class DecisionSession:
     pair in input order.  Each group first runs through the packed
     pre-pass (:meth:`_packed_resolve`: 64 cases per uint64 word share
     one implication fixpoint), then the scalar launch-run walk settles
-    the cases the pre-pass left open.  A pair is multi-cycle when the
+    the cases the pre-pass left open.  :meth:`_packed_resolve` is the
+    one override point of the pre-pass: a session whose override
+    settles nothing walks every case.  A pair is multi-cycle when the
     sink stays stable through ``t+k``; ``k = 2`` (the default) is the
     MC condition, and the expansion needs at least ``k`` frames.
     """
@@ -196,15 +207,46 @@ class DecisionSession:
     def decide_group(
         self, pairs: Sequence[FFPair]
     ) -> list[tuple[PairResult, float]]:
-        """Settle ``pairs`` in order; returns ``(result, seconds)`` each."""
+        """Settle ``pairs`` in order; returns ``(result, seconds)`` each.
+
+        A pair whose four cases the pre-pass settled is multi-cycle by
+        implication with no walk: its record is the one the launch-run
+        walk would build (cases in ``(a, b)`` order, zero walk
+        counters).  The other pairs of each launch run walk it in pair
+        order; the prefix push is lazy, so leaving settled pairs out of
+        a run changes no engine operation.
+        """
         if not pairs:
             return []
         out: list = [None] * len(pairs)
         started = self.clock()
         resolved = self._packed_resolve(pairs)
         packed_share = (self.clock() - started) / len(pairs)
+        get = resolved.get
         for start, end in launch_runs(pairs):
-            self._decide_run(pairs, start, end, out, resolved)
+            walk = []
+            for index in range(start, end):
+                cases = [
+                    get((index, 0, 0)), get((index, 0, 1)),
+                    get((index, 1, 0)), get((index, 1, 1)),
+                ]
+                if cases[0] and cases[1] and cases[2] and cases[3]:
+                    result = PairResult(
+                        pairs[index],
+                        Classification.MULTI_CYCLE,
+                        Stage.IMPLICATION,
+                        cases,
+                        metrics={
+                            "implications": 0,
+                            "prefix_hits": 0,
+                            "prefix_misses": 0,
+                        },
+                    )
+                    out[index] = (result, 0.0)
+                else:
+                    walk.append(index)
+            if walk:
+                self._decide_run(pairs, walk, out, resolved)
         self.pairs_decided += len(pairs)
         # The shared closure's cost is attributed evenly — per-pair
         # seconds stay meaningful and the group total is exact.
@@ -290,14 +332,8 @@ class DecisionSession:
             settled = conflicted | (earlier & (held[-1] | probe_stable))
             contradicted = conflicted.tolist()
             for lane in np.flatnonzero(settled).tolist():
-                a_lane, b_lane = (lane >> 1) & 1, lane & 1
-                outcome = (
-                    CaseOutcome.CONTRADICTION
-                    if contradicted[lane]
-                    else CaseOutcome.IMPLIED_STABLE
-                )
-                key = (chunk_start + (lane >> 2), a_lane, b_lane)
-                resolved[key] = CaseResult(a_lane, b_lane, outcome)
+                key = (chunk_start + (lane >> 2), (lane >> 1) & 1, lane & 1)
+                resolved[key] = _SETTLED[contradicted[lane]][lane & 3]
             self.packed_lanes += lanes
         self.packed_resolved += len(resolved)
         self.packed_fallbacks += 4 * len(pairs) - len(resolved)
@@ -307,12 +343,12 @@ class DecisionSession:
     def _decide_run(
         self,
         pairs: Sequence[FFPair],
-        start: int,
-        end: int,
+        members: list[int],
         out: list,
         resolved: PackedResolved,
     ) -> None:
-        """Settle one same-source run, sharing the launch prefixes.
+        """Settle the ``members`` of one same-source run (pair indices in
+        order), sharing the launch prefixes.
 
         Per-pair case order stays ``(0,0),(0,1),(1,0),(1,1)`` with the
         usual short-circuit on VIOLATED/ABORTED; the rounds over ``a``
@@ -328,13 +364,13 @@ class DecisionSession:
         expansion = self.expansion
         engine = self.engine
         clock = self.clock
-        source_index = expansion.ff_index(pairs[start].source)
+        source_index = expansion.ff_index(pairs[members[0]].source)
         ffi_t = expansion.ff_at[0][source_index]
         ffi_t1 = expansion.ff_at[1][source_index]
         capture_row = expansion.ff_at[1]
         target_rows = expansion.ff_at[2:self.k + 1]
 
-        count = end - start
+        count = len(members)
         cases: list[list[CaseResult]] = [[] for _ in range(count)]
         verdict: list[tuple[Classification, Stage] | None] = [None] * count
         used_search = [False] * count
@@ -355,7 +391,7 @@ class DecisionSession:
                 capture = -1
                 targets: list[int] = []
                 for b in BINARY:
-                    case = resolved.get((start + i, a, b))
+                    case = resolved.get((members[i], a, b))
                     if case is None:
                         if prefix_ok is None:
                             mark = engine.checkpoint()
@@ -378,7 +414,7 @@ class DecisionSession:
                             case = CaseResult(a, b, CaseOutcome.CONTRADICTION)
                         else:
                             if capture < 0:
-                                pair = pairs[start + i]
+                                pair = pairs[members[i]]
                                 sink_index = expansion.ff_index(pair.sink)
                                 capture = capture_row[sink_index]
                                 targets = [
@@ -409,7 +445,7 @@ class DecisionSession:
                 classification = Classification.MULTI_CYCLE
                 stage = Stage.ATPG if used_search[i] else Stage.IMPLICATION
             result = PairResult(
-                pairs[start + i],
+                pairs[members[i]],
                 classification,
                 stage,
                 cases[i],
@@ -419,7 +455,7 @@ class DecisionSession:
                     "prefix_misses": misses[i],
                 },
             )
-            out[start + i] = (result, seconds[i])
+            out[members[i]] = (result, seconds[i])
 
     # ------------------------------------------------------------------
     # Case analysis.

@@ -2,7 +2,7 @@
 
 The decision pool used to ship each worker a pickled circuit plus the
 2-frame expansion, and every worker then *rebuilt* its own private
-SimPlan / CsrArrays / PackedPlan — so worker spawn cost and aggregate
+CsrArrays / PackedPlan — so worker spawn cost and aggregate
 peak RSS scaled with the worker count.  The backplane inverts that: the
 parent encodes each numpy-heavy artifact with the same flat-buffer
 codecs the on-disk store uses (:mod:`repro.store.codecs`), lays the
@@ -157,8 +157,8 @@ class AttachedBackplane:
         Returns the re-attached
         :class:`~repro.circuit.timeframe.TimeFrameExpansion` (or ``None``
         when the block carries no expansion).  The expansion's comb
-        circuit adopts the decoded CSR/SimPlan/PackedPlan under the keys
-        ``Circuit.derived`` builds them for, so the worker's engine
+        circuit adopts the decoded CSR arrays and packed plan under the
+        keys ``Circuit.derived`` builds them for, so the worker's engine
         preparation finds shared views instead of rebuilding.
         """
         detached = self.artifacts.get("expansion")
@@ -166,7 +166,7 @@ class AttachedBackplane:
             return None
         expansion = detached.attach(circuit)
         comb = expansion.comb
-        for kind in ("csr-arrays", "simplan", "packed-implication"):
+        for kind in ("csr-arrays", "packed-implication"):
             artifact = self.artifacts.get(kind)
             if artifact is not None:
                 comb.adopt_derived(kind, artifact)

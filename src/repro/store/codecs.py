@@ -21,8 +21,7 @@ Registered kinds:
     row matrix is the whole payload.
 ``packed-implication``
     :class:`~repro.atpg.packed_implication.PackedPlan` — gate records
-    and consumer lists CSR-flattened; the embedded SimPlan handle is
-    dropped (the engine never reads it after lowering).
+    and consumer lists CSR-flattened.
 ``implication-db``
     :class:`~repro.analysis.implication_db.ImplicationDB` — the two CSR
     arrays, mirroring its ``__reduce__``.
@@ -282,9 +281,6 @@ def _decode_packed(meta: dict[str, Any], arrays: dict[str, Any]) -> object:
     plan.circuit_version = int(meta["version"])
     plan.num_nodes = int(meta["num_nodes"])
     plan.buffer_rows = int(meta["buffer_rows"])
-    # The lowering-time SimPlan handle is not part of the closure kernel's
-    # state; the engine reads only gates/consumers/driver/presets.
-    plan.sim = None
     kinds = arrays["kinds"].tolist()
     ctrls = arrays["ctrls"].tolist()
     invs = arrays["invs"].tolist()

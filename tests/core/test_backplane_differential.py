@@ -1,7 +1,7 @@
 """Backplane differential: pair records byte-identical, auto vs off.
 
 The shared-memory backplane is pure transport — workers that attach
-decode the *same* expansion/CSR/SimPlan/PackedPlan the parent built, so
+decode the *same* expansion/CSR/PackedPlan the parent built, so
 for any circuit and any option mix ``pair_records()`` must be
 byte-identical between ``backplane="auto"``, ``backplane="off"``
 (private per-worker rebuilds) and the serial staged reference flow of
@@ -82,10 +82,22 @@ def test_backplane_publishes_on_paper_circuit():
     assert summary["workers"] == 2
     assert summary["attached"] == 2
     assert summary["worker_store_misses"] == 0
-    assert "expansion" in summary["kinds"]
+    # The packed plan is lowered from the CSR arrays: no SimPlan ships.
+    assert summary["kinds"] == [
+        "expansion", "csr-arrays", "packed-implication"
+    ]
     assert summary["bytes"] > 0
     assert summary["spawn_seconds_max"] >= 0.0
     assert summary["worker_rss_max_kb"] > 0
+
+
+def test_backplane_ships_the_implication_db_when_used():
+    result = _run(fig1_circuit(), backplane="auto", implication_db=True)
+    summary = result.metrics["backplane"]
+    assert summary["kinds"] == [
+        "expansion", "csr-arrays", "packed-implication", "implication-db"
+    ]
+    assert summary["attached"] == summary["workers"] == 2
 
 
 def test_backplane_off_never_publishes():

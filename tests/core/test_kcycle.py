@@ -18,7 +18,12 @@ from repro.circuit.library import enabled_pipeline
 from repro.circuit.timeframe import expand_cached
 from repro.circuit.topology import FFPair, connected_ff_pairs
 from repro.core.brute import brute_force_k_cycle_pairs
-from repro.core.kcycle import KCycleAnalyzer, is_k_cycle_pair, max_cycles
+from repro.core.kcycle import (
+    KCycleAnalyzer,
+    cycle_budgets,
+    is_k_cycle_pair,
+    max_cycles,
+)
 from repro.core.result import Classification, Stage
 from repro.core.session import DecisionSession
 
@@ -79,6 +84,20 @@ def test_pipeline_spacing_matches_budget():
     circuit = enabled_pipeline(2, counter_width=2, spacing=3)
     pair = FFPair(circuit.id_of("r0"), circuit.id_of("r1"))
     assert max_cycles(circuit, pair, k_max=6) == 3
+
+
+def test_cycle_budgets_equal_per_pair_scans():
+    """One session group per k over the pairs still open (the report's
+    k-cycle histogram) gives each pair the budget of its own scan."""
+    for circuit in suite("tiny")[:3]:
+        pairs = connected_ff_pairs(circuit)
+        expected = []
+        for pair in pairs:
+            budget = 1
+            while budget < 5 and is_k_cycle_pair(circuit, pair, budget + 1):
+                budget += 1
+            expected.append(budget)
+        assert cycle_budgets(circuit, pairs, k_max=5) == expected
 
 
 def test_max_cycles_on_single_cycle_pair():

@@ -385,6 +385,8 @@ class TestDetectorOptions:
         ("workers", 0),
         ("workers", -3),
         ("backtrack_limit", -1),
+        ("cache_max_bytes", 0),
+        ("cache_max_bytes", -1),
     ])
     def test_out_of_range_count_fails_at_construction(self, fig1, name, value):
         """A count below its minimum raises naming the field, before the

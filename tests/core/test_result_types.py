@@ -1,5 +1,9 @@
 """Result-type accessors and stage accounting."""
 
+import dataclasses
+
+import pytest
+
 from repro.circuit.topology import FFPair
 from repro.core.detector import detect_multi_cycle_pairs
 from repro.core.result import (
@@ -25,6 +29,14 @@ def test_pair_result_is_multi_cycle_flag():
 def test_case_result_defaults():
     case = CaseResult(0, 1, CaseOutcome.IMPLIED_STABLE)
     assert case.decisions == 0 and case.witness is None
+
+
+def test_case_result_is_frozen():
+    """Equal case records may be one shared instance, so none may change."""
+    case = CaseResult(0, 1, CaseOutcome.IMPLIED_STABLE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.outcome = CaseOutcome.VIOLATED
+    assert case == CaseResult(0, 1, CaseOutcome.IMPLIED_STABLE)
 
 
 def test_detection_result_partitions(fig1):

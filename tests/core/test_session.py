@@ -150,6 +150,120 @@ def test_session_rejects_bad_configuration(fig1):
 
 
 # ----------------------------------------------------------------------
+# Pairs the packed pre-pass settles skip the launch-run walk.
+# ----------------------------------------------------------------------
+class OpenPairsSession(DecisionSession):
+    """A session whose pre-pass leaves the pairs at ``open_pairs``
+    (indices in the group) to the walk, whatever it settled."""
+
+    open_pairs: frozenset = frozenset()
+
+    def _packed_resolve(self, pairs):
+        resolved = super()._packed_resolve(pairs)
+        return {
+            key: case for key, case in resolved.items()
+            if key[0] not in self.open_pairs
+        }
+
+
+def _fully_settled(session, pairs):
+    resolved = session._packed_resolve(pairs)
+    return [
+        all((index, a, b) in resolved for a in (0, 1) for b in (0, 1))
+        for index in range(len(pairs))
+    ]
+
+
+def _walk_stats(session):
+    stats = session.stats()
+    return {key: stats[key] for key in (
+        "implications", "prefix_hits", "prefix_misses", "launch_conflicts",
+        "trail_high_water",
+    )}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mixed_launch_run_matches_scalar_session(k):
+    """One launch run, settled pairs first, between and last: every
+    record equals the unpacked walk's, settled pairs carry zero walk
+    counters, and the walk does exactly what it does without them."""
+    from repro.bench_gen.suite import spec_by_name
+    from repro.bench_gen.synth import generate
+
+    circuit = generate(spec_by_name("syn170"))
+    pairs = connected_ff_pairs(circuit)
+    expansion = expand_cached(circuit, frames=k)
+    settled = _fully_settled(DecisionSession(expansion, k=k), pairs)
+    for start, end in launch_runs(pairs):
+        done = [i for i in range(start, end) if settled[i]]
+        walked = [i for i in range(start, end) if not settled[i]]
+        if len(done) >= 3 and len(walked) >= 2:
+            break
+    else:  # pragma: no cover - the circuit is fixed
+        raise AssertionError(f"syn170 has no mixed launch run at k={k}")
+    group = [pairs[i] for i in (done[0], walked[0], done[1], walked[1], done[2])]
+
+    session = DecisionSession(expansion, k=k)
+    got = session.decide_group(group)
+    expected = ScalarSession(expansion, k=k).decide_group(group)
+    assert [r for r, _ in got] == [r for r, _ in expected]
+    for position in (0, 2, 4):
+        result, seconds = got[position]
+        assert result.classification is Classification.MULTI_CYCLE
+        assert result.metrics == {
+            "implications": 0, "prefix_hits": 0, "prefix_misses": 0,
+        }
+        assert seconds >= 0
+    walk_only = DecisionSession(expansion, k=k)
+    walk_only.decide_group([group[1], group[3]])
+    assert _walk_stats(session) == _walk_stats(walk_only)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=seeds,
+    k=st.sampled_from([2, 3, 4]),
+    open_mask=st.integers(min_value=0, max_value=(1 << 24) - 1),
+)
+def test_forced_open_pairs_match_scalar_session(seed, k, open_mask):
+    """Whichever pairs the walk takes, the records are the unpacked
+    walk's: the settled-pair shortcut and the walk agree pair by pair."""
+    circuit = random_sequential_circuit(seed)
+    pairs = connected_ff_pairs(circuit)
+    if not pairs:
+        return
+    expansion = expand_cached(circuit, frames=k)
+    session = OpenPairsSession(expansion, k=k)
+    session.open_pairs = frozenset(
+        index for index in range(len(pairs)) if open_mask >> (index % 24) & 1
+    )
+    expected = ScalarSession(expansion, k=k).decide_group(pairs)
+    assert [r for r, _ in session.decide_group(pairs)] == [
+        r for r, _ in expected
+    ]
+
+
+def test_all_settled_group_never_touches_the_scalar_engine():
+    from repro.bench_gen.suite import spec_by_name
+    from repro.bench_gen.synth import generate
+
+    circuit = generate(spec_by_name("syn170"))
+    pairs = connected_ff_pairs(circuit)
+    expansion = expand_cached(circuit, frames=2)
+    settled = _fully_settled(DecisionSession(expansion), pairs)
+    group = [pair for pair, done in zip(pairs, settled) if done]
+    assert len(group) > 10
+    session = DecisionSession(expansion)
+    results = session.decide_group(group)
+    assert session.engine.implications == 0
+    assert session.stats()["prefix_misses"] == 0
+    assert session.stats()["pairs"] == len(group)
+    assert [r for r, _ in results] == [
+        r for r, _ in ScalarSession(expansion).decide_group(group)
+    ]
+
+
+# ----------------------------------------------------------------------
 # Launch-group sharding.
 # ----------------------------------------------------------------------
 def _fake_pairs(sources):

@@ -2,7 +2,7 @@
 
 The worker pool's contract is that an attached worker sees *exactly*
 the artifacts the parent published — same expansion frame maps, same
-CSR adjacency, same compiled plan — and that the adopted artifacts are
+CSR adjacency, same packed plan — and that the adopted artifacts are
 what ``Circuit.derived`` then hands to engine preparation (identity,
 not equality: adoption must pre-empt a rebuild).  The spawn-context
 test is the satellite for start methods that pickle the handle instead
@@ -15,10 +15,10 @@ import multiprocessing
 
 import pytest
 
+from repro.atpg.packed_implication import packed_plan
 from repro.circuit.csr import csr_arrays
 from repro.circuit.library import fig1_circuit
 from repro.circuit.timeframe import expand_cached
-from repro.logic.simplan import compiled_plan
 from repro.store.backplane import (
     AttachedBackplane,
     BackplaneHandle,
@@ -33,7 +33,7 @@ def _publish_fig1():
     published = publish([
         ("expansion", expansion),
         ("csr-arrays", csr_arrays(expansion.comb)),
-        ("simplan", compiled_plan(expansion.comb)),
+        ("packed-implication", packed_plan(expansion.comb)),
     ])
     return circuit, expansion, published
 
@@ -41,7 +41,9 @@ def _publish_fig1():
 def test_publish_layout():
     _, _, published = _publish_fig1()
     try:
-        assert published.kinds == ("expansion", "csr-arrays", "simplan")
+        assert published.kinds == (
+            "expansion", "csr-arrays", "packed-implication"
+        )
         assert published.nbytes > 0
         for _, offset, nbytes in published.handle.entries:
             assert offset % 64 == 0
@@ -64,7 +66,10 @@ def test_attach_and_adopt_in_process():
         # Adoption pre-empts the rebuild: derived() must now return the
         # decoded shared artifacts themselves, not fresh copies.
         assert csr_arrays(adopted.comb) is attached.artifacts["csr-arrays"]
-        assert compiled_plan(adopted.comb) is attached.artifacts["simplan"]
+        assert (
+            packed_plan(adopted.comb)
+            is attached.artifacts["packed-implication"]
+        )
     finally:
         published.close_and_unlink()
 

@@ -86,9 +86,10 @@ def test_packed_implication_roundtrip(fig1):
     assert decoded.driver == original.driver
     assert decoded.preset1 == original.preset1
     assert decoded.preset0 == original.preset0
-    # The compiled SimPlan is not shipped: decoded plans carry None and
-    # nothing downstream reads it after construction.
-    assert decoded.sim is None
+    # A plan is its lowered records only, built or decoded: no SimPlan
+    # handle rides along.
+    assert vars(decoded) == vars(original)
+    assert not hasattr(original, "sim")
 
 
 def test_implication_db_roundtrip(fig1):

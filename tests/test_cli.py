@@ -729,6 +729,11 @@ def test_trace_into_missing_directory_is_one_error_line(
     (["kcycle", "{f}", "--workers", "0"], "--workers"),
     (["kcycle", "{f}", "--max-k", "1"], "--max-k"),
     (["table1", "--profile", "tiny", "--workers", "0"], "--workers"),
+    (["sdc", "{f}", "--multi-cycle-budget", "1"], "--multi-cycle-budget"),
+    (["sdc", "{f}", "--multi-cycle-budget", "0"], "--multi-cycle-budget"),
+    (["analyze", "{f}", "--cache-max-bytes", "0"], "--cache-max-bytes"),
+    (["analyze", "{f}", "--cache-max-bytes", "-1"], "--cache-max-bytes"),
+    (["cache", "stats", "--cache-max-bytes", "0"], "--cache-max-bytes"),
 ])
 def test_out_of_range_numbers_are_usage_errors(
     fig1_file, capsys, monkeypatch, argv, flag

@@ -70,7 +70,7 @@ from repro.circuit.topology import FFPair
 from repro.logic.bitsim import TernarySimulator, pack_lane_matrix
 from repro.logic.simulator import evaluate_gate, ternary_eval
 from repro.logic.values import X
-from repro.core.hazard import BoundsVerdict, HazardChecker
+from repro.core.hazard import SEARCH_COUNTERS, BoundsVerdict, HazardChecker
 from repro.core.result import (
     HazardVerdictKind,
     PairHazardVerdict,
@@ -87,7 +87,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: with ``p`` = "can evaluate to 1" and ``q`` = "can evaluate to 0".
 Rail = tuple[int, int]
 
-#: Counter keys of :attr:`ExactHazardChecker.counters` / :meth:`summary`.
+#: Counter keys of :attr:`ExactHazardChecker.counters` / :meth:`summary`:
+#: the verdict counts, then the bound walk's search work
+#: (:data:`~repro.core.hazard.SEARCH_COUNTERS`).
 COUNTER_KEYS = (
     "checked",
     "disagreement",
@@ -101,6 +103,7 @@ COUNTER_KEYS = (
     "unsat",
     "unknown",
     "delay_filtered",
+    *SEARCH_COUNTERS,
 )
 
 
@@ -191,13 +194,14 @@ class ExactHazardChecker:
         self.expansion = expansion
         self.conflict_limit = conflict_limit
         self.delays = delays
+        self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
         self._bounds = HazardChecker(
             circuit,
             backtrack_limit=backtrack_limit,
             max_attempts=max_attempts,
             expansion=expansion,
+            counters=self.counters,
         )
-        self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
         self._packed: PackedImplicationEngine | None = None
         self._solver: CdclSolver | None = None
         self._encoding: CircuitEncoding | None = None

@@ -25,6 +25,7 @@ launch/capture cones an ECO actually changed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -63,6 +64,19 @@ def _int_at_least(minimum: int):
 
     parse.__name__ = "int"  # argparse's message: "invalid int value: 'x'"
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse ``type``: a positive finite float, else exit 2."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}"
+        )
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse's message: "invalid float value: 'x'"
 
 
 def _run_options(args: argparse.Namespace) -> dict:
@@ -663,9 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sta", help="timing relaxation report")
     p.add_argument("file", help=".bench netlist")
-    p.add_argument("--period", type=float, default=None,
+    p.add_argument("--period", type=_positive_float, default=None,
                    help="also print the worst-slack table at this period")
-    p.add_argument("--worst", type=int, default=10,
+    p.add_argument("--worst", type=_int_at_least(1), default=10,
                    help="rows in the slack table (default 10)")
     _add_detector_args(p)
     p.set_defaults(func=cmd_sta)

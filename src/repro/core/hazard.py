@@ -20,14 +20,16 @@ cannot glitch), which gives the paper's Table 3 ordering:
 
 :meth:`HazardChecker.check_runs` gets both bounds in one walk per
 launch run that closes each source value's launch literals once and
-runs co-sensitization first; the exact classification
+runs co-sensitization first, one search on the launch state clearing
+several cases at once where it can; the exact classification
 (:mod:`repro.analysis.hazard_exact`) records both on every verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterator, Sequence
+from functools import cache, partial
+from typing import Callable, Collection, Iterator, Sequence
 
 from repro.circuit.gates import COMBINATIONAL_TYPES
 from repro.circuit.netlist import Circuit
@@ -42,6 +44,12 @@ from repro.core.sensitization import (
     SensitizationMode,
     find_sensitizable_path,
 )
+
+
+#: The search-work counters of :attr:`HazardChecker.counters`: path
+#: searches run, cases cleared by a search on the launch state, and
+#: searches the reachability proof settled.
+SEARCH_COUNTERS = ("path_searches", "launch_cleared", "proof_settled")
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,15 @@ class HazardChecker:
         backtrack_limit: int = 50,
         max_attempts: int = 5000,
         expansion: TimeFrameExpansion | None = None,
+        counters: dict[str, int] | None = None,
     ) -> None:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
         self.max_attempts = max_attempts
+        #: :data:`SEARCH_COUNTERS`, added to ``counters`` when given
+        self.counters = counters if counters is not None else {}
+        for key in SEARCH_COUNTERS:
+            self.counters.setdefault(key, 0)
         if expansion is None:
             expansion = expand_cached(circuit, frames=2)
         elif expansion.frames < 2:
@@ -104,14 +117,21 @@ class HazardChecker:
         backtracks to the launch state.  A contradicted launch leaves
         the round's cases without a premise.
 
-        Per pair the walk is the one the paper's §5 check makes: every
-        path search from the source's new value ``FF_i(t+1)`` to the
-        sink's data input ``FF_j(t+2)`` runs inside its case premise.
-        Co-sensitization searches run first, case by case, until one
-        finds a path or hits a budget; the pair is then not cleared, and
-        from that case on only sensitization searches run.  The pair's
-        walk stops at its first case with a sensitizable path.  A pair
-        cleared in every case runs no sensitization search.
+        Per pair the walk is the one the paper's §5 check makes, on
+        paths from the source's new value ``FF_i(t+1)`` to the sink's
+        data input ``FF_j(t+2)``.  While no case of the pair is
+        uncleared and two or more of its ``a`` cases are left, its
+        round starts with one co-sensitization search on the launch
+        state; if that finds no path, it clears them all, and none
+        closes its capture literals.  Every other search runs inside
+        its case premise.  Co-sensitization searches run first, case by
+        case, until one finds a path or hits a budget; the pair is then
+        not cleared, and from that case on only sensitization searches
+        run.  The pair's walk stops at its first case with a
+        sensitizable path.  A pair cleared in every case runs no
+        sensitization search.  Each search starts with the reachability
+        proof of :func:`find_sensitizable_path` and reads the sink's
+        cone within the second frame (:meth:`_sink_cone`).
         Co-sensitization still walks X-reach safe cases, so ``cleared``
         does not depend on them.  They run no sensitization search,
         because a sensitizable path there would be a real glitch, and
@@ -128,7 +148,14 @@ class HazardChecker:
         over every case, then co-sensitization).  A sensitization witness
         vector meets one co-sensitization option at every gate of its
         path, so a case that co-sensitization clears within budget has no
-        sensitizable path, and the first case with one is the same.  The
+        sensitizable path, and the first case with one is the same.  A
+        case's co-sensitizable path, with its justified vector, would
+        also be found on the launch state, which holds fewer values, or
+        stop that search at a budget; so a launch search that finds no
+        path within budget leaves none to any of its cases.  That proof,
+        and the reachability proof, can clear a case whose own search
+        would stop at a budget ("Search budgets" in ``docs/hazards.md``);
+        no other verdict moves.  The
         implication rules are monotone, so launch then capture closes to
         the values and unjustified gates of the one-shot premise, and
         contradicts exactly when it does; the engine state after a
@@ -157,13 +184,10 @@ class HazardChecker:
         walks = [_PairWalk(self, r, safe) for r, safe in zip(run, xsafe)]
         for a in BINARY:
             mark = engine.checkpoint()
-            launched: bool | None = None
+            # Closes the launch literals at the round's first call.
+            launch = cache(partial(engine.assume_all, [(ffi_t, a), (ffi_t1, 1 - a)]))
             for walk in walks:
-                for index in walk.cases_of(a):
-                    if launched is None:
-                        launched = engine.assume_all([(ffi_t, a), (ffi_t1, 1 - a)])
-                    if launched:
-                        walk.capture(index, ffi_t1)
+                walk.walk_round(a, launch)
             engine.backtrack(mark)
         return [walk.verdict() for walk in walks]
 
@@ -174,7 +198,7 @@ class HazardChecker:
         reach: set[int],
         mode: SensitizationMode,
     ) -> PathSearchResult:
-        return find_sensitizable_path(
+        result = find_sensitizable_path(
             self.engine,
             source=source,
             target=target,
@@ -184,6 +208,31 @@ class HazardChecker:
             max_attempts=self.max_attempts,
             reach=reach,
         )
+        self.counters["path_searches"] += 1
+        if result.unreachable:
+            self.counters["proof_settled"] += 1
+        return result
+
+    def _sink_cone(self, target: int) -> set[int]:
+        """``target``'s fan-in cone, followed through the second frame only.
+
+        The frame's entry nodes (state entries, inputs) are the leaves.
+        A path search enters only second-frame gates, and needs to know
+        only whether the source is a leaf, so this cone serves it as the
+        whole transitive fan-in of the expansion would.
+        """
+        frame2 = self._frame2_nodes
+        fanins = self.engine.fanins
+        cone = {target}
+        stack = [target]
+        while stack:
+            node = stack.pop()
+            if node in frame2:
+                for fanin in fanins[node]:
+                    if fanin not in cone:
+                        cone.add(fanin)
+                        stack.append(fanin)
+        return cone
 
     @staticmethod
     def _satisfiable_cases(pair_result: PairResult) -> list[tuple[int, int]]:
@@ -200,6 +249,9 @@ class HazardChecker:
             for c in pair_result.cases
             if c.outcome in (CaseOutcome.IMPLIED_STABLE, CaseOutcome.PROVED_STABLE)
         ]
+
+
+_COSENSITIZE = SensitizationMode.STATIC_CO_SENSITIZATION
 
 
 class _PairWalk:
@@ -229,10 +281,37 @@ class _PairWalk:
         self.first_open: int | None = None
         self.proven_case: tuple[int, int] | None = None
         self.path: list[int] | None = None
+        #: the source's new value ``FF_i(t+1)``, where every path starts
+        self.source = expansion.ff_at[1][expansion.ff_index(pair_result.pair.source)]
         self.ffj_t1 = expansion.ff_at[1][sink]
         self.ffj_t2 = expansion.ff_at[2][sink]
-        #: the sink's cone, shared by every case's path search
+        #: the sink's frame-2 cone, shared by every path search of the pair
         self.reach: set[int] | None = None
+
+    def walk_round(self, a: int, launch: Callable[[], bool]) -> None:
+        """Walk the next cases with source value ``a``.
+
+        ``launch()`` closes the round's launch literals at its first
+        call and says whether they hold.  While every case walked so far
+        is cleared and two or more ``a`` cases are left, one
+        co-sensitization search on the launch state goes first; if it
+        finds no path, it clears them all (:meth:`HazardChecker.check_runs`).
+        """
+        end = self.next
+        while end < len(self.cases) and self.cases[end][0] == a:
+            end += 1
+        if (
+            self.first_open is None
+            and end - self.next > 1
+            and launch()
+            and self._search(_COSENSITIZE).outcome is PathSearchOutcome.NONE
+        ):
+            self.checker.counters["launch_cleared"] += end - self.next
+            self.next = end
+            return
+        for index in self.cases_of(a):
+            if launch():
+                self.capture(index)
 
     def cases_of(self, a: int) -> Iterator[int]:
         """Indices of the next cases with source value ``a`` to walk.
@@ -247,36 +326,32 @@ class _PairWalk:
             if self.first_open is None or cases[index] not in self.xsafe:
                 yield index
 
-    def capture(self, index: int, source: int) -> None:
+    def capture(self, index: int) -> None:
         """Walk case ``index`` on top of its closed launch literals."""
-        checker = self.checker
-        engine = checker.engine
+        engine = self.checker.engine
         case = self.cases[index]
         b = case[1]
-        target = self.ffj_t2
         mark = engine.checkpoint()
         path = None
-        if engine.assume_all([(self.ffj_t1, b), (target, b)]):
-            if self.reach is None:
-                self.reach = checker.expansion.comb.transitive_fanin([target])
+        if engine.assume_all([(self.ffj_t1, b), (self.ffj_t2, b)]):
             if self.first_open is None:
-                cosens = checker._search(
-                    source, target, self.reach,
-                    SensitizationMode.STATIC_CO_SENSITIZATION,
-                )
+                cosens = self._search(_COSENSITIZE)
                 if cosens.outcome is not PathSearchOutcome.NONE:
                     self.first_open = index
             if self.first_open is not None and case not in self.xsafe:
-                path = checker._search(
-                    source, target, self.reach,
-                    SensitizationMode.STATIC_SENSITIZATION,
-                ).path
+                path = self._search(SensitizationMode.STATIC_SENSITIZATION).path
         engine.backtrack(mark)
         if path is not None:
             # A sensitizable path proves the glitch: the walk ends here.
             self.proven_case = case
             self.path = path
             self.next = len(self.cases)
+
+    def _search(self, mode: SensitizationMode) -> PathSearchResult:
+        """One path search to the sink on the engine's current state."""
+        if self.reach is None:
+            self.reach = self.checker._sink_cone(self.ffj_t2)
+        return self.checker._search(self.source, self.ffj_t2, self.reach, mode)
 
     def verdict(self) -> BoundsVerdict:
         if self.first_open is None:

@@ -20,6 +20,14 @@ The search walks forward from the source, assuming the per-gate side-input
 constraints through the shared implication engine (contradictions prune
 whole path families), and confirms each complete path with the
 justification search so that only genuinely satisfiable vectors count.
+
+Before that walk a *reachability proof* sweeps forward from the source
+over the same gates.  It cuts an edge into a gate when every extension
+option there holds a literal the current values already contradict;
+the walk only adds values, so a contradicted literal stays
+contradicted and the walk can never cross a cut edge.  A target the
+sweep does not reach has no path, and the search answers NONE without
+walking (``PathSearchResult.unreachable``).
 """
 
 from __future__ import annotations
@@ -55,6 +63,8 @@ class PathSearchResult:
     #: node ids of a found path, source first (when FOUND)
     path: list[int] | None = None
     attempts: int = 0
+    #: the reachability proof settled the search: no walk ran
+    unreachable: bool = False
 
 
 def _extension_options(
@@ -107,6 +117,45 @@ def _extension_options(
     return None
 
 
+def _reaches(
+    engine: ImplicationEngine,
+    source: int,
+    target: int,
+    allowed: frozenset[int] | set[int],
+    reach: frozenset[int] | set[int],
+    mode: SensitizationMode,
+) -> bool:
+    """Whether the reachability proof lets ``source`` reach ``target``.
+
+    The sweep enters the gates the walk may enter (in ``reach`` and
+    ``allowed``) and cuts an edge ``node -> gate`` when every option of
+    :func:`_extension_options` there holds a literal the current values
+    contradict.  ``source == target`` is reached: a sink whose data
+    input is the source's own node.
+    """
+    if source == target:
+        return True
+    values = engine.assignment.values
+    fanouts = engine.fanouts
+    entered = {source}
+    stack = [source]
+    while stack:
+        node = stack.pop()
+        for gate in fanouts[node]:
+            if gate in entered or gate not in reach or gate not in allowed:
+                continue
+            options = _extension_options(engine, gate, node, mode)
+            if options is not None and all(
+                any(values[n] == 1 - v for n, v in option) for option in options
+            ):
+                continue
+            if gate == target:
+                return True
+            entered.add(gate)
+            stack.append(gate)
+    return False
+
+
 def find_sensitizable_path(
     engine: ImplicationEngine,
     source: int,
@@ -120,17 +169,22 @@ def find_sensitizable_path(
     """Search for a statically (co-)sensitizable path ``source -> target``.
 
     ``allowed`` restricts intermediate/target nodes (used to confine the
-    walk to one time frame of an expansion).  ``reach`` is ``target``'s
-    transitive fan-in; a caller searching one target several times
-    computes it once and passes it, otherwise it is computed here.  The
-    engine may already carry context assumptions (the MC case premise);
-    it is restored before returning.  A FOUND result is backed by a
-    justification-verified input vector.
+    walk to one time frame of an expansion).  ``reach`` holds
+    ``target``'s fan-in cone, at least every gate of ``allowed`` on a
+    path to it; a caller searching one target several times computes it
+    once and passes it, otherwise the transitive fan-in is computed
+    here.  The engine may already carry context assumptions (the MC case
+    premise); it is restored before returning.  A FOUND result is backed
+    by a justification-verified input vector.
+
+    The reachability proof (module docstring) runs first: when the
+    source is outside ``reach`` or cannot reach the target, the answer
+    is NONE with ``unreachable`` set and no attempt made.
     """
     if reach is None:
         reach = engine.circuit.transitive_fanin([target])
-    if source not in reach:
-        return PathSearchResult(PathSearchOutcome.NONE)
+    if source not in reach or not _reaches(engine, source, target, allowed, reach, mode):
+        return PathSearchResult(PathSearchOutcome.NONE, unreachable=True)
 
     outer_mark = engine.checkpoint()
     attempts = 0

@@ -75,6 +75,18 @@ class RelaxationReport:
         return min(slacks) if slacks else 0.0
 
 
+def _check_budget(multi_cycle_budget: int) -> None:
+    """Reject a multi-cycle budget below one cycle with a ``ValueError``.
+
+    A budget of 0 would give relaxed pairs no time at all (``-setup 0``,
+    ``-hold -1``); 1 is the single-cycle check, a no-op relaxation.
+    """
+    if multi_cycle_budget < 1:
+        raise ValueError(
+            f"multi_cycle_budget must be >= 1, got {multi_cycle_budget}"
+        )
+
+
 def relaxation_report(
     circuit: Circuit,
     detection: DetectionResult,
@@ -86,7 +98,9 @@ def relaxation_report(
     Multi-cycle pairs receive ``multi_cycle_budget`` cycles (the MC
     condition guarantees 2; callers holding k-cycle results may pass more
     per :mod:`repro.core.kcycle`).  Undecided and single-cycle pairs keep 1.
+    A budget below 1 raises ``ValueError``.
     """
+    _check_budget(multi_cycle_budget)
     delays = ff_pair_delays(circuit, model)
     budget: dict[tuple[int, int], int] = {}
     for result in detection.pair_results:
@@ -143,7 +157,9 @@ def sdc_constraints(
     multi_cycle_budget``.  Pairs flagged by the hazard stage (when it
     ran) are marked unsafe and rendered as comments by
     :func:`format_sdc`; undecided and single-cycle pairs yield nothing.
+    A budget below 1 raises ``ValueError``.
     """
+    _check_budget(multi_cycle_budget)
     names = detection.circuit.names
     verdicts = {
         (v.pair.source, v.pair.sink): v for v in detection.hazard_verdicts
@@ -230,7 +246,12 @@ def constraints_json(
     multi_cycle_budget: int = 2,
     constraints: list[SdcConstraint] | None = None,
 ) -> str:
-    """The JSON interchange form of :func:`sdc_constraints`."""
+    """The JSON interchange form of :func:`sdc_constraints`.
+
+    The payload records ``multi_cycle_budget`` even when ``constraints``
+    are given, so a budget below 1 raises ``ValueError`` either way.
+    """
+    _check_budget(multi_cycle_budget)
     if constraints is None:
         constraints = sdc_constraints(detection, multi_cycle_budget)
     payload = {

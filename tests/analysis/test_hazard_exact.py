@@ -21,10 +21,10 @@ single-source X-propagation condition exactly:
   incremental path must reproduce the verdicts of the staged reference
   flow (``tests/core/staged_oracle.py``);
 * *bound order* — the one-walk, co-sensitization-first bounds must give
-  every verdict field and counter of the sensitization-first reference
-  (``tests/analysis/sensitize_first.py``), within budget and when the
-  path searches hit their budgets, and each recorded bound must be the
-  flag of its per-mode walk (``tests/core/hazard_oracle.py``).
+  every verdict field and verdict counter of the sensitization-first
+  reference (``tests/analysis/sensitize_first.py``), within budget and
+  when the path searches hit their budgets, and each recorded bound
+  must be the flag of its per-mode walk (``tests/core/hazard_oracle.py``).
 
 The delay-annotated re-filter gets deterministic unit tests: a single
 X-path cannot pulse under any delay assignment, while unequal-depth
@@ -49,7 +49,7 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.techmap import techmap
 from repro.circuit.topology import FFPair
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.hazard import HazardChecker
+from repro.core.hazard import SEARCH_COUNTERS, HazardChecker
 from repro.core.incremental import incremental_detect, result_bundle
 from repro.core.result import (
     CaseOutcome,
@@ -185,6 +185,15 @@ def _bound_inputs(circuit):
     return records
 
 
+def _verdict_counts(summary):
+    """A summary without its search-work counters, which count how the
+    bounds were walked: the walks a differential compares differ there."""
+    return {
+        key: value for key, value in summary.items()
+        if key not in SEARCH_COUNTERS
+    }
+
+
 def _verdict_fields(verdict):
     return (
         verdict.pair,
@@ -212,7 +221,7 @@ def test_bound_walk_matches_sensitize_first(build, budgets, seed):
     got = [_verdict_fields(v) for v in verdicts]
     want = [_verdict_fields(v) for v in reference.check_pairs(records)]
     assert got == want
-    assert walk.summary() == reference.summary()
+    assert _verdict_counts(walk.summary()) == _verdict_counts(reference.summary())
     # Each recorded bound is its per-mode walk's flag; a budget hit
     # flags co-sensitization but proves nothing for sensitization.
     for verdict, (sens, cosens) in zip(verdicts, reference.reports):
@@ -244,71 +253,99 @@ def test_bound_walk_saves_searches_and_premises(monkeypatch):
     """Cleared pairs run no sensitization search; premises close once.
 
     Each case closes its capture literals at most once, on top of a
-    launch closed at most once per source value.  A pair X-reach
-    settles closes no premise and runs no search past
-    co-sensitization's first uncleared case, and solves nothing."""
+    launch closed at most once per source value, and a cleared pair's
+    every closed premise runs one co-sensitization search.  A round
+    whose co-sensitization search on the launch state finds no path
+    closes no capture.  A pair X-reach settles closes no premise and
+    runs no search past co-sensitization's first uncleared case, and
+    solves nothing."""
     import repro.core.hazard as hazard_module
     from repro.atpg.implication import ImplicationEngine
     from repro.circuit.library import fig1_circuit
+    from repro.core.sensitization import PathSearchOutcome
 
     circuit = fig1_circuit()
     pair_results = _detect(circuit).multi_cycle_pairs
-    searches: dict[SensitizationMode, int] = {}
-    launches = captures = 0
+    #: ("launch", a), ("capture", b) and ("search", mode, outcome)
+    events: list[tuple] = []
     depth = 0
     search = hazard_module.find_sensitizable_path
     assume_all = ImplicationEngine.assume_all
 
     def counting_search(*args, **kwargs):
         nonlocal depth
-        mode = kwargs["mode"]
-        searches[mode] = searches.get(mode, 0) + 1
         depth += 1
         try:
-            return search(*args, **kwargs)
+            result = search(*args, **kwargs)
         finally:
             depth -= 1
+        events.append(("search", kwargs["mode"], result.outcome))
+        return result
 
     def counting_assume_all(engine, assignments):
-        nonlocal launches, captures
         assignments = list(assignments)
         if depth == 0:
             # Launch literals take a and 1-a, capture literals b and b.
             if assignments[0][1] != assignments[1][1]:
-                launches += 1
+                events.append(("launch", assignments[0][1]))
             else:
-                captures += 1
+                events.append(("capture", assignments[0][1]))
         return assume_all(engine, assignments)
 
     monkeypatch.setattr(hazard_module, "find_sensitizable_path", counting_search)
     monkeypatch.setattr(ImplicationEngine, "assume_all", counting_assume_all)
 
     checker = ExactHazardChecker(circuit)
-    cleared = 0
-    settled = 0
+    cleared = settled = launch_cleared_rounds = 0
     for pair_result in pair_results:
-        searches.clear()
-        launches = captures = 0
+        events.clear()
+        before = checker.counters["launch_cleared"]
         verdict = checker.check_pair(pair_result)
         cases = HazardChecker._satisfiable_cases(pair_result)
+        kinds = [event[0] for event in events]
+        captures = kinds.count("capture")
         assert captures <= len(cases)
-        assert launches <= len({a for a, _ in cases})
-        cosens = searches.get(SensitizationMode.STATIC_CO_SENSITIZATION, 0)
+        assert kinds.count("launch") <= len({a for a, _ in cases})
+        sensitize = [
+            event for event in events
+            if event[0] == "search"
+            and event[1] is SensitizationMode.STATIC_SENSITIZATION
+        ]
+        # One round per launch: a co-sensitization search right after
+        # the launch that finds no path clears the round.
+        launches = [k for k, kind in enumerate(kinds) if kind == "launch"]
+        for start, end in zip(launches, launches[1:] + [len(events)]):
+            if events[start + 1:start + 2] == [(
+                "search", SensitizationMode.STATIC_CO_SENSITIZATION,
+                PathSearchOutcome.NONE,
+            )]:
+                launch_cleared_rounds += 1
+                assert "capture" not in kinds[start + 1:end]
+        launch_cases = checker.counters["launch_cleared"] - before
+        # A case's own co-sensitization search runs right after its
+        # capture literals close.
+        case_cosens = sum(
+            1 for prev, event in zip(events, events[1:])
+            if prev[0] == "capture"
+            and event[:2] == ("search", SensitizationMode.STATIC_CO_SENSITIZATION)
+        )
         if verdict.decided_by == "cosensitize":
             cleared += 1
-            assert captures == len(cases)
-            assert searches.get(SensitizationMode.STATIC_SENSITIZATION, 0) == 0
-            assert cosens == len(cases)
+            assert not sensitize
+            assert case_cosens == captures
+            assert captures + launch_cases == len(cases)
         if verdict.decided_by == "xreach":
             settled += 1
             # Every premise closed ran one co-sensitization search, up
             # to the first case it did not clear, and nothing after it.
             assert verdict.cosensitize_flagged
-            assert captures == cosens < len(cases)
-            assert searches.get(SensitizationMode.STATIC_SENSITIZATION, 0) == 0
+            assert captures == case_cosens < len(cases)
+            assert not sensitize
     # FF3 -> FF2 glitches through no MUX2 select path co-sensitization
     # accepts, but X-reach settles every case it leaves open.
     assert (cleared, settled) == (1, 1)
+    assert launch_cleared_rounds > 0
+    assert checker.counters["launch_cleared"] > 0
     assert checker.counters["sat_solves"] == 0
     assert checker._solver is None
 
@@ -334,7 +371,7 @@ _RUN_BUILDS = pytest.mark.parametrize(
 @given(seed=seeds)
 @settings(max_examples=10)
 def test_run_walk_matches_pair_walk(build, budgets, order, seed):
-    """The run walk gives every verdict field and counter of the
+    """The run walk gives every verdict field and verdict counter of the
     per-pair walk (``tests/core/bounds_oracle.py``).
 
     Shuffled records split a source's pairs over several runs; the bare
@@ -349,7 +386,7 @@ def test_run_walk_matches_pair_walk(build, budgets, order, seed):
     reference = PairWalkChecker(circuit, **budgets)
     got = [_verdict_fields(v) for v in walk.check_pairs(records)]
     assert got == [_verdict_fields(v) for v in reference.check_pairs(records)]
-    assert walk.summary() == reference.summary()
+    assert _verdict_counts(walk.summary()) == _verdict_counts(reference.summary())
 
 
 def _held_source_circuit() -> Circuit:
@@ -517,7 +554,9 @@ def test_streaming_exact_matches_staged(seed):
     staged = staged_detect(circuit, DetectorOptions(hazard_check="exact"))
     streamed = _detect(circuit, hazard_check="exact")
     assert _verdict_fingerprint(staged) == _verdict_fingerprint(streamed)
-    assert staged.metrics["hazard_exact"] == streamed.metrics["hazard_exact"]
+    assert _verdict_counts(staged.metrics["hazard_exact"]) == _verdict_counts(
+        streamed.metrics["hazard_exact"]
+    )
     assert staged.hazard_flagged_pairs == streamed.hazard_flagged_pairs
     assert json.dumps(staged.pair_records(), sort_keys=True) == json.dumps(
         streamed.pair_records(), sort_keys=True

@@ -2,14 +2,15 @@
 
 :meth:`repro.core.hazard.HazardChecker.check_runs` walks the pairs one
 launch run at a time: each source value's launch literals
-``FF_i(t) = a``, ``FF_i(t+1) = 1-a`` are closed once per run, and each
-case closes only its capture literals on top.  This reference walks
-every pair on its own and closes each case's whole four-literal premise
-in one ``assume_all``, the walk of earlier releases.  The search order
-inside a pair, the X-reach skip rule and the stop at the first
-sensitizable path are the same, so a differential against
-:class:`PairWalkChecker` checks exactly the split premise and the
-interleaved rounds.
+``FF_i(t) = a``, ``FF_i(t+1) = 1-a`` are closed once per run, a search
+on that launch state can clear several cases of a pair at once, and
+each case closes only its capture literals on top.  This reference
+walks every pair on its own and closes each case's whole four-literal
+premise in one ``assume_all``, with a search per case, the walk of
+earlier releases.  The search order inside a pair, the X-reach skip
+rule and the stop at the first sensitizable path are the same, so a
+differential against :class:`PairWalkChecker` checks exactly the split
+premise, the interleaved rounds and the launch search.
 """
 
 from __future__ import annotations

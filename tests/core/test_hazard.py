@@ -5,10 +5,14 @@ The per-mode claims run against the per-mode walk of
 against the bounds an exact hazard pass records on every verdict.
 """
 
+import pytest
+
 from repro.circuit.techmap import techmap
 from repro.circuit.timeframe import expand
+from repro.circuit.topology import FFPair
 from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 from repro.core.hazard import HazardChecker
+from repro.core.result import Classification, PairResult, Stage
 from repro.core.sensitization import (
     PathSearchOutcome,
     SensitizationMode,
@@ -16,7 +20,9 @@ from repro.core.sensitization import (
 )
 from repro.atpg.implication import ImplicationEngine
 
-from hypothesis import given
+from hypothesis import given, settings
+from tests.analysis.oracle_sweep import parity_mux_circuit
+from tests.core import path_search_oracle
 from tests.core.hazard_oracle import ModeWalk, check_hazards, flagged_names
 from tests.strategies import random_sequential_circuit, seeds
 
@@ -146,10 +152,11 @@ def test_unreachable_source_is_none(fig3):
 def test_attempt_limit_flags_conservatively(fig3):
     """A search budget hit neither clears a pair nor proves a glitch.
 
-    With no path-search budget every search ends UNKNOWN: the
-    co-sensitization bound flags every pair with a satisfiable case and
-    the sensitization bound flags none (the per-mode sensitization walk
-    flagged them all, as ``limited``).
+    With no path-search budget every search that the reachability
+    proof does not settle ends UNKNOWN: the co-sensitization bound flags
+    every pair with a satisfiable case (each fig3 pair has a case no
+    proof clears) and the sensitization bound flags none (the per-mode
+    sensitization walk flagged them all, as ``limited``).
     """
     from repro.analysis.hazard_exact import ExactHazardChecker
 
@@ -221,3 +228,61 @@ def test_classify_hazards_consistent_with_individual_checks(seed):
     cosens = check_hazards(circuit, detection, COSENS, **UNLIMITED)
     assert hazardous == flagged_names(circuit, sens)
     assert dependent_or_worse == flagged_names(circuit, cosens)
+
+
+@pytest.mark.parametrize(
+    "budgets", [{}, {"backtrack_limit": 0, "max_attempts": 3}],
+    ids=["default", "starved"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: random_sequential_circuit(
+            seed, max_inputs=4, max_dffs=6, max_gates=24
+        ),
+        parity_mux_circuit,
+    ],
+    ids=["random", "parity-mux"],
+)
+@given(seed=seeds)
+@settings(max_examples=15)
+def test_cases_cleared_at_the_launch_have_no_path(build, budgets, seed):
+    """Every case the run walk clears, by one co-sensitization search on
+    the launch state or by its own, has no co-sensitizable path: the
+    per-case search without the reachability proof
+    (``tests/core/path_search_oracle.py``), inside the case's whole
+    premise, answers NONE or UNKNOWN.
+
+    Bare records walk all four cases of every FF pair, so each round
+    that no earlier case left open starts with a launch search."""
+    circuit = build(seed)
+    checker = HazardChecker(circuit, **budgets)
+    records = [
+        PairResult(FFPair(source, sink), Classification.MULTI_CYCLE, Stage.ATPG)
+        for source in circuit.dffs
+        for sink in circuit.dffs
+    ]
+    verdicts = checker.check_runs(records, [()] * len(records))
+    expansion = checker.expansion
+    engine = ImplicationEngine(expansion.comb)
+    for record, verdict in zip(records, verdicts):
+        source = expansion.ff_index(record.pair.source)
+        sink = expansion.ff_index(record.pair.sink)
+        start = expansion.ff_at[1][source]
+        target = expansion.ff_at[2][sink]
+        cases = HazardChecker._satisfiable_cases(record)
+        cleared = cases[:len(cases) - len(verdict.open_cases)]
+        assert verdict.cleared == (cleared == cases)
+        for a, b in cleared:
+            mark = engine.checkpoint()
+            premise = [
+                (expansion.ff_at[0][source], a), (start, 1 - a),
+                (expansion.ff_at[1][sink], b), (target, b),
+            ]
+            if engine.assume_all(premise):
+                found = path_search_oracle.find_sensitizable_path(
+                    engine, start, target, checker._frame2_nodes, COSENS,
+                    **budgets,
+                )
+                assert found.outcome is not PathSearchOutcome.FOUND
+            engine.backtrack(mark)

@@ -1,7 +1,15 @@
-"""Unit tests for the per-gate sensitization extension options."""
+"""Unit tests for the per-gate sensitization extension options.
 
+The reachability proof that runs before each path search is checked
+on whole searches against the walk without it
+(``tests/core/path_search_oracle.py``).
+"""
+
+import pytest
+from hypothesis import given, settings
 
 from repro.circuit.builder import CircuitBuilder
+from repro.core.hazard import HazardChecker
 from repro.core.sensitization import (
     PathSearchOutcome,
     SensitizationMode,
@@ -10,6 +18,9 @@ from repro.core.sensitization import (
 )
 from repro.atpg.implication import ImplicationEngine
 from repro.logic.values import ONE, ZERO
+from tests.analysis.oracle_sweep import parity_mux_circuit
+from tests.core import path_search_oracle
+from tests.strategies import random_sequential_circuit, seeds
 
 
 def _engine_for(build):
@@ -112,3 +123,73 @@ def test_search_blocked_by_assumed_side_value():
         SensitizationMode.STATIC_SENSITIZATION,
     )
     assert result.outcome is PathSearchOutcome.NONE
+
+
+# ----------------------------------------------------------------------
+# The reachability proof.
+# ----------------------------------------------------------------------
+_SEARCH_BUILDS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: random_sequential_circuit(seed, max_dffs=5, max_gates=16),
+        parity_mux_circuit,
+    ],
+    ids=["random", "parity-mux"],
+)
+_SEARCH_BUDGETS = pytest.mark.parametrize(
+    "budgets",
+    [{}, {"backtrack_limit": 0, "max_attempts": 3}],
+    ids=["default", "starved"],
+)
+
+
+@_SEARCH_BUDGETS
+@_SEARCH_BUILDS
+@given(seed=seeds)
+@settings(max_examples=15)
+def test_proof_settles_only_searches_without_a_path(build, budgets, seed):
+    """Every case premise of every FF pair, both modes: a search the
+    proof settles is NONE or UNKNOWN for the walk without the proof
+    (which reads the whole transitive fan-in), and every other search
+    gives that walk's outcome, path and attempts.
+
+    The random circuits hold MUXes and flip-flops fed straight by
+    another flip-flop, whose target is the source's own node."""
+    circuit = build(seed)
+    checker = HazardChecker(circuit)
+    expansion = checker.expansion
+    engine = checker.engine
+    frame2 = checker._frame2_nodes
+    for source in range(len(circuit.dffs)):
+        for sink in range(len(circuit.dffs)):
+            start = expansion.ff_at[1][source]
+            target = expansion.ff_at[2][sink]
+            cone = checker._sink_cone(target)
+            for a in (0, 1):
+                for b in (0, 1):
+                    mark = engine.checkpoint()
+                    premise = [
+                        (expansion.ff_at[0][source], a), (start, 1 - a),
+                        (expansion.ff_at[1][sink], b), (target, b),
+                    ]
+                    if engine.assume_all(premise):
+                        values = bytes(engine.assignment.values)
+                        for mode in SensitizationMode:
+                            got = find_sensitizable_path(
+                                engine, start, target, frame2, mode,
+                                reach=cone, **budgets,
+                            )
+                            assert bytes(engine.assignment.values) == values
+                            want = path_search_oracle.find_sensitizable_path(
+                                engine, start, target, frame2, mode, **budgets
+                            )
+                            if got.unreachable:
+                                assert (got.outcome, got.attempts) == (
+                                    PathSearchOutcome.NONE, 0
+                                )
+                                assert want.outcome is not PathSearchOutcome.FOUND
+                            else:
+                                assert (got.outcome, got.path, got.attempts) == (
+                                    want.outcome, want.path, want.attempts
+                                )
+                    engine.backtrack(mark)

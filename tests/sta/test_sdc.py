@@ -1,5 +1,7 @@
 """SDC emission from detection results."""
 
+import pytest
+
 from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 from repro.core.result import CaseOutcome
 from repro.sta.constraints import (
@@ -188,6 +190,29 @@ def test_k1_budget_emits_setup_one_hold_zero(fig1):
     assert "-setup 1" in text
     assert "-hold 0" in text
     assert "-setup 2" not in text
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_cycle_is_rejected(fig1, budget):
+    """A budget of 0 would write ``-setup 0`` and ``-hold -1``, and
+    divide by zero in the relaxation report: every entry point raises
+    ``ValueError`` naming the value, the JSON form also when it is
+    given the constraints it renders."""
+    from repro.sta.constraints import relaxation_report
+
+    detection = detect_multi_cycle_pairs(fig1)
+    constraints = sdc_constraints(detection)
+    message = f"multi_cycle_budget must be >= 1, got {budget}"
+    with pytest.raises(ValueError, match=message):
+        relaxation_report(fig1, detection, multi_cycle_budget=budget)
+    with pytest.raises(ValueError, match=message):
+        sdc_constraints(detection, budget)
+    with pytest.raises(ValueError, match=message):
+        format_sdc(detection, multi_cycle_budget=budget)
+    with pytest.raises(ValueError, match=message):
+        constraints_json(detection, budget)
+    with pytest.raises(ValueError, match=message):
+        constraints_json(detection, budget, constraints=constraints)
 
 
 def test_all_contradiction_pair_is_safe_false_path():

@@ -734,6 +734,8 @@ def test_trace_into_missing_directory_is_one_error_line(
     (["analyze", "{f}", "--cache-max-bytes", "0"], "--cache-max-bytes"),
     (["analyze", "{f}", "--cache-max-bytes", "-1"], "--cache-max-bytes"),
     (["cache", "stats", "--cache-max-bytes", "0"], "--cache-max-bytes"),
+    (["sta", "{f}", "--worst", "0"], "--worst"),
+    (["sta", "{f}", "--worst", "-1"], "--worst"),
 ])
 def test_out_of_range_numbers_are_usage_errors(
     fig1_file, capsys, monkeypatch, argv, flag
@@ -753,6 +755,31 @@ def test_out_of_range_numbers_are_usage_errors(
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert f"argument {flag}: must be >= " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("period", ["0", "-2", "nan", "inf"])
+def test_sta_period_must_be_positive_and_finite(
+    fig1_file, capsys, monkeypatch, period
+):
+    """A clock period that is not a positive finite number exits 2
+    naming the flag, before any analysis: no table of VIOLATED rows or
+    ``nan`` slacks."""
+    import repro.cli
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis started on an out-of-range period")
+
+    monkeypatch.setattr(repro.cli, "detect_multi_cycle_pairs", no_analysis)
+    with pytest.raises(SystemExit) as info:
+        main(["sta", fig1_file, "--period", period])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert (
+        f"argument --period: must be a positive finite number, got {period}"
+        in captured.err
+    )
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
